@@ -527,13 +527,6 @@ def product(c1: Cfm, c2: Cfm) -> Cfm:
     return Cfm(sig, messages, states, initial, transitions, accepting, gi)
 
 
-def product_many(machines: list[Cfm]) -> Cfm:
-    out = machines[0]
-    for c in machines[1:]:
-        out = product(out, c)
-    return out
-
-
 def relabel(c: Cfm, h: dict, new_alphabet: Optional[tuple] = None) -> Cfm:
     """Apply an alphabet morphism h to every transition label."""
     missing = [a for a in c.signature.alphabet if a not in h]

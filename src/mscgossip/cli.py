@@ -43,7 +43,6 @@ from .msc import (
     SystemSignature,
     export_dot,
     extended_msc_from_json,
-    load_msc,
     msc_from_json,
     msc_to_json,
     validate_msc,
@@ -140,12 +139,20 @@ def _load_json(path: str) -> dict:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _checked(m: Msc, path: str) -> Msc:
+    issues = validate_msc(m)
+    if issues:
+        raise _CliError(f"invalid MSC {path}: {issues[0]}")
+    return m
+
+
 def _msc(path: str) -> Msc:
-    return msc_from_json(_load_json(path))
+    return _checked(msc_from_json(_load_json(path)), path)
 
 
 def _extended_msc(path: str) -> ExtendedMsc:
     ext = extended_msc_from_json(_load_json(path))
+    _checked(ext.base, path)
     # JSON has no tuples; gossip annotations round-trip as lists
     annot = {e: tuple(v) if isinstance(v, list) else v for e, v in ext.annot.items()}
     return ExtendedMsc(ext.base, annot)
@@ -168,7 +175,7 @@ def _write_or_print(args, obj: dict) -> None:
 
 
 def _cmd_msc_validate(args) -> int:
-    issues = validate_msc(_msc(args.file))
+    issues = validate_msc(msc_from_json(_load_json(args.file)))
     _emit(args, {"valid": not issues, "issues": issues},
           "valid" if not issues else "\n".join(issues))
     return EXIT_OK if not issues else EXIT_REJECT
@@ -247,10 +254,6 @@ def _cmd_cfm_run(args) -> int:
     report = search_with_report(load_cfm(args.cfm), _msc(args.msc), args.budget)
     _emit(args, report.to_json(), report.outcome)
     return {"accepted": EXIT_OK, "rejected": EXIT_REJECT}.get(report.outcome, EXIT_BUDGET)
-
-
-def _cmd_cfm_accepts(args) -> int:
-    return _cmd_cfm_run(args)
 
 
 def _cmd_cfm_det(args) -> int:
@@ -353,8 +356,7 @@ def _cmd_corpus_gen(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--seed", type=int, default=0)
+    budget = {"--budget": {"type": int, "default": DEFAULT_BUDGET}}
 
     top = argparse.ArgumentParser(prog="mscgossip", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -384,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--event": {"required": True}})
 
     cfm = sub.add_parser("cfm").add_subparsers(dest="sub", required=True)
-    leaf(cfm, "run", _cmd_cfm_run, cfm={}, msc={})
-    leaf(cfm, "accepts", _cmd_cfm_accepts, cfm={}, msc={})
+    leaf(cfm, "run", _cmd_cfm_run, cfm={}, msc={}, **budget)
     leaf(cfm, "det", _cmd_cfm_det, cfm={})
     leaf(cfm, "mirror", _cmd_cfm_mirror, cfm={}, **{"--out": {}})
     leaf(cfm, "product", _cmd_cfm_product, cfm={}, cfm2={}, **{"--out": {}})
@@ -400,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(imp, "family", _cmd_impossible_family,
          **{"--n": {"type": int, "required": True},
             "--k": {"type": int, "required": True}, "--out": {}})
-    leaf(imp, "refute", _cmd_impossible_refute, cfm={"nargs": "?"})
+    leaf(imp, "refute", _cmd_impossible_refute, cfm={"nargs": "?"}, **budget)
 
     tl = sub.add_parser("tl").add_subparsers(dest="sub", required=True)
     leaf(tl, "eval", _cmd_tl_eval, file={}, **{"--formula": {"required": True}})
@@ -410,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     corpus = sub.add_parser("corpus").add_subparsers(dest="sub", required=True)
     leaf(corpus, "gen", _cmd_corpus_gen,
-         **{"--count": {"type": int, "default": 10},
+         **{"--seed": {"type": int, "default": 0},
+            "--count": {"type": int, "default": 10},
             "--procs": {"type": int, "default": 2},
             "--letters": {"type": int, "default": 2},
             "--max-events": {"type": int, "default": 4, "dest": "max_events"},

@@ -43,14 +43,58 @@ from .paths import (
 )
 
 
-def _prefixes(pi: PathExpr) -> list[PathExpr]:
-    return [PathExpr(pi.symbols[:i]) for i in range(len(pi.symbols) + 1)]
+def _last_step(symbols, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
+    """θ at one event over the prefixes of a path: entry i is the value of
+    the prefix of length i, ``none`` marks an empty preimage.
+
+    ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
+    sender, None when the event has none.  This is the one copy of the rules
+    for ⊏, →*, msg(p,q) and [a]: the direct passes and LastCore run it, and
+    the first direction runs it on the mirror.
+    """
+    t = [base]
+    for i, head in enumerate(symbols):
+        # t[i] is the value of the tail; this builds entry i + 1
+        if isinstance(head, Step):
+            v = none if pred is None else pred[i]
+        elif isinstance(head, StarStep):
+            v = t[i]
+            if v is none and pred is not None:
+                v = pred[i + 1]
+        elif isinstance(head, Msg):
+            hit = sender is not None and proc == head.dst and sender_proc == head.src
+            v = sender[i] if hit else none
+        else:  # LabelTest
+            v = t[i] if sigma == head.letter else none
+        t.append(v)
+    return tuple(t)
 
 
-def _suffixes(pi: PathExpr) -> list[PathExpr]:
-    """By increasing length, so each entry's tail is already computed."""
-    n = len(pi.symbols)
-    return [PathExpr(pi.symbols[i:]) for i in range(n, -1, -1)]
+def _last_pass(m: Msc, symbols: tuple, base: dict, none) -> dict[str, tuple]:
+    """_last_step along a linearization, where predecessor and sender come first."""
+    theta: dict[str, tuple] = {}
+    for e in linearize(m):
+        pred = m.proc_pred_of(e)
+        sender = m.send_of.get(e)
+        theta[e] = _last_step(
+            symbols,
+            none,
+            base[e],
+            None if pred is None else theta[pred],
+            None if sender is None else theta[sender],
+            m.loc[e],
+            None if sender is None else m.loc[sender],
+            m.label[e],
+        )
+    return theta
+
+
+def _mirror_symbols(pi: PathExpr) -> tuple:
+    """π read backwards with each msg(p,q) turned into msg(q,p): its last on
+    the mirror MSC is π's first on the original."""
+    return tuple(
+        Msg(s.dst, s.src) if isinstance(s, Msg) else s for s in reversed(pi.symbols)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -58,98 +102,28 @@ def _suffixes(pi: PathExpr) -> list[PathExpr]:
 # ---------------------------------------------------------------------------
 
 
-def last_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, dict]:
-    """θ(e): prefixes(π) → Θ∪{⊥} with θ(e)(π') = base(last_{π'}(e)).
-
-    Forward pass; every rule refers to the process predecessor or the message
-    sender, both earlier in any linearization.
-    """
-    prefs = _prefixes(pi)
-    theta: dict[str, dict] = {}
-    for e in linearize(m):
-        pred = m.proc_pred_of(e)
-        sender = m.send_of.get(e)
-        t: dict[PathExpr, Hashable] = {}
-        for p1 in prefs:
-            if not p1.symbols:
-                t[p1] = base[e]
-                continue
-            head = p1.symbols[-1]
-            p2 = PathExpr(p1.symbols[:-1])
-            if isinstance(head, Step):
-                t[p1] = BOTTOM if pred is None else theta[pred][p2]
-            elif isinstance(head, StarStep):
-                if t[p2] is not BOTTOM:
-                    t[p1] = t[p2]
-                elif pred is None:
-                    t[p1] = BOTTOM
-                else:
-                    t[p1] = theta[pred][p1]
-            elif isinstance(head, Msg):
-                if (
-                    sender is not None
-                    and m.loc[e] == head.dst
-                    and m.loc[sender] == head.src
-                ):
-                    t[p1] = theta[sender][p2]
-                else:
-                    t[p1] = BOTTOM
-            else:  # LabelTest
-                t[p1] = t[p2] if m.label[e] == head.letter else BOTTOM
-        theta[e] = t
-    return theta
+def last_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tuple]:
+    """θ(e)[i] = base(last_{π[:i]}(e)) for every prefix length i, ⊥ if none."""
+    return _last_pass(m, pi.symbols, base, BOTTOM)
 
 
 def last_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
     th = last_theta(m, pi, base)
-    return {e: th[e][pi] for e in m.events}
+    return {e: th[e][-1] for e in m.events}
 
 
-def first_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, dict]:
-    """θ(e): suffixes(π) → Θ∪{⊤} with θ(e)(π') = base(first_{π'}(e)).
+def first_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tuple]:
+    """θ(e)[j] = base(first_{π'}(e)) for the suffix π' of length j, ⊤ if none.
 
-    Backward pass over a reversed linearization; rules refer to the process
-    successor or the message receiver, both later, so the valuation is unique.
+    first_{π'} on M is last of the reversed path on the mirror of M, so this
+    is the last pass on the mirror with ⊤ in place of ⊥.
     """
-    sufs = _suffixes(pi)
-    theta: dict[str, dict] = {}
-    for e in reversed(linearize(m)):
-        succ = m.proc_succ_of(e)
-        recv = m.recv_of.get(e)
-        t: dict[PathExpr, Hashable] = {}
-        for p1 in sufs:
-            if not p1.symbols:
-                t[p1] = base[e]
-                continue
-            head = p1.symbols[0]
-            p2 = PathExpr(p1.symbols[1:])
-            if isinstance(head, Step):
-                t[p1] = TOP if succ is None else theta[succ][p2]
-            elif isinstance(head, StarStep):
-                if t[p2] is not TOP:
-                    t[p1] = t[p2]
-                elif succ is None:
-                    t[p1] = TOP
-                else:
-                    t[p1] = theta[succ][p1]
-            elif isinstance(head, Msg):
-                if (
-                    recv is not None
-                    and m.loc[e] == head.src
-                    and m.loc[recv] == head.dst
-                ):
-                    t[p1] = theta[recv][p2]
-                else:
-                    t[p1] = TOP
-            else:  # LabelTest
-                t[p1] = t[p2] if m.label[e] == head.letter else TOP
-        theta[e] = t
-    return theta
+    return _last_pass(m.mirror, _mirror_symbols(pi), base, TOP)
 
 
 def first_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
     th = first_theta(m, pi, base)
-    return {e: th[e][pi] for e in m.events}
+    return {e: th[e][-1] for e in m.events}
 
 
 def fa_value(
@@ -161,20 +135,14 @@ def fa_value(
 
 
 def fixpoint_bits(m: Msc, pi: PathExpr, pi2: PathExpr) -> dict[str, bool]:
-    """bit(e) = [first_{π'}(last_π(e)) = e], computed with per-event tokens."""
-    tokens = {e: ("tok", e) for e in m.events}
-    out = fa_value(m, pi, pi2, tokens)
-    return {e: out[e] == ("tok", e) for e in m.events}
+    """bit(e) = [first_{π'}(last_π(e)) = e]."""
+    out = fa_target(m, pi, pi2)
+    return {e: out[e] == e for e in m.events}
 
 
 def fa_target(m: Msc, pi: PathExpr, pi2: PathExpr) -> dict[str, Hashable]:
     """The event first_{π'}(last_π(e)) itself (or a sentinel)."""
-    tokens = {e: ("tok", e) for e in m.events}
-    out = fa_value(m, pi, pi2, tokens)
-    return {
-        e: v[1] if isinstance(v, tuple) and v and v[0] == "tok" else v
-        for e, v in out.items()
-    }
+    return fa_value(m, pi, pi2, {e: e for e in m.events})
 
 
 def bottom_bits(m: Msc, pi: PathExpr) -> dict[str, bool]:
@@ -260,8 +228,8 @@ def ord_annotation(pairs: frozenset, paths: Iterable[PathExpr]) -> frozenset:
 #
 # Component protocol: start() -> state; step(state, ctx, base, payload_in)
 # yields (new_state, output_value, payload_out); final(state) -> bool.
-# States are the θ functions, encoded as tuples aligned with the
-# prefix/suffix list; "start" marks an empty process history.
+# States are the θ functions as tuples indexed by prefix (LastCore) or
+# suffix (FirstCore) length; "start" marks an empty process history.
 
 
 class StepCtx:
@@ -281,178 +249,123 @@ class LastCore:
 
     def __init__(self, pi: PathExpr):
         self.pi = pi
-        self.prefs = _prefixes(pi)
 
     def start(self):
         return "start"
 
     def step(self, state, ctx: StepCtx, base, payload_in):
-        prev = None if state == "start" else dict(zip(self.prefs, state))
-        sender_theta = (
-            None if payload_in is None else dict(zip(self.prefs, payload_in))
+        t = _last_step(
+            self.pi.symbols,
+            BOTTOM,
+            base,
+            None if state == "start" else state,
+            payload_in,
+            ctx.proc,
+            ctx.peer,
+            ctx.sigma,
         )
-        t: dict[PathExpr, Hashable] = {}
-        for p1 in self.prefs:
-            if not p1.symbols:
-                t[p1] = base
-                continue
-            head = p1.symbols[-1]
-            p2 = PathExpr(p1.symbols[:-1])
-            if isinstance(head, Step):
-                t[p1] = BOTTOM if prev is None else prev[p2]
-            elif isinstance(head, StarStep):
-                if t[p2] is not BOTTOM:
-                    t[p1] = t[p2]
-                elif prev is None:
-                    t[p1] = BOTTOM
-                else:
-                    t[p1] = prev[p1]
-            elif isinstance(head, Msg):
-                if (
-                    ctx.kind == "recv"
-                    and sender_theta is not None
-                    and ctx.proc == head.dst
-                    and ctx.peer == head.src
-                ):
-                    t[p1] = sender_theta[p2]
-                else:
-                    t[p1] = BOTTOM
-            else:
-                t[p1] = t[p2] if ctx.sigma == head.letter else BOTTOM
-        enc = tuple(t[p1] for p1 in self.prefs)
-        payload = enc if ctx.kind == "send" else None
-        yield enc, t[self.pi], payload
+        yield t, t[-1], t if ctx.kind == "send" else None
 
     def final(self, state) -> bool:
         return True
 
 
+_FREE = object()  # a FirstCore slot left to guess
+
+
 class FirstCore:
     """Guess-based forward realization of θ over suffixes of π.
 
-    Entries whose rule refers to a later event are guessed from Θ∪{⊤} and
-    checked when that later event is processed (⊏-successor entries and the
-    propagated →*-entries at the next step, message entries at the matching
-    receive, process-end entries in final()).
+    Entry j of a state is the value of the suffix of length j, whose head is
+    the j-th symbol from the end.  Entries whose rule refers to a later event
+    are guessed from Θ∪{⊤} and checked when that later event is processed
+    (⊏-successor entries and the propagated →*-entries at the next step,
+    message entries at the matching receive, process-end entries in final()).
     """
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
         self.pi = pi
-        self.sufs = _suffixes(pi)  # increasing length
+        self.heads = tuple(reversed(pi.symbols))  # heads[j - 1] heads entry j
         self.domain = tuple(theta_set) + (TOP,)
 
     def start(self):
         return "start"
 
     def _forced_and_free(self, ctx: StepCtx, base):
-        """Split suffix entries into locally forced values and free slots."""
-        forced: dict[PathExpr, Hashable] = {}
-        free: list[PathExpr] = []
-        for p1 in self.sufs:
-            if not p1.symbols:
-                forced[p1] = base
-                continue
-            head = p1.symbols[0]
-            p2 = PathExpr(p1.symbols[1:])
+        """The entries forced by the event itself, _FREE at the slots to guess."""
+        t = [base]
+        free: list[int] = []
+        for j, head in enumerate(self.heads, 1):
+            tail = t[j - 1]
             if isinstance(head, Step):
-                free.append(p1)  # successor-dependent, or ⊤ at process end
+                v = _FREE  # successor-dependent, or ⊤ at process end
             elif isinstance(head, StarStep):
-                if p2 in forced and forced[p2] is not TOP:
-                    forced[p1] = forced[p2]
-                else:
-                    free.append(p1)
+                v = _FREE if tail is TOP else tail
             elif isinstance(head, Msg):
-                if ctx.kind == "send" and ctx.proc == head.src and ctx.peer == head.dst:
-                    free.append(p1)  # receiver-dependent
-                else:
-                    forced[p1] = TOP
+                # a matching send's entry depends on its receiver
+                sends = ctx.kind == "send" and ctx.proc == head.src and ctx.peer == head.dst
+                v = _FREE if sends else TOP
             else:
-                if ctx.sigma == head.letter:
-                    if p2 in forced:
-                        forced[p1] = forced[p2]
-                    else:
-                        free.append(p1)
-                else:
-                    forced[p1] = TOP
-        return forced, free
+                v = tail if ctx.sigma == head.letter else TOP
+            if v is _FREE:
+                free.append(j)
+            t.append(v)
+        return t, free
 
     def step(self, state, ctx: StepCtx, base, payload_in):
-        prev = None if state == "start" else dict(zip(self.sufs, state))
-        sender_theta = (
-            None if payload_in is None else dict(zip(self.sufs, payload_in))
-        )
         forced, free = self._forced_and_free(ctx, base)
         for combo in itertools.product(self.domain, repeat=len(free)):
-            t = dict(forced)
-            t.update(zip(free, combo))
+            t = list(forced)
+            for j, v in zip(free, combo):
+                t[j] = v
+            t = tuple(t)
             if not self._consistent(t, ctx):
                 continue
             # check the previous event's successor-dependent entries
-            if prev is not None and not self._check_succ(prev, t):
+            if state != "start" and not self._check_succ(state, t):
                 continue
             # check the sender's message entries against our fresh θ
-            if sender_theta is not None and not self._check_msg(
-                sender_theta, t, ctx
-            ):
+            if payload_in is not None and not self._check_msg(payload_in, t, ctx):
                 continue
-            enc = tuple(t[p1] for p1 in self.sufs)
-            payload = enc if ctx.kind == "send" else None
-            yield enc, t[self.pi], payload
+            yield t, t[-1], t if ctx.kind == "send" else None
 
     def _consistent(self, t, ctx: StepCtx) -> bool:
         """Local coherence of guessed entries with shorter suffixes."""
-        for p1 in self.sufs:
-            if not p1.symbols:
-                continue
-            head = p1.symbols[0]
-            p2 = PathExpr(p1.symbols[1:])
+        for j, head in enumerate(self.heads, 1):
             if isinstance(head, StarStep):
-                if t[p2] is not TOP and t[p1] != t[p2]:
+                if t[j - 1] is not TOP and t[j] != t[j - 1]:
                     return False
             elif isinstance(head, LabelTest) and ctx.sigma == head.letter:
-                if t[p1] != t[p2]:
+                if t[j] != t[j - 1]:
                     return False
         return True
 
     def _check_succ(self, prev, cur) -> bool:
         """Rules at the previous event that mention its ⊏-successor (us)."""
-        for p1 in self.sufs:
-            if not p1.symbols:
-                continue
-            head = p1.symbols[0]
-            p2 = PathExpr(p1.symbols[1:])
+        for j, head in enumerate(self.heads, 1):
             if isinstance(head, Step):
-                if prev[p1] != cur[p2]:
+                if prev[j] != cur[j - 1]:
                     return False
             elif isinstance(head, StarStep):
-                if prev[p2] is TOP and prev[p1] != cur[p1]:
+                if prev[j - 1] is TOP and prev[j] != cur[j]:
                     return False
         return True
 
     def _check_msg(self, sender, cur, ctx: StepCtx) -> bool:
         """Message entries guessed at the send, checked here at the receive."""
-        for p1 in self.sufs:
-            if not p1.symbols:
-                continue
-            head = p1.symbols[0]
+        for j, head in enumerate(self.heads, 1):
             if isinstance(head, Msg) and head.src == ctx.peer and head.dst == ctx.proc:
-                p2 = PathExpr(p1.symbols[1:])
-                if sender[p1] != cur[p2]:
+                if sender[j] != cur[j - 1]:
                     return False
         return True
 
     def final(self, state) -> bool:
         if state == "start":
             return True
-        t = dict(zip(self.sufs, state))
-        for p1 in self.sufs:
-            if not p1.symbols:
-                continue
-            head = p1.symbols[0]
-            p2 = PathExpr(p1.symbols[1:])
-            if isinstance(head, Step) and t[p1] is not TOP:
+        for j, head in enumerate(self.heads, 1):
+            if isinstance(head, Step) and state[j] is not TOP:
                 return False
-            if isinstance(head, StarStep) and t[p2] is TOP and t[p1] is not TOP:
+            if isinstance(head, StarStep) and state[j - 1] is TOP and state[j] is not TOP:
                 return False
         return True
 
@@ -937,7 +850,8 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     def annotate(m):
         # depends only on the base MSC; memoized so repeated membership
         # queries on the same MSC (mutation sweeps) cost one computation
-        cached = m._caches.get(("gossip-annot",))
+        key = ("gossip-annot", procs)
+        cached = m._caches.get(key)
         if cached is not None:
             return cached
         out = {e: [] for e in m.events}
@@ -954,7 +868,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
             e: tuple(v for _, v in sorted(vals, key=lambda sv: procs.index(sv[0])))
             for e, vals in out.items()
         }
-        m._caches[("gossip-annot",)] = result
+        m._caches[key] = result
         return result
 
     def decide(ext):
@@ -1020,23 +934,14 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         parts = [
             (
                 preorder_canonical_states(m, tgt, fam),
-                [last_theta(m, pi, dict(m.label)) for pi in fam],
+                [last_theta(m, pi, m.label) for pi in fam],
             )
             for _, tgt, fam in combos
         ]
-        out = {}
-        for e in m.events:
-            out[e] = tuple(
-                (
-                    pre_states[e],
-                    tuple(
-                        tuple(th[e][pp] for pp in _prefixes(fam_pi))
-                        for fam_pi, th in zip(combos[i][2], val_thetas)
-                    ),
-                )
-                for i, (pre_states, val_thetas) in enumerate(parts)
-            )
-        return out
+        return {
+            e: tuple((pre[e], tuple(th[e] for th in ths)) for pre, ths in parts)
+            for e in m.events
+        }
 
     out = AnnotationCfm(
         "gossip", starts, step, final_ok, annotate, decide, canonical=canonical
@@ -1112,10 +1017,7 @@ def fix_canonical_states(m: Msc, q: str, pi: PathExpr, pi2: PathExpr) -> dict:
     """Per event, the FixCore state on the unique accepting run."""
     zeta = canonical_coloring(m, q, pi, pi2)
     th5 = first_theta(m, pi2, zeta)
-    chi = {e: th5[e][pi2] for e in m.events}
-    th4 = last_theta(m, pi, chi)
-    sufs = _suffixes(pi2)
-    prefs = _prefixes(pi)
+    th4 = last_theta(m, pi, {e: th5[e][-1] for e in m.events})
     bits = fixpoint_bits(m, pi, pi2)
     alt = {p: "c2" for p in m.signature.processes}
     out = {}
@@ -1123,9 +1025,7 @@ def fix_canonical_states(m: Msc, q: str, pi: PathExpr, pi2: PathExpr) -> dict:
         p = m.loc[e]
         if p == q and bits[e]:
             alt[p] = "c1" if alt[p] == "c2" else "c2"
-        s5 = tuple(th5[e][s] for s in sufs)
-        s4 = tuple(th4[e][s] for s in prefs)
-        out[e] = ((s5, s4), alt[p])
+        out[e] = ((th5[e], th4[e]), alt[p])
     return out
 
 
@@ -1151,9 +1051,7 @@ def preorder_canonical_states(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> di
         out[e] = (
             tuple(fs[ab][e] for ab in star_pairs),
             tuple(fp[ab][e] for ab in star_pairs),
-            tuple(
-                tuple(bots[a][e][pp] for pp in _prefixes(a)) for a in clos
-            ),
+            tuple(bots[a][e] for a in clos),
             pre_now if m.loc[e] == q else None,
         )
     return out
@@ -1197,7 +1095,7 @@ def drive_last_core(core: LastCore, m: Msc, base: dict) -> bool:
 
     def move(e, ctx, state, msg_in):
         for ns, out, pay in core.step(state, ctx, base[e], msg_in):
-            if ns == tuple(th[e][pp] for pp in core.prefs):
+            if ns == th[e]:
                 return ns, pay
         return None
 

@@ -8,7 +8,6 @@ which events are listed, and the direct-successor relation is derived from it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional
 
@@ -86,6 +85,13 @@ class Msc:
         self._caches: dict[str, Any] = {}
 
     # -- derived structure ------------------------------------------------
+
+    @property
+    def mirror(self) -> "Msc":
+        """mirror_msc(self), built once per MSC."""
+        if "mirror" not in self._caches:
+            self._caches["mirror"] = mirror_msc(self)
+        return self._caches["mirror"]
 
     @property
     def index(self) -> dict[str, int]:
@@ -389,11 +395,6 @@ def extended_msc_from_json(obj: dict) -> ExtendedMsc:
     except KeyError as exc:
         raise MscError("extended MSC requires an 'annot' field per event") from exc
     return ExtendedMsc(base, annot)
-
-
-def load_msc(path: str) -> Msc:
-    with open(path) as fh:
-        return msc_from_json(json.load(fh))
 
 
 # -- DOT export --------------------------------------------------------------

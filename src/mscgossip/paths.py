@@ -123,24 +123,6 @@ def comp(sig: SystemSignature, pi: PathExpr) -> set[tuple[str, str]]:
     return rel
 
 
-def paths_endpoints(sig: SystemSignature, pi: PathExpr) -> Optional[tuple[str, str]]:
-    """The unique (p,q) in Comp(π), or None if Comp(π) is empty or identity-like.
-
-    For expressions containing at least one msg symbol, Comp has at most one
-    pair.  For pure step/label expressions Comp is the identity on processes.
-    """
-    c = comp(sig, pi)
-    if not c:
-        return None
-    if len(c) == 1:
-        return next(iter(c))
-    return None  # identity relation: compatible with every (p,p)
-
-
-def in_paths(sig: SystemSignature, pi: PathExpr, p: str, q: str) -> bool:
-    return (p, q) in comp(sig, pi)
-
-
 # -- relational semantics ----------------------------------------------------
 
 

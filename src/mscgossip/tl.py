@@ -34,7 +34,6 @@ from .msc import (
     SystemSignature,
     causal_leq,
     causal_lt,
-    mirror_msc,
 )
 from .paths import LabelTest, PathExpr, gossip_paths_between
 
@@ -388,17 +387,6 @@ def mirror_formula(phi: TlFormula) -> TlFormula:
     if isinstance(phi, Since):
         return Until(mirror_formula(phi.left), mirror_formula(phi.right))
     return mirror_formula(expand_derived(phi))
-
-
-def subformula_atoms(phi: TlFormula) -> set:
-    if isinstance(phi, Atom):
-        return {phi.letter}
-    out = set()
-    for f in getattr(phi, "__dataclass_fields__", {}):
-        v = getattr(phi, f)
-        if isinstance(v, TlFormula):
-            out |= subformula_atoms(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +782,7 @@ def _until_machine(phi, sig, since: _TlMachine) -> _TlMachine:
         starts(p)
 
     def annotate(m):
-        key = ("tl-mirror",)
-        if key not in m._caches:
-            m._caches[key] = mirror_msc(m)
-        return since._annotate_fn(m._caches[key])
+        return since._annotate_fn(m.mirror)
 
     return _TlMachine(phi, sig, starts, step, lambda p, s: False, annotate)
 

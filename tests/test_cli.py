@@ -110,6 +110,29 @@ def test_input_errors_exit_2(tmp_path):
     assert dispatch(["path", "last"]) == 2
 
 
+def test_invalid_msc_input_exits_2(tmp_path, capsys):
+    # e3 -> f1 is sent after e2 -> f2 but received before it
+    sig = SystemSignature(("p", "q"), ("a", "b"))
+    m = Msc(sig, [("e2", "p", "a"), ("e3", "p", "b"), ("f1", "q", "a"),
+                  ("f2", "q", "b")], [("e2", "f2"), ("e3", "f1")])
+    assert any("FIFO" in issue for issue in validate_msc(m))
+    path = tmp_path / "fifo.json"
+    path.write_text(json.dumps(msc_to_json(m, {e: [None, None] for e in m.events})))
+    assert dispatch(["msc", "validate", str(path)]) == 1
+    assert dispatch(["gossip", "check", str(path)]) == 2
+    assert dispatch(["tl", "check", str(path), "--formula", "a"]) == 2
+    assert dispatch(["path", "last", str(path), "--path", "->", "--event", "f2"]) == 2
+    assert "FIFO" in capsys.readouterr().err
+
+
+def test_flags_only_where_read(fig_file, tmp_path):
+    ann_path = tmp_path / "ann.json"
+    assert dispatch(["gossip", "annotate", fig_file, "--out", str(ann_path)]) == 0
+    assert dispatch(["gossip", "check", str(ann_path), "--budget", "5"]) == 2
+    assert dispatch(["tl", "eval", fig_file, "--formula", "a", "--seed", "1"]) == 2
+    assert dispatch(["cfm", "accepts"]) == 2
+
+
 def test_path_queries(fig_file, capsys):
     assert dispatch(["path", "last", fig_file, "--path", "msg(p,q) ->*",
                      "--event", "f5"]) == 0
@@ -148,7 +171,7 @@ def test_cfm_run_and_accepts(tmp_path, capsys):
     assert dispatch(["cfm", "run", str(cfm_path), str(good), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["outcome"] == "accepted" and "run" in rep
-    assert dispatch(["cfm", "accepts", str(cfm_path), str(bad)]) == 1
+    assert dispatch(["cfm", "run", str(cfm_path), str(bad)]) == 1
     assert dispatch(["cfm", "run", str(cfm_path), str(good), "--budget", "1"]) == 3
 
 

@@ -25,8 +25,10 @@ from mscgossip.constructions import (
     drive_preorder_components,
     fa_target,
     fa_value,
+    first_theta,
     first_value,
     fixpoint_bits,
+    last_theta,
     last_value,
     oracle_gossip_annotation,
     ord_annotation,
@@ -40,6 +42,7 @@ from mscgossip.paths import (
     PLUS,
     STAR,
     PathError,
+    PathExpr,
     f_pair,
     first,
     format_path,
@@ -66,6 +69,7 @@ PATH_SHAPES = [
     PI2,
     parse_path("[a] ->*", SIG3),
     parse_path("-> [b] msg(p,q)", SIG3),
+    parse_path("->* msg(q,r) [a]", SIG3),
 ]
 
 
@@ -87,6 +91,13 @@ def test_last_value_matches_oracle():
                 want = BOTTOM if g is BOTTOM else m.label[g]
                 assert vals[e] == want
                 checked += 1
+            # entry i of θ(e) is the value of the prefix of length i
+            th = last_theta(m, pi, labels)
+            for i in range(len(pi) + 1):
+                prefix = PathExpr(pi.symbols[:i])
+                for e in m.events:
+                    g = last(m, prefix, e)
+                    assert th[e][i] == (BOTTOM if g is BOTTOM else m.label[g])
     assert checked > 300
 
 
@@ -101,6 +112,13 @@ def test_first_value_matches_oracle():
                 want = TOP if g is TOP else m.label[g]
                 assert vals[e] == want
                 checked += 1
+            # entry j of θ(e) is the value of the suffix of length j
+            th = first_theta(m, pi, labels)
+            for j in range(len(pi) + 1):
+                suffix = PathExpr(pi.symbols[len(pi) - j :])
+                for e in m.events:
+                    g = first(m, suffix, e)
+                    assert th[e][j] == (TOP if g is TOP else m.label[g])
     assert checked > 300
 
 
@@ -516,6 +534,15 @@ def test_gossip_message_carries_label():
     bad = dict(ext.annot)
     bad["r"] = ("b", None)
     assert not mach.decide(ExtendedMsc(m, bad))
+
+
+def test_gossip_annotation_memo_is_per_process_order():
+    # one MSC read by two machines whose process orders differ
+    sig_pq = SystemSignature(("p", "q"), ("a", "b"))
+    sig_qp = SystemSignature(("q", "p"), ("a", "b"))
+    m = Msc(sig_pq, [("e1", "p", "a"), ("e2", "q", "b")], [("e1", "e2")])
+    assert build_gossip_cfm(sig_pq).annotate(m)["e2"] == ("a", None)
+    assert build_gossip_cfm(sig_qp).annotate(m)["e2"] == (None, "a")
 
 
 def test_gossip_search_route_single_process():
