@@ -344,15 +344,11 @@ def find_accepting_run(
 
 
 def accepts(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> bool:
-    """Language membership.
+    """Language membership by the run search.
 
-    Machines exposing decide_encoded (the annotation constructions, whose
-    unique internal valuation makes membership computable without search) are
-    decided directly; anything else goes through the run search.
+    Annotation machines are decided without search by their own
+    ``decide(ext)``, on the extended MSC itself.
     """
-    fast = getattr(machine, "decide_encoded", None)
-    if fast is not None:
-        return fast(m)
     return find_accepting_run(machine, m, budget) is not None
 
 

@@ -9,7 +9,8 @@ Each construction is a machine over an annotated alphabet whose language is
 * a direct decision procedure applying the same local rules along a
   linearization.  Because each machine admits exactly one consistent internal
   valuation per MSC, this decides membership without search and scales to
-  large instances; ``accepts`` dispatches to it automatically.
+  large instances; it is the machine's ``decide(ext)``, while ``accepts``
+  always runs the search.
 
 The machines:
   last-label    ξ2(e) = ξ1(last_π(e))            forward, deterministic
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Hashable, Iterable, Optional
 
-from .cfm import LazyCfm, detach_annotation
+from .cfm import LazyCfm
 from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
 from .paths import (
     LabelTest,
@@ -550,7 +551,8 @@ class AnnotationCfm(LazyCfm):
     decide(ext) computes the machine's unique consistent internal valuation
     with the direct passes and compares annotations; it defines the same
     language as the transition relation (cross-validated by run search on
-    small instances).  ``accepts`` dispatches to decide_encoded.
+    small instances).  ``accepts`` on the product-labeled encoding runs the
+    search instead.
     """
 
     def __init__(
@@ -575,10 +577,6 @@ class AnnotationCfm(LazyCfm):
 
     def decide(self, ext: ExtendedMsc) -> bool:
         return self._decide_fn(ext)
-
-    def decide_encoded(self, m: Msc) -> bool:
-        """Membership of a product-labeled MSC (as built by attach_annotation)."""
-        return self._decide_fn(detach_annotation(m))
 
     def canonical_states(self, m: Msc) -> dict:
         """Per event, the structured state its process reaches in the unique

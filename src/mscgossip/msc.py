@@ -282,9 +282,13 @@ def is_valid(m: Msc) -> bool:
 # -- causal order and structure ops -----------------------------------------
 
 
-def linearize(m: Msc) -> list[str]:
-    """Deterministic topological order of (E, <); ties broken by event-id order."""
-    idx = m.index
+def linearize(m: Msc) -> tuple[str, ...]:
+    """Deterministic topological order of (E, <); ties broken by event-id order.
+
+    Computed once per MSC and kept in its caches.
+    """
+    if "order" in m._caches:
+        return m._caches["order"]
     pred_count = {e: 0 for e in m.events}
     succs: dict[str, list[str]] = {e: [] for e in m.events}
     for a, b in m.proc_succ:
@@ -307,7 +311,8 @@ def linearize(m: Msc) -> list[str]:
                 heapq.heappush(ready, f)
     if len(out) != len(m.events):
         raise MscError("cannot linearize a cyclic MSC")
-    return out
+    m._caches["order"] = tuple(out)
+    return m._caches["order"]
 
 
 def causal_leq(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:

@@ -10,24 +10,20 @@ strict until/since along the causal order.  Derived process-local modalities
 correctly bit-annotated MSCs, built from the preorder construction chain:
 a since formula reduces, after recoding subformula bits to a four-letter
 alphabet, to a per-process-pair dominance test between two families of
-letter-decorated paths, decided by the preorder machinery.  Until machines
-are the mirror images of since machines for the mirrored operands.
+letter-decorated paths (``compile_since``), stepped by the preorder machinery
+and decided directly from last events.  Until machines are the mirror images
+of since machines for the mirrored operands.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Hashable
 
-from .cfm import attach_annotation
-from .constructions import (
-    AnnotationCfm,
-    PreorderCore,
-    StepCtx,
-    last_value,
-    preorder_bits,
-)
+from .constructions import AnnotationCfm, PreorderCore, StepCtx, last_value
 from .msc import (
     ExtendedMsc,
     Msc,
@@ -580,15 +576,16 @@ def _bit_of(annot) -> int:
 class _TlMachine(AnnotationCfm):
     """Compiled formula machine: bit annotations over Σ×{0,1}.
 
-    Annotations are cached on the MSC (they do not depend on the claimed
-    bits), so deciding many mutations of one instance costs one computation.
+    Annotations are cached on the MSC under the formula and the signature
+    (they do not depend on the claimed bits), so deciding many mutations of
+    one instance costs one computation.
     """
 
     def __init__(self, phi, sig, starts, step_fn, final_ok, annotate_fn):
         name = f"tl[{format_tl(phi)}]"
 
         def annotate_cached(m):
-            key = ("tl-annot", name)
+            key = ("tl-annot", name, sig)
             if key not in m._caches:
                 m._caches[key] = annotate_fn(m)
             return m._caches[key]
@@ -606,8 +603,6 @@ class _TlMachine(AnnotationCfm):
             decide,
             signature=None,
         )
-        self.formula = phi
-        self.base_signature = sig
 
 
 def _checker_machine(phi, sig, holds) -> _TlMachine:
@@ -672,30 +667,91 @@ def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     return _TlMachine(phi, sig, starts, step, final_ok, annotate)
 
 
+def compile_since(
+    p: str, q: str, sig: SystemSignature
+) -> AnnotationCfm:
+    """The single-pair dominance machine over the four-letter alphabet.
+
+    Reads (letter, bit) pairs with letter in {a, b, c, d}; the bit on
+    q-events must be 1 iff some decorated left path from p strictly
+    dominates every right path.  Events off q must carry bit 0.
+
+    This is the one construction of a pair: the since machine is built from
+    these.  ``moves(pp, state, ctx, msg_in)`` yields the preorder core's
+    moves with their dominance bit (False off q); the core is built the
+    first time a search needs it, so annotate and decide never build it.
+    """
+    if p not in sig.processes or q not in sig.processes:
+        raise TlError(f"unknown process in pair ({p!r}, {q!r})")
+    lf, rt = since_path_sets(sig, p, q)
+    paths = tuple(dict.fromkeys(lf + rt))
+
+    @functools.cache
+    def core() -> PreorderCore:
+        return PreorderCore(q, paths)
+
+    def moves(pp, state, ctx, msg_in):
+        for ns, out, pay in core().step(state, ctx, msg_in):
+            yield ns, pp == q and _dominates(out, lf, rt), pay
+
+    def starts(pp):
+        return [core().start()]
+
+    def step(pp, state, kind, label, peer, msg_in):
+        sigma, bit = label
+        bit = _bit_of(bit)
+        if sigma not in ABCD:
+            return
+        for ns, dom, pay in moves(pp, state, StepCtx(pp, kind, peer, sigma), msg_in):
+            if dom == bit:
+                yield ns, pay
+
+    def final_ok(pp, state):
+        return core().final(state)
+
+    def annotate(m):
+        # (l,r) is in the preorder at e iff last_l(e) <= last_r(e), so "l
+        # strictly above every r" is a causal comparison of last events
+        ident = {e: e for e in m.events}
+        last = {pi: last_value(m, pi, ident) for pi in paths}
+        out = {e: 0 for e in m.events}
+        for e in m.events_of(q):
+            if any(
+                all(not causal_leq(m, last[l][e], last[r][e]) for r in rt)
+                for l in lf
+            ):
+                out[e] = 1
+        return out
+
+    def decide(ext):
+        want = annotate(ext.base)
+        return all(_bit_of(ext.annot[e]) == want[e] for e in ext.base.events)
+
+    out = AnnotationCfm(
+        f"since[{p}->{q}]", starts, step, final_ok, annotate, decide
+    )
+    out.moves = moves
+    return out
+
+
 def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
-    """The dominance test per (src, tgt) pair over the abcd recoding.
+    """The pair machines of every (src, tgt) over the abcd recoding.
 
     The bit at an event on process tgt is 1 iff, for some src, the most
     recent src-witness (letters a/c) strictly dominates every src-event whose
-    path to here crosses a letter in {c, d}; dominance is read off the
-    preorder machinery over the decorated path families.
+    path to here crosses a letter in {c, d}: the OR of the pairs' bits.
     """
     procs = sig.processes
-    combos = []
-    for tgt in procs:
-        for src in procs:
-            lf, rt = since_path_sets(sig, src, tgt)
-            paths = tuple(dict.fromkeys(lf + rt))
-            combos.append((src, tgt, lf, rt, paths))
-    cores = [PreorderCore(tgt, paths) for _, tgt, _, _, paths in combos]
+    pairs = [compile_since(src, tgt, sig) for tgt in procs for src in procs]
 
     def starts(p):
-        base = [
-            (s1, s2, tuple(c.start() for c in cores))
+        core_starts = list(itertools.product(*(pair._starts(p) for pair in pairs)))
+        return [
+            (s1, s2, cs)
             for s1 in m1._starts(p)
             for s2 in m2._starts(p)
+            for cs in core_starts
         ]
-        return base
 
     def step(p, state, kind, label, peer, msg_in):
         sigma, bit = label
@@ -706,17 +762,13 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
             in1, in2, core_ins = msg_in
 
         def core_rec(i, acc_state, acc_pay, dom, ctx):
-            if i == len(combos):
+            if i == len(pairs):
                 yield tuple(acc_state), tuple(acc_pay), dom
                 return
-            src, tgt, lf, rt, paths = combos[i]
             cin = None if core_ins is None else core_ins[i]
-            for ns, out, cpay in cores[i].step(core_states[i], ctx, cin):
-                new_dom = dom
-                if p == tgt:
-                    new_dom = dom or _dominates(out, lf, rt)
+            for ns, pair_dom, cpay in pairs[i].moves(p, core_states[i], ctx, cin):
                 yield from core_rec(
-                    i + 1, acc_state + [ns], acc_pay + [cpay], new_dom, ctx
+                    i + 1, acc_state + [ns], acc_pay + [cpay], dom or pair_dom, ctx
                 )
 
         for b1 in (0, 1):
@@ -737,34 +789,13 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         return (
             m1._final(p, s1)
             and m2._final(p, s2)
-            and all(c.final(cs) for c, cs in zip(cores, core_states))
+            and all(pair._final(p, cs) for pair, cs in zip(pairs, core_states))
         )
 
     def annotate(m):
-        # dominance read off the last events directly: (l,r) is in the
-        # preorder iff last_l(e) <= last_r(e), so "l strictly above every r"
-        # is a causal comparison of last values; one pass per decorated path
-        v1, v2 = m1._annotate_fn(m), m2._annotate_fn(m)
-        recoded = _abcd_msc(m, v1, v2)
-        ident = {e: e for e in m.events}
-        lasts: dict[PathExpr, dict] = {}
-        out = {e: 0 for e in m.events}
-        for src, tgt, lf, rt, paths in combos:
-            for pi in paths:
-                if pi not in lasts:
-                    lasts[pi] = last_value(recoded, pi, ident)
-            for e in m.events_of(tgt):
-                if out[e]:
-                    continue
-                if any(
-                    all(
-                        not causal_leq(recoded, lasts[l][e], lasts[r][e])
-                        for r in rt
-                    )
-                    for l in lf
-                ):
-                    out[e] = 1
-        return out
+        recoded = _abcd_msc(m, m1._annotate_fn(m), m2._annotate_fn(m))
+        bits = [pair.annotate(recoded) for pair in pairs]
+        return {e: max(b[e] for b in bits) for e in m.events}
 
     return _TlMachine(phi, sig, starts, step, final_ok, annotate)
 
@@ -775,7 +806,7 @@ def _until_machine(phi, sig, since: _TlMachine) -> _TlMachine:
     def starts(p):
         raise TlError(
             "the until machine's transition relation is the mirror of its "
-            "since core and cannot be searched forward; use accepts()"
+            "since core and cannot be searched forward; use decide()"
         )
 
     def step(p, state, kind, label, peer, msg_in):
@@ -785,63 +816,6 @@ def _until_machine(phi, sig, since: _TlMachine) -> _TlMachine:
         return since._annotate_fn(m.mirror)
 
     return _TlMachine(phi, sig, starts, step, lambda p, s: False, annotate)
-
-
-def compile_since(
-    p: str, q: str, sig: SystemSignature
-) -> AnnotationCfm:
-    """The single-pair dominance machine over the four-letter alphabet.
-
-    Reads (letter, bit) pairs with letter in {a, b, c, d}; the bit on
-    q-events must be 1 iff some decorated left path from p strictly
-    dominates every right path.  Events off q must carry bit 0.
-    """
-    if p not in sig.processes or q not in sig.processes:
-        raise TlError(f"unknown process in pair ({p!r}, {q!r})")
-    lf, rt = since_path_sets(sig, p, q)
-    paths = tuple(dict.fromkeys(lf + rt))
-    core = PreorderCore(q, paths)
-    abcd_sig = SystemSignature(sig.processes, ABCD)
-
-    def starts(pp):
-        return [core.start()]
-
-    def step(pp, state, kind, label, peer, msg_in):
-        sigma, bit = label
-        bit = _bit_of(bit)
-        if sigma not in ABCD:
-            return
-        ctx = StepCtx(pp, kind, peer, sigma)
-        for ns, out, pay in core.step(state, ctx, msg_in):
-            if pp == q:
-                if (1 if _dominates(out, lf, rt) else 0) != bit:
-                    continue
-            elif bit != 0:
-                continue
-            yield ns, pay
-
-    def final_ok(pp, state):
-        return core.final(state)
-
-    def annotate(m):
-        pb = preorder_bits(m, q, paths)
-        out = {e: 0 for e in m.events}
-        for e in m.events_of(q):
-            out[e] = 1 if _dominates(pb[e], lf, rt) else 0
-        return out
-
-    def decide(ext):
-        want = annotate(ext.base)
-        return all(_bit_of(ext.annot[e]) == want[e] for e in ext.base.events)
-
-    out = AnnotationCfm(
-        f"since[{p}->{q}]", starts, step, final_ok, annotate, decide
-    )
-    out.core = core
-    out.left_paths = lf
-    out.right_paths = rt
-    out.base_signature = abcd_sig
-    return out
 
 
 def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:
@@ -886,23 +860,18 @@ def _compile_core(phi, sig) -> _TlMachine:
 # ---------------------------------------------------------------------------
 
 
-def check_translation(
-    phi: TlFormula, m: Msc, sig: Optional[SystemSignature] = None
-) -> tuple[bool, list[str]]:
+def check_translation(phi: TlFormula, m: Msc) -> tuple[bool, list[str]]:
     """True iff the compiled machine accepts the oracle bits and rejects
     every single-bit mutation; the diff lists each failing case."""
-    from .cfm import accepts
-
-    sig = sig or m.signature
-    machine = compile_tl(phi, sig)
+    machine = compile_tl(phi, m.signature)
     want = eval_tl(m, phi)
     bits = {e: (1 if want[e] else 0) for e in m.events}
     diffs: list[str] = []
-    if not accepts(machine, attach_annotation(ExtendedMsc(m, bits))):
+    if not machine.decide(ExtendedMsc(m, bits)):
         diffs.append("correct annotation rejected")
     for e in m.events:
         flipped = dict(bits)
         flipped[e] = 1 - bits[e]
-        if accepts(machine, attach_annotation(ExtendedMsc(m, flipped))):
+        if machine.decide(ExtendedMsc(m, flipped)):
             diffs.append(f"mutation at {e!r} accepted")
     return not diffs, diffs

@@ -9,8 +9,10 @@ from mscgossip.cfm import (
     LazyCfm,
     Transition,
     accepts,
+    attach_annotation,
     cfm_from_json,
     cfm_to_json,
+    detach_annotation,
     find_accepting_run,
     is_deterministic,
     lower_generalized_initial,
@@ -24,7 +26,7 @@ from mscgossip.cfm import (
 )
 from mscgossip.corpus import enumerate_mscs, random_cfm, random_corpus
 from mscgossip.impossibility import naive_gossip_cfm
-from mscgossip.msc import Msc, SystemSignature, linearize, mirror_msc
+from mscgossip.msc import ExtendedMsc, Msc, SystemSignature, linearize, mirror_msc
 from figures import SIG3, fig_base, fig_flipped
 
 NAIVE = naive_gossip_cfm()
@@ -339,3 +341,13 @@ def test_json_roundtrip():
             if c.signature == SIG2:
                 assert accepts(back, m) == accepts(c, m)
     assert accepts(cfm_from_json(cfm_to_json(NAIVE)), fig_base())
+
+
+def test_detach_inverts_attach():
+    for m in random_corpus(SIG2, 10, seed=5):
+        annot = {e: i % 2 for i, e in enumerate(m.events)}
+        back = detach_annotation(attach_annotation(ExtendedMsc(m, annot)))
+        assert back.base.events == m.events
+        assert back.base.loc == m.loc and back.base.label == m.label
+        assert back.base.msg == m.msg
+        assert back.annot == annot

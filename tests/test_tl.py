@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from mscgossip import tl
 from mscgossip.cfm import attach_annotation, find_accepting_run
+from mscgossip.constructions import preorder_bits
 from mscgossip.corpus import random_corpus
 from mscgossip.msc import ExtendedMsc, Msc, SystemSignature, mirror_msc
 from mscgossip.tl import (
@@ -28,6 +30,8 @@ from mscgossip.tl import (
     format_tl,
     mirror_formula,
     parse_tl,
+    since_path_sets,
+    _dominates,
 )
 from figures import SIG3, fig_flipped
 
@@ -359,3 +363,48 @@ def test_random_formulas_translate_correctly():
             assert ok, (format_tl(phi), m.events, diffs)
             checked += 1
     assert checked == 24
+
+
+def test_tl_annotation_memo_is_per_signature():
+    # the same formula over a one-process signature caches other bits
+    phi = Since(Atom("a"), Atom("b"))
+    one_proc = SystemSignature(("p",), ("a", "b"))
+    for m in random_corpus(SIG2, 30, seed=3, max_events_per_proc=3):
+        compile_tl(phi, one_proc).annotate(m)
+        want = eval_tl(m, phi)
+        assert compile_tl(phi, SIG2).annotate(m) == {e: int(want[e]) for e in m.events}
+
+
+def test_since_pair_bits_match_the_preorder_switch_rules():
+    # the direct last-event test against the switch-rule recurrence
+    checked = 0
+    for src in ABCD_SIG.processes:
+        for tgt in ABCD_SIG.processes:
+            cs = compile_since(src, tgt, ABCD_SIG)
+            lf, rt = since_path_sets(ABCD_SIG, src, tgt)
+            paths = tuple(dict.fromkeys(lf + rt))
+            for m in ABCD_CORPUS:
+                pb = preorder_bits(m, tgt, paths)
+                got = cs.annotate(m)
+                for e in m.events_of(tgt):
+                    assert got[e] == _dominates(pb[e], lf, rt), (src, tgt, e)
+                    checked += 1
+    assert checked == 108
+
+
+def test_since_cores_are_built_only_for_a_search(monkeypatch):
+    built = []
+
+    class CountingCore(tl.PreorderCore):
+        def __init__(self, q, paths):
+            built.append(q)
+            super().__init__(q, paths)
+
+    monkeypatch.setattr(tl, "PreorderCore", CountingCore)
+    phi = Or(Since(Atom("a"), Atom("b")), Until(Not(Atom("b")), Proc("q")))
+    m = next(m for m in CORPUS if m.msg)
+    ok, diffs = check_translation(phi, m)
+    assert ok, diffs
+    assert built == []
+    compile_tl(Since(Atom("a"), Atom("b")), SIG2)._starts("p")
+    assert sorted(built) == ["p", "p", "q", "q"]
