@@ -266,9 +266,14 @@ def find_accepting_run(
     """Depth-first search for an accepting run; None if none exists.
 
     Deterministic: explores initial tuples and transitions in their canonical
-    enumeration order and returns the first run found.  Raises BudgetExhausted
-    when more than ``budget`` nodes are visited before resolution.  When a
-    ``stats`` dict is supplied, the visited-node count is written into it.
+    enumeration order and returns the first run found.  A node is an event
+    index with the state tuple and channel contents reached before it; a node
+    none of whose moves leads to acceptance is remembered and not searched
+    again.  The path is kept on an explicit stack, one frame per event, so
+    the depth is not bounded by the interpreter's recursion limit.  Raises
+    BudgetExhausted when more than ``budget`` nodes are visited before
+    resolution.  When a ``stats`` dict is supplied, the visited-node count is
+    written into it.
     """
     if machine.signature is None:
         # signature-generic lazy machine: adopt the MSC's processes
@@ -277,66 +282,67 @@ def find_accepting_run(
         raise CfmError("machine and MSC have different process sets")
     if order is None:
         order = linearize(m)
-    procs = machine.signature.processes
-    pidx = {p: i for i, p in enumerate(procs)}
+    pidx = {p: i for i, p in enumerate(machine.signature.processes)}
+    shapes = [
+        (pidx[m.loc[e]], m.loc[e], m.kind_of(e), m.peer_of(e), m.label[e])
+        for e in order
+    ]
     visited = 0
     failed: set[tuple[int, tuple, tuple]] = set()
 
     def channels_key(chans: dict) -> tuple:
-        return tuple(sorted((c, tuple(q)) for c, q in chans.items() if q))
+        return tuple(sorted((c, q) for c, q in chans.items() if q))
 
-    def dfs(i: int, states: tuple, chans: dict, acc: list[Transition]):
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise BudgetExhausted(budget)
-        if i == len(order):
-            if any(chans.get(c) for c in chans):
-                return None
-            if machine.is_accepting(states):
-                return list(acc)
-            return None
-        key = (i, states, channels_key(chans))
-        if key in failed:
-            return None
-        e = order[i]
-        p = m.loc[e]
-        kind = m.kind_of(e)
-        peer = m.peer_of(e)
-        label = m.label[e]
+    def moves(i: int, states: tuple, chans: dict):
+        k, p, kind, peer, label = shapes[i]
         msg_in = None
         if kind == "recv":
             queue = chans.get((peer, p))
             if not queue:
-                return None  # cannot happen on a linearization of a valid MSC
+                return iter(())  # cannot happen on a linearization of a valid MSC
             msg_in = queue[0]
-        for new_state, msg_out, t in machine.step(
-            p, states[pidx[p]], kind, label, peer, msg_in
-        ):
-            new_states = states[: pidx[p]] + (new_state,) + states[pidx[p] + 1 :]
-            new_chans = chans
-            if kind == "send":
-                new_chans = dict(chans)
-                q = new_chans.get((p, peer), ())
-                new_chans[(p, peer)] = tuple(q) + (msg_out,)
-            elif kind == "recv":
-                new_chans = dict(chans)
-                new_chans[(peer, p)] = tuple(new_chans[(peer, p)])[1:]
-            acc.append(t)
-            res = dfs(i + 1, new_states, new_chans, acc)
-            if res is not None:
-                return res
-            acc.pop()
-        failed.add(key)
-        return None
+        return iter(machine.step(p, states[k], kind, label, peer, msg_in))
 
     try:
         for start in machine.initial_tuples():
-            res = dfs(0, tuple(start), {}, [])
-            if res is not None:
-                return Run(
-                    assignment={e: t for e, t in zip(order, res)}, start=tuple(start)
-                )
+            # stack[i]: (key, states, channels, untried moves) of the node at
+            # event i on the current path; path[i]: the transition taken there
+            stack: list[tuple] = []
+            path: list[Transition] = []
+            states, chans = tuple(start), {}
+            while True:
+                visited += 1
+                if visited > budget:
+                    raise BudgetExhausted(budget)
+                i = len(stack)
+                if i == len(order):
+                    if not any(chans.values()) and machine.is_accepting(states):
+                        return Run(assignment=dict(zip(order, path)), start=tuple(start))
+                else:
+                    key = (i, states, channels_key(chans))
+                    if key not in failed:
+                        stack.append((key, states, chans, moves(i, states, chans)))
+                move = None
+                while stack and move is None:
+                    key, states, chans, untried = stack[-1]
+                    move = next(untried, None)
+                    if move is None:
+                        stack.pop()
+                        failed.add(key)
+                if move is None:
+                    break
+                i = len(stack) - 1
+                k, p, kind, peer, _ = shapes[i]
+                new_state, msg_out, t = move
+                del path[i:]
+                path.append(t)
+                states = states[:k] + (new_state,) + states[k + 1 :]
+                if kind == "send":
+                    chans = dict(chans)
+                    chans[(p, peer)] = chans.get((p, peer), ()) + (msg_out,)
+                elif kind == "recv":
+                    chans = dict(chans)
+                    chans[(peer, p)] = chans[(peer, p)][1:]
         return None
     finally:
         if stats is not None:
@@ -575,9 +581,13 @@ def mirror_cfm(c: Cfm) -> Cfm:
     ]
     old_starts = c.initial_tuples()
     # pick a canonical per-process initial for the degenerate single-initial
-    # slots; correctness rests on generalized_initial, not on these.
-    initial = {p: tuple(c.accepting)[0][i] if c.accepting else c.initial[p]
-               for i, p in enumerate(sig.processes)}
+    # slots; correctness rests on generalized_initial, not on these.  The
+    # repr-least tuple keeps the output independent of hash order.
+    initial = (
+        dict(zip(sig.processes, min(c.accepting, key=repr)))
+        if c.accepting
+        else c.initial
+    )
     return Cfm(
         sig,
         c.messages,

@@ -289,6 +289,9 @@ def _cmd_gossip_check(args) -> int:
 
 def _cmd_gossip_build(args) -> int:
     mscs = [_msc(path) for path in args.files]
+    for path, m in zip(args.files, mscs):
+        if m.signature != mscs[0].signature:
+            raise _CliError(f"{path}: signature differs from {args.files[0]}")
     machine = build_gossip_cfm(mscs[0].signature)
     payload: dict = {"processes": list(mscs[0].signature.processes)}
     if args.report_states:

@@ -564,9 +564,8 @@ class AnnotationCfm(LazyCfm):
         annotate: Callable[..., dict],
         decide: Callable[[ExtendedMsc], bool],
         canonical: Optional[Callable[[Msc], dict]] = None,
-        signature: Optional[SystemSignature] = None,
     ):
-        super().__init__(signature, starts, step_fn, final_ok, name)
+        super().__init__(None, starts, step_fn, final_ok, name)
         self._annotate_fn = annotate
         self._decide_fn = decide
         self._canonical_fn = canonical

@@ -12,22 +12,33 @@ The positive tool is the family M^k: p alternates b-sends (to q) and a-sends
 forwarded block and n-k after.  The claimant's q-state pairs at the two block
 boundaries collide for some k < k' by pigeonhole, and splicing the two runs
 yields an accepted MSC with wrong labels.
+
+Every step that runs the claimant is one ``cfm.find_accepting_run``: its run
+on each M^k (a single path, since a deterministic machine has at most one
+run), the check that it accepts a splice, and the search for an accepted
+q-labeling that violates L, which runs the claimant with each q-label guessed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .cfm import BudgetExhausted, Cfm, Transition, accepts, is_deterministic
+from .cfm import (
+    BudgetExhausted,
+    Cfm,
+    Transition,
+    accepts,
+    find_accepting_run,
+    is_deterministic,
+)
 from .msc import (
     BOTTOM,
     Msc,
     MscError,
     SystemSignature,
     last_on_process,
-    linearize,
     validate_msc,
 )
 
@@ -45,6 +56,12 @@ def q_label_spec(m: Msc) -> dict[str, object]:
 
 def q_labels_correct(m: Msc) -> bool:
     return all(m.label[f] == want for f, want in q_label_spec(m).items())
+
+
+def _with_labels(m: Msc, labels: dict) -> Msc:
+    """m with each event in ``labels`` given that label."""
+    events = [(e, m.loc[e], labels.get(e, m.label[e])) for e in m.events]
+    return Msc(m.signature, events, m.msg)
 
 
 @dataclass(frozen=True)
@@ -76,11 +93,8 @@ def build_family_msc(params: FamilyParams) -> Msc:
     for i in range(2 * n):
         events.append((f"g{i}", "r", "d"))
     skeleton = Msc(GOSSIP_SIG, events, messages)
-    spec = q_label_spec(skeleton)  # q labels never feed back into last_p
-    events = [
-        (e, p, spec[e] if p == "q" else lab) for e, p, lab in events
-    ]
-    m = Msc(GOSSIP_SIG, events, messages)
+    # q labels never feed back into last_p
+    m = _with_labels(skeleton, q_label_spec(skeleton))
     # closed form: b for i < 2k-1, a otherwise; any deviation means the
     # construction above drifted from the intended shape.
     for i in range(2 * n):
@@ -99,11 +113,9 @@ def splice_family_msc(n: int, k: int, kp: int) -> Msc:
     """Structure of M^k with q-labels b below index k+k'-1 and a from there on."""
     base = build_family_msc(FamilyParams(n, k))
     cut = k + kp - 1
-    events = [
-        (e, p, ("b" if int(e[1:]) < cut else "a") if p == "q" else lab)
-        for e, lab, p in ((e, base.label[e], base.loc[e]) for e in base.events)
-    ]
-    return Msc(GOSSIP_SIG, events, base.msg)
+    return _with_labels(
+        base, {f: "b" if int(f[1:]) < cut else "a" for f in base.events_of("q")}
+    )
 
 
 def naive_gossip_cfm() -> Cfm:
@@ -126,97 +138,55 @@ def naive_gossip_cfm() -> Cfm:
     return Cfm(sig, ["b", "a"], states, initial, t, accepting)
 
 
-# -- deterministic simulation --------------------------------------------------
-
-
-def simulate_deterministic(c: Cfm, m: Msc):
-    """The unique run of a deterministic machine along a linearization.
-
-    Returns (accepted: bool, q_state_after: dict event -> state).  The run
-    either completes or gets stuck; both outcomes are decisive for a
-    deterministic machine, no backtracking needed.
-    """
-    procs = c.signature.processes
-    states = {p: c.initial[p] for p in procs}
-    chans: dict[tuple, list] = {}
-    after = {}
-    for e in linearize(m):
-        p = m.loc[e]
-        kind = m.kind_of(e)
-        peer = m.peer_of(e)
-        msg_in = None
-        if kind == "recv":
-            msg_in = chans[(peer, p)][0]
-        moves = list(dict.fromkeys(
-            (ns, mo) for ns, mo, _ in c.step(p, states[p], kind, m.label[e], peer, msg_in)
-        ))
-        if not moves:
-            return False, after
-        if len(moves) > 1:
-            raise ValueError("machine is not deterministic")
-        moves = [moves[0] + (None,)]
-        new_state, msg_out, _ = moves[0]
-        states[p] = new_state
-        if kind == "send":
-            chans.setdefault((p, peer), []).append(msg_out)
-        elif kind == "recv":
-            chans[(peer, p)].pop(0)
-        after[e] = new_state
-    final = tuple(states[p] for p in procs)
-    return c.is_accepting(final), after
-
-
 # -- accepted-but-wrong labeling search ----------------------------------------
 
 
-def accepted_q_labelings(c: Cfm, m: Msc, budget: int = 10**6) -> Iterator[Msc]:
-    """All relabelings of m's q-events that the machine accepts, by DFS.
+class _GuessingQ:
+    """The claimant reading each q-event as b and then as a.
 
-    Labels are drawn from {b, a}; candidates are tried in alphabet order, so
-    the enumeration is deterministic.  Non-q labels are kept as given.
+    It runs on an MSC whose q-labels are the ones L demands.  q's state pairs
+    the claimant's state with whether some guess so far differed from the
+    demanded label; a final tuple is accepting when the claimant's is and some
+    guess differed.  The guesses are the labels of the run's q-transitions.
     """
-    q_events = [e for e in m.events if m.loc[e] == "q"]
-    procs = c.signature.processes
-    order = linearize(m)
-    nodes = 0
 
-    def dfs(i, states, chans, labels):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(budget)
-        if i == len(order):
-            if c.is_accepting(tuple(states[p] for p in procs)):
-                events = [
-                    (e, m.loc[e], labels.get(e, m.label[e])) for e in m.events
-                ]
-                yield Msc(m.signature, events, m.msg)
+    def __init__(self, c: Cfm):
+        self.c = c
+        self.signature = c.signature
+        self.q = c.signature.proc_index("q")
+
+    def _with_q(self, tup: tuple, s) -> tuple:
+        return tup[: self.q] + (s,) + tup[self.q + 1 :]
+
+    def initial_tuples(self) -> list[tuple]:
+        return [self._with_q(t, (t[self.q], False)) for t in self.c.initial_tuples()]
+
+    def step(self, p, state, kind, label, peer, msg_in):
+        if p != "q":
+            yield from self.c.step(p, state, kind, label, peer, msg_in)
             return
-        e = order[i]
-        p = m.loc[e]
-        kind = m.kind_of(e)
-        peer = m.peer_of(e)
-        msg_in = chans[(peer, p)][0] if kind == "recv" else None
-        options = ("b", "a") if p == "q" else (m.label[e],)
-        for lab in options:
-            for new_state, msg_out, _ in c.step(p, states[p], kind, lab, peer, msg_in):
-                states2 = dict(states)
-                states2[p] = new_state
-                chans2 = {k: list(v) for k, v in chans.items()}
-                if kind == "send":
-                    chans2.setdefault((p, peer), []).append(msg_out)
-                elif kind == "recv":
-                    chans2[(peer, p)].pop(0)
-                labels2 = dict(labels)
-                if p == "q":
-                    labels2[e] = lab
-                yield from dfs(i + 1, states2, chans2, labels2)
+        s, differed = state
+        for guess in ("b", "a"):
+            for new_state, msg_out, t in self.c.step(p, s, kind, guess, peer, msg_in):
+                yield (new_state, differed or guess != label), msg_out, t
 
-    init = {p: c.initial[p] for p in procs}
-    chans: dict[tuple, list] = {}
-    for s, r in m.msg:
-        chans.setdefault((m.loc[s], m.loc[r]), [])
-    yield from dfs(0, init, chans, {})
+    def is_accepting(self, final: tuple) -> bool:
+        s, differed = final[self.q]
+        return differed and self.c.is_accepting(self._with_q(final, s))
+
+
+def accepted_wrong_labeling(c: Cfm, m: Msc, budget: int = 10**6) -> Optional[Msc]:
+    """A relabeling of m's q-events by {b, a} that the claimant accepts and
+    that violates L, or None if there is none.
+
+    One run search over ``_GuessingQ``: each q-event is guessed b before a,
+    in q's event order, so the result is the first such labeling in that
+    order.  Non-q labels are kept as given.
+    """
+    run = find_accepting_run(_GuessingQ(c), _with_labels(m, q_label_spec(m)), budget)
+    if run is None:
+        return None
+    return _with_labels(m, {e: t.label for e, t in run.assignment.items()})
 
 
 # -- the refuter ----------------------------------------------------------------
@@ -237,13 +207,17 @@ class RefutationResult:
 def refute_deterministic(c: Cfm, budget: int = 10**6) -> RefutationResult:
     """Disprove that a claimant machine deterministically recognizes L.
 
-    Strategy: (1) check the determinism clauses; (2) run the claimant on the
-    family M^0..M^{n-1} with n = |S_q|^2 + 1, splice colliding runs, and
-    machine-verify the splice (accepted and wrong); (3) if the claimant
-    rejects family members, search its accepted q-labelings of those same
-    structures for one that violates the specification, which both exhibits
-    an accepted-but-wrong MSC and dominates the weaker rejects-correct
-    verdict; the rejected M^k is the fallback counterexample.
+    Strategy: (1) check the determinism clauses; (2) find the claimant's run
+    on each member of the family M^0..M^{n-1} with n = |S_q|^2 + 1, read q's
+    states at the block boundaries off it, splice colliding runs, and
+    machine-verify the splice (accepted by a run search, and wrong); (3) if
+    no splice works, search the claimant's accepted q-labelings of the
+    interleaved structure and the family structures for one that violates
+    the specification (``accepted_wrong_labeling``), which both exhibits an
+    accepted-but-wrong MSC and dominates the weaker rejects-correct verdict;
+    the first rejected M^k is the fallback counterexample.  ``budget`` bounds
+    each splice check and each labeling search; a labeling search that
+    exhausts it moves on to the next structure.
     """
     for needed in ("p", "q", "r"):
         if needed not in c.signature.processes:
@@ -257,14 +231,16 @@ def refute_deterministic(c: Cfm, budget: int = 10**6) -> RefutationResult:
     rejected_k = None
     sig_pairs: dict[int, tuple] = {}
     for k, mk in enumerate(family):
-        ok, after = simulate_deterministic(c, mk)
-        if not ok:
+        run = find_accepting_run(c, mk)  # one path for a deterministic claimant
+        if run is None:
             if rejected_k is None:
                 rejected_k = k
             continue
-        s_k = c.initial["q"] if k == 0 else after[f"f{k - 1}"]
-        t_k = after[f"f{k + n - 1}"]
-        sig_pairs[k] = (s_k, t_k)
+        # q's states before the forwarded block (at f_k) and after it
+        sig_pairs[k] = (
+            run.assignment[f"f{k}"].source,
+            run.assignment[f"f{k + n - 1}"].target,
+        )
 
     # collisions in lexicographic order; verify each candidate splice.
     # (k, k') = (0, 1) is skipped implicitly: its splice relabels nothing,
@@ -285,16 +261,15 @@ def refute_deterministic(c: Cfm, budget: int = 10**6) -> RefutationResult:
     # accepted-but-wrong search over the family structures and, first, the
     # structure where p interleaves direct and forwarded messages (the shape
     # on which the forwarding machine shows its defect).
-    candidates = [_interleaved_structure()] + family
-    for structure in candidates:
+    for structure in [_interleaved_structure()] + family:
         try:
-            for labeled in accepted_q_labelings(c, structure, budget):
-                if not q_labels_correct(labeled):
-                    return RefutationResult(
-                        "accepts-wrong", labeled, "accepted labeling violates L"
-                    )
+            labeled = accepted_wrong_labeling(c, structure, budget)
         except BudgetExhausted:
             continue
+        if labeled is not None:
+            return RefutationResult(
+                "accepts-wrong", labeled, "accepted labeling violates L"
+            )
 
     if rejected_k is not None:
         return RefutationResult(

@@ -601,7 +601,6 @@ class _TlMachine(AnnotationCfm):
             final_ok,
             annotate_cached,
             decide,
-            signature=None,
         )
 
 

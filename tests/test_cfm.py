@@ -211,6 +211,18 @@ def test_universal_accepts_everything():
         assert accepts(u, m)
 
 
+def test_search_depth_is_not_bounded_by_recursion():
+    # 600 messages bouncing between p and q: 1200 events in one causal chain
+    events, messages = [], []
+    for i in range(600):
+        src, dst = ("p", "q") if i % 2 == 0 else ("q", "p")
+        events += [(f"s{i}", src, "a"), (f"r{i}", dst, "b")]
+        messages.append((f"s{i}", f"r{i}"))
+    m = Msc(SIG2, events, messages)
+    run = find_accepting_run(universal_cfm(SIG2), m)
+    assert run is not None and len(run.assignment) == 1200
+
+
 def test_product_identity_and_idempotence():
     u = universal_cfm(SIG2)
     rng = random.Random(13)

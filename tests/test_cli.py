@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from mscgossip.msc import Msc, SystemSignature, is_valid, msc_to_json, validate_
 from mscgossip.paths import parse_path, format_path
 from mscgossip.tl import parse_tl, format_tl
 from figures import fig_base, fig_flipped
+from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
 
@@ -208,6 +213,39 @@ def test_gossip_build_reports_states(fig_file, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["processes"] == ["p", "q", "r"]
     assert rep["reachable"]["total"] >= 3
+
+
+def test_gossip_build_rejects_mixed_signatures(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(msc_to_json(
+        Msc(SIG2, [("e", "p", "a"), ("f", "q", "b")], [("e", "f")])
+    )))
+    sig3 = SystemSignature(("x", "y", "z"), ("a", "b"))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(msc_to_json(
+        Msc(sig3, [("e", "x", "a"), ("f", "z", "b")], [("e", "f")])
+    )))
+    capsys.readouterr()
+    assert dispatch(["gossip", "build", str(a), str(b), "--report-states"]) == 2
+    assert str(b) in capsys.readouterr().err
+
+
+def test_cfm_mirror_output_is_independent_of_hash_seed(tmp_path):
+    path = tmp_path / "mod3.json"
+    path.write_text(json.dumps(cfm_to_json(CLAIMANTS["mod3"])))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from mscgossip.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))",
+             "cfm", "mirror", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_impossible_family_and_refute(tmp_path, capsys):

@@ -1,18 +1,21 @@
+import itertools
+
 import pytest
 
-from mscgossip.cfm import Cfm, Transition, accepts, is_deterministic
+from mscgossip.cfm import Cfm, Transition, accepts, find_accepting_run, is_deterministic
 from mscgossip.impossibility import (
     GOSSIP_SIG,
     FamilyParams,
+    _interleaved_structure,
+    accepted_wrong_labeling,
     build_family_msc,
     naive_gossip_cfm,
     q_label_spec,
     q_labels_correct,
     refute_deterministic,
-    simulate_deterministic,
     splice_family_msc,
 )
-from mscgossip.msc import MscError, is_valid, last_on_process, validate_msc
+from mscgossip.msc import Msc, MscError, is_valid, last_on_process, validate_msc
 
 
 def test_family_params_validation():
@@ -154,10 +157,10 @@ def test_splice_collision_is_genuine():
     sigs = {}
     for k in range(n):
         mk = build_family_msc(FamilyParams(n, k))
-        ok, after = simulate_deterministic(c, mk)
-        assert ok
-        s_k = c.initial["q"] if k == 0 else after[f"f{k - 1}"]
-        sigs[k] = (s_k, after[f"f{k + n - 1}"])
+        run = find_accepting_run(c, mk)
+        assert run is not None
+        s_k = run.assignment[f"f{k}"].source
+        sigs[k] = (s_k, run.assignment[f"f{k + n - 1}"].target)
     assert sigs[0] == sigs[2]
     assert sigs[0] != sigs[1]
 
@@ -191,3 +194,40 @@ def test_refute_empty_acceptance():
     assert res.verdict == "rejects-correct"
     assert q_labels_correct(res.counterexample)
     assert not accepts(empty, res.counterexample)
+
+
+def _wrong_labelings_by_brute_force(c: Cfm, m):
+    """Every {b, a} labeling of m's q-events, in order, that c accepts and L forbids."""
+    q_events = m.events_of("q")
+    for guess in itertools.product("ba", repeat=len(q_events)):
+        labels = dict(zip(q_events, guess))
+        events = [(e, m.loc[e], labels.get(e, m.label[e])) for e in m.events]
+        labeled = Msc(m.signature, events, m.msg)
+        if accepts(c, labeled) and not q_labels_correct(labeled):
+            yield labeled
+
+
+def test_labeling_search_matches_brute_force():
+    echo = _echo_claimant()
+    empty = Cfm(GOSSIP_SIG, ["m"], echo.states, echo.initial, echo.transitions, [])
+    claimants = dict(CLAIMANTS, naive=naive_gossip_cfm(), empty=empty)
+    structures = [_interleaved_structure()] + [
+        build_family_msc(FamilyParams(3, k)) for k in range(3)
+    ]
+    found_some = False
+    for name, c in claimants.items():
+        for m in structures:
+            want = next(_wrong_labelings_by_brute_force(c, m), None)
+            got = accepted_wrong_labeling(c, m)
+            assert (got is None) == (want is None), name
+            if got is not None:
+                found_some = True
+                assert accepts(c, got) and not q_labels_correct(got), name
+                assert got.label == want.label, name
+    assert found_some
+
+
+def test_labeling_search_is_not_bounded_by_recursion():
+    m = build_family_msc(FamilyParams(200, 0))  # 1200 events
+    got = accepted_wrong_labeling(_echo_claimant(), m)
+    assert got is not None and not q_labels_correct(got)
