@@ -14,10 +14,10 @@ states produced on demand, for constructions whose state spaces are huge).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
-from .msc import ExtendedMsc, Msc, MscError, SystemSignature, linearize
+from .msc import ExtendedMsc, Msc, SystemSignature, check_json, json_strings, linearize
 
 State = Hashable
 
@@ -792,13 +792,14 @@ def cfm_to_json(c: Cfm) -> dict:
 
 def cfm_from_json(obj: dict) -> Cfm:
     try:
-        sig = SystemSignature(tuple(obj["processes"]), tuple(obj["alphabet"]))
-        messages = obj["messages"]
+        procs = json_strings(obj["processes"], "processes")
+        sig = SystemSignature(procs, tuple(check_json(obj["alphabet"], list, "alphabet")))
+        messages = json_strings(obj["messages"], "messages")
         states = {}
         initial = {}
         transitions = []
-        for p, mobj in obj["machines"].items():
-            states[p] = mobj["states"]
+        for p, mobj in check_json(obj["machines"], dict, "machines").items():
+            states[p] = json_strings(mobj["states"], "states")
             initial[p] = mobj["initial"]
             for t in mobj["transitions"]:
                 transitions.append(
@@ -812,9 +813,9 @@ def cfm_from_json(obj: dict) -> Cfm:
                         peer=t.get("peer"),
                     )
                 )
-        accepting = [tuple(t) for t in obj["accepting"]]
+        accepting = [json_strings(t, "an accepting tuple") for t in obj["accepting"]]
         gi = obj.get("generalizedInitial")
-        gi = None if gi is None else [tuple(t) for t in gi]
+        gi = None if gi is None else [json_strings(t, "an initial tuple") for t in gi]
     except (KeyError, TypeError) as exc:
         raise CfmError(f"malformed CFM object: {exc}") from exc
     return Cfm(sig, messages, states, initial, transitions, accepting, gi)

@@ -20,7 +20,6 @@ from .cfm import (
     CfmError,
     DEFAULT_BUDGET,
     Run,
-    attach_annotation,
     cfm_to_json,
     find_accepting_run,
     is_deterministic,
@@ -183,12 +182,10 @@ def _cmd_msc_validate(args) -> int:
 
 def _cmd_msc_dot(args) -> int:
     obj = _load_json(args.file)
+    m = msc_from_json(obj)
     annot = None
-    if any("annot" in r for r in obj.get("events", [])):
-        ext = extended_msc_from_json(obj)
-        m, annot = ext.base, ext.annot
-    else:
-        m = msc_from_json(obj)
+    if any("annot" in r for r in obj["events"]):
+        annot = extended_msc_from_json(obj).annot
     print(export_dot(m, annot))
     return EXIT_OK
 

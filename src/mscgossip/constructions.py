@@ -29,7 +29,6 @@ from typing import Callable, Hashable, Iterable, Optional
 from .cfm import LazyCfm
 from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
 from .paths import (
-    LabelTest,
     Msg,
     PathError,
     PathExpr,
@@ -44,30 +43,33 @@ from .paths import (
 )
 
 
-def _last_step(symbols, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
-    """θ at one event over the prefixes of a path: entry i is the value of
-    the prefix of length i, ``none`` marks an empty preimage.
+def _theta_rule(head, i, tail, none, pred, sender, proc, sender_proc, sigma):
+    """Entry i + 1 of θ at one event, from its entry i (``tail``) and the
+    symbol ``head`` that entry i + 1's path adds to entry i's.
 
     ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
-    sender, None when the event has none.  This is the one copy of the rules
-    for ⊏, →*, msg(p,q) and [a]: the direct passes and LastCore run it, and
-    the first direction runs it on the mirror.
+    sender, None when the event has none; ``none`` marks an empty preimage.
+    This is the one copy of the rules for ⊏, →*, msg(p,q) and [a]: the direct
+    passes, LastCore and FirstCore run it, the first direction on the mirror.
     """
+    if isinstance(head, Step):
+        return none if pred is None else pred[i]
+    if isinstance(head, StarStep):
+        if tail is none and pred is not None:
+            return pred[i + 1]
+        return tail
+    if isinstance(head, Msg):
+        hit = sender is not None and proc == head.dst and sender_proc == head.src
+        return sender[i] if hit else none
+    return tail if sigma == head.letter else none  # LabelTest
+
+
+def _last_step(symbols, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
+    """θ at one event over the prefixes of a path: entry i is the value of
+    the prefix of length i."""
     t = [base]
     for i, head in enumerate(symbols):
-        # t[i] is the value of the tail; this builds entry i + 1
-        if isinstance(head, Step):
-            v = none if pred is None else pred[i]
-        elif isinstance(head, StarStep):
-            v = t[i]
-            if v is none and pred is not None:
-                v = pred[i + 1]
-        elif isinstance(head, Msg):
-            hit = sender is not None and proc == head.dst and sender_proc == head.src
-            v = sender[i] if hit else none
-        else:  # LabelTest
-            v = t[i] if sigma == head.letter else none
-        t.append(v)
+        t.append(_theta_rule(head, i, t[i], none, pred, sender, proc, sender_proc, sigma))
     return tuple(t)
 
 
@@ -192,24 +194,29 @@ def preorder_bits(
     m: Msc, q: str, paths: tuple[PathExpr, ...]
 ) -> dict[str, frozenset]:
     """For each q-event f, the set of pairs (π,π') with π ⪯_f π', over the
-    star closure of the given path set, by the three switch rules along ⊏."""
+    star closure of the given path set, by the three switch rules along ⊏.
+
+    One pass per map last_a, first_{→*b}, first_{→+b}: f is an
+    f^{a,π'}-fixpoint iff first_{π'}(last_a(f)) = f.
+    """
     clos = closure_with_star(paths)
-    fix_star = {
-        (a, b): fixpoint_bits(m, a, star_prepend(b)) for a in clos for b in clos
-    }
-    fix_plus = {
-        (a, b): fixpoint_bits(m, a, plus_prepend(b)) for a in clos for b in clos
-    }
-    bot = {a: bottom_bits(m, a) for a in clos}
+    ident = {e: e for e in m.events}
+    last = {a: last_value(m, a, ident) for a in clos}
+    firsts = [
+        {b: first_value(m, prepend(b), ident) for b in clos}
+        for prepend in (star_prepend, plus_prepend)
+    ]
     out: dict[str, frozenset] = {}
     prev: Optional[frozenset] = None
     for f in m.events_of(q):
+        at = {a: last[a][f] for a in clos}
+        star_bits, plus_bits = (
+            {(a, b): at[a] is not BOTTOM and first[b][at[a]] == f
+             for a in clos for b in clos}
+            for first in firsts
+        )
         prev = preorder_combine(
-            clos,
-            prev,
-            {a: bot[a][f] for a in clos},
-            {ab: fix_star[ab][f] for ab in fix_star},
-            {ab: fix_plus[ab][f] for ab in fix_plus},
+            clos, prev, {a: at[a] is BOTTOM for a in clos}, star_bits, plus_bits
         )
         out[f] = prev
     return out
@@ -271,104 +278,76 @@ class LastCore:
         return True
 
 
-_FREE = object()  # a FirstCore slot left to guess
+_FREE = object()  # a FirstCore entry that reads a neighbour not yet seen
 
 
 class FirstCore:
     """Guess-based forward realization of θ over suffixes of π.
 
-    Entry j of a state is the value of the suffix of length j, whose head is
-    the j-th symbol from the end.  Entries whose rule refers to a later event
-    are guessed from Θ∪{⊤} and checked when that later event is processed
-    (⊏-successor entries and the propagated →*-entries at the next step,
-    message entries at the matching receive, process-end entries in final()).
+    This is _theta_rule on the mirror: entry j is the value of the suffix of
+    length j, whose head is the j-th symbol from the end; the mirror's
+    ⊏-predecessor is the ⊏-successor and the sender of a send is its
+    receiver.  Both are later events, so at an event their θ is unseen (every
+    entry _FREE) and each entry the rule leaves _FREE is guessed from Θ∪{⊤}.
+    When such a neighbour is seen (the successor at the next step, the
+    receiver at the matching receive, no successor in final()), the same rule
+    recomputes the entries that read it.
     """
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
         self.pi = pi
-        self.heads = tuple(reversed(pi.symbols))  # heads[j - 1] heads entry j
+        self.heads = _mirror_symbols(pi)  # heads[j - 1] heads entry j
         self.domain = tuple(theta_set) + (TOP,)
+        self.unseen = (_FREE,) * (len(self.heads) + 1)
 
     def start(self):
         return "start"
 
-    def _forced_and_free(self, ctx: StepCtx, base):
-        """The entries forced by the event itself, _FREE at the slots to guess."""
-        t = [base]
-        free: list[int] = []
-        for j, head in enumerate(self.heads, 1):
-            tail = t[j - 1]
-            if isinstance(head, Step):
-                v = _FREE  # successor-dependent, or ⊤ at process end
-            elif isinstance(head, StarStep):
-                v = _FREE if tail is TOP else tail
-            elif isinstance(head, Msg):
-                # a matching send's entry depends on its receiver
-                sends = ctx.kind == "send" and ctx.proc == head.src and ctx.peer == head.dst
-                v = _FREE if sends else TOP
-            else:
-                v = tail if ctx.sigma == head.letter else TOP
-            if v is _FREE:
-                free.append(j)
-            t.append(v)
-        return t, free
-
     def step(self, state, ctx: StepCtx, base, payload_in):
-        forced, free = self._forced_and_free(ctx, base)
-        for combo in itertools.product(self.domain, repeat=len(free)):
-            t = list(forced)
-            for j, v in zip(free, combo):
-                t[j] = v
-            t = tuple(t)
-            if not self._consistent(t, ctx):
-                continue
-            # check the previous event's successor-dependent entries
-            if state != "start" and not self._check_succ(state, t):
-                continue
-            # check the sender's message entries against our fresh θ
-            if payload_in is not None and not self._check_msg(payload_in, t, ctx):
-                continue
-            yield t, t[-1], t if ctx.kind == "send" else None
+        send = ctx.kind == "send"
+        later = (self.unseen, self.unseen if send else None, ctx.proc, ctx.peer, ctx.sigma)
+        guesses = [(base,)]
+        for i, head in enumerate(self.heads):
+            grown = []
+            for t in guesses:
+                v = _theta_rule(head, i, t[i], TOP, *later)
+                if v is _FREE:
+                    grown += [t + (g,) for g in self.domain]
+                else:
+                    grown.append(t + (v,))
+            guesses = grown
+        if state != "start":
+            guesses = self._agreeing(state, guesses)
+        if payload_in is not None:
+            guesses = self._agreeing(payload_in, guesses, (ctx.peer, ctx.proc))
+        for t in guesses:
+            yield t, t[-1], t if send else None
 
-    def _consistent(self, t, ctx: StepCtx) -> bool:
-        """Local coherence of guessed entries with shorter suffixes."""
-        for j, head in enumerate(self.heads, 1):
-            if isinstance(head, StarStep):
-                if t[j - 1] is not TOP and t[j] != t[j - 1]:
-                    return False
-            elif isinstance(head, LabelTest) and ctx.sigma == head.letter:
-                if t[j] != t[j - 1]:
-                    return False
-        return True
-
-    def _check_succ(self, prev, cur) -> bool:
-        """Rules at the previous event that mention its ⊏-successor (us)."""
-        for j, head in enumerate(self.heads, 1):
-            if isinstance(head, Step):
-                if prev[j] != cur[j - 1]:
-                    return False
-            elif isinstance(head, StarStep):
-                if prev[j - 1] is TOP and prev[j] != cur[j]:
-                    return False
-        return True
-
-    def _check_msg(self, sender, cur, ctx: StepCtx) -> bool:
-        """Message entries guessed at the send, checked here at the receive."""
-        for j, head in enumerate(self.heads, 1):
-            if isinstance(head, Msg) and head.src == ctx.peer and head.dst == ctx.proc:
-                if sender[j] != cur[j - 1]:
-                    return False
-        return True
+    def _agreeing(self, t, thetas: list, at: Optional[tuple] = None) -> list:
+        """The θs that agree with t at its event's ⊏-successor, or with ``at``
+        = (sender process, receiver process) at its message's receiver: from
+        each, the rule gives the entries of t that it leaves _FREE while that
+        neighbour is unseen.  No letter is passed: none of them reads it."""
+        unseen = (self.unseen, None, None, None) if at is None else (None, self.unseen, *at)
+        reads = [
+            (i, head)
+            for i, head in enumerate(self.heads)
+            if _theta_rule(head, i, t[i], TOP, *unseen, None) is _FREE
+        ]
+        if not reads:
+            return thetas
+        out = []
+        for theta in thetas:
+            seen = (theta, None, None, None) if at is None else (None, theta, *at)
+            for i, head in reads:
+                if _theta_rule(head, i, t[i], TOP, *seen, None) != t[i + 1]:
+                    break
+            else:
+                out.append(theta)
+        return out
 
     def final(self, state) -> bool:
-        if state == "start":
-            return True
-        for j, head in enumerate(self.heads, 1):
-            if isinstance(head, Step) and state[j] is not TOP:
-                return False
-            if isinstance(head, StarStep) and state[j - 1] is TOP and state[j] is not TOP:
-                return False
-        return True
+        return state == "start" or bool(self._agreeing(state, [None]))
 
 
 class FaCore:

@@ -8,7 +8,7 @@ which events are listed, and the direct-successor relation is derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
 
@@ -383,11 +383,31 @@ def msc_to_json(m: Msc, annot: Optional[dict[str, Any]] = None) -> dict:
     return obj
 
 
+def check_json(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; otherwise a TypeError, which the JSON
+    readers report as a malformed object."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def json_strings(value, what: str) -> tuple[str, ...]:
+    """A JSON list of strings, as a tuple."""
+    if not all(isinstance(x, str) for x in check_json(value, list, what)):
+        raise TypeError(f"{what} must be strings")
+    return tuple(value)
+
+
 def msc_from_json(obj: dict) -> Msc:
     try:
-        sig = SystemSignature(tuple(obj["processes"]), tuple(obj["alphabet"]))
+        procs = json_strings(obj["processes"], "processes")
+        sig = SystemSignature(procs, tuple(check_json(obj["alphabet"], list, "alphabet")))
         events = [(r["id"], r["proc"], r["label"]) for r in obj["events"]]
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in obj["messages"]):
+            raise TypeError("a message must be a pair of event ids")
         messages = [tuple(pair) for pair in obj["messages"]]
+        if not all(isinstance(x[0], str) and isinstance(x[1], str) for x in events + messages):
+            raise TypeError("event ids, procs and message ends must be strings")
     except (KeyError, TypeError) as exc:
         raise MscError(f"malformed MSC object: {exc}") from exc
     return Msc(sig, events, messages)

@@ -529,6 +529,7 @@ def _label_join(pi1: PathExpr, letter: str, pi2: PathExpr) -> PathExpr:
     return PathExpr(pi1.symbols + (LabelTest(letter),) + pi2.symbols)
 
 
+@functools.cache
 def since_path_sets(
     sig: SystemSignature, src: str, tgt: str
 ) -> tuple[tuple[PathExpr, ...], tuple[PathExpr, ...]]:
@@ -539,7 +540,7 @@ def since_path_sets(
     event violating the gap letters (c or d) on the way to tgt.  The witness
     condition "some left strictly dominates every right" then says: the most
     recent witness is more recent than any src-event whose connection to here
-    crosses a gap violation.
+    crosses a gap violation.  Built once per (sig, src, tgt).
     """
     left = []
     for letter in ("a", "c"):

@@ -130,6 +130,59 @@ def test_invalid_msc_input_exits_2(tmp_path, capsys):
     assert "FIFO" in capsys.readouterr().err
 
 
+def _malformed_msc(case):
+    obj = msc_to_json(fig_flipped(), {e: [None, None, None] for e in fig_flipped().events})
+    if case == "list-id":
+        obj["events"][0]["id"] = ["e0"]
+    elif case == "string-processes":
+        obj["processes"] = "pqr"
+    else:  # top-level list
+        obj = [obj]
+    return obj
+
+
+MSC_VERBS = [
+    ["msc", "validate"], ["msc", "dot"], ["path", "eval", "--path", "->"],
+    ["path", "last", "--path", "->", "--event", "e1"],
+    ["path", "first", "--path", "->", "--event", "e1"],
+    ["path", "fpair", "--path", "->", "--path2", "->", "--event", "e1"],
+    ["path", "compare", "--path", "->", "--event", "e1"],
+    ["gossip", "annotate"], ["gossip", "check"], ["gossip", "build"],
+    ["tl", "eval", "--formula", "a"], ["tl", "compile", "--formula", "a"],
+    ["tl", "check", "--formula", "a"],
+]
+
+
+@pytest.mark.parametrize("case", ["list-id", "string-processes", "top-level-list"])
+def test_malformed_msc_json_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed_msc(case)))
+    cfm_path = tmp_path / "c.json"
+    cfm_path.write_text(json.dumps(cfm_to_json(CLAIMANTS["echo"])))
+    for verb in MSC_VERBS:
+        assert dispatch(verb[:2] + [str(path)] + verb[2:]) == 2, verb
+    assert dispatch(["cfm", "run", str(cfm_path), str(path)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["list-state", "list-machines"])
+def test_malformed_cfm_json_exits_2(case, fig_file, tmp_path, capsys):
+    obj = cfm_to_json(CLAIMANTS["echo"])
+    if case == "list-state":
+        machine = obj["machines"]["q"]
+        machine["states"][0] = [machine["states"][0]]
+    else:
+        obj["machines"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert dispatch(["cfm", "run", str(path), fig_file]) == 2
+    assert dispatch(["cfm", "det", str(path)]) == 2
+    assert dispatch(["cfm", "mirror", str(path)]) == 2
+    assert dispatch(["cfm", "product", str(path), str(path)]) == 2
+    assert dispatch(["impossible", "refute", str(path)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_flags_only_where_read(fig_file, tmp_path):
     ann_path = tmp_path / "ann.json"
     assert dispatch(["gossip", "annotate", fig_file, "--out", str(ann_path)]) == 0

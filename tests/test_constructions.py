@@ -411,6 +411,27 @@ def test_first_machine_search_route():
             assert find_accepting_run(mach, encode(m, bad)) is None
 
 
+@pytest.mark.parametrize(
+    "text", ["->* msg(p,q) ->*", "msg(q,p) [a] ->*", "[b] -> msg(p,q)"]
+)
+def test_first_machine_search_route_every_head(text):
+    # msg in both directions and a label test, beside the ⊏ and →* heads
+    rng = random.Random(4)
+    theta = ("x", "y")
+    pi = parse_path(text, SIG2)
+    mach = build_first_label_cfm(theta, pi)
+    for m in CORPUS2[:6]:
+        xi1 = {e: rng.choice(theta) for e in m.events}
+        ann = mach.annotate(m, xi1)
+        for e in m.events:
+            g = first(m, pi, e)
+            assert ann[e] == (xi1[e], TOP if g is TOP else xi1[g])
+        assert find_accepting_run(mach, encode(m, ann)) is not None
+        if m.events:
+            bad = _mutants(rng, ann, theta + (TOP,))
+            assert find_accepting_run(mach, encode(m, bad)) is None
+
+
 def test_fa_machine_search_route():
     rng = random.Random(2)
     theta = ("x", "y")
