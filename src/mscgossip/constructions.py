@@ -23,6 +23,7 @@ The machines:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -43,53 +44,106 @@ from .paths import (
 )
 
 
-def _theta_rule(head, i, tail, none, pred, sender, proc, sender_proc, sigma):
-    """Entry i + 1 of θ at one event, from its entry i (``tail``) and the
-    symbol ``head`` that entry i + 1's path adds to entry i's.
+def _theta_rule(head, parent, node, tail, none, pred, sender, proc, sender_proc, sigma):
+    """θ at one event for a path ``node``, from θ at the same event for the
+    path ``parent`` (``tail``) and the symbol ``head`` that node's path adds.
 
     ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
     sender, None when the event has none; ``none`` marks an empty preimage.
-    This is the one copy of the rules for ⊏, →*, msg(p,q) and [a]: the direct
+    This is the one copy of the rules for ⊏, →*, msg(p,q) and [a]: the trie
     passes, LastCore and FirstCore run it, the first direction on the mirror.
     """
     if isinstance(head, Step):
-        return none if pred is None else pred[i]
+        return none if pred is None else pred[parent]
     if isinstance(head, StarStep):
         if tail is none and pred is not None:
-            return pred[i + 1]
+            return pred[node]
         return tail
     if isinstance(head, Msg):
         hit = sender is not None and proc == head.dst and sender_proc == head.src
-        return sender[i] if hit else none
+        return sender[parent] if hit else none
     return tail if sigma == head.letter else none  # LabelTest
 
 
-def _last_step(symbols, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
-    """θ at one event over the prefixes of a path: entry i is the value of
-    the prefix of length i."""
+class PathTrie:
+    """A set of paths compiled into a prefix tree, so that paths sharing a
+    prefix share its θ entries.  Node 0 is the empty path; each edge
+    (node, head, parent) makes node n > 0 the path of ``parent`` extended by
+    the symbol ``head``.
+
+    A mirror trie holds paths read on the mirror MSC, whose last is the first
+    of the reversed path on the original (see _mirror_symbols).  A single
+    path is a chain: node i is its prefix of length i.
+    """
+
+    def __init__(self, paths: Iterable[tuple], mirror: bool = False):
+        self.mirror = mirror
+        self._child: dict[tuple, int] = {}  # (parent, head) -> node
+        edges: list[tuple] = []
+        for symbols in paths:
+            node = 0
+            for head in symbols:
+                nxt = self._child.get((node, head))
+                if nxt is None:
+                    nxt = self._child[node, head] = len(edges) + 1
+                    edges.append((nxt, head, node))
+                node = nxt
+        self.edges = tuple(edges)
+
+    def find(self, symbols: tuple) -> int:
+        """The node of a path of the trie, or of a prefix of one."""
+        node = 0
+        for head in symbols:
+            node = self._child[node, head]
+        return node
+
+
+def _trie_step(edges, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
+    """θ at one event over the nodes of a trie: entry 0 is ``base``."""
     t = [base]
-    for i, head in enumerate(symbols):
-        t.append(_theta_rule(head, i, t[i], none, pred, sender, proc, sender_proc, sigma))
+    for node, head, parent in edges:
+        t.append(_theta_rule(
+            head, parent, node, t[parent], none, pred, sender, proc, sender_proc, sigma
+        ))
     return tuple(t)
 
 
-def _last_pass(m: Msc, symbols: tuple, base: dict, none) -> dict[str, tuple]:
-    """_last_step along a linearization, where predecessor and sender come first."""
-    theta: dict[str, tuple] = {}
-    for e in linearize(m):
-        pred = m.proc_pred_of(e)
-        sender = m.send_of.get(e)
-        theta[e] = _last_step(
-            symbols,
+# ⊥ and ⊤ among event indices
+_BOT, _TOP = -1, -2
+
+
+def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
+    """_trie_step along a linearization (of the mirror for a mirror trie), with
+    each event as its index in ``m.events``: entry n of the result at index i
+    is the index of last (first, on a mirror trie) of node n's path from
+    event i, or _BOT (_TOP) if there is none."""
+    x = m.mirror if trie.mirror else m
+    none = _TOP if trie.mirror else _BOT
+    idx = m.index
+    theta: list = [None] * len(m.events)
+    for e in linearize(x):
+        pred = x.proc_pred_of(e)
+        sender = x.send_of.get(e)
+        theta[idx[e]] = _trie_step(
+            trie.edges,
             none,
-            base[e],
-            None if pred is None else theta[pred],
-            None if sender is None else theta[sender],
-            m.loc[e],
-            None if sender is None else m.loc[sender],
-            m.label[e],
+            idx[e],
+            None if pred is None else theta[idx[pred]],
+            None if sender is None else theta[idx[sender]],
+            x.loc[e],
+            None if sender is None else x.loc[sender],
+            x.label[e],
         )
     return theta
+
+
+def trie_maps(m: Msc, trie: PathTrie) -> list[tuple]:
+    """_trie_pass(m, trie), computed once per MSC and kept in its caches
+    under the trie itself."""
+    maps = m._caches.get(trie)
+    if maps is None:
+        maps = m._caches[trie] = _trie_pass(m, trie)
+    return maps
 
 
 def _mirror_symbols(pi: PathExpr) -> tuple:
@@ -105,9 +159,18 @@ def _mirror_symbols(pi: PathExpr) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _chain_theta(m: Msc, trie: PathTrie, base: dict, none) -> dict[str, tuple]:
+    """The trie pass on a one-path trie, each event index read through base."""
+    vals = [base[e] for e in m.events]
+    return {
+        e: tuple(none if g < 0 else vals[g] for g in row)
+        for e, row in zip(m.events, _trie_pass(m, trie))
+    }
+
+
 def last_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tuple]:
     """θ(e)[i] = base(last_{π[:i]}(e)) for every prefix length i, ⊥ if none."""
-    return _last_pass(m, pi.symbols, base, BOTTOM)
+    return _chain_theta(m, PathTrie([pi.symbols]), base, BOTTOM)
 
 
 def last_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
@@ -121,7 +184,7 @@ def first_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tu
     first_{π'} on M is last of the reversed path on the mirror of M, so this
     is the last pass on the mirror with ⊤ in place of ⊥.
     """
-    return _last_pass(m.mirror, _mirror_symbols(pi), base, TOP)
+    return _chain_theta(m, PathTrie([_mirror_symbols(pi)], mirror=True), base, TOP)
 
 
 def first_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
@@ -148,12 +211,6 @@ def fa_target(m: Msc, pi: PathExpr, pi2: PathExpr) -> dict[str, Hashable]:
     return fa_value(m, pi, pi2, {e: e for e in m.events})
 
 
-def bottom_bits(m: Msc, pi: PathExpr) -> dict[str, bool]:
-    """bit(e) = [last_π(e) = ⊥], via the last-label pass with a 1-point set."""
-    out = last_value(m, pi, {e: "•" for e in m.events})
-    return {e: out[e] is BOTTOM for e in m.events}
-
-
 def closure_with_star(paths: Iterable[PathExpr]) -> tuple[PathExpr, ...]:
     """Π plus π→* for each π ∈ Π (identifying π→*→* with π→*)."""
     out: list[PathExpr] = []
@@ -164,62 +221,118 @@ def closure_with_star(paths: Iterable[PathExpr]) -> tuple[PathExpr, ...]:
     return tuple(out)
 
 
-def preorder_combine(
-    clos: tuple[PathExpr, ...],
-    prev: Optional[frozenset],
-    bot_bits: dict,
-    star_bits: dict,
-    plus_bits: dict,
-) -> frozenset:
-    """One step of the ⪯ recurrence along ⊏ (shared by both machine routes).
+def _star_app(clos: tuple) -> tuple:
+    """Per closure path π_i, the index of π_i →* in the closure."""
+    return tuple(clos.index(star_append(a)) for a in clos)
 
-    (π,π') holds at f when: f is the first q-event (prev is None) or the pair
-    of star-closed paths did not hold before, and last_π(f)=⊥ or f is a
-    f^{π,→*π'}-fixpoint; otherwise the pair persists unless f is a
-    f^{π',→+π}-fixpoint or π' newly became ⊥-free while π did not.
+
+class _ClosurePlan:
+    """The closure ``clos`` of ``paths`` addressed by index, with the trie
+    nodes the ⪯ recurrence reads: last_a of each closure path a on the
+    last-trie, and first_{→*b}, first_{→+b} of each closure path b on the
+    first-trie.  ``members[k]`` is the index of the k-th given path.
     """
-    pairs = set()
-    for a in clos:
-        for b in clos:
-            if prev is None or (star_append(a), star_append(b)) not in prev:
-                holds = bot_bits[a] or star_bits[(a, b)]
+
+    def __init__(
+        self, paths: tuple, clos: tuple, last_trie: PathTrie, first_trie: PathTrie
+    ):
+        self.clos = clos
+        self.members = tuple(clos.index(pi) for pi in paths)
+        self.star_app = _star_app(clos)
+        self.last_trie, self.first_trie = last_trie, first_trie
+        self.last_nodes = tuple(last_trie.find(a.symbols) for a in clos)
+        self.star_nodes, self.plus_nodes = (
+            tuple(first_trie.find(_mirror_symbols(prepend(b))) for b in clos)
+            for prepend in (star_prepend, plus_prepend)
+        )
+
+
+def _closure_plans(path_sets: list[tuple]) -> list[_ClosurePlan]:
+    """One plan per path set, all of them on one last-trie and one first-trie."""
+    closures = [closure_with_star(paths) for paths in path_sets]
+    last_trie = PathTrie([a.symbols for clos in closures for a in clos])
+    first_trie = PathTrie(
+        [
+            _mirror_symbols(prepend(b))
+            for clos in closures
+            for b in clos
+            for prepend in (star_prepend, plus_prepend)
+        ],
+        mirror=True,
+    )
+    return [
+        _ClosurePlan(paths, clos, last_trie, first_trie)
+        for paths, clos in zip(path_sets, closures)
+    ]
+
+
+@functools.cache
+def _preorder_plan(paths: tuple) -> _ClosurePlan:
+    return _closure_plans([paths])[0]
+
+
+def preorder_combine(
+    star_app: tuple, prev: Optional[frozenset], bot, star_bits, plus_bits
+) -> frozenset:
+    """One step of the ⪯ recurrence along ⊏ (shared by both machine routes),
+    over the closure by index: the result holds (i, j) when π_i ⪯ π_j.
+
+    With c closure paths, bot[i] is [last_{π_i}(f) = ⊥] and star_bits[i*c + j]
+    (plus_bits[i*c + j]) says f is a f^{π_i,→*π_j} (f^{π_i,→+π_j}) fixpoint.
+    (i,j) holds at f when: f is the first q-event (prev is None) or the pair
+    of star-closed paths did not hold before, and last_{π_i}(f)=⊥ or f is a
+    f^{π_i,→*π_j}-fixpoint; otherwise the pair persists unless f is a
+    f^{π_j,→+π_i}-fixpoint or π_j newly became ⊥-free while π_i did not.
+    """
+    c = len(star_app)
+    pairs = []
+    for i in range(c):
+        for j in range(c):
+            if prev is None or (star_app[i], star_app[j]) not in prev:
+                holds = bot[i] or star_bits[i * c + j]
             else:
-                holds = not plus_bits[(b, a)] and (bot_bits[a] or not bot_bits[b])
+                holds = not plus_bits[j * c + i] and (bot[i] or not bot[j])
             if holds:
-                pairs.add((a, b))
+                pairs.append((i, j))
     return frozenset(pairs)
+
+
+def _preorder_steps(m: Msc, q: str, plan: _ClosurePlan):
+    """Per q-event f in process order: f, the last events of the closure
+    paths at f (event indices, _BOT for ⊥) and ⪯_f as closure index pairs,
+    all read off the plan's trie maps.
+
+    f is an f^{a,π'}-fixpoint iff first_{π'}(last_a(f)) = f.
+    """
+    lasts = trie_maps(m, plan.last_trie)
+    firsts = trie_maps(m, plan.first_trie)
+    idx = m.index
+    pre: Optional[frozenset] = None
+    for f in m.events_of(q):
+        i = idx[f]
+        row = lasts[i]
+        at = [row[n] for n in plan.last_nodes]
+        star_bits, plus_bits = (
+            [g >= 0 and firsts[g][n] == i for g in at for n in nodes]
+            for nodes in (plan.star_nodes, plan.plus_nodes)
+        )
+        pre = preorder_combine(
+            plan.star_app, pre, [g == _BOT for g in at], star_bits, plus_bits
+        )
+        yield f, at, pre
+
+
+def _path_pairs(clos: tuple, pre: frozenset) -> frozenset:
+    return frozenset((clos[i], clos[j]) for i, j in pre)
 
 
 def preorder_bits(
     m: Msc, q: str, paths: tuple[PathExpr, ...]
 ) -> dict[str, frozenset]:
     """For each q-event f, the set of pairs (π,π') with π ⪯_f π', over the
-    star closure of the given path set, by the three switch rules along ⊏.
-
-    One pass per map last_a, first_{→*b}, first_{→+b}: f is an
-    f^{a,π'}-fixpoint iff first_{π'}(last_a(f)) = f.
-    """
-    clos = closure_with_star(paths)
-    ident = {e: e for e in m.events}
-    last = {a: last_value(m, a, ident) for a in clos}
-    firsts = [
-        {b: first_value(m, prepend(b), ident) for b in clos}
-        for prepend in (star_prepend, plus_prepend)
-    ]
-    out: dict[str, frozenset] = {}
-    prev: Optional[frozenset] = None
-    for f in m.events_of(q):
-        at = {a: last[a][f] for a in clos}
-        star_bits, plus_bits = (
-            {(a, b): at[a] is not BOTTOM and first[b][at[a]] == f
-             for a in clos for b in clos}
-            for first in firsts
-        )
-        prev = preorder_combine(
-            clos, prev, {a: at[a] is BOTTOM for a in clos}, star_bits, plus_bits
-        )
-        out[f] = prev
-    return out
+    star closure of the given path set, by the three switch rules along ⊏."""
+    plan = _preorder_plan(tuple(paths))
+    return {f: _path_pairs(plan.clos, pre) for f, _, pre in _preorder_steps(m, q, plan)}
 
 
 def ord_annotation(pairs: frozenset, paths: Iterable[PathExpr]) -> frozenset:
@@ -253,17 +366,19 @@ class StepCtx:
 
 
 class LastCore:
-    """Deterministic forward tracking of θ over prefixes of π."""
+    """Deterministic forward tracking of θ over prefixes of π: the trie pass
+    on π's chain, one event at a time."""
 
     def __init__(self, pi: PathExpr):
         self.pi = pi
+        self.edges = PathTrie([pi.symbols]).edges
 
     def start(self):
         return "start"
 
     def step(self, state, ctx: StepCtx, base, payload_in):
-        t = _last_step(
-            self.pi.symbols,
+        t = _trie_step(
+            self.edges,
             BOTTOM,
             base,
             None if state == "start" else state,
@@ -284,11 +399,12 @@ _FREE = object()  # a FirstCore entry that reads a neighbour not yet seen
 class FirstCore:
     """Guess-based forward realization of θ over suffixes of π.
 
-    This is _theta_rule on the mirror: entry j is the value of the suffix of
-    length j, whose head is the j-th symbol from the end; the mirror's
-    ⊏-predecessor is the ⊏-successor and the sender of a send is its
-    receiver.  Both are later events, so at an event their θ is unseen (every
-    entry _FREE) and each entry the rule leaves _FREE is guessed from Θ∪{⊤}.
+    This is _theta_rule on the mirror, along the chain of π read backwards:
+    entry j is the value of the suffix of length j, whose head is the j-th
+    symbol from the end; the mirror's ⊏-predecessor is the ⊏-successor and
+    the sender of a send is its receiver.  Both are later events, so at an
+    event their θ is unseen (every entry _FREE) and each entry the rule
+    leaves _FREE is guessed from Θ∪{⊤}.
     When such a neighbour is seen (the successor at the next step, the
     receiver at the matching receive, no successor in final()), the same rule
     recomputes the entries that read it.
@@ -296,9 +412,9 @@ class FirstCore:
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
         self.pi = pi
-        self.heads = _mirror_symbols(pi)  # heads[j - 1] heads entry j
+        self.edges = PathTrie([_mirror_symbols(pi)]).edges
         self.domain = tuple(theta_set) + (TOP,)
-        self.unseen = (_FREE,) * (len(self.heads) + 1)
+        self.unseen = (_FREE,) * (len(self.edges) + 1)
 
     def start(self):
         return "start"
@@ -307,10 +423,10 @@ class FirstCore:
         send = ctx.kind == "send"
         later = (self.unseen, self.unseen if send else None, ctx.proc, ctx.peer, ctx.sigma)
         guesses = [(base,)]
-        for i, head in enumerate(self.heads):
+        for node, head, parent in self.edges:
             grown = []
             for t in guesses:
-                v = _theta_rule(head, i, t[i], TOP, *later)
+                v = _theta_rule(head, parent, node, t[parent], TOP, *later)
                 if v is _FREE:
                     grown += [t + (g,) for g in self.domain]
                 else:
@@ -330,17 +446,17 @@ class FirstCore:
         neighbour is unseen.  No letter is passed: none of them reads it."""
         unseen = (self.unseen, None, None, None) if at is None else (None, self.unseen, *at)
         reads = [
-            (i, head)
-            for i, head in enumerate(self.heads)
-            if _theta_rule(head, i, t[i], TOP, *unseen, None) is _FREE
+            (node, head, parent)
+            for node, head, parent in self.edges
+            if _theta_rule(head, parent, node, t[parent], TOP, *unseen, None) is _FREE
         ]
         if not reads:
             return thetas
         out = []
         for theta in thetas:
             seen = (theta, None, None, None) if at is None else (None, theta, *at)
-            for i, head in reads:
-                if _theta_rule(head, i, t[i], TOP, *seen, None) != t[i + 1]:
+            for node, head, parent in reads:
+                if _theta_rule(head, parent, node, t[parent], TOP, *seen, None) != t[node]:
                     break
             else:
                 out.append(theta)
@@ -418,30 +534,31 @@ class FixCore:
 class PreorderCore:
     """All fixpoint/bottom components for a path set, plus the ⪯ recurrence.
 
-    State: per-component states and the previous q-event's preorder (over the
-    closure).  At each q-event the fixpoint bits are guessed, fed to their
-    components for later verification, and combined by the three switch rules
-    into the next preorder, which is the core's output.
+    State: per-component states and the previous q-event's preorder (closure
+    index pairs).  At each q-event the fixpoint bits are guessed, fed to
+    their components for later verification, and combined by the three
+    switch rules into the next preorder, which is the core's output.
+    Components are indexed like the recurrence's bits: bots[i] tracks π_i,
+    fix_star[i*c + j] (fix_plus[i*c + j]) the f^{π_i,→*π_j} (f^{π_i,→+π_j})
+    fixpoints.
     """
 
     def __init__(self, q: str, paths: tuple[PathExpr, ...]):
         self.q = q
         self.paths = paths
         self.clos = closure_with_star(paths)
-        self.star_pairs = [(a, b) for a in self.clos for b in self.clos]
-        self.fix_star = {
-            ab: FixCore(q, ab[0], star_prepend(ab[1])) for ab in self.star_pairs
-        }
-        self.fix_plus = {
-            ab: FixCore(q, ab[0], plus_prepend(ab[1])) for ab in self.star_pairs
-        }
-        self.bots = {a: LastCore(a) for a in self.clos}
+        self.star_app = _star_app(self.clos)
+        self.fix_star, self.fix_plus = (
+            tuple(FixCore(q, a, prepend(b)) for a in self.clos for b in self.clos)
+            for prepend in (star_prepend, plus_prepend)
+        )
+        self.bots = tuple(LastCore(a) for a in self.clos)
 
     def start(self):
         return (
-            tuple(self.fix_star[ab].start() for ab in self.star_pairs),
-            tuple(self.fix_plus[ab].start() for ab in self.star_pairs),
-            tuple(self.bots[a].start() for a in self.clos),
+            tuple(fc.start() for fc in self.fix_star),
+            tuple(fc.start() for fc in self.fix_plus),
+            tuple(bc.start() for bc in self.bots),
             None,  # previous preorder over the closure
         )
 
@@ -454,21 +571,21 @@ class PreorderCore:
 
         # bottom components are deterministic; run them first
         bot_results = []
-        for i, a in enumerate(self.clos):
+        for i, bc in enumerate(self.bots):
             pin = None if pay_bot is None else pay_bot[i]
-            (ns, out, pay), = tuple(self.bots[a].step(st_bot[i], ctx, "•", pin))
+            (ns, out, pay), = tuple(bc.step(st_bot[i], ctx, "•", pin))
             bot_results.append((ns, out is BOTTOM, pay))
         new_bot = tuple(r[0] for r in bot_results)
-        bot_bits = {a: r[1] for a, r in zip(self.clos, bot_results)}
+        bot_bits = [r[1] for r in bot_results]
         bot_pay = tuple(r[2] for r in bot_results)
 
         def run_components(cores, states, pays, bit_choice):
             """Cartesian product of component moves for one bit assignment."""
             acc = [((), ())]
-            for i, ab in enumerate(self.star_pairs):
+            for i, fc in enumerate(cores):
                 pin = None if pays is None else pays[i]
                 gamma = bit_choice[i] if on_q else 0
-                moves = list(cores[ab].step_with_bit(states[i], ctx, gamma, pin))
+                moves = list(fc.step_with_bit(states[i], ctx, gamma, pin))
                 acc = [
                     (ss + (ns,), pp + (pay,))
                     for ss, pp in acc
@@ -478,7 +595,7 @@ class PreorderCore:
                     return
             yield from acc
 
-        n_pairs = len(self.star_pairs)
+        n_pairs = len(self.fix_star)
         if on_q:
             bit_space = itertools.product((0, 1), repeat=2 * n_pairs)
         else:
@@ -486,7 +603,7 @@ class PreorderCore:
         for bits in bit_space:
             bits_star, bits_plus = bits[:n_pairs], bits[n_pairs:]
             if on_q:
-                pre = self._combine(prev, bot_bits, bits_star, bits_plus)
+                pre = preorder_combine(self.star_app, prev, bot_bits, bits_star, bits_plus)
                 out = pre
             else:
                 pre, out = prev, None
@@ -503,19 +620,12 @@ class PreorderCore:
                     )
                     yield (ss_star, ss_plus, new_bot, pre), out, payload
 
-    def _combine(self, prev, bot_bits, bits_star, bits_plus):
-        star_bit = dict(zip(self.star_pairs, (b == 1 for b in bits_star)))
-        plus_bit = dict(zip(self.star_pairs, (b == 1 for b in bits_plus)))
-        return preorder_combine(self.clos, prev, bot_bits, star_bit, plus_bit)
-
     def final(self, state) -> bool:
         st_star, st_plus, _, _ = state
         return all(
-            self.fix_star[ab].final(st_star[i])
-            for i, ab in enumerate(self.star_pairs)
+            fc.final(s) for fc, s in zip(self.fix_star, st_star)
         ) and all(
-            self.fix_plus[ab].final(st_plus[i])
-            for i, ab in enumerate(self.star_pairs)
+            fc.final(s) for fc, s in zip(self.fix_plus, st_plus)
         )
 
 
@@ -767,7 +877,7 @@ def build_preorder_cfm(
         sigma, annot = _decode_label(label)
         ctx = StepCtx(pp, kind, peer, sigma)
         for new_state, out, payload in core.step(state, ctx, msg_in):
-            if pp == q and annot != ord_annotation(out, paths):
+            if pp == q and annot != ord_annotation(_path_pairs(core.clos, out), paths):
                 continue
             yield new_state, payload
 
@@ -794,15 +904,32 @@ def gossip_value_encoding(v) -> Optional[str]:
 _NO_MAXIMUM = object()
 
 
-def gossip_component_value(fam, pre_pairs: frozenset, values: dict):
+def gossip_component_value(members: tuple, pre_pairs: frozenset, values):
     """One ξ-component: the last-label along a ⪯-maximal path (None if that
     last is ⊥); the sentinel when the claimed preorder has no maximum (which
     only happens under inconsistent guesses).  Shared by both machine routes.
+
+    ``members`` are the family's closure indices, ``pre_pairs`` the preorder
+    as closure index pairs and ``values[k]`` the label value of the k-th
+    member.
     """
-    maxima = [pi for pi in fam if all((other, pi) in pre_pairs for other in fam)]
-    if not maxima:
-        return _NO_MAXIMUM
-    return gossip_value_encoding(values[maxima[0]])
+    for k, j in enumerate(members):
+        if all((other, j) in pre_pairs for other in members):
+            return gossip_value_encoding(values[k])
+    return _NO_MAXIMUM
+
+
+@functools.cache
+def _gossip_plan(sig: SystemSignature) -> tuple:
+    """(src, tgt, family, closure plan) for every pair, tgt-major, the plans
+    sharing one last-trie and one first-trie; compiled once per signature."""
+    combos = [
+        (src, tgt, gossip_paths_between(sig, src, tgt))
+        for tgt in sig.processes
+        for src in sig.processes
+    ]
+    plans = _closure_plans([fam for _, _, fam in combos])
+    return tuple(combo + (plan,) for combo, plan in zip(combos, plans))
 
 
 def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
@@ -815,13 +942,16 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     directly.
     """
     procs = sig.processes
-    combos = [
-        (src, tgt, gossip_paths_between(sig, src, tgt))
-        for tgt in procs
-        for src in procs
-    ]
-    pre_cores = [PreorderCore(tgt, fam) for _, tgt, fam in combos]
-    val_cores = [[LastCore(pi) for pi in fam] for _, _, fam in combos]
+    combos = _gossip_plan(sig)
+
+    @functools.cache
+    def cores() -> tuple:
+        """Per pair, its PreorderCore and one LastCore per family path; built
+        the first time a search needs them, so annotate and decide never do."""
+        return tuple(
+            (PreorderCore(tgt, fam), tuple(LastCore(pi) for pi in fam))
+            for _, tgt, fam, _ in combos
+        )
 
     def annotate(m):
         # depends only on the base MSC; memoized so repeated membership
@@ -830,20 +960,15 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         cached = m._caches.get(key)
         if cached is not None:
             return cached
+        labels = [m.label[e] for e in m.events]
         out = {e: [] for e in m.events}
-        for src, tgt, fam in combos:
-            bits = preorder_bits(m, tgt, fam)
-            lastlab = {pi: last_value(m, pi, dict(m.label)) for pi in fam}
-            for e in m.events_of(tgt):
-                val = gossip_component_value(
-                    fam, bits[e], {pi: lastlab[pi][e] for pi in fam}
-                )
+        for _, tgt, _, plan in combos:  # src in process order for each tgt
+            for f, at, pre in _preorder_steps(m, tgt, plan):
+                values = [BOTTOM if at[j] == _BOT else labels[at[j]] for j in plan.members]
+                val = gossip_component_value(plan.members, pre, values)
                 assert val is not _NO_MAXIMUM  # the true preorder is total
-                out[e].append((src, val))
-        result = {
-            e: tuple(v for _, v in sorted(vals, key=lambda sv: procs.index(sv[0])))
-            for e, vals in out.items()
-        }
+                out[f].append(val)
+        result = {e: tuple(vals) for e, vals in out.items()}
         m._caches[key] = result
         return result
 
@@ -853,8 +978,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
 
     def starts(p):
         state = tuple(
-            (pc.start(), tuple(vc.start() for vc in vcs))
-            for pc, vcs in zip(pre_cores, val_cores)
+            (pc.start(), tuple(vc.start() for vc in vcs)) for pc, vcs in cores()
         )
         return [state]
 
@@ -864,14 +988,15 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         if not (isinstance(xi, tuple) and len(xi) == len(procs)):
             return
         xi_by_proc = dict(zip(procs, xi))
+        components = cores()
 
         def rec(i, acc_state, acc_payload):
             if i == len(combos):
                 payload = tuple(acc_payload) if kind == "send" else None
                 yield tuple(acc_state), payload
                 return
-            src, tgt, fam = combos[i]
-            pc, vcs = pre_cores[i], val_cores[i]
+            src, tgt, _, plan = combos[i]
+            pc, vcs = components[i]
             pc_state, vc_states = state[i]
             pin = None if msg_in is None else msg_in[i]
             pre_pin = None if pin is None else pin[0]
@@ -889,9 +1014,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
                     ]
                 for vss, vpp, vouts in vals_acc:
                     if p == tgt:
-                        want = gossip_component_value(
-                            fam, pre_out, dict(zip(fam, vouts))
-                        )
+                        want = gossip_component_value(plan.members, pre_out, vouts)
                         if want is _NO_MAXIMUM or xi_by_proc[src] != want:
                             continue
                     comp_pay = (pre_pay, vpp) if kind == "send" else None
@@ -904,7 +1027,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         yield from rec(0, [], [])
 
     def final_ok(p, state):
-        return all(pc.final(st[0]) for pc, st in zip(pre_cores, state))
+        return all(pc.final(st[0]) for (pc, _), st in zip(cores(), state))
 
     def canonical(m):
         parts = [
@@ -912,7 +1035,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
                 preorder_canonical_states(m, tgt, fam),
                 [last_theta(m, pi, m.label) for pi in fam],
             )
-            for _, tgt, fam in combos
+            for _, tgt, fam, _ in combos
         ]
         return {
             e: tuple((pre[e], tuple(th[e] for th in ths)) for pre, ths in parts)
@@ -922,9 +1045,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     out = AnnotationCfm(
         "gossip", starts, step, final_ok, annotate, decide, canonical=canonical
     )
-    out.combos = combos
-    out.pre_cores = pre_cores
-    out.val_cores = val_cores
+    out.cores = cores
     return out
 
 
@@ -1007,28 +1128,21 @@ def fix_canonical_states(m: Msc, q: str, pi: PathExpr, pi2: PathExpr) -> dict:
 
 def preorder_canonical_states(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> dict:
     """Per event, the PreorderCore state on the unique accepting run."""
-    clos = closure_with_star(paths)
-    star_pairs = [(a, b) for a in clos for b in clos]
-    fs = {
-        ab: fix_canonical_states(m, q, ab[0], star_prepend(ab[1]))
-        for ab in star_pairs
-    }
-    fp = {
-        ab: fix_canonical_states(m, q, ab[0], plus_prepend(ab[1]))
-        for ab in star_pairs
-    }
-    bots = {a: last_theta(m, a, {e: "•" for e in m.events}) for a in clos}
-    bits = preorder_bits(m, q, paths)
+    plan = _preorder_plan(tuple(paths))
+    clos = plan.clos
+    fs, fp = (
+        [fix_canonical_states(m, q, a, prepend(b)) for a in clos for b in clos]
+        for prepend in (star_prepend, plus_prepend)
+    )
+    bots = [last_theta(m, a, {e: "•" for e in m.events}) for a in clos]
+    pres = {f: pre for f, _, pre in _preorder_steps(m, q, plan)}
     out = {}
-    pre_now = None
     for e in linearize(m):
-        if m.loc[e] == q:
-            pre_now = bits[e]
         out[e] = (
-            tuple(fs[ab][e] for ab in star_pairs),
-            tuple(fp[ab][e] for ab in star_pairs),
-            tuple(bots[a][e] for a in clos),
-            pre_now if m.loc[e] == q else None,
+            tuple(s[e] for s in fs),
+            tuple(s[e] for s in fp),
+            tuple(th[e] for th in bots),
+            pres.get(e),
         )
     return out
 
@@ -1086,18 +1200,16 @@ def drive_preorder_components(core: PreorderCore, m: Msc) -> bool:
     """
     dot = {e: "•" for e in m.events}
     return (
-        all(drive_fix_core(core.fix_star[ab], m) for ab in core.star_pairs)
-        and all(drive_fix_core(core.fix_plus[ab], m) for ab in core.star_pairs)
-        and all(drive_last_core(core.bots[a], m, dot) for a in core.clos)
+        all(drive_fix_core(fc, m) for fc in core.fix_star)
+        and all(drive_fix_core(fc, m) for fc in core.fix_plus)
+        and all(drive_last_core(bc, m, dot) for bc in core.bots)
     )
 
 
 def drive_gossip_components(machine: AnnotationCfm, m: Msc) -> bool:
     """Componentwise canonical-run certificate for the gossip machine."""
     labels = dict(m.label)
-    for (src, tgt, fam), pc, vcs in zip(
-        machine.combos, machine.pre_cores, machine.val_cores
-    ):
+    for pc, vcs in machine.cores():
         if not drive_preorder_components(pc, m):
             return False
         if not all(drive_last_core(vc, m, labels) for vc in vcs):

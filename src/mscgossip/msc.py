@@ -78,10 +78,14 @@ class Msc:
     ):
         self.signature = signature
         ev = tuple(events)
-        self.events: tuple[str, ...] = tuple(e[0] for e in ev)
+        # tuple([...]), not tuple(generator): CPython allocates the latter at
+        # a guessed length and resizes it, and once freed it sits on the free
+        # list of its final length, which only a full gc collection empties,
+        # so a process reading many MSCs grew by ~3 MB
+        self.events: tuple[str, ...] = tuple([e[0] for e in ev])
         self.loc: dict[str, str] = {e[0]: e[1] for e in ev}
         self.label: dict[str, Label] = {e[0]: e[2] for e in ev}
-        self.msg: tuple[tuple[str, str], ...] = tuple((s, r) for s, r in messages)
+        self.msg: tuple[tuple[str, str], ...] = tuple([(s, r) for s, r in messages])
         self._caches: dict[str, Any] = {}
 
     # -- derived structure ------------------------------------------------

@@ -23,8 +23,9 @@ import re
 from dataclasses import dataclass
 from typing import Hashable
 
-from .constructions import AnnotationCfm, PreorderCore, StepCtx, last_value
+from .constructions import AnnotationCfm, PathTrie, PreorderCore, StepCtx, trie_maps
 from .msc import (
+    BOTTOM,
     ExtendedMsc,
     Msc,
     SystemSignature,
@@ -557,6 +558,23 @@ def since_path_sets(
     return tuple(left), tuple(right)
 
 
+@functools.cache
+def _since_plan(sig: SystemSignature) -> tuple[PathTrie, dict]:
+    """One trie over the since paths of every pair, and per (src, tgt) the
+    trie nodes of its left and right families; compiled once per signature."""
+    families = {
+        (src, tgt): since_path_sets(sig, src, tgt)
+        for tgt in sig.processes
+        for src in sig.processes
+    }
+    trie = PathTrie(pi.symbols for lf, rt in families.values() for pi in lf + rt)
+    nodes = {
+        pair: tuple(tuple(trie.find(pi.symbols) for pi in fam) for fam in lf_rt)
+        for pair, lf_rt in families.items()
+    }
+    return trie, nodes
+
+
 def _dominates(pre_pairs: frozenset, left, right) -> bool:
     """Some left path strictly above every right path in the total preorder."""
     return any(all((l, r) not in pre_pairs for r in right) for l in left)
@@ -684,18 +702,22 @@ def compile_since(
     if p not in sig.processes or q not in sig.processes:
         raise TlError(f"unknown process in pair ({p!r}, {q!r})")
     lf, rt = since_path_sets(sig, p, q)
-    paths = tuple(dict.fromkeys(lf + rt))
+    trie, nodes = _since_plan(sig)
+    lf_nodes, rt_nodes = nodes[p, q]
 
     @functools.cache
-    def core() -> PreorderCore:
-        return PreorderCore(q, paths)
+    def core() -> tuple[PreorderCore, tuple, tuple]:
+        """The preorder core and the closure indices of lf and rt."""
+        pc = PreorderCore(q, tuple(dict.fromkeys(lf + rt)))
+        return pc, tuple(map(pc.clos.index, lf)), tuple(map(pc.clos.index, rt))
 
     def moves(pp, state, ctx, msg_in):
-        for ns, out, pay in core().step(state, ctx, msg_in):
-            yield ns, pp == q and _dominates(out, lf, rt), pay
+        pc, lf_at, rt_at = core()
+        for ns, out, pay in pc.step(state, ctx, msg_in):
+            yield ns, pp == q and _dominates(out, lf_at, rt_at), pay
 
     def starts(pp):
-        return [core().start()]
+        return [core()[0].start()]
 
     def step(pp, state, kind, label, peer, msg_in):
         sigma, bit = label
@@ -707,18 +729,23 @@ def compile_since(
                 yield ns, pay
 
     def final_ok(pp, state):
-        return core().final(state)
+        return core()[0].final(state)
 
     def annotate(m):
         # (l,r) is in the preorder at e iff last_l(e) <= last_r(e), so "l
         # strictly above every r" is a causal comparison of last events
-        ident = {e: e for e in m.events}
-        last = {pi: last_value(m, pi, ident) for pi in paths}
+        maps = trie_maps(m, trie)
+
+        def event(g):
+            return BOTTOM if g < 0 else m.events[g]
+
         out = {e: 0 for e in m.events}
         for e in m.events_of(q):
+            row = maps[m.index[e]]
+            rights = [event(row[r]) for r in rt_nodes]
             if any(
-                all(not causal_leq(m, last[l][e], last[r][e]) for r in rt)
-                for l in lf
+                all(not causal_leq(m, event(row[l]), r) for r in rights)
+                for l in lf_nodes
             ):
                 out[e] = 1
         return out

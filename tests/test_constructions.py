@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mscgossip import constructions
 from mscgossip.cfm import (
     attach_annotation,
     find_accepting_run,
@@ -10,7 +12,11 @@ from mscgossip.cfm import (
     validate_run,
 )
 from mscgossip.constructions import (
-    bottom_bits,
+    _BOT,
+    _gossip_plan,
+    _mirror_symbols,
+    _preorder_plan,
+    _preorder_steps,
     build_fa_label_cfm,
     build_first_label_cfm,
     build_fixpoint_cfm,
@@ -34,8 +40,9 @@ from mscgossip.constructions import (
     ord_annotation,
     preorder_bits,
     reachable_state_report,
+    trie_maps,
 )
-from mscgossip.corpus import random_corpus
+from mscgossip.corpus import random_corpus, random_msc
 from mscgossip.msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature
 from mscgossip.paths import (
     EPS,
@@ -146,12 +153,18 @@ def test_fixpoint_bits_match_oracle():
             assert targets[e] == f_pair(m, PI, star_pi2, e)
 
 
-def test_bottom_bits_match_oracle():
+def test_preorder_bottom_bits_match_oracle():
+    # the bit [last_a(f) = ⊥] that preorder_bits reads off its last maps, at
+    # every event: each one is a q-event for its own process q
+    checked = 0
     for m in CORPUS3[:10]:
         for pi in PATH_SHAPES:
-            bb = bottom_bits(m, pi)
-            for e in m.events:
-                assert bb[e] == (last(m, pi, e) is BOTTOM)
+            plan = _preorder_plan((pi,))
+            for q in SIG3.processes:
+                for f, at, _ in _preorder_steps(m, q, plan):
+                    assert (at[plan.members[0]] == _BOT) == (last(m, pi, f) is BOTTOM)
+                    checked += 1
+    assert checked == len(PATH_SHAPES) * sum(len(m.events) for m in CORPUS3[:10])
 
 
 def test_preorder_bits_match_oracle():
@@ -564,6 +577,73 @@ def test_gossip_annotation_memo_is_per_process_order():
     m = Msc(sig_pq, [("e1", "p", "a"), ("e2", "q", "b")], [("e1", "e2")])
     assert build_gossip_cfm(sig_pq).annotate(m)["e2"] == ("a", None)
     assert build_gossip_cfm(sig_qp).annotate(m)["e2"] == (None, "a")
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_gossip_annotation_matches_oracle_at_large_k(k):
+    # the trie route against the causal-order oracle at the sizes tier-1's
+    # decide sweeps (k ≤ 3) do not reach
+    sig = SystemSignature(tuple(f"p{i}" for i in range(1, k + 1)), ("a", "b"))
+    mach = build_gossip_cfm(sig)
+    rng = random.Random(k)
+    sizes = []
+    for _ in range(3):
+        m = random_msc(sig, rng, max_events_per_proc=round(50 / (0.75 * k)))
+        assert mach.annotate(m) == oracle_gossip_annotation(m).annot
+        sizes.append(len(m.events))
+    assert min(sizes) >= 25 and sum(sizes) >= 120, sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 4))
+def test_gossip_trie_nodes_match_oracle(k, seed, max_events):
+    # every node of the compiled last-trie (first-trie) holds last (first)
+    # of its path at every event, against the relational oracle
+    sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
+    m = random_msc(sig, random.Random(seed), max_events)
+    _, _, _, plan = _gossip_plan(sig)[0]  # every pair's plan reads the same two tries
+    for trie, oracle, none in (
+        (plan.last_trie, last, BOTTOM),
+        (plan.first_trie, first, TOP),
+    ):
+        maps = trie_maps(m, trie)
+        symbols = {0: ()}
+        for node, head, parent in trie.edges:
+            symbols[node] = symbols[parent] + (head,)
+            pi = PathExpr(symbols[node])
+            if trie.mirror:  # a first-trie node holds its path mirrored
+                pi = PathExpr(_mirror_symbols(pi))
+            for e in m.events:
+                g = maps[m.index[e]][node]
+                assert (none if g < 0 else m.events[g]) == oracle(m, pi, e), (pi, e)
+
+
+def test_gossip_cores_are_built_only_for_a_search(monkeypatch):
+    built = []
+
+    class CountingPreorderCore(constructions.PreorderCore):
+        def __init__(self, q, paths):
+            built.append("preorder")
+            super().__init__(q, paths)
+
+    class CountingLastCore(constructions.LastCore):
+        def __init__(self, pi):
+            built.append("last")
+            super().__init__(pi)
+
+    monkeypatch.setattr(constructions, "PreorderCore", CountingPreorderCore)
+    monkeypatch.setattr(constructions, "LastCore", CountingLastCore)
+    mach = build_gossip_cfm(SIG3)
+    m = fig_flipped()
+    assert mach.decide(oracle_gossip_annotation(m))
+    assert mach.annotate(m) == oracle_gossip_annotation(m).annot
+    assert built == []
+    mach._starts("p")
+    assert built.count("preorder") == len(SIG3.processes) ** 2
+    assert built.count("last") > 0
+    n_built = len(built)
+    mach._starts("q")
+    assert len(built) == n_built  # built once per machine
 
 
 def test_gossip_search_route_single_process():

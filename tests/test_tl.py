@@ -4,9 +4,21 @@ import pytest
 
 from mscgossip import tl
 from mscgossip.cfm import attach_annotation, find_accepting_run
-from mscgossip.constructions import preorder_bits
+from mscgossip.constructions import (
+    PathTrie,
+    build_gossip_cfm,
+    oracle_gossip_annotation,
+    preorder_bits,
+)
 from mscgossip.corpus import random_corpus
-from mscgossip.msc import ExtendedMsc, Msc, SystemSignature, mirror_msc
+from mscgossip.msc import (
+    ExtendedMsc,
+    Msc,
+    SystemSignature,
+    mirror_msc,
+    msc_from_json,
+    msc_to_json,
+)
 from mscgossip.tl import (
     And,
     Atom,
@@ -390,6 +402,23 @@ def test_since_pair_bits_match_the_preorder_switch_rules():
                     assert got[e] == _dominates(pb[e], lf, rt), (src, tgt, e)
                     checked += 1
     assert checked == 108
+
+
+def test_gossip_and_since_maps_on_one_msc_do_not_collide():
+    # both routes memoise trie maps on the MSC they read; in either order
+    # each must read its own maps
+    gossip = build_gossip_cfm(ABCD_SIG)
+    pairs = [compile_since(src, tgt, ABCD_SIG) for tgt in "pq" for src in "pq"]
+    for m in ABCD_CORPUS:
+        want_gossip = oracle_gossip_annotation(m).annot
+        want_since = [pair.annotate(msc_from_json(msc_to_json(m))) for pair in pairs]
+        for gossip_first in (True, False):
+            shared = msc_from_json(msc_to_json(m))
+            if gossip_first:
+                assert gossip.annotate(shared) == want_gossip
+            assert [pair.annotate(shared) for pair in pairs] == want_since
+            assert gossip.annotate(shared) == want_gossip
+            assert sum(isinstance(key, PathTrie) for key in shared._caches) == 3
 
 
 def test_since_cores_are_built_only_for_a_search(monkeypatch):
