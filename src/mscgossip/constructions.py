@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Callable, Hashable, Iterable, Optional
 
 from .cfm import LazyCfm
@@ -51,7 +52,8 @@ def _theta_rule(head, parent, node, tail, none, pred, sender, proc, sender_proc,
     ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
     sender, None when the event has none; ``none`` marks an empty preimage.
     This is the one copy of the rules for ⊏, →*, msg(p,q) and [a]: the trie
-    passes, LastCore and FirstCore run it, the first direction on the mirror.
+    steps of the passes and of LastCore are compiled from it, and FirstCore
+    runs it, the first direction on the mirror.
     """
     if isinstance(head, Step):
         return none if pred is None else pred[parent]
@@ -74,6 +76,9 @@ class PathTrie:
     A mirror trie holds paths read on the mirror MSC, whose last is the first
     of the reversed path on the original (see _mirror_symbols).  A single
     path is a chain: node i is its prefix of length i.
+
+    ``step`` runs θ at one event as a program compiled from _theta_rule for
+    the event's shape; the programs are kept on the trie.
     """
 
     def __init__(self, paths: Iterable[tuple], mirror: bool = False):
@@ -89,6 +94,8 @@ class PathTrie:
                     edges.append((nxt, head, node))
                 node = nxt
         self.edges = tuple(edges)
+        self._programs: dict[tuple, tuple] = {}
+        self._slots: Optional[list] = None
 
     def find(self, symbols: tuple) -> int:
         """The node of a path of the trie, or of a prefix of one."""
@@ -97,15 +104,93 @@ class PathTrie:
             node = self._child[node, head]
         return node
 
+    def step(self, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
+        """θ at one event over the nodes of the trie: entry 0 is ``base``;
+        ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
+        sender, None when the event has none."""
+        key = (pred is not None, None if sender is None else sender_proc, proc, sigma)
+        program = self._programs.get(key)
+        if program is None:
+            # a program compiled without reading the letter serves every letter
+            program = self._programs.get(key[:3])
+            if program is None:
+                letter = _Letter(sigma)
+                program = self._compile(*key[:3], letter)
+                if not letter.read:
+                    self._programs[key[:3]] = program
+            self._programs[key] = program
+        patches, gather = program
+        src = [none, base, *(pred or ()), *(sender or ())]
+        for tail, alt in patches:
+            v = src[tail]
+            src.append(src[alt] if v is none else v)
+        return gather(src)
 
-def _trie_step(edges, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
-    """θ at one event over the nodes of a trie: entry 0 is ``base``."""
-    t = [base]
-    for node, head, parent in edges:
-        t.append(_theta_rule(
-            head, parent, node, t[parent], none, pred, sender, proc, sender_proc, sigma
-        ))
-    return tuple(t)
+    def _compile(self, has_pred: bool, sender_proc, proc, sigma) -> tuple:
+        """The program of one event shape: _theta_rule run on the slots of
+        the list [none, base, *θ(pred), *θ(sender)], so that each entry is
+        found to copy one slot.  The rule reads a tail only to copy it, or,
+        for →*, another slot when the tail is none; such an entry gets a slot
+        of its own, appended in node order by a patch (tail slot, slot read
+        instead).  The result is the patches and the gather of every node's
+        slot."""
+        n = len(self.edges) + 1
+        if self._slots is None:  # enough for θ(pred), θ(sender) and a patch per node
+            self._slots = [_Slot(i) for i in range(2 + 3 * n)]
+        slots = self._slots
+        none = slots[0]
+        pred = slots[2 : 2 + n] if has_pred else None
+        offset = 2 + n * has_pred
+        sender = None if sender_proc is None else slots[offset : offset + n]
+        free = offset + n * (sender is not None)  # the first patch slot
+        shape = (pred, sender, proc, sender_proc, sigma)
+        entry = [slots[1]]
+        patches = []
+        for node, head, parent in self.edges:
+            tail = entry[parent]
+            v = _theta_rule(head, parent, node, tail, none, *shape)
+            if v is tail and v is not none:
+                v_none = _theta_rule(head, parent, node, none, none, *shape)
+                if v_none is not none:
+                    patches.append((tail.i, v_none.i))
+                    v = slots[free]
+                    free += 1
+            entry.append(v)
+        at = [s.i for s in entry]
+        gather = operator.itemgetter(*at) if len(at) > 1 else lambda src: (src[1],)
+        return tuple(patches), gather
+
+
+class _Slot:
+    """A position in the list of values of a compiled step."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        self.i = i
+
+
+class _Letter:
+    """An event's letter while its step is compiled, noting whether the rule
+    compared it with anything."""
+
+    __slots__ = ("letter", "read")
+
+    def __init__(self, letter):
+        self.letter, self.read = letter, False
+
+    def __eq__(self, other):
+        self.read = True
+        return self.letter == other
+
+    __hash__ = None
+
+
+@functools.cache
+def _chain_trie(symbols: tuple, mirror: bool) -> PathTrie:
+    """The one-path trie of ``symbols``, one per path and direction, so that
+    its compiled programs serve every pass and core on that path."""
+    return PathTrie([symbols], mirror)
 
 
 # ⊥ and ⊤ among event indices
@@ -113,7 +198,7 @@ _BOT, _TOP = -1, -2
 
 
 def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
-    """_trie_step along a linearization (of the mirror for a mirror trie), with
+    """trie.step along a linearization (of the mirror for a mirror trie), with
     each event as its index in ``m.events``: entry n of the result at index i
     is the index of last (first, on a mirror trie) of node n's path from
     event i, or _BOT (_TOP) if there is none."""
@@ -124,8 +209,7 @@ def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
     for e in linearize(x):
         pred = x.proc_pred_of(e)
         sender = x.send_of.get(e)
-        theta[idx[e]] = _trie_step(
-            trie.edges,
+        theta[idx[e]] = trie.step(
             none,
             idx[e],
             None if pred is None else theta[idx[pred]],
@@ -170,7 +254,7 @@ def _chain_theta(m: Msc, trie: PathTrie, base: dict, none) -> dict[str, tuple]:
 
 def last_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tuple]:
     """θ(e)[i] = base(last_{π[:i]}(e)) for every prefix length i, ⊥ if none."""
-    return _chain_theta(m, PathTrie([pi.symbols]), base, BOTTOM)
+    return _chain_theta(m, _chain_trie(pi.symbols, False), base, BOTTOM)
 
 
 def last_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
@@ -184,7 +268,7 @@ def first_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tu
     first_{π'} on M is last of the reversed path on the mirror of M, so this
     is the last pass on the mirror with ⊤ in place of ⊥.
     """
-    return _chain_theta(m, PathTrie([_mirror_symbols(pi)], mirror=True), base, TOP)
+    return _chain_theta(m, _chain_trie(_mirror_symbols(pi), True), base, TOP)
 
 
 def first_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
@@ -371,14 +455,13 @@ class LastCore:
 
     def __init__(self, pi: PathExpr):
         self.pi = pi
-        self.edges = PathTrie([pi.symbols]).edges
+        self.trie = _chain_trie(pi.symbols, False)
 
     def start(self):
         return "start"
 
     def step(self, state, ctx: StepCtx, base, payload_in):
-        t = _trie_step(
-            self.edges,
+        t = self.trie.step(
             BOTTOM,
             base,
             None if state == "start" else state,
@@ -412,7 +495,7 @@ class FirstCore:
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
         self.pi = pi
-        self.edges = PathTrie([_mirror_symbols(pi)]).edges
+        self.edges = _chain_trie(_mirror_symbols(pi), True).edges
         self.domain = tuple(theta_set) + (TOP,)
         self.unseen = (_FREE,) * (len(self.edges) + 1)
 
@@ -1051,15 +1134,12 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
 
 def oracle_gossip_annotation(m: Msc) -> ExtendedMsc:
     """Ground truth straight from the causal order (independent of the chain)."""
-    from .msc import last_on_process
+    from .msc import vector_clocks
 
-    annot = {}
-    for e in m.events:
-        vals = []
-        for p in m.signature.processes:
-            g = last_on_process(m, p, e)
-            vals.append(None if g is BOTTOM else m.label[g])
-        annot[e] = tuple(vals)
+    lasts = vector_clocks(m)
+    annot = {
+        e: tuple(None if g is BOTTOM else m.label[g] for g in lasts[e]) for e in m.events
+    }
     return ExtendedMsc(m, annot)
 
 

@@ -38,8 +38,8 @@ from .msc import (
     Msc,
     MscError,
     SystemSignature,
-    last_on_process,
     validate_msc,
+    vector_clocks,
 )
 
 GOSSIP_SIG = SystemSignature(processes=("p", "q", "r"), alphabet=("a", "b", "d"))
@@ -47,9 +47,11 @@ GOSSIP_SIG = SystemSignature(processes=("p", "q", "r"), alphabet=("a", "b", "d")
 
 def q_label_spec(m: Msc) -> dict[str, object]:
     """For each q-event, the label demanded by L: the latest p-label in its past."""
+    lasts = vector_clocks(m)
+    p = m.signature.processes.index("p")
     out = {}
     for f in m.events_of("q"):
-        g = last_on_process(m, "p", f)
+        g = lasts[f][p]
         out[f] = BOTTOM if g is BOTTOM else m.label[g]
     return out
 

@@ -13,10 +13,16 @@ from mscgossip.cfm import (
 )
 from mscgossip.constructions import (
     _BOT,
+    _TOP,
     _gossip_plan,
     _mirror_symbols,
     _preorder_plan,
     _preorder_steps,
+    _theta_rule,
+    _trie_pass,
+    LastCore,
+    PathTrie,
+    StepCtx,
     build_fa_label_cfm,
     build_first_label_cfm,
     build_fixpoint_cfm,
@@ -43,7 +49,7 @@ from mscgossip.constructions import (
     trie_maps,
 )
 from mscgossip.corpus import random_corpus, random_msc
-from mscgossip.msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature
+from mscgossip.msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
 from mscgossip.paths import (
     EPS,
     PLUS,
@@ -59,6 +65,7 @@ from mscgossip.paths import (
     preorder_at,
     star_prepend,
 )
+from mscgossip.tl import ABCD, _since_plan
 from figures import SIG3, fig_base, fig_flipped
 
 PI = parse_path("msg(p,q) ->*", SIG3)
@@ -594,6 +601,19 @@ def test_gossip_annotation_matches_oracle_at_large_k(k):
     assert min(sizes) >= 25 and sum(sizes) >= 120, sizes
 
 
+def test_gossip_annotation_matches_oracle_at_k5_n250():
+    # the largest cell of the baseline grid: the vector-clock oracle makes
+    # the equivalence check cheap at this size
+    sig = SystemSignature(tuple(f"p{i}" for i in range(1, 6)), ("a", "b"))
+    rng = random.Random(250)
+    m = next(
+        m
+        for m in iter(lambda: random_msc(sig, rng, max_events_per_proc=67), None)
+        if abs(len(m.events) - 250) <= 25
+    )
+    assert build_gossip_cfm(sig).annotate(m) == oracle_gossip_annotation(m).annot
+
+
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 4))
 def test_gossip_trie_nodes_match_oracle(k, seed, max_events):
@@ -616,6 +636,114 @@ def test_gossip_trie_nodes_match_oracle(k, seed, max_events):
             for e in m.events:
                 g = maps[m.index[e]][node]
                 assert (none if g < 0 else m.events[g]) == oracle(m, pi, e), (pi, e)
+
+
+def _reference_step(edges, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
+    """θ at one event, edge by edge with _theta_rule: what a compiled step must give."""
+    t = [base]
+    for node, head, parent in edges:
+        t.append(_theta_rule(
+            head, parent, node, t[parent], none, pred, sender, proc, sender_proc, sigma
+        ))
+    return tuple(t)
+
+
+def _reference_pass(m, trie) -> list:
+    x = m.mirror if trie.mirror else m
+    none = _TOP if trie.mirror else _BOT
+    theta = [None] * len(m.events)
+    for e in linearize(x):
+        pred, sender = x.proc_pred_of(e), x.send_of.get(e)
+        theta[m.index[e]] = _reference_step(
+            trie.edges,
+            none,
+            m.index[e],
+            None if pred is None else theta[m.index[pred]],
+            None if sender is None else theta[m.index[sender]],
+            x.loc[e],
+            None if sender is None else x.loc[sender],
+            x.label[e],
+        )
+    return theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 5))
+def test_compiled_pass_matches_theta_rule(k, seed, max_events):
+    # the gossip last-trie and first-trie, whose programs are kept across
+    # examples, give the edge-by-edge maps of _theta_rule
+    sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
+    m = random_msc(sig, random.Random(seed), max_events)
+    _, _, _, plan = _gossip_plan(sig)[0]
+    for trie in (plan.last_trie, plan.first_trie):
+        assert _trie_pass(m, trie) == _reference_pass(m, trie)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 5))
+def test_compiled_since_pass_matches_theta_rule(seed, max_events):
+    sig = SystemSignature(("p", "q"), ABCD)
+    m = random_msc(sig, random.Random(seed), max_events)
+    trie, _ = _since_plan(sig)
+    assert _trie_pass(m, trie) == _reference_pass(m, trie)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_events=st.integers(1, 5))
+def test_last_core_steps_match_theta_rule(seed, max_events):
+    # LastCore runs the compiled step with BOTTOM for none and the base
+    # alphabet's values, BOTTOM among them, in place of event indices
+    rng = random.Random(seed)
+    m = random_msc(SIG3, rng, max_events)
+    base = {e: rng.choice(("x", "y", BOTTOM)) for e in m.events}
+    for pi in PATH_SHAPES:
+        core = LastCore(pi)
+        state, sent = {}, {}
+        for e in linearize(m):
+            pred, sender = m.proc_pred_of(e), m.send_of.get(e)
+            ctx = StepCtx(m.loc[e], m.kind_of(e), m.peer_of(e), m.label[e])
+            payload = None if sender is None else sent[sender]
+            [(t, out, pay)] = core.step(
+                "start" if pred is None else state[pred], ctx, base[e], payload
+            )
+            want = _reference_step(
+                core.trie.edges,
+                BOTTOM,
+                base[e],
+                None if pred is None else state[pred],
+                payload,
+                m.loc[e],
+                None if sender is None else m.loc[sender],
+                m.label[e],
+            )
+            assert t == want and out == want[-1], (pi, e)
+            state[e] = t
+            if pay is not None:
+                sent[e] = pay
+
+
+# paths over SIG3 whose θ depends on every part of an event's shape: the
+# letter ([a], [b]), the sender's process (msg(p,q) against msg(r,q)), the
+# process and the ⊏-predecessor
+LEAK_PATHS = [
+    pi.symbols
+    for pi in PATH_SHAPES
+    + [parse_path(t, SIG3) for t in ("msg(r,q) ->*", "->* [b] msg(q,r)", "-> [a] ->* msg(r,p)")]
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mirror=st.booleans())
+def test_compiled_programs_do_not_leak_between_mscs(seed, mirror):
+    # a trie warmed on one MSC and on its mirror gives a second MSC the maps
+    # of a fresh trie
+    rng = random.Random(seed)
+    warm_on, m = (random_msc(SIG3, rng, 4) for _ in range(2))
+    warmed = PathTrie(LEAK_PATHS, mirror)
+    _trie_pass(warm_on, warmed)
+    _trie_pass(warm_on.mirror, warmed)
+    assert _trie_pass(m, warmed) == _trie_pass(m, PathTrie(LEAK_PATHS, mirror))
+    assert _trie_pass(m, warmed) == _reference_pass(m, warmed)
 
 
 def test_gossip_cores_are_built_only_for_a_search(monkeypatch):
@@ -687,8 +815,6 @@ def test_fix_core_drives_canonical_run():
 
 
 def test_last_core_drives_deterministically():
-    from mscgossip.constructions import LastCore
-
     core = LastCore(PI)
     for m in CORPUS3[:5]:
         assert drive_last_core(core, m, dict(m.label))

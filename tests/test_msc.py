@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mscgossip.corpus import random_corpus, random_msc
 from mscgossip.msc import (
@@ -22,6 +23,7 @@ from mscgossip.msc import (
     msc_from_json,
     msc_to_json,
     validate_msc,
+    vector_clocks,
 )
 from figures import SIG3, fig_base, fig_flipped
 
@@ -140,6 +142,17 @@ def test_last_on_process_fig():
     # strictness: the event itself does not count
     assert last_on_process(m, "q", "f0") is BOTTOM
     assert last_on_process(m, "q", "f3") == "f2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 5))
+def test_vector_clocks_match_last_on_process(k, seed, max_events):
+    sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
+    m = random_msc(sig, random.Random(seed), max_events)
+    clocks = vector_clocks(m)
+    assert set(clocks) == set(m.events)
+    for e in m.events:
+        assert clocks[e] == tuple(last_on_process(m, p, e) for p in sig.processes), e
 
 
 # -- property tests over random corpora --------------------------------------
