@@ -24,7 +24,6 @@ The machines:
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -437,6 +436,46 @@ def ord_annotation(pairs: frozenset, paths: Iterable[PathExpr]) -> frozenset:
 # suffix (FirstCore) length; "start" marks an empty process history.
 
 
+def product_moves(parts, msg_in, send: bool):
+    """The moves of independent parts combined at one event.
+
+    Part i is called once, with msg_in[i] (None when no message arrives),
+    and yields its moves as (state, out, payload).  Each combination comes
+    out as (states, outs, payload), the payload being the parts' payloads on
+    a send and None otherwise, with the last part varying fastest.  A part's
+    moves are pulled only as far as the combinations need them and kept, so
+    no product is held in memory, and the product ends as soon as one part
+    turns out to have no move.
+    """
+    n = len(parts)
+    gens = [part(None if msg_in is None else msg_in[i]) for i, part in enumerate(parts)]
+    seen: list[list] = [[] for _ in parts]  # the moves pulled from each part
+    pick = [0] * n  # the current combination
+    i = 0
+    while i >= 0:
+        if i < n and pick[i] == len(seen[i]):
+            move = next(gens[i], None)
+            if move is None and pick[i] == 0:
+                return  # part i has no move, so neither has the product
+            if move is not None:
+                seen[i].append(move)
+        if i < n and pick[i] < len(seen[i]):
+            i += 1
+            continue
+        if i == n:
+            moves = [kept[k] for kept, k in zip(seen, pick)]
+            yield (
+                tuple(mv[0] for mv in moves),
+                tuple(mv[1] for mv in moves),
+                tuple(mv[2] for mv in moves) if send else None,
+            )
+        else:  # part i is exhausted: start it over, advance the part before
+            pick[i] = 0
+        i -= 1
+        if i >= 0:
+            pick[i] += 1
+
+
 class StepCtx:
     """Local view of one event: process, kind, peer, base-alphabet letter."""
 
@@ -610,6 +649,13 @@ class FixCore:
                         continue
                 yield (n_fa, new_alt), payload
 
+    def guess(self, state, ctx: StepCtx, payload_in):
+        """step_with_bit with the bit guessed, γ ∈ {0,1} on q and γ = 0
+        elsewhere; each move's output is its γ."""
+        for gamma in (0, 1) if ctx.proc == self.q else (0,):
+            for new_state, payload in self.step_with_bit(state, ctx, gamma, payload_in):
+                yield new_state, gamma, payload
+
     def final(self, state) -> bool:
         return self.fa.final(state[0])
 
@@ -617,13 +663,14 @@ class FixCore:
 class PreorderCore:
     """All fixpoint/bottom components for a path set, plus the ⪯ recurrence.
 
-    State: per-component states and the previous q-event's preorder (closure
-    index pairs).  At each q-event the fixpoint bits are guessed, fed to
-    their components for later verification, and combined by the three
-    switch rules into the next preorder, which is the core's output.
-    Components are indexed like the recurrence's bits: bots[i] tracks π_i,
-    fix_star[i*c + j] (fix_plus[i*c + j]) the f^{π_i,→*π_j} (f^{π_i,→+π_j})
-    fixpoints.
+    State: the components' states and the previous q-event's preorder
+    (closure index pairs).  A step is the product of the components' moves:
+    at each q-event every fixpoint component guesses its own bit, for later
+    verification, and preorder_combine reads the bits off the moves' outputs
+    into the next preorder, which is the core's output.  With c closure
+    paths, the components are the bottom trackers, bots[i] for π_i, then
+    fixes, indexed like the recurrence's bits: fixes[i*c + j] and
+    fixes[c*c + i*c + j] for the f^{π_i,→*π_j} and f^{π_i,→+π_j} fixpoints.
     """
 
     def __init__(self, q: str, paths: tuple[PathExpr, ...]):
@@ -631,85 +678,40 @@ class PreorderCore:
         self.paths = paths
         self.clos = closure_with_star(paths)
         self.star_app = _star_app(self.clos)
-        self.fix_star, self.fix_plus = (
-            tuple(FixCore(q, a, prepend(b)) for a in self.clos for b in self.clos)
-            for prepend in (star_prepend, plus_prepend)
-        )
         self.bots = tuple(LastCore(a) for a in self.clos)
+        self.fixes = tuple(
+            FixCore(q, a, prepend(b))
+            for prepend in (star_prepend, plus_prepend)
+            for a in self.clos
+            for b in self.clos
+        )
 
     def start(self):
-        return (
-            tuple(fc.start() for fc in self.fix_star),
-            tuple(fc.start() for fc in self.fix_plus),
-            tuple(bc.start() for bc in self.bots),
-            None,  # previous preorder over the closure
+        states = tuple(bc.start() for bc in self.bots) + tuple(
+            fc.start() for fc in self.fixes
         )
+        return states, None  # no previous preorder
 
     def step(self, state, ctx: StepCtx, payload_in):
-        st_star, st_plus, st_bot, prev = state
-        pay_star = pay_plus = pay_bot = None
-        if payload_in is not None:
-            pay_star, pay_plus, pay_bot = payload_in
-        on_q = ctx.proc == self.q
-
-        # bottom components are deterministic; run them first
-        bot_results = []
-        for i, bc in enumerate(self.bots):
-            pin = None if pay_bot is None else pay_bot[i]
-            (ns, out, pay), = tuple(bc.step(st_bot[i], ctx, "•", pin))
-            bot_results.append((ns, out is BOTTOM, pay))
-        new_bot = tuple(r[0] for r in bot_results)
-        bot_bits = [r[1] for r in bot_results]
-        bot_pay = tuple(r[2] for r in bot_results)
-
-        def run_components(cores, states, pays, bit_choice):
-            """Cartesian product of component moves for one bit assignment."""
-            acc = [((), ())]
-            for i, fc in enumerate(cores):
-                pin = None if pays is None else pays[i]
-                gamma = bit_choice[i] if on_q else 0
-                moves = list(fc.step_with_bit(states[i], ctx, gamma, pin))
-                acc = [
-                    (ss + (ns,), pp + (pay,))
-                    for ss, pp in acc
-                    for ns, pay in moves
-                ]
-                if not acc:
-                    return
-            yield from acc
-
-        n_pairs = len(self.fix_star)
-        if on_q:
-            bit_space = itertools.product((0, 1), repeat=2 * n_pairs)
-        else:
-            bit_space = [(0,) * (2 * n_pairs)]
-        for bits in bit_space:
-            bits_star, bits_plus = bits[:n_pairs], bits[n_pairs:]
-            if on_q:
-                pre = preorder_combine(self.star_app, prev, bot_bits, bits_star, bits_plus)
-                out = pre
-            else:
-                pre, out = prev, None
-            for ss_star, pp_star in run_components(
-                self.fix_star, st_star, pay_star, bits_star
-            ):
-                for ss_plus, pp_plus in run_components(
-                    self.fix_plus, st_plus, pay_plus, bits_plus
-                ):
-                    payload = (
-                        (pp_star, pp_plus, bot_pay)
-                        if ctx.kind == "send"
-                        else None
-                    )
-                    yield (ss_star, ss_plus, new_bot, pre), out, payload
+        states, prev = state
+        c = len(self.bots)
+        parts = [
+            functools.partial(bc.step, s, ctx, "•") for bc, s in zip(self.bots, states)
+        ] + [functools.partial(fc.guess, s, ctx) for fc, s in zip(self.fixes, states[c:])]
+        moves = product_moves(parts, payload_in, ctx.kind == "send")
+        if ctx.proc != self.q:
+            for new_states, _, payload in moves:
+                yield (new_states, prev), None, payload
+            return
+        plus = c + c * c  # the outputs from here on are the →+ fixpoint bits
+        for new_states, outs, payload in moves:
+            bot = [out is BOTTOM for out in outs[:c]]
+            pre = preorder_combine(self.star_app, prev, bot, outs[c:plus], outs[plus:])
+            yield (new_states, pre), pre, payload
 
     def final(self, state) -> bool:
-        st_star, st_plus, _, _ = state
-        return all(
-            fc.final(s) for fc, s in zip(self.fix_star, st_star)
-        ) and all(
-            fc.final(s) for fc, s in zip(self.fix_plus, st_plus)
-        )
+        states = state[0][len(self.bots) :]
+        return all(fc.final(s) for fc, s in zip(self.fixes, states))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1063,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
 
     def starts(p):
         state = tuple(
-            (pc.start(), tuple(vc.start() for vc in vcs)) for pc, vcs in cores()
+            (pc.start(), *(vc.start() for vc in vcs)) for pc, vcs in cores()
         )
         return [state]
 
@@ -1071,43 +1073,27 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         if not (isinstance(xi, tuple) and len(xi) == len(procs)):
             return
         xi_by_proc = dict(zip(procs, xi))
-        components = cores()
+        send = kind == "send"
 
-        def rec(i, acc_state, acc_payload):
-            if i == len(combos):
-                payload = tuple(acc_payload) if kind == "send" else None
-                yield tuple(acc_state), payload
-                return
-            src, tgt, _, plan = combos[i]
-            pc, vcs = components[i]
-            pc_state, vc_states = state[i]
-            pin = None if msg_in is None else msg_in[i]
-            pre_pin = None if pin is None else pin[0]
-            val_pins = None if pin is None else pin[1]
-            for new_pre, pre_out, pre_pay in pc.step(pc_state, ctx, pre_pin):
-                vals_acc = [((), (), [])]
-                for j, vc in enumerate(vcs):
-                    vpin = None if val_pins is None else val_pins[j]
-                    (ns, out, pay), = tuple(
-                        vc.step(vc_states[j], ctx, sigma, vpin)
-                    )
-                    vals_acc = [
-                        (ss + (ns,), pp + (pay,), outs + [out])
-                        for ss, pp, outs in vals_acc
-                    ]
-                for vss, vpp, vouts in vals_acc:
-                    if p == tgt:
-                        want = gossip_component_value(plan.members, pre_out, vouts)
-                        if want is _NO_MAXIMUM or xi_by_proc[src] != want:
-                            continue
-                    comp_pay = (pre_pay, vpp) if kind == "send" else None
-                    yield from rec(
-                        i + 1,
-                        acc_state + [(new_pre, vss)],
-                        acc_payload + [comp_pay],
-                    )
+        def pair_moves(src, tgt, plan, pc, vcs, pair_state, msg_in):
+            """The product of a pair's PreorderCore and value LastCores,
+            checked against the claimed component at tgt."""
+            parts = [functools.partial(pc.step, pair_state[0], ctx)] + [
+                functools.partial(vc.step, s, ctx, sigma)
+                for vc, s in zip(vcs, pair_state[1:])
+            ]
+            for states, outs, payload in product_moves(parts, msg_in, send):
+                if p != tgt or xi_by_proc[src] == gossip_component_value(
+                    plan.members, outs[0], outs[1:]
+                ):
+                    yield states, None, payload
 
-        yield from rec(0, [], [])
+        parts = [
+            functools.partial(pair_moves, src, tgt, plan, pc, vcs, pair_state)
+            for (src, tgt, _, plan), (pc, vcs), pair_state in zip(combos, cores(), state)
+        ]
+        for states, _, payload in product_moves(parts, msg_in, send):
+            yield states, payload
 
     def final_ok(p, state):
         return all(pc.final(st[0]) for (pc, _), st in zip(cores(), state))
@@ -1121,7 +1107,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
             for _, tgt, fam, _ in combos
         ]
         return {
-            e: tuple((pre[e], tuple(th[e] for th in ths)) for pre, ths in parts)
+            e: tuple((pre[e], *(th[e] for th in ths)) for pre, ths in parts)
             for e in m.events
         }
 
@@ -1210,21 +1196,14 @@ def preorder_canonical_states(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> di
     """Per event, the PreorderCore state on the unique accepting run."""
     plan = _preorder_plan(tuple(paths))
     clos = plan.clos
-    fs, fp = (
-        [fix_canonical_states(m, q, a, prepend(b)) for a in clos for b in clos]
+    parts = [last_theta(m, a, {e: "•" for e in m.events}) for a in clos] + [
+        fix_canonical_states(m, q, a, prepend(b))
         for prepend in (star_prepend, plus_prepend)
-    )
-    bots = [last_theta(m, a, {e: "•" for e in m.events}) for a in clos]
+        for a in clos
+        for b in clos
+    ]
     pres = {f: pre for f, _, pre in _preorder_steps(m, q, plan)}
-    out = {}
-    for e in linearize(m):
-        out[e] = (
-            tuple(s[e] for s in fs),
-            tuple(s[e] for s in fp),
-            tuple(th[e] for th in bots),
-            pres.get(e),
-        )
-    return out
+    return {e: (tuple(s[e] for s in parts), pres.get(e)) for e in linearize(m)}
 
 
 def _simulate_core(m: Msc, start_fn, move_fn, final_fn) -> bool:
@@ -1274,20 +1253,22 @@ def drive_last_core(core: LastCore, m: Msc, base: dict) -> bool:
 
 def drive_preorder_components(core: PreorderCore, m: Msc) -> bool:
     """Drive every fixpoint and bottom component of a PreorderCore along its
-    canonical run.  The product step is the cartesian combination of exactly
-    these component moves plus the shared ⪯ recurrence (preorder_combine),
-    so componentwise success certifies the composite transition relation.
+    canonical run.  The composite step is product_moves over exactly these
+    components plus the shared ⪯ recurrence (preorder_combine) on their
+    outputs, so componentwise success certifies the composite transition
+    relation.
     """
     dot = {e: "•" for e in m.events}
-    return (
-        all(drive_fix_core(fc, m) for fc in core.fix_star)
-        and all(drive_fix_core(fc, m) for fc in core.fix_plus)
-        and all(drive_last_core(bc, m, dot) for bc in core.bots)
+    return all(drive_fix_core(fc, m) for fc in core.fixes) and all(
+        drive_last_core(bc, m, dot) for bc in core.bots
     )
 
 
 def drive_gossip_components(machine: AnnotationCfm, m: Msc) -> bool:
-    """Componentwise canonical-run certificate for the gossip machine."""
+    """Componentwise canonical-run certificate for the gossip machine.  Its
+    step is product_moves over one part per (src, tgt) pair, each part
+    product_moves over the pair's PreorderCore and value LastCores, checked
+    by gossip_component_value at tgt."""
     labels = dict(m.label)
     for pc, vcs in machine.cores():
         if not drive_preorder_components(pc, m):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .msc import BOTTOM, TOP, ExtEvent, Msc, MscError, SystemSignature
 
@@ -56,7 +56,7 @@ class LabelTest:
         return f"[{self.letter}]"
 
 
-PathSymbol = Union[Step, StarStep, Msg, LabelTest]
+PathSymbol = Step | StarStep | Msg | LabelTest
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Hashable
 
-from .constructions import AnnotationCfm, PathTrie, PreorderCore, StepCtx, trie_maps
+from .constructions import AnnotationCfm, PathTrie, PreorderCore, StepCtx, product_moves, trie_maps
 from .msc import (
     BOTTOM,
     ExtendedMsc,
@@ -655,6 +655,18 @@ def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
     return _TlMachine(phi, sig, starts, step, inner._final, annotate)
 
 
+def _guessed(machine: _TlMachine, p, state, kind, sigma, peer, bits=(0, 1)):
+    """A part for product_moves: the sub-formula machine's moves with its bit
+    guessed from ``bits``; each move's output is its bit."""
+
+    def moves(msg_in):
+        for b in bits:
+            for new_state, payload in machine._step(p, state, kind, (sigma, b), peer, msg_in):
+                yield new_state, b, payload
+
+    return moves
+
+
 def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     def starts(p):
         return [(s1, s2) for s1 in m1._starts(p) for s2 in m2._starts(p)]
@@ -662,18 +674,10 @@ def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     def step(p, state, kind, label, peer, msg_in):
         sigma, bit = label
         bit = _bit_of(bit)
-        s1, s2 = state
-        in1 = in2 = None
-        if msg_in is not None:
-            in1, in2 = msg_in
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                if (b1 | b2) != bit:
-                    continue
-                for n1, p1 in m1._step(p, s1, kind, (sigma, b1), peer, in1):
-                    for n2, p2 in m2._step(p, s2, kind, (sigma, b2), peer, in2):
-                        payload = (p1, p2) if kind == "send" else None
-                        yield (n1, n2), payload
+        parts = [_guessed(sub, p, s, kind, sigma, peer) for sub, s in zip((m1, m2), state)]
+        for states, (b1, b2), payload in product_moves(parts, msg_in, kind == "send"):
+            if (b1 | b2) == bit:
+                yield states, payload
 
     def final_ok(p, state):
         return m1._final(p, state[0]) and m2._final(p, state[1])
@@ -774,49 +778,36 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     def starts(p):
         core_starts = list(itertools.product(*(pair._starts(p) for pair in pairs)))
         return [
-            (s1, s2, cs)
+            (s1, s2, *cs)
             for s1 in m1._starts(p)
             for s2 in m2._starts(p)
             for cs in core_starts
         ]
 
     def step(p, state, kind, label, peer, msg_in):
+        """The product of both operands' machines, at guessed bits b1 and
+        b2, and of every pair's core on the event recoded from b1 and b2."""
         sigma, bit = label
         bit = _bit_of(bit)
-        s1, s2, core_states = state
-        in1 = in2 = core_ins = None
-        if msg_in is not None:
-            in1, in2, core_ins = msg_in
-
-        def core_rec(i, acc_state, acc_pay, dom, ctx):
-            if i == len(pairs):
-                yield tuple(acc_state), tuple(acc_pay), dom
-                return
-            cin = None if core_ins is None else core_ins[i]
-            for ns, pair_dom, cpay in pairs[i].moves(p, core_states[i], ctx, cin):
-                yield from core_rec(
-                    i + 1, acc_state + [ns], acc_pay + [cpay], dom or pair_dom, ctx
-                )
-
         for b1 in (0, 1):
             for b2 in (0, 1):
                 ctx = StepCtx(p, kind, peer, _recode(b1, b2))
-                for n1, p1 in m1._step(p, s1, kind, (sigma, b1), peer, in1):
-                    for n2, p2 in m2._step(p, s2, kind, (sigma, b2), peer, in2):
-                        for cs, cp, dom in core_rec(0, [], [], False, ctx):
-                            if (1 if dom else 0) != bit:
-                                continue
-                            payload = (
-                                (p1, p2, cp) if kind == "send" else None
-                            )
-                            yield (n1, n2, cs), payload
+                parts = [
+                    _guessed(m1, p, state[0], kind, sigma, peer, (b1,)),
+                    _guessed(m2, p, state[1], kind, sigma, peer, (b2,)),
+                ] + [
+                    functools.partial(pair.moves, p, cs, ctx)
+                    for pair, cs in zip(pairs, state[2:])
+                ]
+                for states, outs, payload in product_moves(parts, msg_in, kind == "send"):
+                    if any(outs[2:]) == bit:
+                        yield states, payload
 
     def final_ok(p, state):
-        s1, s2, core_states = state
         return (
-            m1._final(p, s1)
-            and m2._final(p, s2)
-            and all(pair._final(p, cs) for pair, cs in zip(pairs, core_states))
+            m1._final(p, state[0])
+            and m2._final(p, state[1])
+            and all(pair._final(p, cs) for pair, cs in zip(pairs, state[2:]))
         )
 
     def annotate(m):

@@ -45,6 +45,7 @@ from mscgossip.constructions import (
     oracle_gossip_annotation,
     ord_annotation,
     preorder_bits,
+    preorder_canonical_states,
     reachable_state_report,
     trie_maps,
 )
@@ -493,6 +494,42 @@ def test_preorder_machine_search_route_local():
     bad = dict(ann)
     bad["f1"] = frozenset()
     assert find_accepting_run(mach, encode(m, bad)) is None
+
+
+def test_preorder_machine_search_routes_a_payload():
+    # the composite relation across a message: every component's payload
+    # leaves with s(p) and is read at r(q)
+    pi = parse_path("->* msg(p,q) ->*", SIG2)
+    mach = build_preorder_cfm("p", "q", (pi,))
+    m = Msc(SIG2, [("s", "p", "a"), ("r", "q", "b")], [("s", "r")])
+    ann = mach.annotate(m)
+    assert ann["r"] == frozenset({(format_path(pi), format_path(pi))})
+    run = find_accepting_run(mach, encode(m, ann))
+    assert run is not None
+    sent = run.assignment["s"].msg
+    assert sent is not None and run.assignment["r"].msg == sent
+    bad = dict(ann)
+    bad["r"] = frozenset()
+    assert find_accepting_run(mach, encode(m, bad)) is None
+
+
+@pytest.mark.parametrize("text", ["->* msg(p,q) ->*", "->* msg(q,p) ->*", "->+"])
+def test_preorder_core_threads_its_canonical_run(text):
+    # the composite step, payloads included, reaches each event's canonical
+    # state from the canonical state before it
+    paths = (parse_path(text, SIG2),)
+    core = constructions.PreorderCore("q", paths)
+    for m in CORPUS2[:5]:
+        canon = preorder_canonical_states(m, "q", paths)
+        states = {p: core.start() for p in SIG2.processes}
+        sent = {}
+        for e in linearize(m):
+            p = m.loc[e]
+            ctx = StepCtx(p, m.kind_of(e), m.peer_of(e), m.label[e])
+            moves = core.step(states[p], ctx, sent.get(m.send_of.get(e)))
+            sent[e] = next(pay for ns, _, pay in moves if ns == canon[e])
+            states[p] = canon[e]
+        assert all(core.final(s) for s in states.values())
 
 
 def test_preorder_components_drive_canonical_runs():

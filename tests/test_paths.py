@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mscgossip.corpus import random_corpus
@@ -262,3 +267,26 @@ def test_gossip_paths_four_procs():
     pq = gossip_paths_between(sig4, "p", "q")
     # sequences: pq, prq, psq, prsq, psrq
     assert len(pq) == 5
+
+
+REIMPORT = """
+import gc, importlib, sys
+for _ in range(7):
+    for name in [n for n in sys.modules if n == "mscgossip" or n.startswith("mscgossip.")]:
+        del sys.modules[name]
+    importlib.import_module("mscgossip")
+    gc.collect()
+print(sum(isinstance(o, dict) and o.get("__name__") == "mscgossip.paths" for o in gc.get_objects()))
+"""
+
+
+def test_reimported_path_modules_are_collected():
+    # a typing.Union alias over the symbol classes sits in typing's cache
+    # and keeps every re-imported copy of the modules alive
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", REIMPORT],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]

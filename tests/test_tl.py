@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -437,3 +438,26 @@ def test_since_cores_are_built_only_for_a_search(monkeypatch):
     assert built == []
     compile_tl(Since(Atom("a"), Atom("b")), SIG2)._starts("p")
     assert sorted(built) == ["p", "p", "q", "q"]
+
+
+def test_since_and_or_machines_take_their_first_move():
+    # the since step is a lazy product of its parts' moves: its first move
+    # at one event needs a few of them, never the whole product
+    sig1 = SystemSignature(("p",), ("a", "b"))
+    m = Msc(sig1, [("e", "p", "a")], [])
+    for text in ("a S b", "a | b"):
+        phi = parse_tl(text)
+        machine = compile_tl(phi, sig1)
+        bit = 1 if eval_tl(m, phi)["e"] else 0
+        (start,) = machine._starts("p")
+        tracemalloc.start()
+        try:
+            move = next(iter(machine._step("p", start, "local", ("a", bit), None, None)), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert move is not None, text
+        assert peak < 100e6, (text, peak)
+        if isinstance(phi, Since):
+            # both operands' states, then one entry per (src, tgt) pair
+            assert len(move[0]) == 2 + len(sig1.processes) ** 2
