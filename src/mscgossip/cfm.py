@@ -269,11 +269,13 @@ def find_accepting_run(
     enumeration order and returns the first run found.  A node is an event
     index with the state tuple and channel contents reached before it; a node
     none of whose moves leads to acceptance is remembered and not searched
-    again.  The path is kept on an explicit stack, one frame per event, so
-    the depth is not bounded by the interpreter's recursion limit.  Raises
-    BudgetExhausted when more than ``budget`` nodes are visited before
-    resolution.  When a ``stats`` dict is supplied, the visited-node count is
-    written into it.
+    again.  That memo is local to the call and holds at most ``budget``
+    keys: a node's frame is pushed only after the node is counted against
+    the budget, and each popped frame adds one key.  The path is kept on an
+    explicit stack, one frame per event, so the depth is not bounded by the
+    interpreter's recursion limit.  Raises BudgetExhausted when more than
+    ``budget`` nodes are visited before resolution.  When a ``stats`` dict
+    is supplied, the visited-node count is written into it.
     """
     if machine.signature is None:
         # signature-generic lazy machine: adopt the MSC's processes

@@ -150,11 +150,18 @@ def _msc(path: str) -> Msc:
 
 
 def _extended_msc(path: str) -> ExtendedMsc:
+    """An MSC whose every event carries a gossip annotation: a list (JSON has
+    no tuples) of one letter or null per process, returned as a tuple."""
     ext = extended_msc_from_json(_load_json(path))
-    _checked(ext.base, path)
-    # JSON has no tuples; gossip annotations round-trip as lists
-    annot = {e: tuple(v) if isinstance(v, list) else v for e, v in ext.annot.items()}
-    return ExtendedMsc(ext.base, annot)
+    sig = _checked(ext.base, path).signature
+    for e, v in ext.annot.items():
+        if not isinstance(v, list) or len(v) != len(sig.processes) or any(
+            x is not None and x not in sig.alphabet for x in v
+        ):
+            raise _CliError(
+                f"{path}: annotation of {e!r} is {v!r}, not a letter or null per process"
+            )
+    return ExtendedMsc(ext.base, {e: tuple(v) for e, v in ext.annot.items()})
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -12,6 +12,11 @@ Each construction is a machine over an annotated alphabet whose language is
   large instances; it is the machine's ``decide(ext)``, while ``accepts``
   always runs the search.
 
+The fixpoint, preorder and gossip machines also give the states of that
+valuation's run (``canonical_states``).  ``replay`` steps the composite
+relation along it, telling each step the state it must reach (``want``), so
+the relation is checked on MSCs that blind search cannot finish.
+
 The machines:
   last-label    ξ2(e) = ξ1(last_π(e))            forward, deterministic
   first-label   ξ2(e) = ξ1(first_π(e))           backward, guessed forward
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import defaultdict, deque
 from typing import Callable, Hashable, Iterable, Optional
 
 from .cfm import LazyCfm
@@ -430,25 +436,39 @@ def ord_annotation(pairs: frozenset, paths: Iterable[PathExpr]) -> frozenset:
 # machine cores
 # ---------------------------------------------------------------------------
 #
-# Component protocol: start() -> state; step(state, ctx, base, payload_in)
-# yields (new_state, output_value, payload_out); final(state) -> bool.
-# States are the θ functions as tuples indexed by prefix (LastCore) or
+# Component protocol: start() -> state; step(state, ctx, base, payload_in,
+# want=None) yields (new_state, output_value, payload_out); final(state) ->
+# bool.  States are the θ functions as tuples indexed by prefix (LastCore) or
 # suffix (FirstCore) length; "start" marks an empty process history.
+#
+# ``want`` is a wanted new state, which the run search never passes.  With
+# it, a step yields a subset of its moves that holds every move to ``want``:
+# a guessing core guesses only what ``want`` holds, and a core may ignore it.
 
 
-def product_moves(parts, msg_in, send: bool):
+def _moves_to(moves, state):
+    return (mv for mv in moves if mv[0] == state)
+
+
+def product_moves(parts, msg_in, send: bool, want=None):
     """The moves of independent parts combined at one event.
 
-    Part i is called once, with msg_in[i] (None when no message arrives),
-    and yields its moves as (state, out, payload).  Each combination comes
-    out as (states, outs, payload), the payload being the parts' payloads on
-    a send and None otherwise, with the last part varying fastest.  A part's
-    moves are pulled only as far as the combinations need them and kept, so
-    no product is held in memory, and the product ends as soon as one part
-    turns out to have no move.
+    Part i is called once, with msg_in[i] (None when no message arrives) and
+    want[i] (None without ``want``), and yields its moves as (state, out,
+    payload).  Each combination comes out as (states, outs, payload), the
+    payload being the parts' payloads on a send and None otherwise, with the
+    last part varying fastest.  With ``want``, part i's moves to any state
+    but want[i] are dropped.  A part's moves are pulled only as far as the
+    combinations need them and kept, so no product is held in memory, and
+    the product ends as soon as one part turns out to have no move.
     """
     n = len(parts)
-    gens = [part(None if msg_in is None else msg_in[i]) for i, part in enumerate(parts)]
+    gens = [
+        part(None if msg_in is None else msg_in[i], None if want is None else want[i])
+        for i, part in enumerate(parts)
+    ]
+    if want is not None:
+        gens = [_moves_to(gen, w) for gen, w in zip(gens, want)]
     seen: list[list] = [[] for _ in parts]  # the moves pulled from each part
     pick = [0] * n  # the current combination
     i = 0
@@ -493,13 +513,12 @@ class LastCore:
     on π's chain, one event at a time."""
 
     def __init__(self, pi: PathExpr):
-        self.pi = pi
         self.trie = _chain_trie(pi.symbols, False)
 
     def start(self):
         return "start"
 
-    def step(self, state, ctx: StepCtx, base, payload_in):
+    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
         t = self.trie.step(
             BOTTOM,
             base,
@@ -526,31 +545,35 @@ class FirstCore:
     symbol from the end; the mirror's ⊏-predecessor is the ⊏-successor and
     the sender of a send is its receiver.  Both are later events, so at an
     event their θ is unseen (every entry _FREE) and each entry the rule
-    leaves _FREE is guessed from Θ∪{⊤}.
+    leaves _FREE is guessed from Θ∪{⊤}, or, given a wanted state, only
+    from that state's entry.
     When such a neighbour is seen (the successor at the next step, the
     receiver at the matching receive, no successor in final()), the same rule
     recomputes the entries that read it.
     """
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
-        self.pi = pi
         self.edges = _chain_trie(_mirror_symbols(pi), True).edges
         self.domain = tuple(theta_set) + (TOP,)
         self.unseen = (_FREE,) * (len(self.edges) + 1)
+        self.domains = (self.domain,) * len(self.unseen)  # per node, its guesses
 
     def start(self):
         return "start"
 
-    def step(self, state, ctx: StepCtx, base, payload_in):
+    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
         send = ctx.kind == "send"
         later = (self.unseen, self.unseen if send else None, ctx.proc, ctx.peer, ctx.sigma)
+        domains = self.domains
+        if want is not None:
+            domains = [(g,) if g in self.domain else () for g in want]
         guesses = [(base,)]
         for node, head, parent in self.edges:
             grown = []
             for t in guesses:
                 v = _theta_rule(head, parent, node, t[parent], TOP, *later)
                 if v is _FREE:
-                    grown += [t + (g,) for g in self.domain]
+                    grown += [t + (g,) for g in domains[node]]
                 else:
                     grown.append(t + (v,))
             guesses = grown
@@ -598,13 +621,15 @@ class FaCore:
     def start(self):
         return (self.first.start(), self.last.start())
 
-    def step(self, state, ctx: StepCtx, base, payload_in):
+    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
         s5, s4 = state
-        p5_in = p4_in = None
+        p5_in = p4_in = w5 = w4 = None
         if payload_in is not None:
             p5_in, p4_in = payload_in
-        for n5, chi, pay5 in self.first.step(s5, ctx, base, p5_in):
-            for n4, out, pay4 in self.last.step(s4, ctx, chi, p4_in):
+        if want is not None:
+            w5, w4 = want
+        for n5, chi, pay5 in self.first.step(s5, ctx, base, p5_in, w5):
+            for n4, out, pay4 in self.last.step(s4, ctx, chi, p4_in, w4):
                 payload = (pay5, pay4) if ctx.kind == "send" else None
                 yield (n5, n4), out, payload
 
@@ -626,14 +651,12 @@ class FixCore:
 
     def __init__(self, q: str, pi: PathExpr, pi2: PathExpr):
         self.q = q
-        self.pi = pi
-        self.pi2 = pi2
         self.fa = FaCore(pi, pi2, FOUR_COLORS)
 
     def start(self):
         return (self.fa.start(), "c2")  # alternation starts at c1
 
-    def step_with_bit(self, state, ctx: StepCtx, gamma, payload_in):
+    def step_with_bit(self, state, ctx: StepCtx, gamma, payload_in, want=None):
         fa_state, alt = state
         if ctx.proc != self.q:
             zetas = [("z1", alt)]
@@ -642,18 +665,22 @@ class FixCore:
             zetas = [(nxt, nxt)]
         else:
             zetas = [("z1", alt), ("z2", alt)]
+        fa_want = None
+        if want is not None:  # the colour is entry 0 of the first-core's θ
+            fa_want, want_alt = want
+            zetas = [z for z in zetas if z == (fa_want[0][0], want_alt)]
         for zeta, new_alt in zetas:
-            for n_fa, out, payload in self.fa.step(fa_state, ctx, zeta, payload_in):
+            for n_fa, out, payload in self.fa.step(fa_state, ctx, zeta, payload_in, fa_want):
                 if ctx.proc == self.q:
                     if (gamma == 1) != (out == zeta):
                         continue
                 yield (n_fa, new_alt), payload
 
-    def guess(self, state, ctx: StepCtx, payload_in):
+    def guess(self, state, ctx: StepCtx, payload_in, want=None):
         """step_with_bit with the bit guessed, γ ∈ {0,1} on q and γ = 0
         elsewhere; each move's output is its γ."""
         for gamma in (0, 1) if ctx.proc == self.q else (0,):
-            for new_state, payload in self.step_with_bit(state, ctx, gamma, payload_in):
+            for new_state, payload in self.step_with_bit(state, ctx, gamma, payload_in, want):
                 yield new_state, gamma, payload
 
     def final(self, state) -> bool:
@@ -675,7 +702,6 @@ class PreorderCore:
 
     def __init__(self, q: str, paths: tuple[PathExpr, ...]):
         self.q = q
-        self.paths = paths
         self.clos = closure_with_star(paths)
         self.star_app = _star_app(self.clos)
         self.bots = tuple(LastCore(a) for a in self.clos)
@@ -692,13 +718,15 @@ class PreorderCore:
         )
         return states, None  # no previous preorder
 
-    def step(self, state, ctx: StepCtx, payload_in):
+    def step(self, state, ctx: StepCtx, payload_in, want=None):
         states, prev = state
         c = len(self.bots)
         parts = [
             functools.partial(bc.step, s, ctx, "•") for bc, s in zip(self.bots, states)
         ] + [functools.partial(fc.guess, s, ctx) for fc, s in zip(self.fixes, states[c:])]
-        moves = product_moves(parts, payload_in, ctx.kind == "send")
+        moves = product_moves(
+            parts, payload_in, ctx.kind == "send", None if want is None else want[0]
+        )
         if ctx.proc != self.q:
             for new_states, _, payload in moves:
                 yield (new_states, prev), None, payload
@@ -724,9 +752,10 @@ class AnnotationCfm(LazyCfm):
 
     decide(ext) computes the machine's unique consistent internal valuation
     with the direct passes and compares annotations; it defines the same
-    language as the transition relation (cross-validated by run search on
-    small instances).  ``accepts`` on the product-labeled encoding runs the
-    search instead.
+    language as the transition relation.  The two are cross-validated by run
+    search on small instances and, where ``canonical_states`` is given, by
+    ``replay`` of the valuation's run through the composite relation.
+    ``accepts`` on the product-labeled encoding runs the search instead.
     """
 
     def __init__(
@@ -794,9 +823,7 @@ def _pair_machine(
     def final_ok(p, state):
         return core.final(state)
 
-    out = AnnotationCfm(name, starts, step, final_ok, annotate, decide)
-    out.core = core
-    return out
+    return AnnotationCfm(name, starts, step, final_ok, annotate, decide)
 
 
 # ---------------------------------------------------------------------------
@@ -904,15 +931,15 @@ def build_fixpoint_cfm(p: str, q: str, pi: PathExpr, pi2: PathExpr) -> Annotatio
     def starts(pp):
         return [core.start()]
 
-    def step(pp, state, kind, label, peer, msg_in):
+    def step(pp, state, kind, label, peer, msg_in, want=None):
         sigma, gamma = _decode_label(label)
         ctx = StepCtx(pp, kind, peer, sigma)
-        yield from core.step_with_bit(state, ctx, gamma, msg_in)
+        yield from core.step_with_bit(state, ctx, gamma, msg_in, want)
 
     def final_ok(pp, state):
         return core.final(state)
 
-    out = AnnotationCfm(
+    return AnnotationCfm(
         f"fixpoint[{format_path(pi)};{format_path(pi2)}]@{q}",
         starts,
         step,
@@ -921,8 +948,6 @@ def build_fixpoint_cfm(p: str, q: str, pi: PathExpr, pi2: PathExpr) -> Annotatio
         decide,
         canonical=lambda m: fix_canonical_states(m, q, pi, pi2),
     )
-    out.core = core
-    return out
 
 
 def build_preorder_cfm(
@@ -958,10 +983,10 @@ def build_preorder_cfm(
     def starts(pp):
         return [core.start()]
 
-    def step(pp, state, kind, label, peer, msg_in):
+    def step(pp, state, kind, label, peer, msg_in, want=None):
         sigma, annot = _decode_label(label)
         ctx = StepCtx(pp, kind, peer, sigma)
-        for new_state, out, payload in core.step(state, ctx, msg_in):
+        for new_state, out, payload in core.step(state, ctx, msg_in, want):
             if pp == q and annot != ord_annotation(_path_pairs(core.clos, out), paths):
                 continue
             yield new_state, payload
@@ -969,7 +994,7 @@ def build_preorder_cfm(
     def final_ok(pp, state):
         return core.final(state)
 
-    out = AnnotationCfm(
+    return AnnotationCfm(
         f"preorder@{q}[{len(paths)} paths]",
         starts,
         step,
@@ -978,8 +1003,6 @@ def build_preorder_cfm(
         decide,
         canonical=lambda m: preorder_canonical_states(m, q, paths),
     )
-    out.core = core
-    return out
 
 
 def gossip_value_encoding(v) -> Optional[str]:
@@ -1067,7 +1090,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         )
         return [state]
 
-    def step(p, state, kind, label, peer, msg_in):
+    def step(p, state, kind, label, peer, msg_in, want=None):
         sigma, xi = _decode_label(label)
         ctx = StepCtx(p, kind, peer, sigma)
         if not (isinstance(xi, tuple) and len(xi) == len(procs)):
@@ -1075,14 +1098,14 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         xi_by_proc = dict(zip(procs, xi))
         send = kind == "send"
 
-        def pair_moves(src, tgt, plan, pc, vcs, pair_state, msg_in):
+        def pair_moves(src, tgt, plan, pc, vcs, pair_state, msg_in, want):
             """The product of a pair's PreorderCore and value LastCores,
             checked against the claimed component at tgt."""
             parts = [functools.partial(pc.step, pair_state[0], ctx)] + [
                 functools.partial(vc.step, s, ctx, sigma)
                 for vc, s in zip(vcs, pair_state[1:])
             ]
-            for states, outs, payload in product_moves(parts, msg_in, send):
+            for states, outs, payload in product_moves(parts, msg_in, send, want):
                 if p != tgt or xi_by_proc[src] == gossip_component_value(
                     plan.members, outs[0], outs[1:]
                 ):
@@ -1092,7 +1115,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
             functools.partial(pair_moves, src, tgt, plan, pc, vcs, pair_state)
             for (src, tgt, _, plan), (pc, vcs), pair_state in zip(combos, cores(), state)
         ]
-        for states, _, payload in product_moves(parts, msg_in, send):
+        for states, _, payload in product_moves(parts, msg_in, send, want):
             yield states, payload
 
     def final_ok(p, state):
@@ -1111,11 +1134,9 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
             for e in m.events
         }
 
-    out = AnnotationCfm(
+    return AnnotationCfm(
         "gossip", starts, step, final_ok, annotate, decide, canonical=canonical
     )
-    out.cores = cores
-    return out
 
 
 def oracle_gossip_annotation(m: Msc) -> ExtendedMsc:
@@ -1206,87 +1227,54 @@ def preorder_canonical_states(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> di
     return {e: (tuple(s[e] for s in parts), pres.get(e)) for e in linearize(m)}
 
 
-def _simulate_core(m: Msc, start_fn, move_fn, final_fn) -> bool:
-    """Replay one core over a linearization with real channel queues."""
-    states = {p: start_fn(p) for p in m.signature.processes}
-    chans: dict[tuple, list] = {}
+class ReplayError(Exception):
+    """No move reaches the canonical state at ``event``; None: final_ok fails."""
+
+    def __init__(self, name: str, event: Optional[str]):
+        where = "the final check" if event is None else repr(event)
+        super().__init__(f"{name}: replay fails at {where}")
+        self.event = event
+
+
+def replay(machine: AnnotationCfm, ext: ExtendedMsc) -> dict[str, list]:
+    """Step the composite relation of ``machine`` on ``ext`` along its
+    canonical run: along linearize, with FIFO channel queues, each event's
+    step given (letter, annotation) and, as ``want``, the event's state in
+    machine.canonical_states; then check final_ok.
+
+    Returns, per process, its start state and the state after each of its
+    events.  Raises ReplayError at the first event with no move to its
+    canonical state, or at the final check.
+    """
+    m = ext.base
+    canon = machine.canonical_states(m)
+    states = {p: [next(iter(machine._starts(p)))] for p in m.signature.processes}
+    chans: dict[tuple, deque] = defaultdict(deque)
     for e in linearize(m):
         p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
-        msg_in = chans[(peer, p)].pop(0) if kind == "recv" else None
-        res = move_fn(e, StepCtx(p, kind, peer, m.label[e]), states[p], msg_in)
-        if res is None:
-            return False
-        states[p], payload = res
+        msg_in = chans[peer, p].popleft() if kind == "recv" else None
+        label = (m.label[e], ext.annot[e])
+        for new_state, payload in machine._step(
+            p, states[p][-1], kind, label, peer, msg_in, canon[e]
+        ):
+            if new_state == canon[e]:
+                break
+        else:
+            raise ReplayError(machine.name, e)
+        states[p].append(new_state)
         if kind == "send":
-            chans.setdefault((p, peer), []).append(payload)
-    return all(final_fn(p, s) for p, s in states.items())
-
-
-def drive_fix_core(core: FixCore, m: Msc) -> bool:
-    """True iff the FixCore's transition relation threads the canonical
-    accepting run when fed the true fixpoint bits."""
-    canon = fix_canonical_states(m, core.q, core.pi, core.pi2)
-    bits = fixpoint_bits(m, core.pi, core.pi2)
-
-    def move(e, ctx, state, msg_in):
-        gamma = 1 if bits[e] else 0
-        for ns, pay in core.step_with_bit(state, ctx, gamma, msg_in):
-            if ns == canon[e]:
-                return ns, pay
-        return None
-
-    return _simulate_core(m, lambda p: core.start(), move, lambda p, s: core.final(s))
-
-
-def drive_last_core(core: LastCore, m: Msc, base: dict) -> bool:
-    """Deterministic replay of a LastCore against its direct pass."""
-    th = last_theta(m, core.pi, base)
-
-    def move(e, ctx, state, msg_in):
-        for ns, out, pay in core.step(state, ctx, base[e], msg_in):
-            if ns == th[e]:
-                return ns, pay
-        return None
-
-    return _simulate_core(m, lambda p: core.start(), move, lambda p, s: core.final(s))
-
-
-def drive_preorder_components(core: PreorderCore, m: Msc) -> bool:
-    """Drive every fixpoint and bottom component of a PreorderCore along its
-    canonical run.  The composite step is product_moves over exactly these
-    components plus the shared ⪯ recurrence (preorder_combine) on their
-    outputs, so componentwise success certifies the composite transition
-    relation.
-    """
-    dot = {e: "•" for e in m.events}
-    return all(drive_fix_core(fc, m) for fc in core.fixes) and all(
-        drive_last_core(bc, m, dot) for bc in core.bots
-    )
-
-
-def drive_gossip_components(machine: AnnotationCfm, m: Msc) -> bool:
-    """Componentwise canonical-run certificate for the gossip machine.  Its
-    step is product_moves over one part per (src, tgt) pair, each part
-    product_moves over the pair's PreorderCore and value LastCores, checked
-    by gossip_component_value at tgt."""
-    labels = dict(m.label)
-    for pc, vcs in machine.cores():
-        if not drive_preorder_components(pc, m):
-            return False
-        if not all(drive_last_core(vc, m, labels) for vc in vcs):
-            return False
-    return True
+            chans[p, peer].append(payload)
+    if not all(machine._final(p, trace[-1]) for p, trace in states.items()):
+        raise ReplayError(machine.name, None)
+    return states
 
 
 def reachable_state_report(machine: AnnotationCfm, mscs: Iterable[Msc]) -> dict:
-    """Distinct structured states touched along canonical runs over a corpus."""
+    """Distinct states per process that replay reaches on a corpus, each MSC
+    with its correct annotation."""
     per_proc: dict[str, set] = {}
     for m in mscs:
-        canon = machine.canonical_states(m)
-        for p in m.signature.processes:
-            bucket = per_proc.setdefault(p, set())
-            bucket.add("start")
-            for e in m.events_of(p):
-                bucket.add(canon[e])
+        for p, states in replay(machine, ExtendedMsc(m, machine.annotate(m))).items():
+            per_proc.setdefault(p, set()).update(states)
     counts = {p: len(s) for p, s in sorted(per_proc.items())}
     return {"per_process": counts, "total": sum(counts.values())}

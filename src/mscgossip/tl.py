@@ -657,9 +657,10 @@ def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
 
 def _guessed(machine: _TlMachine, p, state, kind, sigma, peer, bits=(0, 1)):
     """A part for product_moves: the sub-formula machine's moves with its bit
-    guessed from ``bits``; each move's output is its bit."""
+    guessed from ``bits``; each move's output is its bit.  A wanted state is
+    ignored."""
 
-    def moves(msg_in):
+    def moves(msg_in, want=None):
         for b in bits:
             for new_state, payload in machine._step(p, state, kind, (sigma, b), peer, msg_in):
                 yield new_state, b, payload
@@ -699,9 +700,10 @@ def compile_since(
     dominates every right path.  Events off q must carry bit 0.
 
     This is the one construction of a pair: the since machine is built from
-    these.  ``moves(pp, state, ctx, msg_in)`` yields the preorder core's
-    moves with their dominance bit (False off q); the core is built the
-    first time a search needs it, so annotate and decide never build it.
+    these.  ``moves(pp, state, ctx, msg_in, want=None)`` yields the
+    preorder core's moves with their dominance bit (False off q) and ignores
+    ``want``; the core is built the first time a search needs it, so
+    annotate and decide never build it.
     """
     if p not in sig.processes or q not in sig.processes:
         raise TlError(f"unknown process in pair ({p!r}, {q!r})")
@@ -715,7 +717,7 @@ def compile_since(
         pc = PreorderCore(q, tuple(dict.fromkeys(lf + rt)))
         return pc, tuple(map(pc.clos.index, lf)), tuple(map(pc.clos.index, rt))
 
-    def moves(pp, state, ctx, msg_in):
+    def moves(pp, state, ctx, msg_in, want=None):
         pc, lf_at, rt_at = core()
         for ns, out, pay in pc.step(state, ctx, msg_in):
             yield ns, pp == q and _dominates(out, lf_at, rt_at), pay

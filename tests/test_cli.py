@@ -261,6 +261,22 @@ def test_gossip_annotate_check_mutation(fig_file, tmp_path, capsys):
     assert dispatch(["gossip", "check", str(mut_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "annot",
+    [["a"], "a", 1, [["a"], None], {"p": "a"}, ["a", "z"], [None, None, None]],
+    ids=["one-entry", "letter", "number", "nested", "object", "unknown-letter", "three"],
+)
+def test_gossip_check_rejects_a_non_gossip_annotation(annot, tmp_path, capsys):
+    # a gossip annotation is a list of one letter or null per process
+    m = Msc(SIG2, [("e", "p", "a"), ("f", "q", "b")], [("e", "f")])
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps(msc_to_json(m, {"e": [None, None], "f": ["a", None]})))
+    assert dispatch(["gossip", "check", str(path)]) == 0
+    path.write_text(json.dumps(msc_to_json(m, {"e": [None, None], "f": annot})))
+    assert dispatch(["gossip", "check", str(path)]) == 2
+    assert "'f'" in capsys.readouterr().err
+
+
 def test_gossip_build_reports_states(fig_file, capsys):
     assert dispatch(["gossip", "build", fig_file, "--report-states", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)

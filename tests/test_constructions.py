@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from collections import Counter, defaultdict, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,13 @@ from mscgossip.constructions import (
     _preorder_steps,
     _theta_rule,
     _trie_pass,
+    FOUR_COLORS,
+    FirstCore,
+    FixCore,
     LastCore,
     PathTrie,
+    PreorderCore,
+    ReplayError,
     StepCtx,
     build_fa_label_cfm,
     build_first_label_cfm,
@@ -31,10 +38,6 @@ from mscgossip.constructions import (
     build_preorder_cfm,
     canonical_coloring,
     closure_with_star,
-    drive_fix_core,
-    drive_gossip_components,
-    drive_last_core,
-    drive_preorder_components,
     fa_target,
     fa_value,
     first_theta,
@@ -47,6 +50,7 @@ from mscgossip.constructions import (
     preorder_bits,
     preorder_canonical_states,
     reachable_state_report,
+    replay,
     trie_maps,
 )
 from mscgossip.corpus import random_corpus, random_msc
@@ -486,7 +490,7 @@ def test_fixpoint_machine_search_route():
 def test_preorder_machine_search_route_local():
     # the composite product explodes the search beyond two events, so the
     # full-relation cross-check runs on a two-event single-process MSC;
-    # larger instances are certified componentwise below
+    # larger instances are replayed along their canonical runs below
     mach = build_preorder_cfm("q", "q", (PLUS,))
     m = Msc(SIG2, [("f0", "q", "a"), ("f1", "q", "b")], [])
     ann = mach.annotate(m)
@@ -513,30 +517,28 @@ def test_preorder_machine_search_routes_a_payload():
     assert find_accepting_run(mach, encode(m, bad)) is None
 
 
+def replayed(mach, m):
+    """replay on m's correct annotation, checked to return the canonical run."""
+    states = replay(mach, ExtendedMsc(m, mach.annotate(m)))
+    canon = mach.canonical_states(m)
+    for p in m.signature.processes:
+        assert states[p] == [*mach._starts(p), *(canon[e] for e in m.events_of(p))]
+    return states
+
+
 @pytest.mark.parametrize("text", ["->* msg(p,q) ->*", "->* msg(q,p) ->*", "->+"])
 def test_preorder_core_threads_its_canonical_run(text):
     # the composite step, payloads included, reaches each event's canonical
     # state from the canonical state before it
-    paths = (parse_path(text, SIG2),)
-    core = constructions.PreorderCore("q", paths)
+    mach = build_preorder_cfm("p", "q", (parse_path(text, SIG2),))
     for m in CORPUS2[:5]:
-        canon = preorder_canonical_states(m, "q", paths)
-        states = {p: core.start() for p in SIG2.processes}
-        sent = {}
-        for e in linearize(m):
-            p = m.loc[e]
-            ctx = StepCtx(p, m.kind_of(e), m.peer_of(e), m.label[e])
-            moves = core.step(states[p], ctx, sent.get(m.send_of.get(e)))
-            sent[e] = next(pay for ns, _, pay in moves if ns == canon[e])
-            states[p] = canon[e]
-        assert all(core.final(s) for s in states.values())
+        replayed(mach, m)
 
 
-def test_preorder_components_drive_canonical_runs():
+def test_preorder_replay_threads_canonical_runs():
     mach = build_preorder_cfm("p", "q", (PI, PI2))
-    assert drive_preorder_components(mach.core, fig_flipped())
-    for m in CORPUS3[:2]:
-        assert drive_preorder_components(mach.core, m)
+    for m in [fig_flipped(), *CORPUS3[:2]]:
+        replayed(mach, m)
 
 
 # -- gossip machine ------------------------------------------------------------
@@ -598,9 +600,24 @@ def test_gossip_matches_oracle_on_corpus():
             assert not mach.decide(ExtendedMsc(m, bad))
 
 
-def test_gossip_components_drive_canonical_runs():
-    mach = build_gossip_cfm(SIG3)
-    assert drive_gossip_components(mach, fig_base())
+def test_gossip_replay_threads_canonical_runs():
+    replayed(build_gossip_cfm(SIG3), fig_base())
+    for k, seed in ((2, 31), (3, 37)):
+        sig = SystemSignature(tuple(f"p{i}" for i in range(1, k + 1)), ("a", "b"))
+        mach, rng = build_gossip_cfm(sig), random.Random(seed)
+        for _ in range(10):
+            replayed(mach, random_msc(sig, rng, 3))
+
+
+def test_gossip_replay_names_a_wrong_component():
+    # the composite step has no move to f5's canonical state once f5 claims
+    # b for its latest p-event, whose label is a
+    m = fig_flipped()
+    ext = oracle_gossip_annotation(m)
+    assert ext.annot["f5"][0] == "a"
+    with pytest.raises(ReplayError) as err:
+        replay(build_gossip_cfm(SIG3), ext.with_annot("f5", ("b",) + ext.annot["f5"][1:]))
+    assert err.value.event == "f5" and "'f5'" in str(err.value)
 
 
 def test_gossip_message_carries_label():
@@ -814,7 +831,7 @@ def test_gossip_cores_are_built_only_for_a_search(monkeypatch):
 def test_gossip_search_route_single_process():
     # the composite transition relation branches on every component's guesses,
     # so the genuine run search is only tractable on the smallest signature;
-    # larger instances are certified componentwise by the drive tests
+    # larger instances are replayed along their canonical runs
     sig1 = SystemSignature(("p",), ("a", "b"))
     mach = build_gossip_cfm(sig1)
     m = Msc(sig1, [("e", "p", "a")], [])
@@ -846,15 +863,19 @@ def test_canonical_coloring_is_valid():
 
 def test_fix_core_drives_canonical_run():
     mach = build_fixpoint_cfm("p", "q", PI, star_prepend(PI2))
-    assert drive_fix_core(mach.core, fig_flipped())
-    for m in CORPUS3[:3]:
-        assert drive_fix_core(mach.core, m)
+    for m in [fig_flipped(), *CORPUS3[:3]]:
+        replayed(mach, m)
 
 
-def test_last_core_drives_deterministically():
-    core = LastCore(PI)
-    for m in CORPUS3[:5]:
-        assert drive_last_core(core, m, dict(m.label))
+def test_fixpoint_replay_names_a_flipped_bit():
+    mach = build_fixpoint_cfm("p", "q", PI, star_prepend(PI2))
+    m = fig_flipped()
+    ann = mach.annotate(m)
+    assert {ann[e] for e in m.events_of("q")} == {0, 1}
+    for e in m.events_of("q"):
+        with pytest.raises(ReplayError) as err:
+            replay(mach, ExtendedMsc(m, {**ann, e: 1 - ann[e]}))
+        assert err.value.event == e
 
 
 def test_state_report_monotone_in_path_size():
@@ -873,6 +894,129 @@ def test_gossip_state_report_runs():
     mach = build_gossip_cfm(SIG2)
     rep = reachable_state_report(mach, CORPUS2[:3])
     assert rep["total"] >= 2
+
+
+# -- the want contract -----------------------------------------------------------
+
+
+def check_want(rng, step, extra=()):
+    """For states sampled from the generic moves step(None), and for
+    ``extra``: step(want) yields a sub-multiset of the generic moves that
+    holds every generic move to ``want``.  Returns the sampled states."""
+    generic = Counter(step(None))
+    states = list(dict.fromkeys(mv[0] for mv in generic))
+    wants = rng.sample(states, min(3, len(states)))
+    for want in [*wants, *extra]:
+        targeted = Counter(step(want))
+        assert not targeted - generic, want
+        assert all(targeted[mv] == n for mv, n in generic.items() if mv[0] == want), want
+    return wants
+
+
+def sampled_steps(core_step, start, canon, m, rng):
+    """Along the canonical run, with its payloads in transit, the steps
+    core_step(state, ctx, message in, want) of each event from two reachable
+    states: the canonical one, and that of a random move at the process's
+    event before."""
+    states = dict.fromkeys(m.signature.processes, (start,))
+    chans = defaultdict(deque)
+    for e in linearize(m):
+        p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
+        msg_in = chans[peer, p].popleft() if kind == "recv" else None
+        ctx = StepCtx(p, kind, peer, m.label[e])
+        for state in states[p]:
+            yield ctx, functools.partial(core_step, state, ctx, msg_in)
+        moves = list(core_step(states[p][0], ctx, msg_in))
+        payload = next(pay for ns, _, pay in moves if ns == canon[e])
+        states[p] = (canon[e], rng.choice(moves)[0])
+        if kind == "send":
+            chans[p, peer].append(payload)
+
+
+@pytest.mark.parametrize("text", ["->* msg(p,q) ->*", "->* msg(q,p) ->*", "->+"])
+def test_preorder_core_want_contract(text):
+    # each step also takes the states sampled at the step before as wants
+    paths = (parse_path(text, SIG2),)
+    core = PreorderCore("q", paths)
+    rng = random.Random(text)
+    checked = Counter()
+    for m in CORPUS2[:5] + CORPUS2[13:]:  # the last two hold local q-events
+        canon = preorder_canonical_states(m, "q", paths)
+        wants = []
+        for ctx, step in sampled_steps(core.step, core.start(), canon, m, rng):
+            wants = check_want(rng, step, wants)
+            checked[ctx.kind, ctx.proc] += bool(wants)
+    assert all(checked[k, p] for k in ("local", "send", "recv") for p in "pq"), checked
+
+
+def random_theta(rng, n, values):
+    return tuple(rng.choice(values) for _ in range(n))
+
+
+def random_ctx(rng):
+    p = rng.choice(SIG3.processes)
+    kind = rng.choice(("local", "send", "recv"))
+    peer = None if kind == "local" else rng.choice([x for x in SIG3.processes if x != p])
+    return StepCtx(p, kind, peer, rng.choice(SIG3.alphabet))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_first_core_want_contract(seed):
+    # random states, payloads and wanted states, some entries outside Θ∪{⊤}
+    rng = random.Random(seed)
+    values = ("x", "y", TOP, BOTTOM)
+    for pi in PATH_SHAPES:
+        core = FirstCore(pi, ("x", "y"))
+        n = len(core.unseen)
+        ctx = random_ctx(rng)
+        base = rng.choice(("x", "y"))
+        state = "start" if rng.random() < 0.3 else random_theta(rng, n, values[:3])
+        msg_in = random_theta(rng, n, values[:3]) if ctx.kind == "recv" else None
+        wants = [random_theta(rng, n, values) for _ in range(2)]
+        wants.append((base,) + random_theta(rng, n - 1, values[:3]))
+        check_want(rng, functools.partial(core.step, state, ctx, base, msg_in), wants)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fix_core_guess_want_contract(seed):
+    rng = random.Random(seed)
+    colours = FOUR_COLORS + (TOP,)
+    pi, pi2 = rng.choice(PATH_SHAPES), rng.choice(PATH_SHAPES)
+    core = FixCore("q", pi, pi2)
+    n5, n4 = len(core.fa.first.unseen), len(core.fa.last.trie.edges) + 1
+
+    def random_state(start_ok):
+        if start_ok and rng.random() < 0.3:
+            return core.start()
+        return (
+            (random_theta(rng, n5, colours), random_theta(rng, n4, colours + (BOTTOM,))),
+            rng.choice(("c1", "c2")),
+        )
+
+    ctx = random_ctx(rng)
+    msg_in = random_state(False)[0] if ctx.kind == "recv" else None
+    wants = [random_state(False) for _ in range(2)]
+    check_want(rng, functools.partial(core.guess, random_state(True), ctx, msg_in), wants)
+
+
+def test_gossip_step_want_contract_at_k1():
+    # the first event's step, under every annotation, and the second
+    # event's from states sampled at the first
+    mach = build_gossip_cfm(SystemSignature(("p",), ("a", "b")))
+    rng = random.Random(1)
+
+    def step(state, sigma, xi):
+        return functools.partial(mach._step, "p", state, "local", (sigma, xi), None, None)
+
+    [start] = mach._starts("p")
+    annots = [(None,), ("a",), ("b",)]
+    assert sum(len(list(step(start, "a", xi)(None))) for xi in annots) == 1620
+    for xi in annots:
+        for state in check_want(rng, step(start, "a", xi)):
+            for xi2 in annots:
+                check_want(rng, step(state, "b", xi2))
 
 
 # -- materialization -----------------------------------------------------------
