@@ -89,6 +89,10 @@ class Cfm:
             p: tuple(t for t in self.transitions if t.proc == p)
             for p in signature.processes
         }
+        # step's buckets: (process, source, kind, label) -> transitions in order
+        self._moves: dict[tuple, list[Transition]] = {}
+        for t in self.transitions:
+            self._moves.setdefault((t.proc, t.source, t.kind, t.label), []).append(t)
 
     def _check(self):
         procs = self.signature.processes
@@ -141,9 +145,7 @@ class Cfm:
         Yields (new state, sent message or None, witnessing transition).
         For receives, only transitions matching the channel-head msg_in fire.
         """
-        for t in self._delta[p]:
-            if t.source != state or t.kind != kind or t.label != label:
-                continue
+        for t in self._moves.get((p, state, kind, label), ()):
             if kind != "local" and t.peer != peer:
                 continue
             if kind == "recv" and t.msg != msg_in:
@@ -821,8 +823,3 @@ def cfm_from_json(obj: dict) -> Cfm:
     except (KeyError, TypeError) as exc:
         raise CfmError(f"malformed CFM object: {exc}") from exc
     return Cfm(sig, messages, states, initial, transitions, accepting, gi)
-
-
-def load_cfm(path: str) -> Cfm:
-    with open(path) as fh:
-        return cfm_from_json(json.load(fh))

@@ -17,13 +17,14 @@ from typing import Optional
 
 from .cfm import (
     BudgetExhausted,
+    Cfm,
     CfmError,
     DEFAULT_BUDGET,
     Run,
+    cfm_from_json,
     cfm_to_json,
     find_accepting_run,
     is_deterministic,
-    load_cfm,
     mirror_cfm,
     product,
 )
@@ -145,6 +146,10 @@ def _checked(m: Msc, path: str) -> Msc:
     return m
 
 
+def _cfm(path: str) -> Cfm:
+    return cfm_from_json(_load_json(path))
+
+
 def _msc(path: str) -> Msc:
     return _checked(msc_from_json(_load_json(path)), path)
 
@@ -255,24 +260,24 @@ def _cmd_path_compare(args) -> int:
 
 
 def _cmd_cfm_run(args) -> int:
-    report = search_with_report(load_cfm(args.cfm), _msc(args.msc), args.budget)
+    report = search_with_report(_cfm(args.cfm), _msc(args.msc), args.budget)
     _emit(args, report.to_json(), report.outcome)
     return {"accepted": EXIT_OK, "rejected": EXIT_REJECT}.get(report.outcome, EXIT_BUDGET)
 
 
 def _cmd_cfm_det(args) -> int:
-    det = is_deterministic(load_cfm(args.cfm))
+    det = is_deterministic(_cfm(args.cfm))
     _emit(args, {"deterministic": det}, "deterministic" if det else "nondeterministic")
     return EXIT_OK if det else EXIT_REJECT
 
 
 def _cmd_cfm_mirror(args) -> int:
-    _write_or_print(args, cfm_to_json(mirror_cfm(load_cfm(args.cfm))))
+    _write_or_print(args, cfm_to_json(mirror_cfm(_cfm(args.cfm))))
     return EXIT_OK
 
 
 def _cmd_cfm_product(args) -> int:
-    _write_or_print(args, cfm_to_json(product(load_cfm(args.cfm), load_cfm(args.cfm2))))
+    _write_or_print(args, cfm_to_json(product(_cfm(args.cfm), _cfm(args.cfm2))))
     return EXIT_OK
 
 
@@ -311,7 +316,7 @@ def _cmd_impossible_family(args) -> int:
 
 
 def _cmd_impossible_refute(args) -> int:
-    claimant = load_cfm(args.cfm) if args.cfm else naive_gossip_cfm()
+    claimant = _cfm(args.cfm) if args.cfm else naive_gossip_cfm()
     res = refute_deterministic(claimant, budget=args.budget)
     refuted = res.verdict != "no-counterexample-found"
     payload = {"verdict": res.verdict, "detail": res.detail}

@@ -203,25 +203,32 @@ _BOT, _TOP = -1, -2
 
 
 def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
-    """trie.step along a linearization (of the mirror for a mirror trie), with
-    each event as its index in ``m.events``: entry n of the result at index i
-    is the index of last (first, on a mirror trie) of node n's path from
-    event i, or _BOT (_TOP) if there is none."""
-    x = m.mirror if trie.mirror else m
-    none = _TOP if trie.mirror else _BOT
-    idx = m.index
+    """trie.step along a linearization of m (of its mirror for a mirror trie),
+    with each event as its index in ``m.events``: entry n of the result at
+    index i is the index of last (first, on a mirror trie) of node n's path
+    from event i, or _BOT (_TOP) if there is none.
+
+    The mirror shares m's events and reverses its order, so a mirror trie
+    steps along m's linearization reversed, with each event's ⊏-successor
+    and message receiver as its mirrored predecessor and sender.
+    """
+    if trie.mirror:
+        order, none, pred_of, sender_of = reversed(linearize(m)), _TOP, m.proc_succ_of, m.recv_of
+    else:
+        order, none, pred_of, sender_of = linearize(m), _BOT, m.proc_pred_of, m.send_of
+    idx, loc = m.index, m.loc
     theta: list = [None] * len(m.events)
-    for e in linearize(x):
-        pred = x.proc_pred_of(e)
-        sender = x.send_of.get(e)
+    for e in order:
+        pred = pred_of(e)
+        sender = sender_of.get(e)
         theta[idx[e]] = trie.step(
             none,
             idx[e],
             None if pred is None else theta[idx[pred]],
             None if sender is None else theta[idx[sender]],
-            x.loc[e],
-            None if sender is None else x.loc[sender],
-            x.label[e],
+            loc[e],
+            None if sender is None else loc[sender],
+            m.label[e],
         )
     return theta
 
@@ -315,23 +322,40 @@ def _star_app(clos: tuple) -> tuple:
     return tuple(clos.index(star_append(a)) for a in clos)
 
 
+@functools.cache
+def _star_lift(star_app: tuple) -> Callable:
+    """The map from the rows of ⪯ to the rows P_i of the recurrence: bit j of
+    P_i is bit star_app[j] of row star_app[i], so P_i says π_i→* ⪯ π_j→*.
+
+    When every path of the closure ends in →*, as in every gossip family,
+    star_app is the identity and P_i is row i itself.
+    """
+    if star_app == tuple(range(len(star_app))):
+        return lambda rows: rows
+    return lambda rows: [
+        sum((rows[a] >> b & 1) << j for j, b in enumerate(star_app)) for a in star_app
+    ]
+
+
+def _gather(nodes: tuple) -> Callable:
+    """operator.itemgetter(*nodes), which returns a tuple for one node too."""
+    return operator.itemgetter(*nodes) if len(nodes) != 1 else lambda row: (row[nodes[0]],)
+
+
 class _ClosurePlan:
-    """The closure ``clos`` of ``paths`` addressed by index, with the trie
-    nodes the ⪯ recurrence reads: last_a of each closure path a on the
-    last-trie, and first_{→*b}, first_{→+b} of each closure path b on the
-    first-trie.  ``members[k]`` is the index of the k-th given path.
+    """A star closure ``clos`` addressed by index, with the trie nodes the ⪯
+    recurrence reads: last_a of each closure path a on the last-trie, and
+    first_{→*b}, first_{→+b} of each closure path b on the first-trie, each
+    as a gather over a trie map's row.
     """
 
-    def __init__(
-        self, paths: tuple, clos: tuple, last_trie: PathTrie, first_trie: PathTrie
-    ):
+    def __init__(self, clos: tuple, last_trie: PathTrie, first_trie: PathTrie):
         self.clos = clos
-        self.members = tuple(clos.index(pi) for pi in paths)
-        self.star_app = _star_app(clos)
+        self.lift = _star_lift(_star_app(clos))
         self.last_trie, self.first_trie = last_trie, first_trie
-        self.last_nodes = tuple(last_trie.find(a.symbols) for a in clos)
-        self.star_nodes, self.plus_nodes = (
-            tuple(first_trie.find(_mirror_symbols(prepend(b))) for b in clos)
+        self.lasts = _gather(tuple(last_trie.find(a.symbols) for a in clos))
+        self.star_firsts, self.plus_firsts = (
+            _gather(tuple(first_trie.find(_mirror_symbols(prepend(b))) for b in clos))
             for prepend in (star_prepend, plus_prepend)
         )
 
@@ -349,10 +373,7 @@ def _closure_plans(path_sets: list[tuple]) -> list[_ClosurePlan]:
         ],
         mirror=True,
     )
-    return [
-        _ClosurePlan(paths, clos, last_trie, first_trie)
-        for paths, clos in zip(path_sets, closures)
-    ]
+    return [_ClosurePlan(clos, last_trie, first_trie) for clos in closures]
 
 
 @functools.cache
@@ -361,58 +382,80 @@ def _preorder_plan(paths: tuple) -> _ClosurePlan:
 
 
 def preorder_combine(
-    star_app: tuple, prev: Optional[frozenset], bot, star_bits, plus_bits
-) -> frozenset:
+    lift: Callable, prev: Optional[tuple], botmask: int, star_rows, plus_cols
+) -> tuple:
     """One step of the ⪯ recurrence along ⊏ (shared by both machine routes),
-    over the closure by index: the result holds (i, j) when π_i ⪯ π_j.
+    over the closure by index, in rows: bit j of row i says π_i ⪯ π_j.
 
-    With c closure paths, bot[i] is [last_{π_i}(f) = ⊥] and star_bits[i*c + j]
-    (plus_bits[i*c + j]) says f is a f^{π_i,→*π_j} (f^{π_i,→+π_j}) fixpoint.
-    (i,j) holds at f when: f is the first q-event (prev is None) or the pair
-    of star-closed paths did not hold before, and last_{π_i}(f)=⊥ or f is a
+    With c closure paths, bit i of ``botmask`` is [last_{π_i}(f) = ⊥], bit j
+    of star_rows[i] says f is a f^{π_i,→*π_j}-fixpoint and bit j of
+    plus_cols[i] that f is a f^{π_j,→+π_i}-fixpoint; ``lift`` is
+    _star_lift(star_app) and ``prev`` the rows at the q-event before f, None
+    at the first.  (i,j) holds at f when the pair of star-closed paths did
+    not hold before (P_i, bit j) and last_{π_i}(f)=⊥ or f is a
     f^{π_i,→*π_j}-fixpoint; otherwise the pair persists unless f is a
     f^{π_j,→+π_i}-fixpoint or π_j newly became ⊥-free while π_i did not.
     """
-    c = len(star_app)
-    pairs = []
-    for i in range(c):
-        for j in range(c):
-            if prev is None or (star_app[i], star_app[j]) not in prev:
-                holds = bot[i] or star_bits[i * c + j]
-            else:
-                holds = not plus_bits[j * c + i] and (bot[i] or not bot[j])
-            if holds:
-                pairs.append((i, j))
-    return frozenset(pairs)
+    c = len(star_rows)
+    full = (1 << c) - 1
+    free = ~botmask
+    rows = []
+    bit = 1
+    for p, star, plus in zip((0,) * c if prev is None else lift(prev), star_rows, plus_cols):
+        if botmask & bit:
+            rows.append(full & ~(p & plus))
+        else:
+            rows.append(star & ~p | p & ~plus & free)
+        bit <<= 1
+    return tuple(rows)
+
+
+def _mask(bits: Iterable) -> int:
+    """The int whose bit k is the k-th truth value."""
+    return sum(1 << k for k, b in enumerate(bits) if b)
 
 
 def _preorder_steps(m: Msc, q: str, plan: _ClosurePlan):
     """Per q-event f in process order: f, the last events of the closure
-    paths at f (event indices, _BOT for ⊥) and ⪯_f as closure index pairs,
-    all read off the plan's trie maps.
+    paths at f (event indices, _BOT for ⊥) and ⪯_f as rows, all read off the
+    plan's trie maps.
 
-    f is an f^{a,π'}-fixpoint iff first_{π'}(last_a(f)) = f.
+    f is an f^{a,π'}-fixpoint iff first_{π'}(last_a(f)) = f, so the →* row
+    and the →+ bits of a closure path a are the →* and →+ first-nodes whose
+    first from g = last_a(f) is f.
     """
     lasts = trie_maps(m, plan.last_trie)
     firsts = trie_maps(m, plan.first_trie)
+    c = len(plan.clos)
     idx = m.index
-    pre: Optional[frozenset] = None
+    rows: Optional[tuple] = None
     for f in m.events_of(q):
-        i = idx[f]
-        row = lasts[i]
-        at = [row[n] for n in plan.last_nodes]
-        star_bits, plus_bits = (
-            [g >= 0 and firsts[g][n] == i for g in at for n in nodes]
-            for nodes in (plan.star_nodes, plan.plus_nodes)
-        )
-        pre = preorder_combine(
-            plan.star_app, pre, [g == _BOT for g in at], star_bits, plus_bits
-        )
-        yield f, at, pre
+        fi = idx[f]
+        at = plan.lasts(lasts[fi])
+        botmask = 0
+        star_rows = [0] * c
+        plus_cols = [0] * c
+        for i, g in enumerate(at):
+            if g == _BOT:
+                botmask |= 1 << i
+                continue
+            row = firsts[g]
+            hits = plan.star_firsts(row)
+            if fi in hits:
+                star_rows[i] = _mask(h == fi for h in hits)
+            hits = plan.plus_firsts(row)
+            if fi in hits:  # bit j: f is a f^{π_i,→+π_j}-fixpoint
+                for j, h in enumerate(hits):
+                    if h == fi:
+                        plus_cols[j] |= 1 << i
+        rows = preorder_combine(plan.lift, rows, botmask, star_rows, plus_cols)
+        yield f, at, rows
 
 
-def _path_pairs(clos: tuple, pre: frozenset) -> frozenset:
-    return frozenset((clos[i], clos[j]) for i, j in pre)
+def _path_pairs(clos: tuple, rows: tuple) -> frozenset:
+    return frozenset(
+        (clos[i], b) for i, row in enumerate(rows) for j, b in enumerate(clos) if row >> j & 1
+    )
 
 
 def preorder_bits(
@@ -421,7 +464,7 @@ def preorder_bits(
     """For each q-event f, the set of pairs (π,π') with π ⪯_f π', over the
     star closure of the given path set, by the three switch rules along ⊏."""
     plan = _preorder_plan(tuple(paths))
-    return {f: _path_pairs(plan.clos, pre) for f, _, pre in _preorder_steps(m, q, plan)}
+    return {f: _path_pairs(plan.clos, rows) for f, _, rows in _preorder_steps(m, q, plan)}
 
 
 def ord_annotation(pairs: frozenset, paths: Iterable[PathExpr]) -> frozenset:
@@ -690,11 +733,12 @@ class FixCore:
 class PreorderCore:
     """All fixpoint/bottom components for a path set, plus the ⪯ recurrence.
 
-    State: the components' states and the previous q-event's preorder
-    (closure index pairs).  A step is the product of the components' moves:
+    State: the components' states and the previous q-event's preorder (as
+    preorder_combine's rows).  A step is the product of the components' moves:
     at each q-event every fixpoint component guesses its own bit, for later
-    verification, and preorder_combine reads the bits off the moves' outputs
-    into the next preorder, which is the core's output.  With c closure
+    verification, and preorder_combine reads the bits off the moves' outputs,
+    as the same masks the decide route reads off its trie maps, into the next
+    preorder, which is the core's output.  With c closure
     paths, the components are the bottom trackers, bots[i] for π_i, then
     fixes, indexed like the recurrence's bits: fixes[i*c + j] and
     fixes[c*c + i*c + j] for the f^{π_i,→*π_j} and f^{π_i,→+π_j} fixpoints.
@@ -703,7 +747,7 @@ class PreorderCore:
     def __init__(self, q: str, paths: tuple[PathExpr, ...]):
         self.q = q
         self.clos = closure_with_star(paths)
-        self.star_app = _star_app(self.clos)
+        self.lift = _star_lift(_star_app(self.clos))
         self.bots = tuple(LastCore(a) for a in self.clos)
         self.fixes = tuple(
             FixCore(q, a, prepend(b))
@@ -733,8 +777,13 @@ class PreorderCore:
             return
         plus = c + c * c  # the outputs from here on are the →+ fixpoint bits
         for new_states, outs, payload in moves:
-            bot = [out is BOTTOM for out in outs[:c]]
-            pre = preorder_combine(self.star_app, prev, bot, outs[c:plus], outs[plus:])
+            pre = preorder_combine(
+                self.lift,
+                prev,
+                _mask(out is BOTTOM for out in outs[:c]),
+                [_mask(outs[c + i * c : c + i * c + c]) for i in range(c)],
+                [_mask(outs[plus + j * c + i] for j in range(c)) for i in range(c)],
+            )
             yield (new_states, pre), pre, payload
 
     def final(self, state) -> bool:
@@ -1012,32 +1061,46 @@ def gossip_value_encoding(v) -> Optional[str]:
 _NO_MAXIMUM = object()
 
 
-def gossip_component_value(members: tuple, pre_pairs: frozenset, values):
+def gossip_component_value(members: tuple, rows: tuple, values):
     """One ξ-component: the last-label along a ⪯-maximal path (None if that
     last is ⊥); the sentinel when the claimed preorder has no maximum (which
     only happens under inconsistent guesses).  Shared by both machine routes.
 
-    ``members`` are the family's closure indices, ``pre_pairs`` the preorder
-    as closure index pairs and ``values[k]`` the label value of the k-th
-    member.
+    ``members`` are the family's closure indices, ``rows`` the preorder as
+    preorder_combine's rows and ``values[k]`` the label value of the k-th
+    member.  The AND of the member rows has bit j set iff every member is
+    ⪯ π_j.
     """
+    above = -1
+    for i in members:
+        above &= rows[i]
     for k, j in enumerate(members):
-        if all((other, j) in pre_pairs for other in members):
+        if above >> j & 1:
             return gossip_value_encoding(values[k])
     return _NO_MAXIMUM
 
 
 @functools.cache
 def _gossip_plan(sig: SystemSignature) -> tuple:
-    """(src, tgt, family, closure plan) for every pair, tgt-major, the plans
-    sharing one last-trie and one first-trie; compiled once per signature."""
-    combos = [
-        (src, tgt, gossip_paths_between(sig, src, tgt))
+    """Per target process tgt in process order, (tgt, plan, sources): the
+    closure plan of all the gossip families into tgt and, per source process
+    src in order, (src, family, the family's closure indices in the plan).
+    The plans share one last-trie and one first-trie; compiled once per
+    signature.
+
+    One plan serves all of tgt's families because the ⪯ recurrence is
+    pairwise: whether π_i ⪯ π_j holds at f reads only π_i, π_j and their →*
+    closures, so ⪯ over the union holds each family's ⪯ among its rows.
+    """
+    families = [
+        [(src, gossip_paths_between(sig, src, tgt)) for src in sig.processes]
         for tgt in sig.processes
-        for src in sig.processes
     ]
-    plans = _closure_plans([fam for _, _, fam in combos])
-    return tuple(combo + (plan,) for combo, plan in zip(combos, plans))
+    plans = _closure_plans([[pi for _, fam in srcs for pi in fam] for srcs in families])
+    return tuple(
+        (tgt, plan, tuple((src, fam, tuple(map(plan.clos.index, fam))) for src, fam in srcs))
+        for tgt, plan, srcs in zip(sig.processes, plans, families)
+    )
 
 
 def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
@@ -1050,16 +1113,19 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     directly.
     """
     procs = sig.processes
-    combos = _gossip_plan(sig)
+    plans = _gossip_plan(sig)
+    pairs = [(src, tgt, fam) for tgt, _, sources in plans for src, fam, _ in sources]
 
     @functools.cache
     def cores() -> tuple:
-        """Per pair, its PreorderCore and one LastCore per family path; built
-        the first time a search needs them, so annotate and decide never do."""
-        return tuple(
-            (PreorderCore(tgt, fam), tuple(LastCore(pi) for pi in fam))
-            for _, tgt, fam, _ in combos
-        )
+        """Per pair, its PreorderCore, the family's closure indices in it and
+        one LastCore per family path; built the first time a search needs
+        them, so annotate and decide never do."""
+        out = []
+        for _, tgt, fam in pairs:
+            pc = PreorderCore(tgt, fam)
+            out.append((pc, tuple(map(pc.clos.index, fam)), tuple(LastCore(pi) for pi in fam)))
+        return tuple(out)
 
     def annotate(m):
         # depends only on the base MSC; memoized so repeated membership
@@ -1068,15 +1134,17 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         cached = m._caches.get(key)
         if cached is not None:
             return cached
-        labels = [m.label[e] for e in m.events]
-        out = {e: [] for e in m.events}
-        for _, tgt, _, plan in combos:  # src in process order for each tgt
-            for f, at, pre in _preorder_steps(m, tgt, plan):
-                values = [BOTTOM if at[j] == _BOT else labels[at[j]] for j in plan.members]
-                val = gossip_component_value(plan.members, pre, values)
-                assert val is not _NO_MAXIMUM  # the true preorder is total
-                out[f].append(val)
-        result = {e: tuple(vals) for e, vals in out.items()}
+        # index _BOT = -1 of the labels reads ⊥
+        labels = [m.label[e] for e in m.events] + [BOTTOM]
+        result = dict.fromkeys(m.events, ())
+        for tgt, plan, sources in plans:
+            for f, at, rows in _preorder_steps(m, tgt, plan):
+                vals = tuple(
+                    gossip_component_value(members, rows, [labels[at[j]] for j in members])
+                    for _, _, members in sources
+                )
+                assert _NO_MAXIMUM not in vals  # the true preorder is total
+                result[f] = vals
         m._caches[key] = result
         return result
 
@@ -1086,7 +1154,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
 
     def starts(p):
         state = tuple(
-            (pc.start(), *(vc.start() for vc in vcs)) for pc, vcs in cores()
+            (pc.start(), *(vc.start() for vc in vcs)) for pc, _, vcs in cores()
         )
         return [state]
 
@@ -1098,7 +1166,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         xi_by_proc = dict(zip(procs, xi))
         send = kind == "send"
 
-        def pair_moves(src, tgt, plan, pc, vcs, pair_state, msg_in, want):
+        def pair_moves(src, tgt, pc, members, vcs, pair_state, msg_in, want):
             """The product of a pair's PreorderCore and value LastCores,
             checked against the claimed component at tgt."""
             parts = [functools.partial(pc.step, pair_state[0], ctx)] + [
@@ -1107,19 +1175,19 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
             ]
             for states, outs, payload in product_moves(parts, msg_in, send, want):
                 if p != tgt or xi_by_proc[src] == gossip_component_value(
-                    plan.members, outs[0], outs[1:]
+                    members, outs[0], outs[1:]
                 ):
                     yield states, None, payload
 
         parts = [
-            functools.partial(pair_moves, src, tgt, plan, pc, vcs, pair_state)
-            for (src, tgt, _, plan), (pc, vcs), pair_state in zip(combos, cores(), state)
+            functools.partial(pair_moves, src, tgt, *core, pair_state)
+            for (src, tgt, _), core, pair_state in zip(pairs, cores(), state)
         ]
         for states, _, payload in product_moves(parts, msg_in, send, want):
             yield states, payload
 
     def final_ok(p, state):
-        return all(pc.final(st[0]) for (pc, _), st in zip(cores(), state))
+        return all(pc.final(st[0]) for (pc, _, _), st in zip(cores(), state))
 
     def canonical(m):
         parts = [
@@ -1127,7 +1195,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
                 preorder_canonical_states(m, tgt, fam),
                 [last_theta(m, pi, m.label) for pi in fam],
             )
-            for _, tgt, fam, _ in combos
+            for _, tgt, fam in pairs
         ]
         return {
             e: tuple((pre[e], *(th[e] for th in ths)) for pre, ths in parts)

@@ -575,9 +575,11 @@ def _since_plan(sig: SystemSignature) -> tuple[PathTrie, dict]:
     return trie, nodes
 
 
-def _dominates(pre_pairs: frozenset, left, right) -> bool:
-    """Some left path strictly above every right path in the total preorder."""
-    return any(all((l, r) not in pre_pairs for r in right) for l in left)
+def _dominates(rows: tuple, left: tuple, right: int) -> bool:
+    """Some left path strictly above every right path in the total preorder,
+    given as preorder_combine's rows: ``left`` holds the left paths' closure
+    indices and bit r of ``right`` is set for each right path's index r."""
+    return any(not rows[l] & right for l in left)
 
 
 def _abcd_msc(m: Msc, bits1: dict, bits2: dict) -> Msc:
@@ -712,15 +714,15 @@ def compile_since(
     lf_nodes, rt_nodes = nodes[p, q]
 
     @functools.cache
-    def core() -> tuple[PreorderCore, tuple, tuple]:
-        """The preorder core and the closure indices of lf and rt."""
+    def core() -> tuple[PreorderCore, tuple, int]:
+        """The preorder core, the closure indices of lf and their mask for rt."""
         pc = PreorderCore(q, tuple(dict.fromkeys(lf + rt)))
-        return pc, tuple(map(pc.clos.index, lf)), tuple(map(pc.clos.index, rt))
+        return pc, tuple(map(pc.clos.index, lf)), sum(1 << pc.clos.index(r) for r in rt)
 
     def moves(pp, state, ctx, msg_in, want=None):
-        pc, lf_at, rt_at = core()
+        pc, lf_at, rt_mask = core()
         for ns, out, pay in pc.step(state, ctx, msg_in):
-            yield ns, pp == q and _dominates(out, lf_at, rt_at), pay
+            yield ns, pp == q and _dominates(out, lf_at, rt_mask), pay
 
     def starts(pp):
         return [core()[0].start()]

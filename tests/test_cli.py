@@ -183,6 +183,23 @@ def test_malformed_cfm_json_exits_2(case, fig_file, tmp_path, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+CFM_VERBS = {
+    "cfm run": ["cfm", "run", "{cfm}", "{msc}"],
+    "cfm det": ["cfm", "det", "{cfm}"],
+    "cfm mirror": ["cfm", "mirror", "{cfm}"],
+    "cfm product": ["cfm", "product", "{cfm}", "{cfm}"],
+    "impossible refute": ["impossible", "refute", "{cfm}"],
+}
+
+
+@pytest.mark.parametrize("verb", CFM_VERBS.values(), ids=CFM_VERBS.keys())
+def test_unreadable_cfm_file_exits_2(verb, fig_file, tmp_path, capsys):
+    # a missing file and a directory, as a missing MSC file is reported
+    for path in (str(tmp_path / "nope.json"), str(tmp_path)):
+        assert dispatch([a.format(cfm=path, msc=fig_file) for a in verb]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+
+
 def test_flags_only_where_read(fig_file, tmp_path):
     ann_path = tmp_path / "ann.json"
     assert dispatch(["gossip", "annotate", fig_file, "--out", str(ann_path)]) == 0

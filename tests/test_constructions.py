@@ -15,11 +15,14 @@ from mscgossip.cfm import (
 )
 from mscgossip.constructions import (
     _BOT,
+    _NO_MAXIMUM,
     _TOP,
     _gossip_plan,
+    _mask,
     _mirror_symbols,
     _preorder_plan,
     _preorder_steps,
+    _star_lift,
     _theta_rule,
     _trie_pass,
     FOUR_COLORS,
@@ -43,12 +46,14 @@ from mscgossip.constructions import (
     first_theta,
     first_value,
     fixpoint_bits,
+    gossip_component_value,
     last_theta,
     last_value,
     oracle_gossip_annotation,
     ord_annotation,
     preorder_bits,
     preorder_canonical_states,
+    preorder_combine,
     reachable_state_report,
     replay,
     trie_maps,
@@ -174,7 +179,7 @@ def test_preorder_bottom_bits_match_oracle():
             plan = _preorder_plan((pi,))
             for q in SIG3.processes:
                 for f, at, _ in _preorder_steps(m, q, plan):
-                    assert (at[plan.members[0]] == _BOT) == (last(m, pi, f) is BOTTOM)
+                    assert (at[plan.clos.index(pi)] == _BOT) == (last(m, pi, f) is BOTTOM)
                     checked += 1
     assert checked == len(PATH_SHAPES) * sum(len(m.events) for m in CORPUS3[:10])
 
@@ -393,6 +398,85 @@ def test_closure_identifies_double_star():
     assert len(clos) == 3  # ->, -> ->*, ->* (->* ->* folds into ->*)
     assert closure_with_star((PI,)) == (PI,)  # already ends in ->*
     assert star_prepend(STAR) == STAR
+
+
+def _reference_combine(star_app, prev, bot, star_bits, plus_bits) -> frozenset:
+    """The ⪯ recurrence on closure index pairs, what preorder_combine's rows
+    must give: (i, j) when π_i ⪯ π_j.  bot[i] is [last_{π_i}(f) = ⊥] and
+    star_bits[i*c + j] (plus_bits[i*c + j]) says f is a f^{π_i,→*π_j}
+    (f^{π_i,→+π_j}) fixpoint."""
+    c = len(star_app)
+    pairs = []
+    for i in range(c):
+        for j in range(c):
+            if prev is None or (star_app[i], star_app[j]) not in prev:
+                holds = bot[i] or star_bits[i * c + j]
+            else:
+                holds = not plus_bits[j * c + i] and (bot[i] or not bot[j])
+            if holds:
+                pairs.append((i, j))
+    return frozenset(pairs)
+
+
+def _reference_component_value(members, pre_pairs, values):
+    """The first member every member is ⪯ to, on closure index pairs."""
+    for k, j in enumerate(members):
+        if all((other, j) in pre_pairs for other in members):
+            return None if values[k] is BOTTOM else values[k]
+    return _NO_MAXIMUM
+
+
+def _pairs(rows) -> frozenset:
+    return frozenset((i, j) for i, row in enumerate(rows) for j in range(len(rows)) if row >> j & 1)
+
+
+@st.composite
+def _rows(draw, c):
+    return tuple(draw(st.integers(0, (1 << c) - 1)) for _ in range(c))
+
+
+@st.composite
+def _recurrence_inputs(draw):
+    c = draw(st.integers(1, 6))
+    # an idempotent star_app: the →*-closed paths map to themselves
+    closed = sorted(draw(st.sets(st.integers(0, c - 1), min_size=1)))
+    star_app = tuple(i if i in closed else draw(st.sampled_from(closed)) for i in range(c))
+    bits = st.lists(st.booleans(), min_size=c * c, max_size=c * c)
+    return (
+        star_app,
+        draw(st.none() | _rows(c)),
+        draw(st.lists(st.booleans(), min_size=c, max_size=c)),
+        draw(bits),
+        draw(bits),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_recurrence_inputs())
+def test_preorder_combine_rows_match_pair_reference(args):
+    star_app, prev, bot, star_bits, plus_bits = args
+    c = len(star_app)
+    rows = preorder_combine(
+        _star_lift(star_app),
+        prev,
+        _mask(bot),
+        [_mask(star_bits[i * c : i * c + c]) for i in range(c)],
+        [_mask(plus_bits[j * c + i] for j in range(c)) for i in range(c)],
+    )
+    prev_pairs = None if prev is None else _pairs(prev)
+    assert _pairs(rows) == _reference_combine(star_app, prev_pairs, bot, star_bits, plus_bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+    _rows(c),
+    st.lists(st.integers(0, c - 1), unique=True),
+    st.lists(st.sampled_from(("a", "b", BOTTOM)), min_size=c, max_size=c),
+)))
+def test_gossip_component_value_matches_pair_reference(args):
+    rows, members, values = args
+    want = _reference_component_value(members, _pairs(rows), values)
+    assert gossip_component_value(members, rows, values) == want
 
 
 # -- transition-relation route (run search) ------------------------------------
@@ -675,7 +759,7 @@ def test_gossip_trie_nodes_match_oracle(k, seed, max_events):
     # of its path at every event, against the relational oracle
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
-    _, _, _, plan = _gossip_plan(sig)[0]  # every pair's plan reads the same two tries
+    _, plan, _ = _gossip_plan(sig)[0]  # every target's plan reads the same two tries
     for trie, oracle, none in (
         (plan.last_trie, last, BOTTOM),
         (plan.first_trie, first, TOP),
@@ -728,7 +812,7 @@ def test_compiled_pass_matches_theta_rule(k, seed, max_events):
     # examples, give the edge-by-edge maps of _theta_rule
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
-    _, _, _, plan = _gossip_plan(sig)[0]
+    _, plan, _ = _gossip_plan(sig)[0]
     for trie in (plan.last_trie, plan.first_trie):
         assert _trie_pass(m, trie) == _reference_pass(m, trie)
 
@@ -894,6 +978,22 @@ def test_gossip_state_report_runs():
     mach = build_gossip_cfm(SIG2)
     rep = reachable_state_report(mach, CORPUS2[:3])
     assert rep["total"] >= 2
+
+
+def test_reachable_state_counts_are_pinned():
+    # an encoding of the preorder state that split or merged states moves these
+    gossip = build_gossip_cfm(SIG3)
+    assert reachable_state_report(gossip, [fig_base()])["per_process"] == {
+        "p": 9, "q": 9, "r": 9
+    }
+    assert reachable_state_report(gossip, [fig_base(), fig_flipped()])["per_process"] == {
+        "p": 9, "q": 13, "r": 9
+    }
+    assert reachable_state_report(build_gossip_cfm(SIG2), CORPUS2)["total"] == 62
+    for paths in [(PLUS,), (PLUS, STAR)]:
+        assert reachable_state_report(build_preorder_cfm("q", "q", paths), CORPUS2[:6])[
+            "total"
+        ] == 14
 
 
 # -- the want contract -----------------------------------------------------------

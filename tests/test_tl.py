@@ -7,9 +7,10 @@ from mscgossip import tl
 from mscgossip.cfm import attach_annotation, find_accepting_run
 from mscgossip.constructions import (
     PathTrie,
+    _preorder_plan,
+    _preorder_steps,
     build_gossip_cfm,
     oracle_gossip_annotation,
-    preorder_bits,
 )
 from mscgossip.corpus import random_corpus
 from mscgossip.msc import (
@@ -395,12 +396,13 @@ def test_since_pair_bits_match_the_preorder_switch_rules():
         for tgt in ABCD_SIG.processes:
             cs = compile_since(src, tgt, ABCD_SIG)
             lf, rt = since_path_sets(ABCD_SIG, src, tgt)
-            paths = tuple(dict.fromkeys(lf + rt))
+            plan = _preorder_plan(tuple(dict.fromkeys(lf + rt)))
+            lf_at = tuple(map(plan.clos.index, lf))
+            rt_mask = sum(1 << plan.clos.index(r) for r in rt)
             for m in ABCD_CORPUS:
-                pb = preorder_bits(m, tgt, paths)
                 got = cs.annotate(m)
-                for e in m.events_of(tgt):
-                    assert got[e] == _dominates(pb[e], lf, rt), (src, tgt, e)
+                for e, _, rows in _preorder_steps(m, tgt, plan):
+                    assert got[e] == _dominates(rows, lf_at, rt_mask), (src, tgt, e)
                     checked += 1
     assert checked == 108
 
