@@ -256,11 +256,13 @@ def _mirror_symbols(pi: PathExpr) -> tuple:
 
 
 def _chain_theta(m: Msc, trie: PathTrie, base: dict, none) -> dict[str, tuple]:
-    """The trie pass on a one-path trie, each event index read through base."""
+    """The memoised trie map of a one-path trie, each event index read
+    through base: θ under any base is the identity-base map read through it,
+    so one pass per MSC and path serves every base."""
     vals = [base[e] for e in m.events]
     return {
         e: tuple(none if g < 0 else vals[g] for g in row)
-        for e, row in zip(m.events, _trie_pass(m, trie))
+        for e, row in zip(m.events, trie_maps(m, trie))
     }
 
 
@@ -852,10 +854,25 @@ def _split_pair_annot(ext: ExtendedMsc) -> tuple[dict, dict]:
     return xi1, xi2
 
 
-def _pair_machine(
-    core, name, annotate, decide, check_all: bool, check_proc: Optional[str] = None
-) -> AnnotationCfm:
-    """Wrap a θ-core whose annotations are (ξ1, ξ2) pairs."""
+def _pair_machine(core, name, value, check_proc: Optional[str] = None) -> AnnotationCfm:
+    """Wrap a θ-core whose annotations are (ξ1, ξ2) pairs with ξ2 =
+    value(m, ξ1) on process ``check_proc``, or on every process when it is
+    None.  Off check_proc ξ2 is free and the canonical annotation copies ξ1.
+    The annotation, the decision and the step's check of ξ2 against the
+    core's output are all read off this one rule."""
+
+    def checks(p) -> bool:
+        return check_proc is None or p == check_proc
+
+    def annotate(m, xi1):
+        vals = value(m, xi1)
+        return {e: (xi1[e], vals[e] if checks(m.loc[e]) else xi1[e]) for e in m.events}
+
+    def decide(ext):
+        xi1, xi2 = _split_pair_annot(ext)
+        m = ext.base
+        vals = value(m, xi1)
+        return all(xi2[e] == vals[e] for e in m.events if checks(m.loc[e]))
 
     def starts(p):
         return [core.start()]
@@ -864,10 +881,8 @@ def _pair_machine(
         sigma, (xi1, xi2) = _decode_label(label)
         ctx = StepCtx(p, kind, peer, sigma)
         for new_state, out, payload in core.step(state, ctx, xi1, msg_in):
-            if check_all or p == check_proc:
-                if out != xi2:
-                    continue
-            yield new_state, payload
+            if out == xi2 or not checks(p):
+                yield new_state, payload
 
     def final_ok(p, state):
         return core.final(state)
@@ -886,21 +901,10 @@ def build_last_label_cfm(theta_set: Iterable[Hashable], pi: PathExpr) -> Annotat
     if BOTTOM in theta_set:
         raise ValueError("⊥ cannot be a member of Θ")
 
-    def annotate(m, xi1):
-        vals = last_value(m, pi, xi1)
-        return {e: (xi1[e], vals[e]) for e in m.events}
-
-    def decide(ext):
-        xi1, xi2 = _split_pair_annot(ext)
-        vals = last_value(ext.base, pi, xi1)
-        return all(xi2[e] == vals[e] for e in ext.base.events)
-
     return _pair_machine(
         LastCore(pi),
         f"last-label[{format_path(pi)}]",
-        annotate,
-        decide,
-        check_all=True,
+        lambda m, xi1: last_value(m, pi, xi1),
     )
 
 
@@ -910,21 +914,10 @@ def build_first_label_cfm(theta_set: Iterable[Hashable], pi: PathExpr) -> Annota
     if TOP in theta_set:
         raise ValueError("⊤ cannot be a member of Θ")
 
-    def annotate(m, xi1):
-        vals = first_value(m, pi, xi1)
-        return {e: (xi1[e], vals[e]) for e in m.events}
-
-    def decide(ext):
-        xi1, xi2 = _split_pair_annot(ext)
-        vals = first_value(ext.base, pi, xi1)
-        return all(xi2[e] == vals[e] for e in ext.base.events)
-
     return _pair_machine(
         FirstCore(pi, theta_set),
         f"first-label[{format_path(pi)}]",
-        annotate,
-        decide,
-        check_all=True,
+        lambda m, xi1: first_value(m, pi, xi1),
     )
 
 
@@ -944,21 +937,10 @@ def build_fa_label_cfm(
         if (p, q) not in comp(sig, pi) or (p, q) not in comp(sig, pi2):
             raise PathError(f"paths are not both compatible with ({p},{q})")
 
-    def annotate(m, xi1):
-        vals = fa_value(m, pi, pi2, xi1)
-        return {e: (xi1[e], vals[e] if m.loc[e] == q else xi1[e]) for e in m.events}
-
-    def decide(ext):
-        xi1, xi2 = _split_pair_annot(ext)
-        vals = fa_value(ext.base, pi, pi2, xi1)
-        return all(xi2[e] == vals[e] for e in ext.base.events_of(q))
-
     return _pair_machine(
         FaCore(pi, pi2, theta_set),
         f"fa-label[{format_path(pi)};{format_path(pi2)}]@{q}",
-        annotate,
-        decide,
-        check_all=False,
+        lambda m, xi1: fa_value(m, pi, pi2, xi1),
         check_proc=q,
     )
 
@@ -1054,10 +1036,6 @@ def build_preorder_cfm(
     )
 
 
-def gossip_value_encoding(v) -> Optional[str]:
-    return None if v is BOTTOM else v
-
-
 _NO_MAXIMUM = object()
 
 
@@ -1076,7 +1054,7 @@ def gossip_component_value(members: tuple, rows: tuple, values):
         above &= rows[i]
     for k, j in enumerate(members):
         if above >> j & 1:
-            return gossip_value_encoding(values[k])
+            return None if values[k] is BOTTOM else values[k]
     return _NO_MAXIMUM
 
 
@@ -1231,15 +1209,16 @@ def canonical_coloring(m: Msc, q: str, pi: PathExpr, pi2: PathExpr) -> dict:
     (the targets form a functional graph, so chains and even cycles can
     always be 2-colored); other processes get a fixed dummy color.
     """
-    bits = fixpoint_bits(m, pi, pi2)
     targets = fa_target(m, pi, pi2)
     zeta = {e: "z1" for e in m.events}
     alt = "c2"
+    gray = []
     for e in m.events_of(q):
-        if bits[e]:
+        if targets[e] == e:
             alt = "c1" if alt == "c2" else "c2"
             zeta[e] = alt
-    gray = [e for e in m.events_of(q) if not bits[e]]
+        else:
+            gray.append(e)
     grayset = set(gray)
     succ = {e: targets[e] for e in gray if targets[e] in grayset}
     color: dict[str, str] = {}
@@ -1270,14 +1249,14 @@ def fix_canonical_states(m: Msc, q: str, pi: PathExpr, pi2: PathExpr) -> dict:
     zeta = canonical_coloring(m, q, pi, pi2)
     th5 = first_theta(m, pi2, zeta)
     th4 = last_theta(m, pi, {e: th5[e][-1] for e in m.events})
-    bits = fixpoint_bits(m, pi, pi2)
-    alt = {p: "c2" for p in m.signature.processes}
+    # the bit-1 q-events are the ones coloured c1 or c2, and the alternation
+    # of every other process stays at its start c2
+    alt = "c2"
     out = {}
-    for e in linearize(m):
-        p = m.loc[e]
-        if p == q and bits[e]:
-            alt[p] = "c1" if alt[p] == "c2" else "c2"
-        out[e] = ((th5[e], th4[e]), alt[p])
+    for e in m.events:
+        if zeta[e] in ("c1", "c2"):
+            alt = zeta[e]
+        out[e] = ((th5[e], th4[e]), alt if m.loc[e] == q else "c2")
     return out
 
 

@@ -11,8 +11,8 @@ correctly bit-annotated MSCs, built from the preorder construction chain:
 a since formula reduces, after recoding subformula bits to a four-letter
 alphabet, to a per-process-pair dominance test between two families of
 letter-decorated paths (``compile_since``), stepped by the preorder machinery
-and decided directly from last events.  Until machines are the mirror images
-of since machines for the mirrored operands.
+and decided directly by comparing the indices of last events.  Until machines
+are the mirror images of since machines for the mirrored operands.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .constructions import AnnotationCfm, PathTrie, PreorderCore, StepCtx, product_moves, trie_maps
-from .msc import (
-    BOTTOM,
-    ExtendedMsc,
-    Msc,
-    SystemSignature,
-    causal_leq,
-    causal_lt,
-)
+from .msc import ExtendedMsc, Msc, SystemSignature, causal_lt
 from .paths import LabelTest, PathExpr, gossip_paths_between
 
 
@@ -699,7 +692,10 @@ def compile_since(
 
     Reads (letter, bit) pairs with letter in {a, b, c, d}; the bit on
     q-events must be 1 iff some decorated left path from p strictly
-    dominates every right path.  Events off q must carry bit 0.
+    dominates every right path.  Events off q must carry bit 0.  The direct
+    route reads the last events of both families off the memoised map of the
+    since trie: they are all p-events or ⊥, so dominance is a comparison of
+    event indices.
 
     This is the one construction of a pair: the since machine is built from
     these.  ``moves(pp, state, ctx, msg_in, want=None)`` yields the
@@ -740,21 +736,15 @@ def compile_since(
         return core()[0].final(state)
 
     def annotate(m):
-        # (l,r) is in the preorder at e iff last_l(e) <= last_r(e), so "l
-        # strictly above every r" is a causal comparison of last events
+        # (l,r) is in the preorder at e iff last_l(e) <= last_r(e).  Every
+        # such last event is a p-event or _BOT = -1, and m.events lists p's
+        # events in process order, so "some l strictly above every r" is a
+        # comparison of the largest event indices on the one trie map
         maps = trie_maps(m, trie)
-
-        def event(g):
-            return BOTTOM if g < 0 else m.events[g]
-
-        out = {e: 0 for e in m.events}
+        out = dict.fromkeys(m.events, 0)
         for e in m.events_of(q):
             row = maps[m.index[e]]
-            rights = [event(row[r]) for r in rt_nodes]
-            if any(
-                all(not causal_leq(m, event(row[l]), r) for r in rights)
-                for l in lf_nodes
-            ):
+            if max(row[l] for l in lf_nodes) > max(row[r] for r in rt_nodes):
                 out[e] = 1
         return out
 

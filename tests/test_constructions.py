@@ -704,6 +704,41 @@ def test_gossip_replay_names_a_wrong_component():
     assert err.value.event == "f5" and "'f5'" in str(err.value)
 
 
+def test_gossip_replay_at_k4():
+    # the composite relation at k = 4, on an MSC the search cannot finish:
+    # the oracle annotation replays to the final check, and a flipped
+    # component stops the replay at its event
+    sig = SystemSignature(tuple(f"p{i}" for i in range(1, 5)), ("a", "b"))
+    rng = random.Random(4)
+    m = next(m for m in iter(lambda: random_msc(sig, rng, 5), None) if len(m.events) >= 15)
+    mach = build_gossip_cfm(sig)
+    ext = oracle_gossip_annotation(m)
+    replay(mach, ext)
+    e = max(m.events, key=lambda e: sum(v is not None for v in ext.annot[e]))
+    i = next(i for i, v in enumerate(ext.annot[e]) if v is not None)
+    flipped = list(ext.annot[e])
+    flipped[i] = "b" if flipped[i] == "a" else "a"
+    with pytest.raises(ReplayError) as err:
+        replay(mach, ext.with_annot(e, tuple(flipped)))
+    assert err.value.event == e
+
+
+def test_canonical_states_run_one_pass_per_trie(monkeypatch):
+    # θ under any base is the identity-base map of its trie read through that
+    # base, so the canonical run makes one pass per trie and keeps its map
+    passes = []
+
+    def counted(m, trie):
+        passes.append(trie)
+        return _trie_pass(m, trie)
+
+    monkeypatch.setattr(constructions, "_trie_pass", counted)
+    m = random_msc(SIG3, random.Random(3), 12)
+    assert len(m.events) >= 20
+    build_gossip_cfm(SIG3).canonical_states(m)
+    assert len(passes) == sum(isinstance(key, PathTrie) for key in m._caches)
+
+
 def test_gossip_message_carries_label():
     mach = build_gossip_cfm(SIG2)
     m = Msc(SIG2, [("s", "p", "a"), ("r", "q", "b")], [("s", "r")])
