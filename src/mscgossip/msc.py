@@ -91,13 +91,6 @@ class Msc:
     # -- derived structure ------------------------------------------------
 
     @property
-    def mirror(self) -> "Msc":
-        """mirror_msc(self), built once per MSC."""
-        if "mirror" not in self._caches:
-            self._caches["mirror"] = mirror_msc(self)
-        return self._caches["mirror"]
-
-    @property
     def index(self) -> dict[str, int]:
         if "index" not in self._caches:
             self._caches["index"] = {e: i for i, e in enumerate(self.events)}

@@ -11,14 +11,14 @@ correctly bit-annotated MSCs, built from the preorder construction chain:
 a since formula reduces, after recoding subformula bits to a four-letter
 alphabet, to a per-process-pair dominance test between two families of
 letter-decorated paths (``compile_since``), stepped by the preorder machinery
-and decided directly by comparing the indices of last events.  Until machines
-are the mirror images of since machines for the mirrored operands.
+and decided directly by comparing the indices of last events.  Until is the
+time reversal of since: the same dominance test on the same MSC, read off the
+mirror pass of the since paths, which walks the linearization backwards.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Hashable
@@ -552,15 +552,17 @@ def since_path_sets(
 
 
 @functools.cache
-def _since_plan(sig: SystemSignature) -> tuple[PathTrie, dict]:
+def _since_plan(sig: SystemSignature, mirror: bool) -> tuple[PathTrie, dict]:
     """One trie over the since paths of every pair, and per (src, tgt) the
-    trie nodes of its left and right families; compiled once per signature."""
+    trie nodes of its left and right families; compiled once per signature
+    and direction.  The until plan holds the same paths in a mirror trie,
+    whose pass reads them on the time reversal of the MSC."""
     families = {
         (src, tgt): since_path_sets(sig, src, tgt)
         for tgt in sig.processes
         for src in sig.processes
     }
-    trie = PathTrie(pi.symbols for lf, rt in families.values() for pi in lf + rt)
+    trie = PathTrie((pi.symbols for lf, rt in families.values() for pi in lf + rt), mirror)
     nodes = {
         pair: tuple(tuple(trie.find(pi.symbols) for pi in fam) for fam in lf_rt)
         for pair, lf_rt in families.items()
@@ -573,6 +575,32 @@ def _dominates(rows: tuple, left: tuple, right: int) -> bool:
     given as preorder_combine's rows: ``left`` holds the left paths' closure
     indices and bit r of ``right`` is set for each right path's index r."""
     return any(not rows[l] & right for l in left)
+
+
+def _dominance(m: Msc, sig: SystemSignature, pairs, mirror: bool) -> dict[str, int]:
+    """Bit 1 at a tgt-event iff, for some (src, tgt) in ``pairs``, the last
+    event of a left path is more recent than that of every right path, all
+    read off the one map of the since trie (its mirror for until).
+
+    (l, r) is in the preorder at e iff last_l(e) <= last_r(e).  Every such
+    last event is a src-event or none, and m.events lists src's events in
+    process order, so recency is the event index on the forward pass and
+    the index reversed on the mirror pass; none (_BOT, _TOP) is the least
+    recent.
+    """
+    trie, nodes = _since_plan(sig, mirror)
+    maps = trie_maps(m, trie)
+    n = len(m.events)
+    # an event index's recency; _BOT and _TOP index this list from its end
+    recency = [*(range(n, 0, -1) if mirror else range(n)), -1, -1]
+    out = dict.fromkeys(m.events, 0)
+    for src, tgt in pairs:
+        lf, rt = nodes[src, tgt]
+        for e in m.events_of(tgt):
+            row = maps[m.index[e]]
+            if max(recency[row[l]] for l in lf) > max(recency[row[r]] for r in rt):
+                out[e] = 1
+    return out
 
 
 def _abcd_msc(m: Msc, bits1: dict, bits2: dict) -> Msc:
@@ -693,11 +721,9 @@ def compile_since(
     Reads (letter, bit) pairs with letter in {a, b, c, d}; the bit on
     q-events must be 1 iff some decorated left path from p strictly
     dominates every right path.  Events off q must carry bit 0.  The direct
-    route reads the last events of both families off the memoised map of the
-    since trie: they are all p-events or ⊥, so dominance is a comparison of
-    event indices.
+    route is _dominance for the one pair (p, q).
 
-    This is the one construction of a pair: the since machine is built from
+    This is the one construction of a pair: the since machine's search runs
     these.  ``moves(pp, state, ctx, msg_in, want=None)`` yields the
     preorder core's moves with their dominance bit (False off q) and ignores
     ``want``; the core is built the first time a search needs it, so
@@ -706,8 +732,6 @@ def compile_since(
     if p not in sig.processes or q not in sig.processes:
         raise TlError(f"unknown process in pair ({p!r}, {q!r})")
     lf, rt = since_path_sets(sig, p, q)
-    trie, nodes = _since_plan(sig)
-    lf_nodes, rt_nodes = nodes[p, q]
 
     @functools.cache
     def core() -> tuple[PreorderCore, tuple, int]:
@@ -736,17 +760,7 @@ def compile_since(
         return core()[0].final(state)
 
     def annotate(m):
-        # (l,r) is in the preorder at e iff last_l(e) <= last_r(e).  Every
-        # such last event is a p-event or _BOT = -1, and m.events lists p's
-        # events in process order, so "some l strictly above every r" is a
-        # comparison of the largest event indices on the one trie map
-        maps = trie_maps(m, trie)
-        out = dict.fromkeys(m.events, 0)
-        for e in m.events_of(q):
-            row = maps[m.index[e]]
-            if max(row[l] for l in lf_nodes) > max(row[r] for r in rt_nodes):
-                out[e] = 1
-        return out
+        return _dominance(m, sig, [(p, q)], False)
 
     def decide(ext):
         want = annotate(ext.base)
@@ -760,39 +774,48 @@ def compile_since(
 
 
 def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
-    """The pair machines of every (src, tgt) over the abcd recoding.
+    """Since, and until as its time reversal, over the abcd recoding.
 
     The bit at an event on process tgt is 1 iff, for some src, the most
     recent src-witness (letters a/c) strictly dominates every src-event whose
-    path to here crosses a letter in {c, d}: the OR of the pairs' bits.
+    path to here crosses a letter in {c, d}.  For until, most recent is in
+    reversed time: annotate is _dominance on the mirror pass of the since
+    trie over the recoded MSC, so no mirror MSC is built.
+
+    A search steps the product of the operands' machines and of every
+    (src, tgt) pair's compile_since machine, built the first time a search
+    needs them.  Until has no forward relation: its search raises TlError.
     """
     procs = sig.processes
-    pairs = [compile_since(src, tgt, sig) for tgt in procs for src in procs]
+    mirror = isinstance(phi, Until)
+    every_pair = [(src, tgt) for tgt in procs for src in procs]
+
+    @functools.cache
+    def pairs() -> list:
+        if mirror:
+            raise TlError(
+                "the until machine's transition relation is the mirror of its "
+                "since core and cannot be searched forward; use decide()"
+            )
+        return [compile_since(src, tgt, sig) for src, tgt in every_pair]
 
     def starts(p):
-        core_starts = list(itertools.product(*(pair._starts(p) for pair in pairs)))
-        return [
-            (s1, s2, *cs)
-            for s1 in m1._starts(p)
-            for s2 in m2._starts(p)
-            for cs in core_starts
-        ]
+        cs = tuple(pair._starts(p)[0] for pair in pairs())
+        return [(s1, s2, *cs) for s1 in m1._starts(p) for s2 in m2._starts(p)]
 
     def step(p, state, kind, label, peer, msg_in):
         """The product of both operands' machines, at guessed bits b1 and
         b2, and of every pair's core on the event recoded from b1 and b2."""
         sigma, bit = label
         bit = _bit_of(bit)
+        cores = list(zip(pairs(), state[2:]))
         for b1 in (0, 1):
             for b2 in (0, 1):
                 ctx = StepCtx(p, kind, peer, _recode(b1, b2))
                 parts = [
                     _guessed(m1, p, state[0], kind, sigma, peer, (b1,)),
                     _guessed(m2, p, state[1], kind, sigma, peer, (b2,)),
-                ] + [
-                    functools.partial(pair.moves, p, cs, ctx)
-                    for pair, cs in zip(pairs, state[2:])
-                ]
+                ] + [functools.partial(pair.moves, p, cs, ctx) for pair, cs in cores]
                 for states, outs, payload in product_moves(parts, msg_in, kind == "send"):
                     if any(outs[2:]) == bit:
                         yield states, payload
@@ -801,33 +824,14 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         return (
             m1._final(p, state[0])
             and m2._final(p, state[1])
-            and all(pair._final(p, cs) for pair, cs in zip(pairs, state[2:]))
+            and all(pair._final(p, cs) for pair, cs in zip(pairs(), state[2:]))
         )
 
     def annotate(m):
         recoded = _abcd_msc(m, m1._annotate_fn(m), m2._annotate_fn(m))
-        bits = [pair.annotate(recoded) for pair in pairs]
-        return {e: max(b[e] for b in bits) for e in m.events}
+        return _dominance(recoded, sig, every_pair, mirror)
 
     return _TlMachine(phi, sig, starts, step, final_ok, annotate)
-
-
-def _until_machine(phi, sig, since: _TlMachine) -> _TlMachine:
-    """Mirror image of the since machine built for the mirrored operands."""
-
-    def starts(p):
-        raise TlError(
-            "the until machine's transition relation is the mirror of its "
-            "since core and cannot be searched forward; use decide()"
-        )
-
-    def step(p, state, kind, label, peer, msg_in):
-        starts(p)
-
-    def annotate(m):
-        return since._annotate_fn(m.mirror)
-
-    return _TlMachine(phi, sig, starts, step, lambda p, s: False, annotate)
 
 
 def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:
@@ -852,13 +856,10 @@ def _compile_core(phi, sig) -> _TlMachine:
         return _or_machine(
             phi, sig, _compile_core(phi.left, sig), _compile_core(phi.right, sig)
         )
-    if isinstance(phi, Since):
+    if isinstance(phi, (Since, Until)):
         return _since_machine(
             phi, sig, _compile_core(phi.left, sig), _compile_core(phi.right, sig)
         )
-    if isinstance(phi, Until):
-        mirrored = Since(mirror_formula(phi.left), mirror_formula(phi.right))
-        return _until_machine(phi, sig, _compile_core(mirrored, sig))
     if isinstance(phi, Co):
         raise TlError(
             "unsupported: external construction (the concurrency modality's "

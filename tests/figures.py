@@ -1,4 +1,5 @@
-"""Shared hand-built MSC fixtures used across the test suite.
+"""Shared hand-built MSC fixtures and a random formula grammar used across
+the test suite.
 
 ``fig_base`` is a 24-event MSC over processes p, q, r in which p emits a
 stream of b/a events, some relayed to q through r.  ``fig_annotated`` is the
@@ -7,6 +8,7 @@ whose per-event path comparisons are frozen in the tests.
 """
 
 from mscgossip.msc import Msc, SystemSignature
+from mscgossip.tl import And, Atom, Not, Or, Proc, Since, Until
 
 SIG3 = SystemSignature(processes=("p", "q", "r"), alphabet=("a", "b", "d"))
 
@@ -47,3 +49,22 @@ def fig_flipped() -> Msc:
     q[2] = "a"
     q[5] = "a"
     return _build(q)
+
+
+def acceptance_formula(rng, depth):
+    """A random formula over a, b, @p and @q: the acceptance grammar."""
+    leaves = [Atom("a"), Atom("b"), Proc("p"), Proc("q")]
+    if depth == 0:
+        return rng.choice(leaves)
+    k = rng.randrange(6)
+    if k == 0:
+        return rng.choice(leaves)
+    if k == 1:
+        return Not(acceptance_formula(rng, depth - 1))
+    if k == 2:
+        return Or(acceptance_formula(rng, depth - 1), acceptance_formula(rng, depth - 1))
+    if k == 3:
+        return And(acceptance_formula(rng, depth - 1), acceptance_formula(rng, depth - 1))
+    if k == 4:
+        return Since(acceptance_formula(rng, depth - 1), acceptance_formula(rng, depth - 1))
+    return Until(acceptance_formula(rng, depth - 1), acceptance_formula(rng, depth - 1))

@@ -52,16 +52,10 @@ from mscgossip.paths import (
     star_prepend,
 )
 from mscgossip.tl import (
-    And,
     Atom,
     NextOn,
-    Not,
     ObsOn,
-    Or,
     PrevOn,
-    Proc,
-    Since,
-    Until,
     UntilOn,
     check_translation,
     eval_tl,
@@ -69,7 +63,7 @@ from mscgossip.tl import (
     format_tl,
     mirror_formula,
 )
-from figures import SIG3, fig_flipped
+from figures import SIG3, acceptance_formula, fig_flipped
 from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
@@ -299,24 +293,6 @@ def test_criterion_6_no_deterministic_machine():
         assert fam.label[f] == fam.label[last_on_process(fam, "p", f)]
 
 
-def _random_formula(rng, depth):
-    leaves = [Atom("a"), Atom("b"), Proc("p"), Proc("q")]
-    if depth == 0:
-        return rng.choice(leaves)
-    k = rng.randrange(6)
-    if k == 0:
-        return rng.choice(leaves)
-    if k == 1:
-        return Not(_random_formula(rng, depth - 1))
-    if k == 2:
-        return Or(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-    if k == 3:
-        return And(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-    if k == 4:
-        return Since(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-    return Until(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-
-
 def test_criterion_7_tl_translation():
     mscs = [
         m
@@ -325,7 +301,7 @@ def test_criterion_7_tl_translation():
     ][:50]
     assert len(mscs) == 50
     rng = random.Random(2026)
-    formulas = [_random_formula(rng, rng.randrange(1, 4)) for _ in range(30)]
+    formulas = [acceptance_formula(rng, rng.randrange(1, 4)) for _ in range(30)]
     for phi in formulas:
         for m in mscs:
             ok, diffs = check_translation(phi, m)
@@ -344,7 +320,7 @@ def test_criterion_7_tl_translation():
     rng2 = random.Random(7)
     for t in range(500):
         m = mscs[t % len(mscs)]
-        phi = _random_formula(rng2, rng2.randrange(1, 3))
+        phi = acceptance_formula(rng2, rng2.randrange(1, 3))
         assert eval_tl(m, phi) == eval_tl(mirror_msc(m), mirror_formula(phi))
 
 

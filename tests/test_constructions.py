@@ -59,7 +59,7 @@ from mscgossip.constructions import (
     trie_maps,
 )
 from mscgossip.corpus import random_corpus, random_msc
-from mscgossip.msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
+from mscgossip.msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize, mirror_msc
 from mscgossip.paths import (
     EPS,
     PLUS,
@@ -822,7 +822,7 @@ def _reference_step(edges, none, base, pred, sender, proc, sender_proc, sigma) -
 
 
 def _reference_pass(m, trie) -> list:
-    x = m.mirror if trie.mirror else m
+    x = mirror_msc(m) if trie.mirror else m
     none = _TOP if trie.mirror else _BOT
     theta = [None] * len(m.events)
     for e in linearize(x):
@@ -857,8 +857,9 @@ def test_compiled_pass_matches_theta_rule(k, seed, max_events):
 def test_compiled_since_pass_matches_theta_rule(seed, max_events):
     sig = SystemSignature(("p", "q"), ABCD)
     m = random_msc(sig, random.Random(seed), max_events)
-    trie, _ = _since_plan(sig)
-    assert _trie_pass(m, trie) == _reference_pass(m, trie)
+    for mirror in (False, True):  # the since and the until trie
+        trie, _ = _since_plan(sig, mirror)
+        assert _trie_pass(m, trie) == _reference_pass(m, trie)
 
 
 @settings(max_examples=40, deadline=None)
@@ -914,7 +915,7 @@ def test_compiled_programs_do_not_leak_between_mscs(seed, mirror):
     warm_on, m = (random_msc(SIG3, rng, 4) for _ in range(2))
     warmed = PathTrie(LEAK_PATHS, mirror)
     _trie_pass(warm_on, warmed)
-    _trie_pass(warm_on.mirror, warmed)
+    _trie_pass(mirror_msc(warm_on), warmed)
     assert _trie_pass(m, warmed) == _trie_pass(m, PathTrie(LEAK_PATHS, mirror))
     assert _trie_pass(m, warmed) == _reference_pass(m, warmed)
 

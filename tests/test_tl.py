@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from mscgossip import tl
+from mscgossip import msc as msc_module, tl
 from mscgossip.cfm import attach_annotation, find_accepting_run
 from mscgossip.constructions import (
     PathTrie,
@@ -47,7 +47,7 @@ from mscgossip.tl import (
     since_path_sets,
     _dominates,
 )
-from figures import SIG3, fig_flipped
+from figures import SIG3, acceptance_formula, fig_flipped
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
 CORPUS = random_corpus(SIG2, count=14, seed=3, max_events_per_proc=3)
@@ -240,6 +240,33 @@ def test_compile_three_process_since():
     m = fig_flipped()
     want = eval_tl(m, phi)
     assert mach.annotate(m) == {e: int(want[e]) for e in m.events}
+
+
+def test_compile_until_matches_oracle_on_three_processes():
+    # until runs the mirror pass of the since trie, here over three processes
+    rng = random.Random(12)
+    mscs = random_corpus(SIG3, count=10, seed=12, max_events_per_proc=3)
+    formulas = []
+    while len(formulas) < 40:
+        phi = acceptance_formula(rng, rng.randrange(1, 4))
+        if " U " in format_tl(phi):
+            formulas.append(phi)
+    for phi in formulas:
+        mach = compile_tl(phi, SIG3)
+        for m in mscs:
+            want = eval_tl(m, phi)
+            assert mach.annotate(m) == {e: int(want[e]) for e in m.events}, format_tl(phi)
+
+
+def test_tl_decide_builds_no_mirror_msc(monkeypatch):
+    def refuse(m):
+        raise AssertionError("a mirror MSC was built")
+
+    monkeypatch.setattr(msc_module, "mirror_msc", refuse)
+    phi = Since(Until(Atom("a"), Proc("q")), Until(Since(Atom("b"), Atom("a")), Proc("p")))
+    for m in CORPUS[:6]:
+        ok, diffs = check_translation(phi, m)
+        assert ok, diffs
 
 
 def test_compile_co_is_unsupported():
@@ -437,6 +464,9 @@ def test_since_cores_are_built_only_for_a_search(monkeypatch):
     m = next(m for m in CORPUS if m.msg)
     ok, diffs = check_translation(phi, m)
     assert ok, diffs
+    assert built == []
+    with pytest.raises(TlError):
+        compile_tl(Until(Atom("a"), Atom("b")), SIG2)._starts("p")
     assert built == []
     compile_tl(Since(Atom("a"), Atom("b")), SIG2)._starts("p")
     assert sorted(built) == ["p", "p", "q", "q"]
