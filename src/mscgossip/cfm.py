@@ -287,21 +287,24 @@ def find_accepting_run(
     if order is None:
         order = linearize(m)
     pidx = {p: i for i, p in enumerate(machine.signature.processes)}
-    shapes = [
-        (pidx[m.loc[e]], m.loc[e], m.kind_of(e), m.peer_of(e), m.label[e])
-        for e in order
-    ]
+    # channel contents are one tuple of queues, one per channel the MSC
+    # uses, in a fixed order, so that the tuple itself is part of a node key
+    channel = {}
+    for s, r in m.msg:
+        channel.setdefault((m.loc[s], m.loc[r]), len(channel))
+    shapes = []
+    for e in order:
+        p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
+        c = None if kind == "local" else channel[(p, peer) if kind == "send" else (peer, p)]
+        shapes.append((pidx[p], p, kind, peer, m.label[e], c))
     visited = 0
     failed: set[tuple[int, tuple, tuple]] = set()
 
-    def channels_key(chans: dict) -> tuple:
-        return tuple(sorted((c, q) for c, q in chans.items() if q))
-
-    def moves(i: int, states: tuple, chans: dict):
-        k, p, kind, peer, label = shapes[i]
+    def moves(i: int, states: tuple, chans: tuple):
+        k, p, kind, peer, label, c = shapes[i]
         msg_in = None
         if kind == "recv":
-            queue = chans.get((peer, p))
+            queue = chans[c]
             if not queue:
                 return iter(())  # cannot happen on a linearization of a valid MSC
             msg_in = queue[0]
@@ -313,17 +316,17 @@ def find_accepting_run(
             # event i on the current path; path[i]: the transition taken there
             stack: list[tuple] = []
             path: list[Transition] = []
-            states, chans = tuple(start), {}
+            states, chans = tuple(start), ((),) * len(channel)
             while True:
                 visited += 1
                 if visited > budget:
                     raise BudgetExhausted(budget)
                 i = len(stack)
                 if i == len(order):
-                    if not any(chans.values()) and machine.is_accepting(states):
+                    if not any(chans) and machine.is_accepting(states):
                         return Run(assignment=dict(zip(order, path)), start=tuple(start))
                 else:
-                    key = (i, states, channels_key(chans))
+                    key = (i, states, chans)
                     if key not in failed:
                         stack.append((key, states, chans, moves(i, states, chans)))
                 move = None
@@ -336,17 +339,15 @@ def find_accepting_run(
                 if move is None:
                     break
                 i = len(stack) - 1
-                k, p, kind, peer, _ = shapes[i]
+                k, _, kind, _, _, c = shapes[i]
                 new_state, msg_out, t = move
                 del path[i:]
                 path.append(t)
                 states = states[:k] + (new_state,) + states[k + 1 :]
                 if kind == "send":
-                    chans = dict(chans)
-                    chans[(p, peer)] = chans.get((p, peer), ()) + (msg_out,)
+                    chans = chans[:c] + (chans[c] + (msg_out,),) + chans[c + 1 :]
                 elif kind == "recv":
-                    chans = dict(chans)
-                    chans[(peer, p)] = chans[(peer, p)][1:]
+                    chans = chans[:c] + (chans[c][1:],) + chans[c + 1 :]
         return None
     finally:
         if stats is not None:

@@ -56,9 +56,10 @@ def _theta_rule(head, parent, node, tail, none, pred, sender, proc, sender_proc,
 
     ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
     sender, None when the event has none; ``none`` marks an empty preimage.
-    This is the one copy of the rules for ⊏, →*, msg(p,q) and [a]: the trie
-    steps of the passes and of LastCore are compiled from it, and FirstCore
-    runs it, the first direction on the mirror.
+    This is the one copy of the rules for ⊏, →*, msg(p,q) and [a], and only
+    compilers run it: the trie steps of the passes and of LastCore, and
+    FirstCore's guess templates and agreement checks on the mirror
+    (_GuessTables), are compiled from it once per event shape.
     """
     if isinstance(head, Step):
         return none if pred is None else pred[parent]
@@ -83,7 +84,8 @@ class PathTrie:
     path is a chain: node i is its prefix of length i.
 
     ``step`` runs θ at one event as a program compiled from _theta_rule for
-    the event's shape; the programs are kept on the trie.
+    the event's shape; the programs are kept on the trie, and so are
+    FirstCore's tables, one per guess domain (``guess_tables``).
     """
 
     def __init__(self, paths: Iterable[tuple], mirror: bool = False):
@@ -101,6 +103,15 @@ class PathTrie:
         self.edges = tuple(edges)
         self._programs: dict[tuple, tuple] = {}
         self._slots: Optional[list] = None
+        self._guess_tables: dict[tuple, _GuessTables] = {}
+
+    def guess_tables(self, domain: tuple) -> _GuessTables:
+        """FirstCore's compiled steps on this chain for guesses from
+        ``domain`` (Θ∪{⊤}), made once per trie and domain."""
+        tables = self._guess_tables.get(domain)
+        if tables is None:
+            tables = self._guess_tables[domain] = _GuessTables(self.edges, domain)
+        return tables
 
     def find(self, symbols: tuple) -> int:
         """The node of a path of the trie, or of a prefix of one."""
@@ -340,8 +351,11 @@ def _star_lift(star_app: tuple) -> Callable:
 
 
 def _gather(nodes: tuple) -> Callable:
-    """operator.itemgetter(*nodes), which returns a tuple for one node too."""
-    return operator.itemgetter(*nodes) if len(nodes) != 1 else lambda row: (row[nodes[0]],)
+    """operator.itemgetter(*nodes), which returns a tuple for one node and
+    for none too."""
+    if len(nodes) == 1:
+        return lambda row: (row[nodes[0]],)
+    return operator.itemgetter(*nodes) if nodes else lambda row: ()
 
 
 class _ClosurePlan:
@@ -582,6 +596,149 @@ class LastCore:
 _FREE = object()  # a FirstCore entry that reads a neighbour not yet seen
 
 
+class _GuessTables:
+    """FirstCore's step on a mirror chain (its trie's ``edges``) for guesses
+    from ``domain``, compiled from _theta_rule and kept on the trie.
+
+    At an event the θ of its mirror predecessor (its ⊏-successor) and, on a
+    send, of its mirror sender (its receiver) are ``unseen``, every entry
+    _FREE.  Run on marks, per event shape (send or not, process, peer,
+    letter), the rule gives each entry a template: ⊤, a copy of entry j, a
+    guess from the domain, or, for →*, a guess when entry j is ⊤ and a copy
+    of it otherwise.  The guesses of a (shape, base) are enumerated from the
+    template once, in the order of a rule-per-node loop, and kept.
+
+    When a neighbour is seen, the entries of the state that read it must
+    equal what the rule computes from it.  Which entries these are, and which
+    entries of the neighbour's θ they read, depends only on the kind of
+    neighbour, a message's two processes, and which tails of the state are
+    ⊤; so that check is compiled per such pattern into two index tuples.
+    The guesses are kept indexed by their values at the read entries, and a
+    step's moves are one lookup of the state's values there.
+    """
+
+    def __init__(self, edges: tuple, domain: tuple):
+        self.edges, self.domain = edges, domain
+        self.unseen = (_FREE,) * (len(edges) + 1)
+        self._marks = [_Slot(j) for j in range(len(edges) + 1)]  # entries, to compile on
+        self._templates: dict[tuple, tuple] = {}  # shape -> template
+        self._guesses: dict[tuple, list] = {}  # (*shape, base) -> θs
+        self._indexes: dict[tuple, dict] = {}  # (*shape, base, reads) -> θs by reads
+        self._neighbours: dict = {}  # at -> (gather of deciding tails, checks by them)
+
+    def template(self, shape: tuple) -> tuple:
+        """Per node after the base, (kind, j): ("top", None), ("copy", j),
+        ("free", None) or ("star", j), a guess if entry j is ⊤, else its copy."""
+        template = self._templates.get(shape)
+        if template is None:
+            send, proc, peer, sigma = shape
+            later = (self.unseen, self.unseen if send else None, proc, peer, sigma)
+            none = _Slot(-1)
+            template = []
+            for node, head, parent in self.edges:
+                tail = self._marks[parent]
+                v = _theta_rule(head, parent, node, tail, none, *later)
+                if v is _FREE:
+                    template.append(("free", None))
+                elif v is none:
+                    template.append(("top", None))
+                elif v is tail and _theta_rule(head, parent, node, none, none, *later) is _FREE:
+                    template.append(("star", parent))
+                else:
+                    template.append(("copy", v.i))
+            template = self._templates[shape] = tuple(template)
+        return template
+
+    def indexed(self, key: tuple) -> dict:
+        """The guesses of key = (*shape, base, reads) by their values at the
+        entries ``reads``."""
+        index = self._indexes.get(key)
+        if index is None:
+            thetas = self._guesses.get(key[:5])
+            if thetas is None:
+                thetas = self._guesses[key[:5]] = self._enumerate(key[:4], key[4])
+            index = self._indexes[key] = {}
+            project = _gather(key[5])
+            for t in thetas:
+                index.setdefault(project(t), []).append(t)
+        return index
+
+    def _enumerate(self, shape: tuple, base) -> list:
+        thetas = [(base,)]
+        for kind, j in self.template(shape):
+            if kind == "top":
+                thetas = [t + (TOP,) for t in thetas]
+            elif kind == "copy":
+                thetas = [t + (t[j],) for t in thetas]
+            else:
+                thetas = [
+                    t + (g,)
+                    for t in thetas
+                    for g in (self.domain if kind == "free" or t[j] is TOP else (t[j],))
+                ]
+        return thetas
+
+    def fits(self, shape: tuple, base, want: tuple) -> bool:
+        """Whether ``want`` is one of the guesses of (shape, base), checked
+        entry by entry against the template, without enumerating them."""
+        template = self.template(shape)
+        if len(want) != len(template) + 1 or want[0] != base:
+            return False
+        for (kind, j), w in zip(template, want[1:]):
+            if kind == "free" or kind == "star" and want[j] is TOP:
+                if w not in self.domain:
+                    return False
+            elif w != (TOP if kind == "top" else want[j]):
+                return False
+        return True
+
+    def agreement(self, t: tuple, at: Optional[tuple]) -> tuple:
+        """(reads, values): the entries of the θ of t's neighbour, its
+        ⊏-successor when ``at`` is None and else its message's receiver with
+        at = (sender process, receiver process), that the rule reads to
+        recompute the entries of t it left _FREE, and t's values at those
+        entries, which the neighbour's must equal."""
+        plan = self._neighbours.get(at)
+        if plan is None:
+            plan = self._neighbours[at] = self._compile_neighbour(at)
+        pattern, checks = plan
+        key = pattern(t)
+        check = checks.get(key)
+        if check is None:
+            check = checks[key] = self._compile_check(t, at)
+        reads, wants = check
+        return reads, wants(t)
+
+    def _reads(self, tail_top: bool, node, head, parent, at) -> Optional[int]:
+        """The entry of the neighbour's θ that the rule copies into ``node``,
+        given whether its tail is ⊤; None when it reads none.  No letter is
+        passed: no entry that reads a neighbour reads it."""
+        none, marks = _Slot(-1), self._marks
+        seen = (marks, None, None, None) if at is None else (None, marks, *at)
+        tail = none if tail_top else _Slot(-2)
+        v = _theta_rule(head, parent, node, tail, none, *seen, None)
+        return v.i if v.i >= 0 else None
+
+    def _compile_neighbour(self, at) -> tuple:
+        """The gather of the entries of a state whose being ⊤ decides what the
+        neighbour check reads, and the checks compiled so far by its values."""
+        relevant = tuple(
+            edge[2]
+            for edge in self.edges
+            if self._reads(True, *edge, at) != self._reads(False, *edge, at)
+        )
+        return _gather(relevant), {}
+
+    def _compile_check(self, t: tuple, at) -> tuple:
+        reads, wants = [], []
+        for node, head, parent in self.edges:
+            r = self._reads(t[parent] is TOP, node, head, parent, at)
+            if r is not None:
+                reads.append(r)
+                wants.append(node)
+        return tuple(reads), _gather(tuple(wants))
+
+
 class FirstCore:
     """Guess-based forward realization of θ over suffixes of π.
 
@@ -589,71 +746,51 @@ class FirstCore:
     entry j is the value of the suffix of length j, whose head is the j-th
     symbol from the end; the mirror's ⊏-predecessor is the ⊏-successor and
     the sender of a send is its receiver.  Both are later events, so at an
-    event their θ is unseen (every entry _FREE) and each entry the rule
-    leaves _FREE is guessed from Θ∪{⊤}, or, given a wanted state, only
-    from that state's entry.
-    When such a neighbour is seen (the successor at the next step, the
-    receiver at the matching receive, no successor in final()), the same rule
-    recomputes the entries that read it.
+    event their θ is unseen and each entry the rule cannot compute without
+    them is guessed from Θ∪{⊤}.  When such a neighbour is seen (the
+    successor at the next step, the receiver at the matching receive), the
+    entries that read it must equal what the rule computes from it; with no
+    successor (final()) they must be ⊤.
+
+    The core runs the tables compiled from the rule on π's mirror chain trie
+    for its domain (_GuessTables), so they outlive the core: a step is a
+    lookup of its (shape, base) guesses by the values that the state's and
+    the message's checks read.  Given a wanted state, a step checks it
+    against the shape's template and the two checks and yields it or
+    nothing, without enumerating the guesses.
     """
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
-        self.edges = _chain_trie(_mirror_symbols(pi), True).edges
-        self.domain = tuple(theta_set) + (TOP,)
-        self.unseen = (_FREE,) * (len(self.edges) + 1)
-        self.domains = (self.domain,) * len(self.unseen)  # per node, its guesses
+        trie = _chain_trie(_mirror_symbols(pi), True)
+        self.tables = trie.guess_tables(tuple(theta_set) + (TOP,))
+        self.unseen = self.tables.unseen  # a state's width
 
     def start(self):
         return "start"
 
     def step(self, state, ctx: StepCtx, base, payload_in, want=None):
+        tables = self.tables
         send = ctx.kind == "send"
-        later = (self.unseen, self.unseen if send else None, ctx.proc, ctx.peer, ctx.sigma)
-        domains = self.domains
-        if want is not None:
-            domains = [(g,) if g in self.domain else () for g in want]
-        guesses = [(base,)]
-        for node, head, parent in self.edges:
-            grown = []
-            for t in guesses:
-                v = _theta_rule(head, parent, node, t[parent], TOP, *later)
-                if v is _FREE:
-                    grown += [t + (g,) for g in domains[node]]
-                else:
-                    grown.append(t + (v,))
-            guesses = grown
+        reads = values = ()
         if state != "start":
-            guesses = self._agreeing(state, guesses)
+            reads, values = tables.agreement(state, None)
         if payload_in is not None:
-            guesses = self._agreeing(payload_in, guesses, (ctx.peer, ctx.proc))
-        for t in guesses:
+            more, seen = tables.agreement(payload_in, (ctx.peer, ctx.proc))
+            reads, values = reads + more, values + seen
+        if want is None:
+            index = tables.indexed((send, ctx.proc, ctx.peer, ctx.sigma, base, reads))
+            thetas = index.get(values, ())
+        else:
+            fits = tables.fits((send, ctx.proc, ctx.peer, ctx.sigma), base, want)
+            thetas = (want,) if fits and values == tuple(want[r] for r in reads) else ()
+        for t in thetas:
             yield t, t[-1], t if send else None
 
-    def _agreeing(self, t, thetas: list, at: Optional[tuple] = None) -> list:
-        """The θs that agree with t at its event's ⊏-successor, or with ``at``
-        = (sender process, receiver process) at its message's receiver: from
-        each, the rule gives the entries of t that it leaves _FREE while that
-        neighbour is unseen.  No letter is passed: none of them reads it."""
-        unseen = (self.unseen, None, None, None) if at is None else (None, self.unseen, *at)
-        reads = [
-            (node, head, parent)
-            for node, head, parent in self.edges
-            if _theta_rule(head, parent, node, t[parent], TOP, *unseen, None) is _FREE
-        ]
-        if not reads:
-            return thetas
-        out = []
-        for theta in thetas:
-            seen = (theta, None, None, None) if at is None else (None, theta, *at)
-            for node, head, parent in reads:
-                if _theta_rule(head, parent, node, t[parent], TOP, *seen, None) != t[node]:
-                    break
-            else:
-                out.append(theta)
-        return out
-
     def final(self, state) -> bool:
-        return state == "start" or bool(self._agreeing(state, [None]))
+        if state == "start":
+            return True
+        _, values = self.tables.agreement(state, None)
+        return all(v is TOP for v in values)
 
 
 class FaCore:

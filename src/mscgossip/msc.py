@@ -8,6 +8,7 @@ which events are listed, and the direct-successor relation is derived from it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
@@ -86,57 +87,71 @@ class Msc:
         self.loc: dict[str, str] = {e[0]: e[1] for e in ev}
         self.label: dict[str, Label] = {e[0]: e[2] for e in ev}
         self.msg: tuple[tuple[str, str], ...] = tuple([(s, r) for s, r in messages])
-        self._caches: dict[str, Any] = {}
+        # derived structure that reads no label (linearization, index,
+        # process order, message maps), shared with relabelled copies
+        self._structure: dict[str, Any] = {}
+        # memos that may read labels: trie maps, annotations
+        self._caches: dict[Any, Any] = {}
+
+    def relabelled(self, signature: SystemSignature, label: dict[str, Label]) -> Msc:
+        """The same events and messages on ``signature``, which has the same
+        processes, with new labels.  The copy shares this MSC's label-free
+        structure, so either computes it once for both."""
+        if signature.processes != self.signature.processes:
+            raise MscError("a relabelled MSC keeps its processes")
+        out = copy.copy(self)
+        out.signature, out.label, out._caches = signature, label, {}
+        return out
 
     # -- derived structure ------------------------------------------------
 
     @property
     def index(self) -> dict[str, int]:
-        if "index" not in self._caches:
-            self._caches["index"] = {e: i for i, e in enumerate(self.events)}
-        return self._caches["index"]
+        if "index" not in self._structure:
+            self._structure["index"] = {e: i for i, e in enumerate(self.events)}
+        return self._structure["index"]
 
     def events_of(self, p: str) -> tuple[str, ...]:
-        if "per_proc" not in self._caches:
+        if "per_proc" not in self._structure:
             per: dict[str, list[str]] = {q: [] for q in self.signature.processes}
             for e in self.events:
                 per.setdefault(self.loc[e], []).append(e)
-            self._caches["per_proc"] = {q: tuple(es) for q, es in per.items()}
-        return self._caches["per_proc"].get(p, ())
+            self._structure["per_proc"] = {q: tuple(es) for q, es in per.items()}
+        return self._structure["per_proc"].get(p, ())
 
     @property
     def proc_succ(self) -> tuple[tuple[str, str], ...]:
-        if "proc_succ" not in self._caches:
+        if "proc_succ" not in self._structure:
             pairs = []
             for p in self.signature.processes:
                 es = self.events_of(p)
                 pairs.extend(zip(es, es[1:]))
-            self._caches["proc_succ"] = tuple(pairs)
-        return self._caches["proc_succ"]
+            self._structure["proc_succ"] = tuple(pairs)
+        return self._structure["proc_succ"]
 
     def proc_pred_of(self, e: str) -> Optional[str]:
-        if "proc_pred" not in self._caches:
-            self._caches["proc_pred"] = {b: a for a, b in self.proc_succ}
-        return self._caches["proc_pred"].get(e)
+        if "proc_pred" not in self._structure:
+            self._structure["proc_pred"] = {b: a for a, b in self.proc_succ}
+        return self._structure["proc_pred"].get(e)
 
     def proc_succ_of(self, e: str) -> Optional[str]:
-        if "proc_succ_of" not in self._caches:
-            self._caches["proc_succ_of"] = {a: b for a, b in self.proc_succ}
-        return self._caches["proc_succ_of"].get(e)
+        if "proc_succ_of" not in self._structure:
+            self._structure["proc_succ_of"] = {a: b for a, b in self.proc_succ}
+        return self._structure["proc_succ_of"].get(e)
 
     @property
     def send_of(self) -> dict[str, str]:
         """receive event -> its send event."""
-        if "send_of" not in self._caches:
-            self._caches["send_of"] = {r: s for s, r in self.msg}
-        return self._caches["send_of"]
+        if "send_of" not in self._structure:
+            self._structure["send_of"] = {r: s for s, r in self.msg}
+        return self._structure["send_of"]
 
     @property
     def recv_of(self) -> dict[str, str]:
         """send event -> its receive event."""
-        if "recv_of" not in self._caches:
-            self._caches["recv_of"] = {s: r for s, r in self.msg}
-        return self._caches["recv_of"]
+        if "recv_of" not in self._structure:
+            self._structure["recv_of"] = {s: r for s, r in self.msg}
+        return self._structure["recv_of"]
 
     def kind_of(self, e: str) -> str:
         """'send', 'recv', or 'local'."""
@@ -157,7 +172,7 @@ class Msc:
     @property
     def _anc(self) -> list[int]:
         """Per event (in ``events`` position), bitmask of causal ancestors incl. itself."""
-        if "anc" not in self._caches:
+        if "anc" not in self._structure:
             idx = self.index
             order = linearize(self)
             anc = [0] * len(self.events)
@@ -171,17 +186,17 @@ class Msc:
                 if snd is not None:
                     m |= anc[idx[snd]]
                 anc[i] = m
-            self._caches["anc"] = anc
-        return self._caches["anc"]
+            self._structure["anc"] = anc
+        return self._structure["anc"]
 
     def pos_on_proc(self, e: str) -> int:
-        if "pos" not in self._caches:
+        if "pos" not in self._structure:
             pos = {}
             for p in self.signature.processes:
                 for k, ev in enumerate(self.events_of(p)):
                     pos[ev] = k
-            self._caches["pos"] = pos
-        return self._caches["pos"][e]
+            self._structure["pos"] = pos
+        return self._structure["pos"][e]
 
 
 class ExtendedMsc:
@@ -282,10 +297,11 @@ def is_valid(m: Msc) -> bool:
 def linearize(m: Msc) -> tuple[str, ...]:
     """Deterministic topological order of (E, <); ties broken by event-id order.
 
-    Computed once per MSC and kept in its caches.
+    Computed once per MSC and kept in its label-free structure, which
+    relabelled copies share.
     """
-    if "order" in m._caches:
-        return m._caches["order"]
+    if "order" in m._structure:
+        return m._structure["order"]
     pred_count = {e: 0 for e in m.events}
     succs: dict[str, list[str]] = {e: [] for e in m.events}
     for a, b in m.proc_succ:
@@ -308,8 +324,8 @@ def linearize(m: Msc) -> tuple[str, ...]:
                 heapq.heappush(ready, f)
     if len(out) != len(m.events):
         raise MscError("cannot linearize a cyclic MSC")
-    m._caches["order"] = tuple(out)
-    return m._caches["order"]
+    m._structure["order"] = tuple(out)
+    return m._structure["order"]
 
 
 def causal_leq(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:

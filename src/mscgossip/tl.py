@@ -604,9 +604,10 @@ def _dominance(m: Msc, sig: SystemSignature, pairs, mirror: bool) -> dict[str, i
 
 
 def _abcd_msc(m: Msc, bits1: dict, bits2: dict) -> Msc:
+    """m recoded over ABCD, sharing its linearization and other label-free
+    structure."""
     sig = SystemSignature(m.signature.processes, ABCD)
-    events = [(e, m.loc[e], _recode(bits1[e], bits2[e])) for e in m.events]
-    return Msc(sig, events, m.msg)
+    return m.relabelled(sig, {e: _recode(bits1[e], bits2[e]) for e in m.events})
 
 
 def _bit_of(annot) -> int:

@@ -1114,6 +1114,156 @@ def test_first_core_want_contract(seed):
         check_want(rng, functools.partial(core.step, state, ctx, base, msg_in), wants)
 
 
+_UNSEEN = object()  # an entry of the θ of a neighbour not yet seen
+
+
+class _ReferenceFirstCore:
+    """FirstCore as _theta_rule run edge by edge at every step, on a trie of
+    its own: what the compiled tables must give."""
+
+    def __init__(self, pi, theta_set):
+        self.edges = PathTrie([_mirror_symbols(pi)], True).edges
+        self.domain = tuple(theta_set) + (TOP,)
+        self.unseen = (_UNSEEN,) * (len(self.edges) + 1)
+
+    def step(self, state, ctx, base, payload_in):
+        send = ctx.kind == "send"
+        later = (self.unseen, self.unseen if send else None, ctx.proc, ctx.peer, ctx.sigma)
+        guesses = [(base,)]
+        for node, head, parent in self.edges:
+            grown = []
+            for t in guesses:
+                v = _theta_rule(head, parent, node, t[parent], TOP, *later)
+                grown += [t + (g,) for g in self.domain] if v is _UNSEEN else [t + (v,)]
+            guesses = grown
+        if state != "start":
+            guesses = self._agreeing(state, guesses)
+        if payload_in is not None:
+            guesses = self._agreeing(payload_in, guesses, (ctx.peer, ctx.proc))
+        return [(t, t[-1], t if send else None) for t in guesses]
+
+    def _agreeing(self, t, thetas, at=None):
+        """The θs that agree with t at its ⊏-successor, or at its message's
+        receiver with at = (sender process, receiver process)."""
+        unseen = (self.unseen, None, None, None) if at is None else (None, self.unseen, *at)
+        reads = [
+            (node, head, parent)
+            for node, head, parent in self.edges
+            if _theta_rule(head, parent, node, t[parent], TOP, *unseen, None) is _UNSEEN
+        ]
+        out = []
+        for theta in thetas:
+            seen = (theta, None, None, None) if at is None else (None, theta, *at)
+            if all(
+                _theta_rule(head, parent, node, t[parent], TOP, *seen, None) == t[node]
+                for node, head, parent in reads
+            ):
+                out.append(theta)
+        return out
+
+    def final(self, state):
+        return state == "start" or bool(self._agreeing(state, [None]))
+
+
+def first_core_cases(rng, core, theta_set, count):
+    """(state, ctx, base, payload) cases for a FirstCore, states and payloads
+    drawn from earlier cases' moves or at random over Θ∪{⊤, ⊥}."""
+    values = tuple(theta_set) + (TOP, BOTTOM)
+    n = len(core.unseen)
+    seen = []
+    for _ in range(count):
+        ctx = random_ctx(rng)
+        base = rng.choice(theta_set)
+
+        def theta():
+            if seen and rng.random() < 0.6:
+                return rng.choice(seen)
+            return random_theta(rng, n, values)
+
+        state = "start" if rng.random() < 0.2 else theta()
+        payload = theta() if ctx.kind == "recv" else None
+        moves = list(core.step(state, ctx, base, payload))
+        seen += [mv[0] for mv in moves[:3]]
+        yield state, ctx, base, payload
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), colours_first=st.booleans())
+def test_first_core_tables_match_theta_rule(seed, colours_first):
+    # both domains on one fresh mirror chain trie, in either order, give the
+    # rule-per-edge moves in the same order, the same final, and with a
+    # wanted state exactly the moves to it
+    rng = random.Random(seed)
+    constructions._chain_trie.cache_clear()
+    domains = [FOUR_COLORS, ("x", "y")]
+    if not colours_first:
+        domains.reverse()
+    for pi in PATH_SHAPES:
+        cores = [(FirstCore(pi, d), _ReferenceFirstCore(pi, d), d) for d in domains]
+        assert cores[0][0].tables is not cores[1][0].tables
+        for core, ref, theta_set in cores:
+            for state, ctx, base, payload in first_core_cases(rng, core, theta_set, 6):
+                moves = list(core.step(state, ctx, base, payload))
+                assert moves == ref.step(state, ctx, base, payload), (pi, state, payload)
+                assert core.final(state) == ref.final(state), (pi, state)
+                wants = [mv[0] for mv in rng.sample(moves, min(2, len(moves)))]
+                wants.append(random_theta(rng, len(core.unseen), theta_set + (TOP,)))
+                for want in wants:
+                    got = list(core.step(state, ctx, base, payload, want))
+                    assert got == [mv for mv in moves if mv[0] == want], (pi, want)
+
+
+def test_first_core_steps_run_no_rule_once_compiled(monkeypatch):
+    # after a warm-up, the same shapes' steps, checks and finals are table
+    # lookups: _theta_rule runs only in the compilers
+    calls = Counter()
+    rule = constructions._theta_rule
+
+    def counting(*args):
+        calls["rule"] += 1
+        return rule(*args)
+
+    rng = random.Random(13)
+    cases = []
+    for pi in PATH_SHAPES:
+        for theta_set in (("x", "y"), FOUR_COLORS):
+            core = FirstCore(pi, theta_set)
+            cases += [(core, case) for case in first_core_cases(rng, core, theta_set, 8)]
+
+    def run_all():
+        moved = 0
+        for core, (state, ctx, base, payload) in cases:
+            moves = list(core.step(state, ctx, base, payload))
+            for new_state, _, _ in moves[:2]:
+                assert list(core.step(state, ctx, base, payload, new_state))
+                core.final(new_state)
+            core.final(state)
+            moved += len(moves)
+        return moved
+
+    moved = run_all()
+    monkeypatch.setattr(constructions, "_theta_rule", counting)
+    assert run_all() == moved > 0
+    assert calls["rule"] == 0
+    # a fresh domain compiles, so the counter does see the compilers' calls
+    list(FirstCore(PI, ("w",)).step("start", StepCtx("q", "local", None, "a"), "w", None))
+    assert calls["rule"] > 0
+
+
+def test_replay_enumerates_no_guesses():
+    # with a wanted state the first-core checks it against the template and
+    # never builds the unrestricted guess list
+    constructions._chain_trie.cache_clear()
+    pi2 = star_prepend(PI2)
+    mach = build_fixpoint_cfm("p", "q", PI, pi2)
+    for m in [fig_flipped(), *CORPUS3[:3]]:
+        replayed(mach, m)
+    trie = constructions._chain_trie(_mirror_symbols(pi2), True)
+    tables = trie.guess_tables(FOUR_COLORS + (TOP,))
+    assert tables._templates  # the replay stepped on these tables
+    assert tables._guesses == {} and tables._indexes == {}
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fix_core_guess_want_contract(seed):

@@ -269,6 +269,35 @@ def test_tl_decide_builds_no_mirror_msc(monkeypatch):
         assert ok, diffs
 
 
+def test_recoded_msc_shares_the_base_structure(monkeypatch):
+    # each since/until node recodes the MSC over ABCD; the copy reads the
+    # base's linearization and message maps, and only its trie maps are its own
+    recoded = []
+    abcd_msc = tl._abcd_msc
+
+    def recording(m, bits1, bits2):
+        recoded.append((m, abcd_msc(m, bits1, bits2)))
+        return recoded[-1][1]
+
+    monkeypatch.setattr(tl, "_abcd_msc", recording)
+    phi = Since(Until(Atom("a"), Proc("q")), Until(Since(Atom("b"), Atom("a")), Proc("p")))
+    mach = compile_tl(phi, SIG2)
+    for m in CORPUS[:6]:
+        m = msc_from_json(msc_to_json(m))  # nothing derived yet
+        want = eval_tl(m, phi)
+        assert mach.annotate(m) == {e: int(want[e]) for e in m.events}
+    assert len(recoded) == 6 * 4
+    for base, copy in recoded:
+        assert copy.events is base.events and copy.msg is base.msg
+        assert msc_module.linearize(copy) is msc_module.linearize(base)
+        assert copy.index is base.index and copy.send_of is base.send_of
+        assert copy.signature.alphabet == tl.ABCD and copy.label is not base.label
+        assert any(isinstance(key, PathTrie) for key in copy._caches)
+        assert not any(isinstance(key, PathTrie) for key in base._caches)
+    with pytest.raises(msc_module.MscError):
+        CORPUS[0].relabelled(SIG3, dict(CORPUS[0].label))
+
+
 def test_compile_co_is_unsupported():
     with pytest.raises(TlError) as exc:
         compile_tl(Co(Atom("a")), SIG2)
