@@ -83,8 +83,9 @@ class PathTrie:
     of the reversed path on the original (see _mirror_symbols).  A single
     path is a chain: node i is its prefix of length i.
 
-    ``step`` runs θ at one event as a program compiled from _theta_rule for
-    the event's shape; the programs are kept on the trie, and so are
+    θ at one event is a program compiled from _theta_rule for the event's
+    shape into one straight-line function (``program``), which ``step`` and
+    the passes call; the programs are kept on the trie, and so are
     FirstCore's tables, one per guess domain (``guess_tables``).
     """
 
@@ -101,7 +102,7 @@ class PathTrie:
                     edges.append((nxt, head, node))
                 node = nxt
         self.edges = tuple(edges)
-        self._programs: dict[tuple, tuple] = {}
+        self._programs: dict[tuple, Callable] = {}
         self._slots: Optional[list] = None
         self._guess_tables: dict[tuple, _GuessTables] = {}
 
@@ -120,65 +121,84 @@ class PathTrie:
             node = self._child[node, head]
         return node
 
-    def step(self, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
-        """θ at one event over the nodes of the trie: entry 0 is ``base``;
-        ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
-        sender, None when the event has none."""
-        key = (pred is not None, None if sender is None else sender_proc, proc, sigma)
+    def program(self, key: tuple) -> Callable:
+        """The step of the event shape key = (whether the event has a
+        ⊏-predecessor, the sender's process or None, the process, the letter),
+        compiled once per trie; a program compiled without reading the letter
+        serves every letter."""
         program = self._programs.get(key)
         if program is None:
-            # a program compiled without reading the letter serves every letter
             program = self._programs.get(key[:3])
             if program is None:
-                letter = _Letter(sigma)
+                letter = _Letter(key[3])
                 program = self._compile(*key[:3], letter)
                 if not letter.read:
                     self._programs[key[:3]] = program
             self._programs[key] = program
-        patches, gather = program
-        src = [none, base, *(pred or ()), *(sender or ())]
-        for tail, alt in patches:
-            v = src[tail]
-            src.append(src[alt] if v is none else v)
-        return gather(src)
+        return program
 
-    def _compile(self, has_pred: bool, sender_proc, proc, sigma) -> tuple:
-        """The program of one event shape: _theta_rule run on the slots of
-        the list [none, base, *θ(pred), *θ(sender)], so that each entry is
-        found to copy one slot.  The rule reads a tail only to copy it, or,
-        for →*, another slot when the tail is none; such an entry gets a slot
-        of its own, appended in node order by a patch (tail slot, slot read
-        instead).  The result is the patches and the gather of every node's
-        slot."""
+    def step(self, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
+        """θ at one event over the nodes of the trie, by the program of its
+        shape: entry 0 is ``base``; ``pred`` and ``sender`` are θ at the
+        ⊏-predecessor and at the message sender, None when the event has
+        none, and ``none`` marks an empty preimage."""
+        key = (pred is not None, None if sender is None else sender_proc, proc, sigma)
+        return (self._programs.get(key) or self.program(key))(none, base, pred, sender)
+
+    def _compile(self, has_pred: bool, sender_proc, proc, sigma) -> Callable:
+        """The program of one event shape, as one straight-line function
+        (none, base, θ(pred), θ(sender)) → θ.  _theta_rule is run on slots
+        standing for none, base and the entries of θ(pred) and θ(sender), so
+        that each entry is found to copy one slot.  The rule reads a tail only
+        to copy it, or, for →*, another slot when the tail is none; such an
+        entry gets a slot of its own, a local that reads the tail and falls
+        back to the other slot when the tail ``is none``.  The function
+        returns the tuple of every node's slot."""
         n = len(self.edges) + 1
-        if self._slots is None:  # enough for θ(pred), θ(sender) and a patch per node
+        if self._slots is None:  # enough for θ(pred), θ(sender) and a local per node
             self._slots = [_Slot(i) for i in range(2 + 3 * n)]
         slots = self._slots
         none = slots[0]
         pred = slots[2 : 2 + n] if has_pred else None
         offset = 2 + n * has_pred
         sender = None if sender_proc is None else slots[offset : offset + n]
-        free = offset + n * (sender is not None)  # the first patch slot
+        # each slot's expression in the function, by slot index
+        names = ["none", "base"]
+        names += [f"pred[{j}]" for j in range(n if has_pred else 0)]
+        names += [f"sender[{j}]" for j in range(0 if sender is None else n)]
         shape = (pred, sender, proc, sender_proc, sigma)
         entry = [slots[1]]
-        patches = []
+        lines = ["def step(none, base, pred, sender):"]
         for node, head, parent in self.edges:
             tail = entry[parent]
             v = _theta_rule(head, parent, node, tail, none, *shape)
             if v is tail and v is not none:
                 v_none = _theta_rule(head, parent, node, none, none, *shape)
                 if v_none is not none:
-                    patches.append((tail.i, v_none.i))
-                    v = slots[free]
-                    free += 1
+                    t = f"t{node}"
+                    lines += [
+                        f"    {t} = {names[tail.i]}",
+                        f"    if {t} is none:",
+                        f"        {t} = {names[v_none.i]}",
+                    ]
+                    v = slots[len(names)]
+                    names.append(t)
             entry.append(v)
-        at = [s.i for s in entry]
-        gather = operator.itemgetter(*at) if len(at) > 1 else lambda src: (src[1],)
-        return tuple(patches), gather
+        lines.append(f"    return ({''.join(names[s.i] + ', ' for s in entry)})")
+        return _function("\n".join(lines))
+
+
+@functools.cache
+def _function(source: str) -> Callable:
+    """The function ``step`` defined by ``source``, compiled once per text:
+    tries and shapes whose programs read alike share one function."""
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["step"]
 
 
 class _Slot:
-    """A position in the list of values of a compiled step."""
+    """A position among the values that a compiled step reads or makes."""
 
     __slots__ = ("i",)
 
@@ -213,34 +233,55 @@ def _chain_trie(symbols: tuple, mirror: bool) -> PathTrie:
 _BOT, _TOP = -1, -2
 
 
-def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
-    """trie.step along a linearization of m (of its mirror for a mirror trie),
-    with each event as its index in ``m.events``: entry n of the result at
-    index i is the index of last (first, on a mirror trie) of node n's path
-    from event i, or _BOT (_TOP) if there is none.
+def _pass_steps(m: Msc, mirror: bool) -> tuple:
+    """What a trie pass steps along, per MSC and direction: the event shapes
+    (as PathTrie.program's keys) and, per event in the order of the pass,
+    (its index, its predecessor's, its sender's, its shape's position), with
+    -1 for no neighbour.  Kept in m's caches, since shapes read letters.
 
-    The mirror shares m's events and reverses its order, so a mirror trie
+    The mirror shares m's events and reverses its order, so a mirror pass
     steps along m's linearization reversed, with each event's ⊏-successor
     and message receiver as its mirrored predecessor and sender.
     """
-    if trie.mirror:
-        order, none, pred_of, sender_of = reversed(linearize(m)), _TOP, m.proc_succ_of, m.recv_of
-    else:
-        order, none, pred_of, sender_of = linearize(m), _BOT, m.proc_pred_of, m.send_of
-    idx, loc = m.index, m.loc
+    key = ("pass-steps", mirror)
+    cached = m._caches.get(key)
+    if cached is None:
+        if mirror:
+            order, preds, senders = reversed(linearize(m)), dict(m.proc_succ), m.recv_of
+        else:
+            order, preds, senders = linearize(m), {b: a for a, b in m.proc_succ}, m.send_of
+        idx, loc, label = m.index, m.loc, m.label
+        shapes: dict[tuple, int] = {}
+        steps = []
+        for e in order:
+            pred, sender = preds.get(e), senders.get(e)
+            shape = (pred is not None, None if sender is None else loc[sender], loc[e], label[e])
+            steps.append((
+                idx[e],
+                -1 if pred is None else idx[pred],
+                -1 if sender is None else idx[sender],
+                shapes.setdefault(shape, len(shapes)),
+            ))
+        cached = m._caches[key] = (tuple(shapes), steps)
+    return cached
+
+
+def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
+    """The trie's programs along a linearization of m (of its mirror for a
+    mirror trie, see _pass_steps), with each event as its index in
+    ``m.events``: entry n of the result at index i is the index of last
+    (first, on a mirror trie) of node n's path from event i, or _BOT (_TOP)
+    if there is none.
+
+    An event with no predecessor (sender) is passed the entry at index -1,
+    which its program never reads.
+    """
+    shapes, steps = _pass_steps(m, trie.mirror)
+    programs = [trie.program(shape) for shape in shapes]
+    none = _TOP if trie.mirror else _BOT
     theta: list = [None] * len(m.events)
-    for e in order:
-        pred = pred_of(e)
-        sender = sender_of.get(e)
-        theta[idx[e]] = trie.step(
-            none,
-            idx[e],
-            None if pred is None else theta[idx[pred]],
-            None if sender is None else theta[idx[sender]],
-            loc[e],
-            None if sender is None else loc[sender],
-            m.label[e],
-        )
+    for i, p, s, k in steps:
+        theta[i] = programs[k](none, i, theta[p], theta[s])
     return theta
 
 
@@ -253,9 +294,11 @@ def trie_maps(m: Msc, trie: PathTrie) -> list[tuple]:
     return maps
 
 
+@functools.cache
 def _mirror_symbols(pi: PathExpr) -> tuple:
     """π read backwards with each msg(p,q) turned into msg(q,p): its last on
-    the mirror MSC is π's first on the original."""
+    the mirror MSC is π's first on the original.  Kept per path, so that a
+    warm lookup of π's mirror chain trie builds no symbol."""
     return tuple(
         Msg(s.dst, s.src) if isinstance(s, Msg) else s for s in reversed(pi.symbols)
     )
@@ -277,14 +320,24 @@ def _chain_theta(m: Msc, trie: PathTrie, base: dict, none) -> dict[str, tuple]:
     }
 
 
+def _chain_value(m: Msc, trie: PathTrie, base: dict, none) -> dict[str, Hashable]:
+    """The last entry of _chain_theta, θ of the whole path, read off the
+    path's own end node alone."""
+    events = m.events
+    return {
+        e: none if row[-1] < 0 else base[events[row[-1]]]
+        for e, row in zip(events, trie_maps(m, trie))
+    }
+
+
 def last_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tuple]:
     """θ(e)[i] = base(last_{π[:i]}(e)) for every prefix length i, ⊥ if none."""
     return _chain_theta(m, _chain_trie(pi.symbols, False), base, BOTTOM)
 
 
 def last_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
-    th = last_theta(m, pi, base)
-    return {e: th[e][-1] for e in m.events}
+    """base(last_π(e)), ⊥ if none: last_theta's last entry."""
+    return _chain_value(m, _chain_trie(pi.symbols, False), base, BOTTOM)
 
 
 def first_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tuple]:
@@ -297,8 +350,8 @@ def first_theta(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, tu
 
 
 def first_value(m: Msc, pi: PathExpr, base: dict[str, Hashable]) -> dict[str, Hashable]:
-    th = first_theta(m, pi, base)
-    return {e: th[e][-1] for e in m.events}
+    """base(first_π(e)), ⊤ if none: first_theta's last entry."""
+    return _chain_value(m, _chain_trie(_mirror_symbols(pi), True), base, TOP)
 
 
 def fa_value(
@@ -418,10 +471,7 @@ def preorder_combine(
     rows = []
     bit = 1
     for p, star, plus in zip((0,) * c if prev is None else lift(prev), star_rows, plus_cols):
-        if botmask & bit:
-            rows.append(full & ~(p & plus))
-        else:
-            rows.append(star & ~p | p & ~plus & free)
+        rows.append(full & ~(p & plus) if botmask & bit else star & ~p | p & ~plus & free)
         bit <<= 1
     return tuple(rows)
 
@@ -429,6 +479,16 @@ def preorder_combine(
 def _mask(bits: Iterable) -> int:
     """The int whose bit k is the k-th truth value."""
     return sum(1 << k for k, b in enumerate(bits) if b)
+
+
+def _hit_mask(hits: tuple, h: int) -> int:
+    """The int whose bit k is [hits[k] = h], found by the tuple's own
+    searches rather than a loop over its items."""
+    mask, k = 0, -1
+    for _ in range(hits.count(h)):
+        k = hits.index(h, k + 1)
+        mask |= 1 << k
+    return mask
 
 
 def _preorder_steps(m: Msc, q: str, plan: _ClosurePlan):
@@ -444,10 +504,11 @@ def _preorder_steps(m: Msc, q: str, plan: _ClosurePlan):
     firsts = trie_maps(m, plan.first_trie)
     c = len(plan.clos)
     idx = m.index
+    last_at, star_firsts, plus_firsts = plan.lasts, plan.star_firsts, plan.plus_firsts
     rows: Optional[tuple] = None
     for f in m.events_of(q):
         fi = idx[f]
-        at = plan.lasts(lasts[fi])
+        at = last_at(lasts[fi])
         botmask = 0
         star_rows = [0] * c
         plus_cols = [0] * c
@@ -456,10 +517,10 @@ def _preorder_steps(m: Msc, q: str, plan: _ClosurePlan):
                 botmask |= 1 << i
                 continue
             row = firsts[g]
-            hits = plan.star_firsts(row)
+            hits = star_firsts(row)
             if fi in hits:
-                star_rows[i] = _mask(h == fi for h in hits)
-            hits = plan.plus_firsts(row)
+                star_rows[i] = _hit_mask(hits, fi)
+            hits = plus_firsts(row)
             if fi in hits:  # bit j: f is a f^{π_i,→+π_j}-fixpoint
                 for j, h in enumerate(hits):
                     if h == fi:
@@ -1176,23 +1237,39 @@ def build_preorder_cfm(
 _NO_MAXIMUM = object()
 
 
+def _maxima(families: tuple, rows: tuple) -> list:
+    """The closure index of each family's first ⪯-maximal member, a family
+    being the tuple of its paths' closure indices; None where the preorder
+    has no maximum among a family (which only happens under inconsistent
+    guesses).  This is the one component rule of both machine routes.
+
+    ``rows`` is the preorder as preorder_combine's rows.  The AND of the
+    member rows has bit j set iff every member is ⪯ π_j.
+    """
+    out = []
+    for members in families:
+        above = -1
+        for i in members:
+            above &= rows[i]
+        for j in members:
+            if above >> j & 1:
+                out.append(j)
+                break
+        else:
+            out.append(None)
+    return out
+
+
 def gossip_component_value(members: tuple, rows: tuple, values):
     """One ξ-component: the last-label along a ⪯-maximal path (None if that
-    last is ⊥); the sentinel when the claimed preorder has no maximum (which
-    only happens under inconsistent guesses).  Shared by both machine routes.
-
-    ``members`` are the family's closure indices, ``rows`` the preorder as
-    preorder_combine's rows and ``values[k]`` the label value of the k-th
-    member.  The AND of the member rows has bit j set iff every member is
-    ⪯ π_j.
-    """
-    above = -1
-    for i in members:
-        above &= rows[i]
-    for k, j in enumerate(members):
-        if above >> j & 1:
-            return None if values[k] is BOTTOM else values[k]
-    return _NO_MAXIMUM
+    last is ⊥); the sentinel when the claimed preorder has no maximum.
+    ``members`` are the family's closure indices and ``values[k]`` the label
+    value of the k-th member."""
+    [j] = _maxima((members,), rows)
+    if j is None:
+        return _NO_MAXIMUM
+    value = values[members.index(j)]
+    return None if value is BOTTOM else value
 
 
 @functools.cache
@@ -1218,6 +1295,17 @@ def _gossip_plan(sig: SystemSignature) -> tuple:
     )
 
 
+@functools.cache
+def _gossip_layout(sig: SystemSignature) -> tuple:
+    """_gossip_plan as build_gossip_cfm reads it, made once per signature:
+    per (src, tgt) pair, (src, tgt, family); per target process, (tgt, plan,
+    each source's family as closure indices)."""
+    plans = _gossip_plan(sig)
+    pairs = tuple((src, tgt, fam) for tgt, _, sources in plans for src, fam, _ in sources)
+    targets = tuple((tgt, plan, tuple(ms for _, _, ms in sources)) for tgt, plan, sources in plans)
+    return pairs, targets
+
+
 def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     """(M,ξ) with ξ(e) = (λ(latest p₁-event under e), ..., λ(latest p_k ...)).
 
@@ -1228,8 +1316,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     directly.
     """
     procs = sig.processes
-    plans = _gossip_plan(sig)
-    pairs = [(src, tgt, fam) for tgt, _, sources in plans for src, fam, _ in sources]
+    pairs, targets = _gossip_layout(sig)
 
     @functools.cache
     def cores() -> tuple:
@@ -1249,17 +1336,14 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         cached = m._caches.get(key)
         if cached is not None:
             return cached
-        # index _BOT = -1 of the labels reads ⊥
-        labels = [m.label[e] for e in m.events] + [BOTTOM]
+        # index _BOT = -1 of the labels reads None, the value of ⊥
+        labels = [m.label[e] for e in m.events] + [None]
         result = dict.fromkeys(m.events, ())
-        for tgt, plan, sources in plans:
+        for tgt, plan, families in targets:
             for f, at, rows in _preorder_steps(m, tgt, plan):
-                vals = tuple(
-                    gossip_component_value(members, rows, [labels[at[j]] for j in members])
-                    for _, _, members in sources
-                )
-                assert _NO_MAXIMUM not in vals  # the true preorder is total
-                result[f] = vals
+                winners = _maxima(families, rows)
+                assert None not in winners  # the true preorder is total
+                result[f] = tuple([labels[at[j]] for j in winners])
         m._caches[key] = result
         return result
 

@@ -18,6 +18,7 @@ from mscgossip.constructions import (
     _NO_MAXIMUM,
     _TOP,
     _gossip_plan,
+    _hit_mask,
     _mask,
     _mirror_symbols,
     _preorder_plan,
@@ -64,6 +65,7 @@ from mscgossip.paths import (
     EPS,
     PLUS,
     STAR,
+    Msg,
     PathError,
     PathExpr,
     f_pair,
@@ -452,6 +454,13 @@ def _recurrence_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 3), max_size=8), st.integers(-2, 3))
+def test_hit_mask_matches_mask(hits, h):
+    # the decide route's →* rows: bit k set iff hits[k] = h, repeats included
+    assert _hit_mask(tuple(hits), h) == _mask(x == h for x in hits)
+
+
+@settings(max_examples=200, deadline=None)
 @given(_recurrence_inputs())
 def test_preorder_combine_rows_match_pair_reference(args):
     star_app, prev, bot, star_bits, plus_bits = args
@@ -682,6 +691,28 @@ def test_gossip_matches_oracle_on_corpus():
             bad = dict(ext.annot)
             bad[e] = tuple(vals)
             assert not mach.decide(ExtendedMsc(m, bad))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_gossip_decide_rejects_every_single_component_flip(k):
+    # from k = 4 on a family has several members (five at k = 4), so each
+    # source's component must be chosen from its own rows: every flip of one
+    # (event, component) to another value is rejected, the oracle accepted
+    sig = SystemSignature(tuple(f"p{i}" for i in range(1, k + 1)), ("a", "b"))
+    mach = build_gossip_cfm(sig)
+    m = random_msc(sig, random.Random(k), max_events_per_proc=4)
+    ext = oracle_gossip_annotation(m)
+    assert mach.decide(ext)
+    flips = 0
+    for e in m.events:
+        claimed = ext.annot[e]
+        for i, v in enumerate(claimed):
+            for w in sig.alphabet + (None,):
+                if w != v:
+                    flipped = claimed[:i] + (w,) + claimed[i + 1 :]
+                    assert not mach.decide(ext.with_annot(e, flipped)), (e, i, w)
+                    flips += 1
+    assert flips == 2 * k * len(m.events) and len(m.events) >= 10
 
 
 def test_gossip_replay_threads_canonical_runs():
@@ -1248,6 +1279,30 @@ def test_first_core_steps_run_no_rule_once_compiled(monkeypatch):
     # a fresh domain compiles, so the counter does see the compilers' calls
     list(FirstCore(PI, ("w",)).step("start", StepCtx("q", "local", None, "a"), "w", None))
     assert calls["rule"] > 0
+
+
+def test_warm_mirror_lookups_build_no_msg(monkeypatch):
+    # a path's mirrored symbols are kept per path, so a warm first_theta or
+    # FirstCore finds its mirror chain trie without building a Msg
+    m = CORPUS3[0]
+    made = []
+    init = Msg.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    def lookups():
+        for pi in PATH_SHAPES:
+            first_theta(m, pi, m.label)
+            FirstCore(pi, ("x", "y"))
+
+    lookups()
+    monkeypatch.setattr(Msg, "__init__", counting)
+    lookups()
+    assert made == []
+    Msg("p", "q")  # the counter does see a construction
+    assert made == [("p", "q")]
 
 
 def test_replay_enumerates_no_guesses():
