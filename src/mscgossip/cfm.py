@@ -271,44 +271,62 @@ def find_accepting_run(
     enumeration order and returns the first run found.  A node is an event
     index with the state tuple and channel contents reached before it; a node
     none of whose moves leads to acceptance is remembered and not searched
-    again.  That memo is local to the call and holds at most ``budget``
-    keys: a node's frame is pushed only after the node is counted against
-    the budget, and each popped frame adds one key.  The path is kept on an
-    explicit stack, one frame per event, so the depth is not bounded by the
-    interpreter's recursion limit.  Raises BudgetExhausted when more than
-    ``budget`` nodes are visited before resolution.  When a ``stats`` dict
-    is supplied, the visited-node count is written into it.
+    again.  A node's moves depend only on its event's shape (process, kind,
+    label, peer), the process's state and, on a receive, the message at the
+    channel head, so the machine is stepped once per such key: a move table
+    keeps the moves pulled so far from each step, every node with the key
+    reads them in the same order, and a step is pulled further only when a
+    node needs more of it.  The ``failed`` memo and the move table are local
+    to the call and hold at most ``budget`` keys each: a node's frame is
+    pushed only after the node is counted against the budget, each popped
+    frame adds one failed key, and each frame adds at most one table entry.
+    The path is kept on an explicit stack, one frame per event, so the depth
+    is not bounded by the interpreter's recursion limit.
+
+    ``order`` is the linearization searched, ``linearize(m)`` by default; a
+    given order must list every event once, each after its process
+    predecessor and after its send, or CfmError is raised.  Raises
+    BudgetExhausted when a node beyond the first ``budget`` would be
+    visited before resolution.  When a ``stats`` dict is supplied, the number
+    of nodes visited (at most ``budget``) is written into it as ``visited``,
+    and the number of machine steps started, one per table entry, as
+    ``steps``.
     """
     if machine.signature is None:
         # signature-generic lazy machine: adopt the MSC's processes
         machine = machine.with_signature(m.signature)
     if machine.signature.processes != m.signature.processes:
         raise CfmError("machine and MSC have different process sets")
-    if order is None:
-        order = linearize(m)
+    order = linearize(m) if order is None else _checked_order(m, order)
     pidx = {p: i for i, p in enumerate(machine.signature.processes)}
     # channel contents are one tuple of queues, one per channel the MSC
     # uses, in a fixed order, so that the tuple itself is part of a node key
     channel = {}
     for s, r in m.msg:
         channel.setdefault((m.loc[s], m.loc[r]), len(channel))
-    shapes = []
+    # per event in the order searched: (process index, kind, channel index,
+    # shape id); shapes[shape id] is (process, kind, label, peer) and
+    # tables[shape id] maps (state, channel head) to [moves pulled, step or
+    # None once exhausted]
+    recv_of, send_of = m.recv_of, m.send_of
+    shape_ids: dict[tuple, int] = {}
+    events = []
     for e in order:
-        p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
-        c = None if kind == "local" else channel[(p, peer) if kind == "send" else (peer, p)]
-        shapes.append((pidx[p], p, kind, peer, m.label[e], c))
-    visited = 0
+        p = m.loc[e]
+        if e in recv_of:
+            kind, peer = "send", m.loc[recv_of[e]]
+            c = channel[(p, peer)]
+        elif e in send_of:
+            kind, peer = "recv", m.loc[send_of[e]]
+            c = channel[(peer, p)]
+        else:
+            kind, peer, c = "local", None, None
+        sid = shape_ids.setdefault((p, kind, m.label[e], peer), len(shape_ids))
+        events.append((pidx[p], kind, c, sid))
+    shapes = list(shape_ids)
+    tables: list[dict] = [{} for _ in shapes]
+    visited = steps = 0
     failed: set[tuple[int, tuple, tuple]] = set()
-
-    def moves(i: int, states: tuple, chans: tuple):
-        k, p, kind, peer, label, c = shapes[i]
-        msg_in = None
-        if kind == "recv":
-            queue = chans[c]
-            if not queue:
-                return iter(())  # cannot happen on a linearization of a valid MSC
-            msg_in = queue[0]
-        return iter(machine.step(p, states[k], kind, label, peer, msg_in))
 
     try:
         for start in machine.initial_tuples():
@@ -318,9 +336,9 @@ def find_accepting_run(
             path: list[Transition] = []
             states, chans = tuple(start), ((),) * len(channel)
             while True:
-                visited += 1
-                if visited > budget:
+                if visited == budget:
                     raise BudgetExhausted(budget)
+                visited += 1
                 i = len(stack)
                 if i == len(order):
                     if not any(chans) and machine.is_accepting(states):
@@ -328,7 +346,18 @@ def find_accepting_run(
                 else:
                     key = (i, states, chans)
                     if key not in failed:
-                        stack.append((key, states, chans, moves(i, states, chans)))
+                        k, kind, c, sid = events[i]
+                        # a receive's queue is not empty: its send comes first
+                        situation = (states[k], chans[c][0] if kind == "recv" else None)
+                        entry = tables[sid].get(situation)
+                        if entry is None:
+                            steps += 1
+                            p, _, label, peer = shapes[sid]
+                            state, msg_in = situation
+                            step = iter(machine.step(p, state, kind, label, peer, msg_in))
+                            entry = tables[sid][situation] = [[], step]
+                        untried = iter(entry[0]) if entry[1] is None else _pull(entry)
+                        stack.append((key, states, chans, untried))
                 move = None
                 while stack and move is None:
                     key, states, chans, untried = stack[-1]
@@ -339,7 +368,7 @@ def find_accepting_run(
                 if move is None:
                     break
                 i = len(stack) - 1
-                k, _, kind, _, _, c = shapes[i]
+                k, kind, c, _ = events[i]
                 new_state, msg_out, t = move
                 del path[i:]
                 path.append(t)
@@ -352,6 +381,37 @@ def find_accepting_run(
     finally:
         if stats is not None:
             stats["visited"] = visited
+            stats["steps"] = steps
+
+
+def _pull(entry: list) -> Iterator:
+    """The moves of a move-table entry: those already pulled, then the rest
+    of its step, each pulled once and kept for the entry's other readers."""
+    seen = entry[0]
+    i = 0
+    while True:
+        if i == len(seen):
+            step = entry[1]
+            move = None if step is None else next(step, None)
+            if move is None:
+                entry[1] = None
+                return
+            seen.append(move)
+        yield seen[i]
+        i += 1
+
+
+def _checked_order(m: Msc, order):
+    """``order`` if it lists each event of m once, each after its process
+    predecessor and after its send; CfmError otherwise."""
+    pos = {e: i for i, e in enumerate(order)}
+    if len(order) != len(m.events) or pos.keys() != m.loc.keys():
+        raise CfmError("order must list every event of the MSC exactly once")
+    for e, i in pos.items():
+        for before in (m.proc_pred_of(e), m.send_of.get(e)):
+            if before is not None and pos[before] > i:
+                raise CfmError(f"order puts {e!r} before {before!r}")
+    return order
 
 
 def accepts(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> bool:

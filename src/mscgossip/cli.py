@@ -89,7 +89,6 @@ def search_with_report(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> RunRepo
         outcome = "accepted" if run is not None else "rejected"
     except BudgetExhausted:
         run, outcome = None, "budget-exhausted"
-        stats.setdefault("visited", budget)
     stats["wall_time"] = time.perf_counter() - t0
     if run is not None:
         stats["reachable_structured_states"] = len(
@@ -365,10 +364,18 @@ def _cmd_corpus_gen(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    """A node budget: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    budget = {"--budget": {"type": int, "default": DEFAULT_BUDGET}}
+    budget = {"--budget": {"type": _budget, "default": DEFAULT_BUDGET}}
 
     top = argparse.ArgumentParser(prog="mscgossip", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

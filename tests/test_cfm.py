@@ -1,12 +1,16 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from mscgossip.cfm import (
+    DEFAULT_BUDGET,
     BudgetExhausted,
     Cfm,
     CfmError,
     LazyCfm,
+    Run,
     Transition,
     accepts,
     attach_annotation,
@@ -24,10 +28,24 @@ from mscgossip.cfm import (
     universal_cfm,
     validate_run,
 )
+from mscgossip.constructions import (
+    build_fa_label_cfm,
+    build_first_label_cfm,
+    build_fixpoint_cfm,
+)
 from mscgossip.corpus import enumerate_mscs, random_cfm, random_corpus
-from mscgossip.impossibility import naive_gossip_cfm
+from mscgossip.impossibility import (
+    FamilyParams,
+    _GuessingQ,
+    _with_labels,
+    build_family_msc,
+    naive_gossip_cfm,
+    q_label_spec,
+)
 from mscgossip.msc import ExtendedMsc, Msc, SystemSignature, linearize, mirror_msc
+from mscgossip.paths import PLUS, STAR, f_pair, parse_path, star_prepend
 from figures import SIG3, fig_base, fig_flipped
+from test_impossibility import CLAIMANTS
 
 NAIVE = naive_gossip_cfm()
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
@@ -113,6 +131,16 @@ def test_budget_exhaustion_is_distinct():
         accepts(NAIVE, fig_base(), budget=5)
 
 
+def test_exhausted_search_counts_exactly_its_budget():
+    stats: dict = {}
+    with pytest.raises(BudgetExhausted):
+        find_accepting_run(NAIVE, fig_base(), budget=3, stats=stats)
+    assert stats["visited"] == 3
+    m = fig_base()
+    find_accepting_run(NAIVE, m, stats=stats)
+    assert stats["visited"] == len(m.events) + 1
+
+
 def test_determinism_examples():
     assert is_deterministic(NAIVE)
     extra_send = Cfm(
@@ -177,6 +205,20 @@ def test_acceptance_independent_of_linearization():
     for _ in range(20):
         order = _random_linearization(m, rng)
         assert (find_accepting_run(NAIVE, m, order=order) is not None) == base
+
+
+def test_given_order_must_be_a_linearization():
+    m = fig_flipped()
+    order = list(linearize(m))
+    s, r = m.msg[0]
+    recv_first = [e for e in order if e != s]
+    recv_first.insert(recv_first.index(r) + 1, s)
+    a, b = m.events_of("p")[:2]
+    swapped = [b if e == a else a if e == b else e for e in order]
+    for bad in ([], order[:-1], order + order[:1], order + ["zz"], recv_first, swapped):
+        with pytest.raises(CfmError):
+            find_accepting_run(NAIVE, m, order=bad)
+    assert find_accepting_run(NAIVE, m, order=order) is None
 
 
 def _random_linearization(m, rng):
@@ -363,3 +405,179 @@ def test_detach_inverts_attach():
         assert back.base.loc == m.loc and back.base.label == m.label
         assert back.base.msg == m.msg
         assert back.annot == annot
+
+
+# -- the move table against the search that steps at every node -----------------
+
+
+def _reference_search(machine, m, budget=DEFAULT_BUDGET):
+    """The run search asking the machine for a node's moves at every visit.
+
+    Returns (run or None, nodes visited); the node that exceeds the budget
+    raises BudgetExhausted.
+    """
+    if machine.signature is None:
+        machine = machine.with_signature(m.signature)
+    order = linearize(m)
+    pidx = {p: i for i, p in enumerate(machine.signature.processes)}
+    channel = {}
+    for s, r in m.msg:
+        channel.setdefault((m.loc[s], m.loc[r]), len(channel))
+    shapes = []
+    for e in order:
+        p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
+        c = None if kind == "local" else channel[(p, peer) if kind == "send" else (peer, p)]
+        shapes.append((pidx[p], p, kind, peer, m.label[e], c))
+    visited = 0
+    failed = set()
+
+    def moves(i, states, chans):
+        k, p, kind, peer, label, c = shapes[i]
+        msg_in = chans[c][0] if kind == "recv" else None
+        return iter(machine.step(p, states[k], kind, label, peer, msg_in))
+
+    for start in machine.initial_tuples():
+        stack, path = [], []
+        states, chans = tuple(start), ((),) * len(channel)
+        while True:
+            visited += 1
+            if visited > budget:
+                raise BudgetExhausted(budget)
+            i = len(stack)
+            if i == len(order):
+                if not any(chans) and machine.is_accepting(states):
+                    return Run(dict(zip(order, path)), tuple(start)), visited
+            else:
+                key = (i, states, chans)
+                if key not in failed:
+                    stack.append((key, states, chans, moves(i, states, chans)))
+            move = None
+            while stack and move is None:
+                key, states, chans, untried = stack[-1]
+                move = next(untried, None)
+                if move is None:
+                    stack.pop()
+                    failed.add(key)
+            if move is None:
+                break
+            i = len(stack) - 1
+            k, _, kind, _, _, c = shapes[i]
+            new_state, msg_out, t = move
+            del path[i:]
+            path.append(t)
+            states = states[:k] + (new_state,) + states[k + 1 :]
+            if kind == "send":
+                chans = chans[:c] + (chans[c] + (msg_out,),) + chans[c + 1 :]
+            elif kind == "recv":
+                chans = chans[:c] + (chans[c][1:],) + chans[c + 1 :]
+    return None, visited
+
+
+def _same_search(machine, m) -> bool:
+    """The search and the reference return the same run and visit as many
+    nodes; returns whether a run was found."""
+    stats: dict = {}
+    run = find_accepting_run(machine, m, stats=stats)
+    assert (run, stats["visited"]) == _reference_search(machine, m)
+    return run is not None
+
+
+GOSSIP_PQ = "->* msg(p,q) ->*"  # the p-to-q gossip path of two processes
+
+
+def test_search_matches_reference_on_fixpoint_machine():
+    # every 2-process shape of 4 events with a q-event: the oracle bits and
+    # each of their single-bit errors on q
+    rng = random.Random(1)
+    pi = parse_path(GOSSIP_PQ, SIG2)
+    pi2 = star_prepend(pi)
+    mach = build_fixpoint_cfm("p", "q", pi, pi2)
+    found = Counter()
+    for shape in enumerate_mscs(SIG2, 4, max_labelings=1):
+        if len(shape.events) != 4 or not shape.events_of("q"):
+            continue
+        m = Msc(SIG2, [(e, shape.loc[e], rng.choice("ab")) for e in shape.events], shape.msg)
+        bits = {e: 0 for e in m.events}
+        for e in m.events_of("q"):
+            bits[e] = 1 if f_pair(m, pi, pi2, e) == e else 0
+        found[_same_search(mach, attach_annotation(ExtendedMsc(m, bits)))] += 1
+        for e in m.events_of("q"):
+            wrong = {**bits, e: 1 - bits[e]}
+            found[_same_search(mach, attach_annotation(ExtendedMsc(m, wrong)))] += 1
+    assert found[True] > 10 and found[False] > found[True]
+
+
+def test_search_matches_reference_on_label_machines():
+    rng = random.Random(2)
+    theta = ("x", "y")
+    machines = [
+        build_first_label_cfm(theta, parse_path(GOSSIP_PQ, SIG2)),
+        build_fa_label_cfm(theta, "q", "q", PLUS, STAR),
+    ]
+    for mach in machines:
+        for m in random_corpus(SIG2, 8, seed=3, max_events_per_proc=4):
+            ann = mach.annotate(m, {e: rng.choice(theta) for e in m.events})
+            assert _same_search(mach, attach_annotation(ExtendedMsc(m, ann)))
+            if m.events_of("q"):
+                e = rng.choice(m.events_of("q"))
+                bad = {**ann, e: (ann[e][0], "y" if ann[e][1] == "x" else "x")}
+                assert not _same_search(mach, attach_annotation(ExtendedMsc(m, bad)))
+
+
+def test_search_matches_reference_on_universal_machine():
+    u = universal_cfm(SIG3)
+    for m in random_corpus(SIG3, 6, seed=11):
+        assert _same_search(u, m)
+
+
+def test_search_matches_reference_on_guessing_claimant():
+    m = build_family_msc(FamilyParams(5, 2))
+    assert _same_search(_GuessingQ(CLAIMANTS["parity"]), _with_labels(m, q_label_spec(m)))
+
+
+class _CountedSteps:
+    """A machine that counts its steps per tuple of step arguments."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.signature = machine.signature
+        self.calls = Counter()
+
+    def initial_tuples(self):
+        return self.machine.initial_tuples()
+
+    def step(self, *key):
+        self.calls[key] += 1
+        return self.machine.step(*key)
+
+    def is_accepting(self, final):
+        return self.machine.is_accepting(final)
+
+
+def test_each_local_situation_is_stepped_once():
+    m = build_family_msc(FamilyParams(5, 2))
+    m = _with_labels(m, q_label_spec(m))
+    plain = _CountedSteps(_GuessingQ(CLAIMANTS["parity"]))
+    _reference_search(plain, m)
+    counted = _CountedSteps(_GuessingQ(CLAIMANTS["parity"]))
+    stats: dict = {}
+    find_accepting_run(counted, m, stats=stats)
+    assert set(counted.calls) == set(plain.calls)
+    assert max(plain.calls.values()) > 1
+    assert set(counted.calls.values()) == {1}
+    assert stats["steps"] == len(counted.calls)
+
+
+def test_moves_are_pulled_only_as_needed():
+    # every step yields endlessly many moves; the run reads the first (and,
+    # when only state 2 accepts, the third) move of a key both events share
+    sig = SystemSignature(("p",), ("a",))
+    m = Msc(sig, [("e0", "p", "a"), ("e1", "p", "a")], [])
+
+    def step(p, state, kind, label, peer, msg_in):
+        return ((n, None) for n in itertools.count())
+
+    for final, targets in ((0, [0, 0]), (2, [0, 2])):
+        lazy = LazyCfm(sig, lambda p: [0], step, lambda p, s, final=final: s == final)
+        run = find_accepting_run(lazy, m)
+        assert [run.assignment[e].target for e in ("e0", "e1")] == targets

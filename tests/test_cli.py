@@ -250,6 +250,38 @@ def test_cfm_run_and_accepts(tmp_path, capsys):
     assert dispatch(["cfm", "run", str(cfm_path), str(good), "--budget", "1"]) == 3
 
 
+def test_cfm_run_json_counts_nodes_within_budget(tmp_path, capsys):
+    c = chain_cfm()
+    cfm_path = tmp_path / "c.json"
+    cfm_path.write_text(json.dumps(cfm_to_json(c)))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(msc_to_json(
+        Msc(c.signature, [("e0", "p", "a"), ("e1", "p", "b")], []))))
+    capsys.readouterr()
+    assert dispatch(["cfm", "run", str(cfm_path), str(good), "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    # three nodes (before e0, before e1, the end); e0 and e1 each step once
+    assert (stats["visited"], stats["steps"]) == (3, 2)
+    assert dispatch(["cfm", "run", str(cfm_path), str(good), "--budget", "2",
+                     "--json"]) == 3
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["visited"] == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_exits_2(budget, tmp_path, capsys):
+    c = chain_cfm()
+    cfm_path = tmp_path / "c.json"
+    cfm_path.write_text(json.dumps(cfm_to_json(c)))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(msc_to_json(Msc(c.signature, [("e0", "p", "b")], []))))
+    capsys.readouterr()
+    assert dispatch(["cfm", "run", str(cfm_path), str(good), "--budget", budget]) == 2
+    assert "budget must be at least 1" in capsys.readouterr().err
+    assert dispatch(["impossible", "refute", "--budget", budget]) == 2
+    assert "budget must be at least 1" in capsys.readouterr().err
+
+
 def test_cfm_det_mirror_product(tmp_path, capsys):
     c = chain_cfm()
     cfm_path = tmp_path / "c.json"
