@@ -26,7 +26,6 @@ from .cfm import (
     detach_annotation,
     find_accepting_run,
     is_deterministic,
-    materialize,
     mirror_cfm,
     oracle_accepts,
     product,
@@ -88,7 +87,6 @@ from .tl import (
     eval_tl,
     expand_derived,
     format_tl,
-    mirror_formula,
     parse_tl,
 )
 

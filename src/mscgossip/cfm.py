@@ -664,64 +664,6 @@ def mirror_cfm(c: Cfm) -> Cfm:
     )
 
 
-def lower_generalized_initial(c: Cfm) -> Cfm:
-    """Remove generalized_initial by per-process index guessing.
-
-    Each process guesses which start tuple the system uses, simulates from
-    that tuple's component, and remembers the guess; acceptance requires all
-    processes to have guessed the same index.  Language-preserving.
-    """
-    if c.generalized_initial is None:
-        return c
-    sig = c.signature
-    tuples = sorted(c.generalized_initial, key=repr)
-    states = {
-        p: [("init",)] + [(i, s) for i in range(len(tuples)) for s in c.states[p]]
-        for p in sig.processes
-    }
-    initial = {p: ("init",) for p in sig.processes}
-    transitions = []
-    for p in sig.processes:
-        k = sig.proc_index(p)
-        for t in c.transitions_of(p):
-            for i, tup in enumerate(tuples):
-                transitions.append(
-                    Transition(p, (i, t.source), t.kind, t.label, (i, t.target),
-                               t.msg, t.peer)
-                )
-                if t.source == tup[k]:
-                    transitions.append(
-                        Transition(p, ("init",), t.kind, t.label, (i, t.target),
-                                   t.msg, t.peer)
-                    )
-    accepting = []
-    for acc in c.accepting:
-        for i in range(len(tuples)):
-            accepting.append(tuple((i, s) for s in acc))
-        # empty processes never leave ("init",); allow any subset of them to
-        # stay there provided their guessed tuple's component is accepting
-        # at its start: handled by also accepting mixed tuples where ("init",)
-        # stands for "no events happened on p".
-    mixed = []
-    for acc in c.accepting:
-        for i, tup in enumerate(tuples):
-            base = [(i, s) for s in acc]
-            for mask in range(1, 1 << len(sig.processes)):
-                cand = list(base)
-                ok = True
-                for b, p in enumerate(sig.processes):
-                    if mask >> b & 1:
-                        # p had no events: final must equal start component
-                        if acc[b] != tup[b]:
-                            ok = False
-                            break
-                        cand[b] = ("init",)
-                if ok:
-                    mixed.append(tuple(cand))
-    return Cfm(sig, c.messages, states, initial, transitions,
-               accepting + mixed, None)
-
-
 def universal_cfm(sig: SystemSignature, messages: Iterable[Hashable] = ("*",)) -> Cfm:
     """One state per process, every move allowed; accepts every MSC over sig."""
     messages = tuple(messages)
@@ -739,79 +681,6 @@ def universal_cfm(sig: SystemSignature, messages: Iterable[Hashable] = ("*",)) -
                     transitions.append(Transition(p, "u", "recv", a, "u", mm, q))
     accepting = [tuple("u" for _ in sig.processes)]
     return Cfm(sig, messages, states, initial, transitions, accepting)
-
-
-MATERIALIZE_CAP = 10**5
-
-
-def materialize(lazy: LazyCfm, sig: SystemSignature, cap: int = MATERIALIZE_CAP) -> Cfm:
-    """Explicit Cfm from a lazy one by reachable-state closure.
-
-    Receives are expanded against the set of message values produced by
-    reachable sends (iterated to a fixpoint), so the result is exact whenever
-    every reachable state is found.  Raises CfmError when more than ``cap``
-    states (or accepting tuples) would be produced.
-    """
-    if lazy.signature is None:
-        lazy = lazy.with_signature(sig)
-    procs = sig.processes
-    states: dict[str, set] = {p: set(lazy._starts(p)) for p in procs}
-    transitions: set[Transition] = set()
-    messages: set = set()
-
-    def explore() -> bool:
-        grew = False
-        for p in procs:
-            others = [q for q in procs if q != p]
-            for s in list(states[p]):
-                for a in sig.alphabet:
-                    moves = [("local", None, [None])]
-                    for peer in others:
-                        moves.append(("send", peer, [None]))
-                        moves.append(("recv", peer, sorted(messages, key=repr)))
-                    for kind, peer, inboxes in moves:
-                        for msg_in in inboxes:
-                            for ns, mo in lazy._step(p, s, kind, a, peer, msg_in):
-                                msg = mo if kind == "send" else msg_in
-                                t = Transition(p, s, kind, a, ns, msg, peer)
-                                if t not in transitions:
-                                    transitions.add(t)
-                                    grew = True
-                                if kind == "send" and mo not in messages:
-                                    messages.add(mo)
-                                    grew = True
-                                if ns not in states[p]:
-                                    states[p].add(ns)
-                                    grew = True
-                                    if sum(len(v) for v in states.values()) > cap:
-                                        raise CfmError(
-                                            f"materialization exceeds {cap} states"
-                                        )
-        return grew
-
-    while explore():
-        pass
-
-    finals = {p: [s for s in states[p] if lazy._final(p, s)] for p in procs}
-    n_acc = 1
-    for p in procs:
-        n_acc *= max(len(finals[p]), 1)
-    if n_acc > cap:
-        raise CfmError(f"materialization exceeds {cap} accepting tuples")
-    import itertools as _it
-
-    accepting = [tuple(t) for t in _it.product(*(finals[p] for p in procs))]
-    initial = {p: next(iter(lazy._starts(p))) for p in procs}
-    gen = [tuple(t) for t in _it.product(*(list(lazy._starts(p)) for p in procs))]
-    return Cfm(
-        sig,
-        sorted(messages, key=repr) or ["*"],
-        {p: sorted(states[p], key=repr) for p in procs},
-        initial,
-        sorted(transitions, key=repr),
-        accepting,
-        generalized_initial=gen if len(gen) > 1 else None,
-    )
 
 
 # -- JSON wire format ----------------------------------------------------------

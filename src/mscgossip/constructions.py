@@ -996,15 +996,21 @@ class PreorderCore:
 # ---------------------------------------------------------------------------
 
 
+def _unchecked(claim):
+    return claim
+
+
 class AnnotationCfm(LazyCfm):
     """A LazyCfm over an annotated alphabet, plus its direct decision route.
 
-    decide(ext) computes the machine's unique consistent internal valuation
-    with the direct passes and compares annotations; it defines the same
-    language as the transition relation.  The two are cross-validated by run
-    search on small instances and, where ``canonical_states`` is given, by
-    ``replay`` of the valuation's run through the composite relation.
-    ``accepts`` on the product-labeled encoding runs the search instead.
+    annotate(m) is the canonical correct annotation, memoised on the MSC
+    under ``key``.  decide(ext) compares it with the claimed annotation,
+    each claimed value first passed through ``claim``, on the events of
+    ``check_proc`` (every event when None).  A machine whose annotation reads
+    the claim (the label machines read ξ1 from it) has no key and gives its
+    own ``decide``.  decide defines the same language as the transition
+    relation; the two are cross-validated by run search on small instances
+    and, where ``canonical`` is given, by ``replay`` of the valuation's run.
     """
 
     def __init__(
@@ -1014,20 +1020,37 @@ class AnnotationCfm(LazyCfm):
         step_fn,
         final_ok,
         annotate: Callable[..., dict],
-        decide: Callable[[ExtendedMsc], bool],
+        *,
+        key: Hashable = None,
+        check_proc: Optional[str] = None,
+        claim: Callable = _unchecked,
+        decide: Optional[Callable[[ExtendedMsc], bool]] = None,
         canonical: Optional[Callable[[Msc], dict]] = None,
     ):
         super().__init__(None, starts, step_fn, final_ok, name)
         self._annotate_fn = annotate
+        self._key = key
+        self._check_proc = check_proc
+        self._claim = claim
         self._decide_fn = decide
         self._canonical_fn = canonical
 
-    def annotate(self, m: Msc, *args, **kwargs) -> dict:
-        """The canonical correct annotation."""
-        return self._annotate_fn(m, *args, **kwargs)
+    def annotate(self, m: Msc, *args) -> dict:
+        """The canonical correct annotation (given ξ1 for a keyless machine)."""
+        if self._key is None:
+            return self._annotate_fn(m, *args)
+        cached = m._caches.get(self._key)
+        if cached is None:
+            cached = m._caches[self._key] = self._annotate_fn(m)
+        return cached
 
     def decide(self, ext: ExtendedMsc) -> bool:
-        return self._decide_fn(ext)
+        if self._decide_fn is not None:
+            return self._decide_fn(ext)
+        m, claim = ext.base, self._claim
+        want = self.annotate(m)
+        events = m.events if self._check_proc is None else m.events_of(self._check_proc)
+        return all(claim(ext.annot[e]) == want[e] for e in events)
 
     def canonical_states(self, m: Msc) -> dict:
         """Per event, the structured state its process reaches in the unique
@@ -1085,7 +1108,7 @@ def _pair_machine(core, name, value, check_proc: Optional[str] = None) -> Annota
     def final_ok(p, state):
         return core.final(state)
 
-    return AnnotationCfm(name, starts, step, final_ok, annotate, decide)
+    return AnnotationCfm(name, starts, step, final_ok, annotate, decide=decide)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,12 +1174,6 @@ def build_fixpoint_cfm(p: str, q: str, pi: PathExpr, pi2: PathExpr) -> Annotatio
         bits = fixpoint_bits(m, pi, pi2)
         return {e: (1 if bits[e] else 0) if m.loc[e] == q else 0 for e in m.events}
 
-    def decide(ext):
-        bits = fixpoint_bits(ext.base, pi, pi2)
-        return all(
-            ext.annot[e] == (1 if bits[e] else 0) for e in ext.base.events_of(q)
-        )
-
     def starts(pp):
         return [core.start()]
 
@@ -1174,7 +1191,8 @@ def build_fixpoint_cfm(p: str, q: str, pi: PathExpr, pi2: PathExpr) -> Annotatio
         step,
         final_ok,
         annotate,
-        decide,
+        key=("fixpoint-annot", q, pi, pi2),
+        check_proc=q,
         canonical=lambda m: fix_canonical_states(m, q, pi, pi2),
     )
 
@@ -1202,13 +1220,6 @@ def build_preorder_cfm(
             for e in m.events
         }
 
-    def decide(ext):
-        bits = preorder_bits(ext.base, q, paths)
-        return all(
-            ext.annot[e] == ord_annotation(bits[e], paths)
-            for e in ext.base.events_of(q)
-        )
-
     def starts(pp):
         return [core.start()]
 
@@ -1229,7 +1240,8 @@ def build_preorder_cfm(
         step,
         final_ok,
         annotate,
-        decide,
+        key=("preorder-annot", q, paths),
+        check_proc=q,
         canonical=lambda m: preorder_canonical_states(m, q, paths),
     )
 
@@ -1274,35 +1286,27 @@ def gossip_component_value(members: tuple, rows: tuple, values):
 
 @functools.cache
 def _gossip_plan(sig: SystemSignature) -> tuple:
-    """Per target process tgt in process order, (tgt, plan, sources): the
-    closure plan of all the gossip families into tgt and, per source process
-    src in order, (src, family, the family's closure indices in the plan).
-    The plans share one last-trie and one first-trie; compiled once per
-    signature.
+    """The gossip families as build_gossip_cfm reads them, compiled once per
+    signature: per (src, tgt) pair, (src, tgt, family), target by target in
+    process order; per target process tgt, (tgt, plan, each source's family
+    as its closure indices in plan), plan being the closure plan of all the
+    gossip families into tgt.  The plans share one last-trie and one
+    first-trie.
 
     One plan serves all of tgt's families because the ⪯ recurrence is
     pairwise: whether π_i ⪯ π_j holds at f reads only π_i, π_j and their →*
     closures, so ⪯ over the union holds each family's ⪯ among its rows.
     """
-    families = [
-        [(src, gossip_paths_between(sig, src, tgt)) for src in sig.processes]
-        for tgt in sig.processes
-    ]
-    plans = _closure_plans([[pi for _, fam in srcs for pi in fam] for srcs in families])
-    return tuple(
-        (tgt, plan, tuple((src, fam, tuple(map(plan.clos.index, fam))) for src, fam in srcs))
-        for tgt, plan, srcs in zip(sig.processes, plans, families)
+    procs = sig.processes
+    families = [[gossip_paths_between(sig, src, tgt) for src in procs] for tgt in procs]
+    plans = _closure_plans([[pi for fam in fams for pi in fam] for fams in families])
+    pairs = tuple(
+        (src, tgt, fam) for tgt, fams in zip(procs, families) for src, fam in zip(procs, fams)
     )
-
-
-@functools.cache
-def _gossip_layout(sig: SystemSignature) -> tuple:
-    """_gossip_plan as build_gossip_cfm reads it, made once per signature:
-    per (src, tgt) pair, (src, tgt, family); per target process, (tgt, plan,
-    each source's family as closure indices)."""
-    plans = _gossip_plan(sig)
-    pairs = tuple((src, tgt, fam) for tgt, _, sources in plans for src, fam, _ in sources)
-    targets = tuple((tgt, plan, tuple(ms for _, _, ms in sources)) for tgt, plan, sources in plans)
+    targets = tuple(
+        (tgt, plan, tuple(tuple(map(plan.clos.index, fam)) for fam in fams))
+        for tgt, plan, fams in zip(procs, plans, families)
+    )
     return pairs, targets
 
 
@@ -1316,7 +1320,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     directly.
     """
     procs = sig.processes
-    pairs, targets = _gossip_layout(sig)
+    pairs, targets = _gossip_plan(sig)
 
     @functools.cache
     def cores() -> tuple:
@@ -1330,12 +1334,6 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         return tuple(out)
 
     def annotate(m):
-        # depends only on the base MSC; memoized so repeated membership
-        # queries on the same MSC (mutation sweeps) cost one computation
-        key = ("gossip-annot", procs)
-        cached = m._caches.get(key)
-        if cached is not None:
-            return cached
         # index _BOT = -1 of the labels reads None, the value of ⊥
         labels = [m.label[e] for e in m.events] + [None]
         result = dict.fromkeys(m.events, ())
@@ -1344,12 +1342,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
                 winners = _maxima(families, rows)
                 assert None not in winners  # the true preorder is total
                 result[f] = tuple([labels[at[j]] for j in winners])
-        m._caches[key] = result
         return result
-
-    def decide(ext):
-        want = annotate(ext.base)
-        return all(ext.annot[e] == want[e] for e in ext.base.events)
 
     def starts(p):
         state = tuple(
@@ -1402,7 +1395,8 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         }
 
     return AnnotationCfm(
-        "gossip", starts, step, final_ok, annotate, decide, canonical=canonical
+        "gossip", starts, step, final_ok, annotate,
+        key=("gossip-annot", procs), canonical=canonical,
     )
 
 

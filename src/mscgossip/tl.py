@@ -362,23 +362,6 @@ def expand_derived(phi: TlFormula) -> TlFormula:
     raise TlError(f"unknown formula node {phi!r}")
 
 
-def mirror_formula(phi: TlFormula) -> TlFormula:
-    """Time reversal on core formulas: until and since swap roles."""
-    if isinstance(phi, (Atom, Proc, Bool)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(mirror_formula(phi.sub))
-    if isinstance(phi, Or):
-        return Or(mirror_formula(phi.left), mirror_formula(phi.right))
-    if isinstance(phi, Co):
-        return Co(mirror_formula(phi.sub))
-    if isinstance(phi, Until):
-        return Since(mirror_formula(phi.left), mirror_formula(phi.right))
-    if isinstance(phi, Since):
-        return Until(mirror_formula(phi.left), mirror_formula(phi.right))
-    return mirror_formula(expand_derived(phi))
-
-
 # ---------------------------------------------------------------------------
 # brute-force semantics (the oracle)
 # ---------------------------------------------------------------------------
@@ -617,33 +600,18 @@ def _bit_of(annot) -> int:
 
 
 class _TlMachine(AnnotationCfm):
-    """Compiled formula machine: bit annotations over Σ×{0,1}.
-
-    Annotations are cached on the MSC under the formula and the signature
-    (they do not depend on the claimed bits), so deciding many mutations of
-    one instance costs one computation.
-    """
+    """Compiled formula machine: bit annotations over Σ×{0,1}, memoised on
+    the MSC under the formula and the signature."""
 
     def __init__(self, phi, sig, starts, step_fn, final_ok, annotate_fn):
-        name = f"tl[{format_tl(phi)}]"
-
-        def annotate_cached(m):
-            key = ("tl-annot", name, sig)
-            if key not in m._caches:
-                m._caches[key] = annotate_fn(m)
-            return m._caches[key]
-
-        def decide(ext):
-            want = annotate_cached(ext.base)
-            return all(_bit_of(ext.annot[e]) == want[e] for e in ext.base.events)
-
         super().__init__(
-            name,
+            f"tl[{format_tl(phi)}]",
             starts,
             step_fn,
             final_ok,
-            annotate_cached,
-            decide,
+            annotate_fn,
+            key=("tl-annot", phi, sig),
+            claim=_bit_of,
         )
 
 
@@ -673,7 +641,7 @@ def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
         yield from inner._step(p, state, kind, (sigma, 1 - _bit_of(bit)), peer, msg_in)
 
     def annotate(m):
-        sub = inner._annotate_fn(m)
+        sub = inner.annotate(m)
         return {e: 1 - sub[e] for e in m.events}
 
     return _TlMachine(phi, sig, starts, step, inner._final, annotate)
@@ -708,7 +676,7 @@ def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         return m1._final(p, state[0]) and m2._final(p, state[1])
 
     def annotate(m):
-        v1, v2 = m1._annotate_fn(m), m2._annotate_fn(m)
+        v1, v2 = m1.annotate(m), m2.annotate(m)
         return {e: v1[e] | v2[e] for e in m.events}
 
     return _TlMachine(phi, sig, starts, step, final_ok, annotate)
@@ -763,12 +731,9 @@ def compile_since(
     def annotate(m):
         return _dominance(m, sig, [(p, q)], False)
 
-    def decide(ext):
-        want = annotate(ext.base)
-        return all(_bit_of(ext.annot[e]) == want[e] for e in ext.base.events)
-
     out = AnnotationCfm(
-        f"since[{p}->{q}]", starts, step, final_ok, annotate, decide
+        f"since[{p}->{q}]", starts, step, final_ok, annotate,
+        key=("since-annot", p, q, sig), claim=_bit_of,
     )
     out.moves = moves
     return out
@@ -829,7 +794,7 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         )
 
     def annotate(m):
-        recoded = _abcd_msc(m, m1._annotate_fn(m), m2._annotate_fn(m))
+        recoded = _abcd_msc(m, m1.annotate(m), m2.annotate(m))
         return _dominance(recoded, sig, every_pair, mirror)
 
     return _TlMachine(phi, sig, starts, step, final_ok, annotate)

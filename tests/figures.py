@@ -1,14 +1,28 @@
-"""Shared hand-built MSC fixtures and a random formula grammar used across
-the test suite.
+"""Shared hand-built MSC fixtures, a random formula grammar and the time
+reversal of formulas, used across the test suite.
 
 ``fig_base`` is a 24-event MSC over processes p, q, r in which p emits a
 stream of b/a events, some relayed to q through r.  ``fig_annotated`` is the
 same structure with two q-labels flipped; the flipped version is the one
 whose per-event path comparisons are frozen in the tests.
+``mirror_formula`` swaps until and since, so the oracle tests can check
+``eval_tl`` on an MSC against ``eval_tl`` on its mirror.
 """
 
 from mscgossip.msc import Msc, SystemSignature
-from mscgossip.tl import And, Atom, Not, Or, Proc, Since, Until
+from mscgossip.tl import (
+    And,
+    Atom,
+    Bool,
+    Co,
+    Not,
+    Or,
+    Proc,
+    Since,
+    TlFormula,
+    Until,
+    expand_derived,
+)
 
 SIG3 = SystemSignature(processes=("p", "q", "r"), alphabet=("a", "b", "d"))
 
@@ -68,3 +82,20 @@ def acceptance_formula(rng, depth):
     if k == 4:
         return Since(acceptance_formula(rng, depth - 1), acceptance_formula(rng, depth - 1))
     return Until(acceptance_formula(rng, depth - 1), acceptance_formula(rng, depth - 1))
+
+
+def mirror_formula(phi: TlFormula) -> TlFormula:
+    """Time reversal on core formulas: until and since swap roles."""
+    if isinstance(phi, (Atom, Proc, Bool)):
+        return phi
+    if isinstance(phi, Not):
+        return Not(mirror_formula(phi.sub))
+    if isinstance(phi, Or):
+        return Or(mirror_formula(phi.left), mirror_formula(phi.right))
+    if isinstance(phi, Co):
+        return Co(mirror_formula(phi.sub))
+    if isinstance(phi, Until):
+        return Since(mirror_formula(phi.left), mirror_formula(phi.right))
+    if isinstance(phi, Since):
+        return Until(mirror_formula(phi.left), mirror_formula(phi.right))
+    return mirror_formula(expand_derived(phi))

@@ -61,9 +61,8 @@ from mscgossip.tl import (
     eval_tl,
     expand_derived,
     format_tl,
-    mirror_formula,
 )
-from figures import SIG3, acceptance_formula, fig_flipped
+from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula
 from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))

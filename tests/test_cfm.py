@@ -19,7 +19,6 @@ from mscgossip.cfm import (
     detach_annotation,
     find_accepting_run,
     is_deterministic,
-    lower_generalized_initial,
     mirror_cfm,
     oracle_accepts,
     product,
@@ -317,17 +316,6 @@ def test_mirror_involution_at_language_level():
         cmm = mirror_cfm(mirror_cfm(c))
         for m in CORPUS[:12]:
             assert accepts(cmm, m) == accepts(c, m)
-
-
-def test_lower_generalized_initial_equivalence():
-    rng = random.Random(41)
-    for i in range(6):
-        c = mirror_cfm(random_cfm(SIG2, rng))  # mirrors have generalized starts
-        assert c.generalized_initial is not None
-        low = lower_generalized_initial(c)
-        assert low.generalized_initial is None
-        for m in CORPUS[i * 6 : i * 6 + 6]:
-            assert accepts(low, m) == accepts(c, m)
 
 
 def test_relabel_identity_and_collapse():

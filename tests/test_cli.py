@@ -348,22 +348,35 @@ def test_gossip_build_rejects_mixed_signatures(tmp_path, capsys):
     assert str(b) in capsys.readouterr().err
 
 
+def run_module(*args, hash_seed="0"):
+    """``python -m mscgossip ARGS`` in a fresh interpreter, without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "mscgossip", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_cfm_mirror_output_is_independent_of_hash_seed(tmp_path):
     path = tmp_path / "mod3.json"
     path.write_text(json.dumps(cfm_to_json(CLAIMANTS["mod3"])))
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for seed in ("1", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from mscgossip.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))",
-             "cfm", "mirror", str(path)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_module("cfm", "mirror", str(path), hash_seed=seed)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_module_entry_point_exits_2_on_a_malformed_cfm(tmp_path):
+    obj = cfm_to_json(CLAIMANTS["echo"])
+    obj["machines"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    proc = run_module("cfm", "det", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "must be" in proc.stderr
 
 
 def test_impossible_family_and_refute(tmp_path, capsys):

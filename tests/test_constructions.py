@@ -1,5 +1,4 @@
 import functools
-import itertools
 import random
 from collections import Counter, defaultdict, deque
 
@@ -10,7 +9,6 @@ from mscgossip import constructions
 from mscgossip.cfm import (
     attach_annotation,
     find_accepting_run,
-    materialize,
     validate_run,
 )
 from mscgossip.constructions import (
@@ -392,6 +390,21 @@ def test_preorder_singleton_is_constant_reflexive():
 def test_preorder_mixed_comp_pairs_rejected():
     with pytest.raises(PathError):
         build_preorder_cfm("p", "q", (PI, parse_path("msg(p,r) ->*", SIG3)), sig=SIG3)
+
+
+def test_fixpoint_and_preorder_decide_check_q_events_only():
+    # junk off q changes no verdict; a wrong value on a q-event is rejected
+    m = fig_flipped()
+    for mach, wrong in (
+        (build_fixpoint_cfm("p", "q", PI, star_prepend(PI2)), lambda v: 1 - v),
+        (build_preorder_cfm("p", "q", (PI, PI2)), lambda v: frozenset()),
+    ):
+        ann = mach.annotate(m)
+        junk = {e: v if m.loc[e] == "q" else "junk" for e, v in ann.items()}
+        assert mach.decide(ExtendedMsc(m, junk))
+        for e in ("f0", "f3"):
+            for base in (ann, junk):
+                assert not mach.decide(ExtendedMsc(m, {**base, e: wrong(ann[e])}))
 
 
 def test_closure_identifies_double_star():
@@ -825,7 +838,7 @@ def test_gossip_trie_nodes_match_oracle(k, seed, max_events):
     # of its path at every event, against the relational oracle
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
-    _, plan, _ = _gossip_plan(sig)[0]  # every target's plan reads the same two tries
+    _, plan, _ = _gossip_plan(sig)[1][0]  # every target's plan reads the same two tries
     for trie, oracle, none in (
         (plan.last_trie, last, BOTTOM),
         (plan.first_trie, first, TOP),
@@ -878,7 +891,7 @@ def test_compiled_pass_matches_theta_rule(k, seed, max_events):
     # examples, give the edge-by-edge maps of _theta_rule
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
-    _, plan, _ = _gossip_plan(sig)[0]
+    _, plan, _ = _gossip_plan(sig)[1][0]
     for trie in (plan.last_trie, plan.first_trie):
         assert _trie_pass(m, trie) == _reference_pass(m, trie)
 
@@ -1358,50 +1371,3 @@ def test_gossip_step_want_contract_at_k1():
         for state in check_want(rng, step(start, "a", xi)):
             for xi2 in annots:
                 check_want(rng, step(state, "b", xi2))
-
-
-# -- materialization -----------------------------------------------------------
-
-
-def test_materialize_last_machine_exact():
-    theta = ("x", "y")
-    mach = build_last_label_cfm(theta, PLUS)
-    annots = [(x1, x2) for x1 in theta for x2 in theta + (BOTTOM,)]
-    full = SystemSignature(
-        ("p", "q"), tuple((s, a) for s in ("a", "b") for a in annots)
-    )
-    c = materialize(mach, full)
-    rng = random.Random(4)
-    checked = 0
-    for m in CORPUS2[:4]:
-        for combo in itertools.product(theta, repeat=len(m.events)):
-            xi1 = dict(zip(m.events, combo))
-            ann = mach.annotate(m, xi1)
-            enc = encode(m, ann)
-            enc_full = Msc(
-                full, [(e, enc.loc[e], enc.label[e]) for e in enc.events], enc.msg
-            )
-            assert find_accepting_run(c, enc_full) is not None
-            checked += 1
-            if m.events:
-                bad = _mutants(rng, ann, theta + (BOTTOM,))
-                encb = encode(m, bad)
-                encb_full = Msc(
-                    full,
-                    [(e, encb.loc[e], encb.label[e]) for e in encb.events],
-                    encb.msg,
-                )
-                assert find_accepting_run(c, encb_full) is None
-    assert checked >= 20
-
-
-def test_materialize_cap_enforced():
-    from mscgossip.cfm import CfmError
-
-    mach = build_last_label_cfm(("x", "y", "z"), PI)
-    annots = [(x1, x2) for x1 in ("x", "y", "z") for x2 in ("x", "y", "z", BOTTOM)]
-    full = SystemSignature(
-        SIG3.processes, tuple((s, a) for s in SIG3.alphabet for a in annots)
-    )
-    with pytest.raises(CfmError):
-        materialize(mach, full, cap=5)

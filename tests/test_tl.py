@@ -42,12 +42,11 @@ from mscgossip.tl import (
     eval_tl,
     expand_derived,
     format_tl,
-    mirror_formula,
     parse_tl,
     since_path_sets,
     _dominates,
 )
-from figures import SIG3, acceptance_formula, fig_flipped
+from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
 CORPUS = random_corpus(SIG2, count=14, seed=3, max_events_per_proc=3)
@@ -443,6 +442,24 @@ def test_tl_annotation_memo_is_per_signature():
         compile_tl(phi, one_proc).annotate(m)
         want = eval_tl(m, phi)
         assert compile_tl(phi, SIG2).annotate(m) == {e: int(want[e]) for e in m.events}
+
+
+def test_tl_annotation_memo_is_per_formula_not_per_text():
+    # format_tl prints Atom(1) and Atom("1") alike
+    sig = SystemSignature(("p",), (1, "1"))
+    m = Msc(sig, [("e", "p", 1), ("f", "p", "1")], [])
+    assert format_tl(Atom(1)) == format_tl(Atom("1"))
+    assert compile_tl(Atom(1), sig).annotate(m) == {"e": 1, "f": 0}
+    assert compile_tl(Atom("1"), sig).annotate(m) == {"e": 0, "f": 1}
+
+
+@pytest.mark.parametrize("claim", [2, "1"])
+def test_decide_raises_on_a_non_bit_claim(claim):
+    m = Msc(ABCD_SIG, [("s", "p", "a"), ("r", "q", "b")], [("s", "r")])
+    for machine in (compile_tl(Since(Atom("a"), Atom("b")), ABCD_SIG),
+                    compile_since("p", "q", ABCD_SIG)):
+        with pytest.raises(TlError):
+            machine.decide(ExtendedMsc(m, {"s": claim, "r": 0}))
 
 
 def test_since_pair_bits_match_the_preorder_switch_rules():
