@@ -459,3 +459,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,9 @@ Each construction is a machine over an annotated alphabet whose language is
   linearization.  Because each machine admits exactly one consistent internal
   valuation per MSC, this decides membership without search and scales to
   large instances; it is the machine's ``decide(ext)``, while ``accepts``
-  always runs the search.
+  always runs the search.  The gossip machine's decide reads ⪯ by its
+  definition, as recency of last events on one forward trie pass; its
+  relation runs the ⪯ recurrence.
 
 The fixpoint, preorder and gossip machines also give the states of that
 valuation's run (``canonical_states``).  ``replay`` steps the composite
@@ -294,6 +296,18 @@ def trie_maps(m: Msc, trie: PathTrie) -> list[tuple]:
     return maps
 
 
+def trie_plan(families: dict, mirror: bool = False) -> tuple[PathTrie, dict]:
+    """One trie over every path of ``families``, a dict of tuples of path
+    families, and per key the trie nodes of each of its families."""
+    paths = (pi.symbols for fams in families.values() for fam in fams for pi in fam)
+    trie = PathTrie(paths, mirror)
+    nodes = {
+        key: tuple(tuple(trie.find(pi.symbols) for pi in fam) for fam in fams)
+        for key, fams in families.items()
+    }
+    return trie, nodes
+
+
 @functools.cache
 def _mirror_symbols(pi: PathExpr) -> tuple:
     """π read backwards with each msg(p,q) turned into msg(q,p): its last on
@@ -429,25 +443,16 @@ class _ClosurePlan:
         )
 
 
-def _closure_plans(path_sets: list[tuple]) -> list[_ClosurePlan]:
-    """One plan per path set, all of them on one last-trie and one first-trie."""
-    closures = [closure_with_star(paths) for paths in path_sets]
-    last_trie = PathTrie([a.symbols for clos in closures for a in clos])
-    first_trie = PathTrie(
-        [
-            _mirror_symbols(prepend(b))
-            for clos in closures
-            for b in clos
-            for prepend in (star_prepend, plus_prepend)
-        ],
-        mirror=True,
-    )
-    return [_ClosurePlan(clos, last_trie, first_trie) for clos in closures]
-
-
 @functools.cache
 def _preorder_plan(paths: tuple) -> _ClosurePlan:
-    return _closure_plans([paths])[0]
+    """The closure plan of a path set, compiled once per set: a last-trie
+    over its star closure and a first-trie over every →*b and →+b."""
+    clos = closure_with_star(paths)
+    first_trie = PathTrie(
+        [_mirror_symbols(prepend(b)) for b in clos for prepend in (star_prepend, plus_prepend)],
+        mirror=True,
+    )
+    return _ClosurePlan(clos, PathTrie([a.symbols for a in clos]), first_trie)
 
 
 def preorder_combine(
@@ -1249,65 +1254,38 @@ def build_preorder_cfm(
 _NO_MAXIMUM = object()
 
 
-def _maxima(families: tuple, rows: tuple) -> list:
-    """The closure index of each family's first ⪯-maximal member, a family
-    being the tuple of its paths' closure indices; None where the preorder
-    has no maximum among a family (which only happens under inconsistent
-    guesses).  This is the one component rule of both machine routes.
-
-    ``rows`` is the preorder as preorder_combine's rows.  The AND of the
-    member rows has bit j set iff every member is ⪯ π_j.
-    """
-    out = []
-    for members in families:
-        above = -1
-        for i in members:
-            above &= rows[i]
-        for j in members:
-            if above >> j & 1:
-                out.append(j)
-                break
-        else:
-            out.append(None)
-    return out
-
-
 def gossip_component_value(members: tuple, rows: tuple, values):
-    """One ξ-component: the last-label along a ⪯-maximal path (None if that
-    last is ⊥); the sentinel when the claimed preorder has no maximum.
-    ``members`` are the family's closure indices and ``values[k]`` the label
-    value of the k-th member."""
-    [j] = _maxima((members,), rows)
-    if j is None:
-        return _NO_MAXIMUM
-    value = values[members.index(j)]
-    return None if value is BOTTOM else value
+    """One ξ-component of the transition relation: the last-label along the
+    first ⪯-maximal path (None if that last is ⊥); the sentinel when the
+    claimed preorder has no maximum, as under inconsistent guesses.
+    ``members`` are the family's closure indices, ``rows`` the preorder as
+    preorder_combine's rows and ``values[k]`` the k-th member's label value.
+    The AND of the member rows has bit j set iff every member is ⪯ π_j.
+    """
+    above = -1
+    for i in members:
+        above &= rows[i]
+    for j, value in zip(members, values):
+        if above >> j & 1:
+            return None if value is BOTTOM else value
+    return _NO_MAXIMUM
 
 
 @functools.cache
 def _gossip_plan(sig: SystemSignature) -> tuple:
     """The gossip families as build_gossip_cfm reads them, compiled once per
     signature: per (src, tgt) pair, (src, tgt, family), target by target in
-    process order; per target process tgt, (tgt, plan, each source's family
-    as its closure indices in plan), plan being the closure plan of all the
-    gossip families into tgt.  The plans share one last-trie and one
-    first-trie.
-
-    One plan serves all of tgt's families because the ⪯ recurrence is
-    pairwise: whether π_i ⪯ π_j holds at f reads only π_i, π_j and their →*
-    closures, so ⪯ over the union holds each family's ⪯ among its rows.
+    process order; one last-trie over every gossip family; and per target
+    process tgt, the trie nodes of each source's family into tgt, sources
+    in process order.
     """
     procs = sig.processes
-    families = [[gossip_paths_between(sig, src, tgt) for src in procs] for tgt in procs]
-    plans = _closure_plans([[pi for fam in fams for pi in fam] for fams in families])
+    families = {tgt: [gossip_paths_between(sig, src, tgt) for src in procs] for tgt in procs}
+    trie, nodes = trie_plan(families)
     pairs = tuple(
-        (src, tgt, fam) for tgt, fams in zip(procs, families) for src, fam in zip(procs, fams)
+        (src, tgt, fam) for tgt, fams in families.items() for src, fam in zip(procs, fams)
     )
-    targets = tuple(
-        (tgt, plan, tuple(tuple(map(plan.clos.index, fam)) for fam in fams))
-        for tgt, plan, fams in zip(procs, plans, families)
-    )
-    return pairs, targets
+    return pairs, trie, nodes
 
 
 def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
@@ -1318,9 +1296,15 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     when there is none).  Internally each component value is obtained as the
     last-label along a ⪯-maximal gossip path, never from the causal order
     directly.
+
+    annotate and decide read ⪯ among a family from src by its definition,
+    π ⪯_f π′ iff last_π(f) ⊑ last_π′(f), off _gossip_plan's last-trie: those
+    last events are src-events or ⊥ (_BOT = -1), and ``m.events`` lists each
+    process's events in process order, so the ⪯-maximal one is the greatest
+    index among the family's nodes.  The relation runs the ⪯ recurrence.
     """
     procs = sig.processes
-    pairs, targets = _gossip_plan(sig)
+    pairs, trie, nodes = _gossip_plan(sig)
 
     @functools.cache
     def cores() -> tuple:
@@ -1336,13 +1320,11 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     def annotate(m):
         # index _BOT = -1 of the labels reads None, the value of ⊥
         labels = [m.label[e] for e in m.events] + [None]
-        result = dict.fromkeys(m.events, ())
-        for tgt, plan, families in targets:
-            for f, at, rows in _preorder_steps(m, tgt, plan):
-                winners = _maxima(families, rows)
-                assert None not in winners  # the true preorder is total
-                result[f] = tuple([labels[at[j]] for j in winners])
-        return result
+        loc = m.loc
+        return {
+            f: tuple([labels[max([row[j] for j in fam])] for fam in nodes[loc[f]]])
+            for f, row in zip(m.events, trie_maps(m, trie))
+        }
 
     def starts(p):
         state = tuple(

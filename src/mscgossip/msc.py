@@ -346,18 +346,6 @@ def causal_lt(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:
     return e is not f and e != f and causal_leq(m, e, f)
 
 
-def concurrent_pairs(m: Msc) -> set[frozenset[str]]:
-    """All unordered pairs {e,f} with neither e ≤ f nor f ≤ e."""
-    anc = m._anc
-    out = set()
-    n = len(m.events)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (anc[j] >> i & 1) and not (anc[i] >> j & 1):
-                out.add(frozenset((m.events[i], m.events[j])))
-    return out
-
-
 def mirror_msc(m: Msc) -> Msc:
     """Time reversal: per-process orders reversed, sends become receives."""
     ev = [(e, m.loc[e], m.label[e]) for e in reversed(m.events)]

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Hashable
 
-from .constructions import AnnotationCfm, PathTrie, PreorderCore, StepCtx, product_moves, trie_maps
+from .constructions import AnnotationCfm, PreorderCore, StepCtx, product_moves, trie_maps, trie_plan
 from .msc import ExtendedMsc, Msc, SystemSignature, causal_lt
 from .paths import LabelTest, PathExpr, gossip_paths_between
 
@@ -535,7 +535,7 @@ def since_path_sets(
 
 
 @functools.cache
-def _since_plan(sig: SystemSignature, mirror: bool) -> tuple[PathTrie, dict]:
+def _since_plan(sig: SystemSignature, mirror: bool) -> tuple:
     """One trie over the since paths of every pair, and per (src, tgt) the
     trie nodes of its left and right families; compiled once per signature
     and direction.  The until plan holds the same paths in a mirror trie,
@@ -545,12 +545,7 @@ def _since_plan(sig: SystemSignature, mirror: bool) -> tuple[PathTrie, dict]:
         for tgt in sig.processes
         for src in sig.processes
     }
-    trie = PathTrie((pi.symbols for lf, rt in families.values() for pi in lf + rt), mirror)
-    nodes = {
-        pair: tuple(tuple(trie.find(pi.symbols) for pi in fam) for fam in lf_rt)
-        for pair, lf_rt in families.items()
-    }
-    return trie, nodes
+    return trie_plan(families, mirror)
 
 
 def _dominates(rows: tuple, left: tuple, right: int) -> bool:

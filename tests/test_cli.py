@@ -348,12 +348,12 @@ def test_gossip_build_rejects_mixed_signatures(tmp_path, capsys):
     assert str(b) in capsys.readouterr().err
 
 
-def run_module(*args, hash_seed="0"):
-    """``python -m mscgossip ARGS`` in a fresh interpreter, without an install."""
+def run_module(*args, hash_seed="0", module="mscgossip"):
+    """``python -m MODULE ARGS`` in a fresh interpreter, without an install."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "mscgossip", *args],
+        [sys.executable, "-m", module, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
 
@@ -375,6 +375,16 @@ def test_module_entry_point_exits_2_on_a_malformed_cfm(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     proc = run_module("cfm", "det", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "must be" in proc.stderr
+
+
+def test_cli_module_entry_point_exits_2_on_a_malformed_cfm(tmp_path):
+    obj = cfm_to_json(CLAIMANTS["echo"])
+    obj["machines"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    proc = run_module("cfm", "det", str(path), module="mscgossip.cli")
     assert proc.returncode == 2, proc.stderr
     assert "must be" in proc.stderr
 

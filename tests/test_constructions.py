@@ -69,6 +69,8 @@ from mscgossip.paths import (
     f_pair,
     first,
     format_path,
+    gossip_paths,
+    gossip_paths_between,
     last,
     parse_path,
     plus_prepend,
@@ -831,17 +833,64 @@ def test_gossip_annotation_matches_oracle_at_k5_n250():
     assert build_gossip_cfm(sig).annotate(m) == oracle_gossip_annotation(m).annot
 
 
+def _gossip_by_switch_rules(m, sig) -> dict:
+    """The gossip annotation read off the ⪯ recurrence: per (src, tgt) pair,
+    the component at each tgt-event is gossip_component_value over the
+    family's _preorder_steps rows, with the last-labels of its paths."""
+    comps = {e: [] for e in m.events}
+    for tgt in sig.processes:
+        for src in sig.processes:
+            fam = gossip_paths_between(sig, src, tgt)
+            plan = _preorder_plan(fam)
+            members = tuple(map(plan.clos.index, fam))
+            thetas = [last_theta(m, pi, m.label) for pi in fam]
+            for f, _, rows in _preorder_steps(m, tgt, plan):
+                values = [th[f][-1] for th in thetas]
+                comps[f].append(gossip_component_value(members, rows, values))
+    return {e: tuple(c) for e, c in comps.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 5))
+def test_gossip_components_match_the_preorder_switch_rules(k, seed, max_events):
+    # the direct last-event recency against the switch-rule recurrence
+    sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
+    m = random_msc(sig, random.Random(seed), max_events)
+    assert build_gossip_cfm(sig).annotate(m) == _gossip_by_switch_rules(m, sig)
+
+
+def test_gossip_components_match_the_preorder_switch_rules_at_k5_n50():
+    sig = SystemSignature(tuple(f"p{i}" for i in range(1, 6)), ("a", "b"))
+    rng = random.Random(50)
+    m = next(
+        m
+        for m in iter(lambda: random_msc(sig, rng, max_events_per_proc=13), None)
+        if abs(len(m.events) - 50) <= 5
+    )
+    assert build_gossip_cfm(sig).annotate(m) == _gossip_by_switch_rules(m, sig)
+
+
+def test_gossip_decide_passes_one_forward_trie():
+    # decide reads ⪯ off last events on one last-trie: no mirror trie of
+    # the recurrence is built or passed
+    sig = SystemSignature(("p1", "p2", "p3"), ("a", "b"))
+    m = random_msc(sig, random.Random(3), 4)
+    assert build_gossip_cfm(sig).decide(oracle_gossip_annotation(m))
+    tries = [key for key in m._caches if isinstance(key, PathTrie)]
+    assert len(tries) == 1 and not tries[0].mirror
+
+
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 4))
 def test_gossip_trie_nodes_match_oracle(k, seed, max_events):
-    # every node of the compiled last-trie (first-trie) holds last (first)
-    # of its path at every event, against the relational oracle
+    # every node of the gossip last-trie, and of the first-trie of the ⪯
+    # recurrence over every gossip path, holds last (first) of its path at
+    # every event, against the relational oracle
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
-    _, plan, _ = _gossip_plan(sig)[1][0]  # every target's plan reads the same two tries
     for trie, oracle, none in (
-        (plan.last_trie, last, BOTTOM),
-        (plan.first_trie, first, TOP),
+        (_gossip_plan(sig)[1], last, BOTTOM),
+        (_preorder_plan(gossip_paths(sig)).first_trie, first, TOP),
     ):
         maps = trie_maps(m, trie)
         symbols = {0: ()}
@@ -887,12 +936,12 @@ def _reference_pass(m, trie) -> list:
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 5))
 def test_compiled_pass_matches_theta_rule(k, seed, max_events):
-    # the gossip last-trie and first-trie, whose programs are kept across
-    # examples, give the edge-by-edge maps of _theta_rule
+    # the gossip last-trie and the many-path mirror first-trie over every
+    # gossip path, whose programs are kept across examples, give the
+    # edge-by-edge maps of _theta_rule
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
-    _, plan, _ = _gossip_plan(sig)[1][0]
-    for trie in (plan.last_trie, plan.first_trie):
+    for trie in (_gossip_plan(sig)[1], _preorder_plan(gossip_paths(sig)).first_trie):
         assert _trie_pass(m, trie) == _reference_pass(m, trie)
 
 

@@ -494,7 +494,7 @@ def test_gossip_and_since_maps_on_one_msc_do_not_collide():
                 assert gossip.annotate(shared) == want_gossip
             assert [pair.annotate(shared) for pair in pairs] == want_since
             assert gossip.annotate(shared) == want_gossip
-            assert sum(isinstance(key, PathTrie) for key in shared._caches) == 3
+            assert sum(isinstance(key, PathTrie) for key in shared._caches) == 2
 
 
 def test_since_cores_are_built_only_for_a_search(monkeypatch):
