@@ -10,9 +10,9 @@ Each construction is a machine over an annotated alphabet whose language is
   linearization.  Because each machine admits exactly one consistent internal
   valuation per MSC, this decides membership without search and scales to
   large instances; it is the machine's ``decide(ext)``, while ``accepts``
-  always runs the search.  The gossip machine's decide reads ⪯ by its
-  definition, as recency of last events on one forward trie pass; its
-  relation runs the ⪯ recurrence.
+  always runs the search.  The preorder and gossip machines' decide and
+  canonical states read ⪯ by its definition, as recency of last events on
+  one forward trie pass; only their relation runs the ⪯ recurrence.
 
 The fixpoint, preorder and gossip machines also give the states of that
 valuation's run (``canonical_states``).  ``replay`` steps the composite
@@ -425,40 +425,19 @@ def _gather(nodes: tuple) -> Callable:
     return operator.itemgetter(*nodes) if nodes else lambda row: ()
 
 
-class _ClosurePlan:
-    """A star closure ``clos`` addressed by index, with the trie nodes the ⪯
-    recurrence reads: last_a of each closure path a on the last-trie, and
-    first_{→*b}, first_{→+b} of each closure path b on the first-trie, each
-    as a gather over a trie map's row.
-    """
-
-    def __init__(self, clos: tuple, last_trie: PathTrie, first_trie: PathTrie):
-        self.clos = clos
-        self.lift = _star_lift(_star_app(clos))
-        self.last_trie, self.first_trie = last_trie, first_trie
-        self.lasts = _gather(tuple(last_trie.find(a.symbols) for a in clos))
-        self.star_firsts, self.plus_firsts = (
-            _gather(tuple(first_trie.find(_mirror_symbols(prepend(b))) for b in clos))
-            for prepend in (star_prepend, plus_prepend)
-        )
-
-
 @functools.cache
-def _preorder_plan(paths: tuple) -> _ClosurePlan:
-    """The closure plan of a path set, compiled once per set: a last-trie
-    over its star closure and a first-trie over every →*b and →+b."""
+def _preorder_plan(paths: tuple) -> tuple:
+    """The star closure of a path set, compiled once per set: the closure
+    ``clos``, one last-trie over it and each closure path's trie node."""
     clos = closure_with_star(paths)
-    first_trie = PathTrie(
-        [_mirror_symbols(prepend(b)) for b in clos for prepend in (star_prepend, plus_prepend)],
-        mirror=True,
-    )
-    return _ClosurePlan(clos, PathTrie([a.symbols for a in clos]), first_trie)
+    trie = PathTrie([a.symbols for a in clos])
+    return clos, trie, tuple(trie.find(a.symbols) for a in clos)
 
 
 def preorder_combine(
     lift: Callable, prev: Optional[tuple], botmask: int, star_rows, plus_cols
 ) -> tuple:
-    """One step of the ⪯ recurrence along ⊏ (shared by both machine routes),
+    """One step of the ⪯ recurrence along ⊏ (PreorderCore's switch rules),
     over the closure by index, in rows: bit j of row i says π_i ⪯ π_j.
 
     With c closure paths, bit i of ``botmask`` is [last_{π_i}(f) = ⊥], bit j
@@ -486,52 +465,23 @@ def _mask(bits: Iterable) -> int:
     return sum(1 << k for k, b in enumerate(bits) if b)
 
 
-def _hit_mask(hits: tuple, h: int) -> int:
-    """The int whose bit k is [hits[k] = h], found by the tuple's own
-    searches rather than a loop over its items."""
-    mask, k = 0, -1
-    for _ in range(hits.count(h)):
-        k = hits.index(h, k + 1)
-        mask |= 1 << k
-    return mask
-
-
-def _preorder_steps(m: Msc, q: str, plan: _ClosurePlan):
-    """Per q-event f in process order: f, the last events of the closure
-    paths at f (event indices, _BOT for ⊥) and ⪯_f as rows, all read off the
-    plan's trie maps.
-
-    f is an f^{a,π'}-fixpoint iff first_{π'}(last_a(f)) = f, so the →* row
-    and the →+ bits of a closure path a are the →* and →+ first-nodes whose
-    first from g = last_a(f) is f.
+def preorder_rows(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> dict[str, tuple]:
+    """⪯_f for each q-event f, over the star closure of the path set, by its
+    definition: bit j of row i says π_i ⪯_f π_j, i.e. last_{π_i}(f) ⊑
+    last_{π_j}(f).  Every path of the set starts on one process and
+    ``m.events`` lists that process's events in process order, so ⊑ among
+    the last events, read off one last-trie map, is the order of their
+    indices, with ⊥ (_BOT = -1) the least.
     """
-    lasts = trie_maps(m, plan.last_trie)
-    firsts = trie_maps(m, plan.first_trie)
-    c = len(plan.clos)
+    _, trie, nodes = _preorder_plan(tuple(paths))
+    maps = trie_maps(m, trie)
     idx = m.index
-    last_at, star_firsts, plus_firsts = plan.lasts, plan.star_firsts, plan.plus_firsts
-    rows: Optional[tuple] = None
+    out = {}
     for f in m.events_of(q):
-        fi = idx[f]
-        at = last_at(lasts[fi])
-        botmask = 0
-        star_rows = [0] * c
-        plus_cols = [0] * c
-        for i, g in enumerate(at):
-            if g == _BOT:
-                botmask |= 1 << i
-                continue
-            row = firsts[g]
-            hits = star_firsts(row)
-            if fi in hits:
-                star_rows[i] = _hit_mask(hits, fi)
-            hits = plus_firsts(row)
-            if fi in hits:  # bit j: f is a f^{π_i,→+π_j}-fixpoint
-                for j, h in enumerate(hits):
-                    if h == fi:
-                        plus_cols[j] |= 1 << i
-        rows = preorder_combine(plan.lift, rows, botmask, star_rows, plus_cols)
-        yield f, at, rows
+        row = maps[idx[f]]
+        at = [row[n] for n in nodes]
+        out[f] = tuple(_mask(g <= h for h in at) for g in at)
+    return out
 
 
 def _path_pairs(clos: tuple, rows: tuple) -> frozenset:
@@ -544,9 +494,9 @@ def preorder_bits(
     m: Msc, q: str, paths: tuple[PathExpr, ...]
 ) -> dict[str, frozenset]:
     """For each q-event f, the set of pairs (π,π') with π ⪯_f π', over the
-    star closure of the given path set, by the three switch rules along ⊏."""
-    plan = _preorder_plan(tuple(paths))
-    return {f: _path_pairs(plan.clos, rows) for f, _, rows in _preorder_steps(m, q, plan)}
+    star closure of the given path set, read off preorder_rows."""
+    clos = _preorder_plan(tuple(paths))[0]
+    return {f: _path_pairs(clos, rows) for f, rows in preorder_rows(m, q, paths).items()}
 
 
 def ord_annotation(pairs: frozenset, paths: Iterable[PathExpr]) -> frozenset:
@@ -942,8 +892,8 @@ class PreorderCore:
     preorder_combine's rows).  A step is the product of the components' moves:
     at each q-event every fixpoint component guesses its own bit, for later
     verification, and preorder_combine reads the bits off the moves' outputs,
-    as the same masks the decide route reads off its trie maps, into the next
-    preorder, which is the core's output.  With c closure
+    as masks, into the next preorder, which is the core's output; replay
+    checks it against preorder_rows, ⪯ by its definition.  With c closure
     paths, the components are the bottom trackers, bots[i] for π_i, then
     fixes, indexed like the recurrence's bits: fixes[i*c + j] and
     fixes[c*c + i*c + j] for the f^{π_i,→*π_j} and f^{π_i,→+π_j} fixpoints.
@@ -1208,13 +1158,17 @@ def build_preorder_cfm(
     paths: Iterable[PathExpr],
     sig: Optional[SystemSignature] = None,
 ) -> AnnotationCfm:
-    """(M,γ) with γ(f) = the preorder ⪯_f over the given path set, on E_q."""
+    """(M,γ) with γ(f) = the preorder ⪯_f over the given path set, on E_q.
+
+    Every path must run from p to q: ⪯ compares last events on p (see
+    preorder_rows).  With ``sig`` each path is checked against it; without,
+    the caller guarantees that the paths share one source process.
+    """
     paths = tuple(paths)
     if sig is not None:
         for pi in paths:
-            pairs = comp(sig, pi)
-            if not any(pq[1] == q for pq in pairs):
-                raise PathError(f"mixed Comp pairs: {format_path(pi)} cannot end on {q}")
+            if (p, q) not in comp(sig, pi):
+                raise PathError(f"{format_path(pi)} is not compatible with ({p},{q})")
     core = PreorderCore(q, paths)
 
     def annotate(m):
@@ -1459,15 +1413,14 @@ def fix_canonical_states(m: Msc, q: str, pi: PathExpr, pi2: PathExpr) -> dict:
 
 def preorder_canonical_states(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> dict:
     """Per event, the PreorderCore state on the unique accepting run."""
-    plan = _preorder_plan(tuple(paths))
-    clos = plan.clos
+    clos = _preorder_plan(tuple(paths))[0]
     parts = [last_theta(m, a, {e: "•" for e in m.events}) for a in clos] + [
         fix_canonical_states(m, q, a, prepend(b))
         for prepend in (star_prepend, plus_prepend)
         for a in clos
         for b in clos
     ]
-    pres = {f: pre for f, _, pre in _preorder_steps(m, q, plan)}
+    pres = preorder_rows(m, q, paths)
     return {e: (tuple(s[e] for s in parts), pres.get(e)) for e in linearize(m)}
 
 

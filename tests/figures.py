@@ -7,9 +7,25 @@ same structure with two q-labels flipped; the flipped version is the one
 whose per-event path comparisons are frozen in the tests.
 ``mirror_formula`` swaps until and since, so the oracle tests can check
 ``eval_tl`` on an MSC against ``eval_tl`` on its mirror.
+``switch_rule_steps`` is ⪯ by the paper's switch rules along ⊏, the
+reference that ``preorder_rows`` (⪯ by its definition) is checked against.
 """
 
+import functools
+
+from mscgossip.constructions import (
+    _BOT,
+    _mask,
+    _mirror_symbols,
+    _star_app,
+    _star_lift,
+    PathTrie,
+    closure_with_star,
+    preorder_combine,
+    trie_maps,
+)
 from mscgossip.msc import Msc, SystemSignature
+from mscgossip.paths import plus_prepend, star_prepend
 from mscgossip.tl import (
     And,
     Atom,
@@ -99,3 +115,49 @@ def mirror_formula(phi: TlFormula) -> TlFormula:
     if isinstance(phi, Since):
         return Until(mirror_formula(phi.left), mirror_formula(phi.right))
     return mirror_formula(expand_derived(phi))
+
+
+@functools.cache
+def switch_rule_tries(clos: tuple) -> tuple:
+    """A last-trie over the closure, a mirror first-trie over every →*b and
+    →+b, and the nodes of last_a, first_{→*b} and first_{→+b} in closure
+    order."""
+    last_trie = PathTrie([a.symbols for a in clos])
+    first_trie = PathTrie(
+        [_mirror_symbols(prepend(b)) for prepend in (star_prepend, plus_prepend) for b in clos],
+        mirror=True,
+    )
+    star_nodes, plus_nodes = (
+        [first_trie.find(_mirror_symbols(prepend(b))) for b in clos]
+        for prepend in (star_prepend, plus_prepend)
+    )
+    return last_trie, first_trie, [last_trie.find(a.symbols) for a in clos], star_nodes, plus_nodes
+
+
+def switch_rule_steps(m, q, paths) -> dict:
+    """⪯_f for each q-event f, as rows over the star closure of ``paths``
+    (bit j of row i: π_i ⪯_f π_j), by the three switch rules along ⊏:
+    preorder_combine with its masks read off the trie maps.
+
+    f is an f^{a,π'}-fixpoint iff first_{π'}(last_a(f)) = f.
+    """
+    clos = closure_with_star(paths)
+    c = len(clos)
+    last_trie, first_trie, last_nodes, star_nodes, plus_nodes = switch_rule_tries(clos)
+    lasts, firsts = trie_maps(m, last_trie), trie_maps(m, first_trie)
+    lift = _star_lift(_star_app(clos))
+    out, rows = {}, None
+    for f in m.events_of(q):
+        fi = m.index[f]
+        at = [lasts[fi][n] for n in last_nodes]
+        star = [[g != _BOT and firsts[g][n] == fi for n in star_nodes] for g in at]
+        plus = [[g != _BOT and firsts[g][n] == fi for n in plus_nodes] for g in at]
+        rows = preorder_combine(
+            lift,
+            rows,
+            _mask(g == _BOT for g in at),
+            [_mask(s) for s in star],
+            [_mask(plus[j][i] for j in range(c)) for i in range(c)],
+        )
+        out[f] = rows
+    return out

@@ -16,11 +16,9 @@ from mscgossip.constructions import (
     _NO_MAXIMUM,
     _TOP,
     _gossip_plan,
-    _hit_mask,
     _mask,
     _mirror_symbols,
     _preorder_plan,
-    _preorder_steps,
     _star_lift,
     _theta_rule,
     _trie_pass,
@@ -53,6 +51,7 @@ from mscgossip.constructions import (
     preorder_bits,
     preorder_canonical_states,
     preorder_combine,
+    preorder_rows,
     reachable_state_report,
     replay,
     trie_maps,
@@ -77,8 +76,8 @@ from mscgossip.paths import (
     preorder_at,
     star_prepend,
 )
-from mscgossip.tl import ABCD, _since_plan
-from figures import SIG3, fig_base, fig_flipped
+from mscgossip.tl import ABCD, _since_plan, since_path_sets
+from figures import SIG3, fig_base, fig_flipped, switch_rule_steps, switch_rule_tries
 
 PI = parse_path("msg(p,q) ->*", SIG3)
 PI2 = parse_path("msg(p,r) ->* msg(r,q) ->*", SIG3)
@@ -173,15 +172,17 @@ def test_fixpoint_bits_match_oracle():
 
 
 def test_preorder_bottom_bits_match_oracle():
-    # the bit [last_a(f) = ⊥] that preorder_bits reads off its last maps, at
+    # the bit [last_a(f) = ⊥] that preorder_rows reads off its last maps, at
     # every event: each one is a q-event for its own process q
     checked = 0
     for m in CORPUS3[:10]:
         for pi in PATH_SHAPES:
-            plan = _preorder_plan((pi,))
+            clos, trie, nodes = _preorder_plan((pi,))
+            maps = trie_maps(m, trie)
             for q in SIG3.processes:
-                for f, at, _ in _preorder_steps(m, q, plan):
-                    assert (at[plan.clos.index(pi)] == _BOT) == (last(m, pi, f) is BOTTOM)
+                for f in m.events_of(q):
+                    at = [maps[m.index[f]][n] for n in nodes]
+                    assert (at[clos.index(pi)] == _BOT) == (last(m, pi, f) is BOTTOM)
                     checked += 1
     assert checked == len(PATH_SHAPES) * sum(len(m.events) for m in CORPUS3[:10])
 
@@ -216,6 +217,61 @@ def test_preorder_bits_all_source_target_pairs():
                 assert ord_annotation(bits[e], fam) == frozenset(
                     (format_path(a), format_path(b)) for a, b in po.leq
                 )
+
+
+def _assert_rows_match_switch_rules(m, q, paths):
+    assert preorder_rows(m, q, paths) == switch_rule_steps(m, q, paths), (q, paths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 5))
+def test_preorder_rows_match_the_switch_rules(k, seed, max_events):
+    # ⪯ by its definition against the three switch rules along ⊏, over the
+    # full closure of every gossip family
+    sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
+    m = random_msc(sig, random.Random(seed), max_events)
+    for tgt in sig.processes:
+        for src in sig.processes:
+            _assert_rows_match_switch_rules(m, tgt, gossip_paths_between(sig, src, tgt))
+
+
+def test_preorder_rows_match_the_switch_rules_on_fixed_sets():
+    # the gossip families at k=5, n≈50, every since path set over ABCD and
+    # the path sets of the preorder machine's tests
+    sig = SystemSignature(tuple(f"p{i}" for i in range(1, 6)), ("a", "b"))
+    rng = random.Random(50)
+    m = next(
+        m
+        for m in iter(lambda: random_msc(sig, rng, max_events_per_proc=13), None)
+        if abs(len(m.events) - 50) <= 5
+    )
+    for tgt in sig.processes:
+        for src in sig.processes:
+            _assert_rows_match_switch_rules(m, tgt, gossip_paths_between(sig, src, tgt))
+    abcd = SystemSignature(("p", "q"), ABCD)
+    for m in random_corpus(abcd, count=10, seed=9, max_events_per_proc=3):
+        for tgt in abcd.processes:
+            for src in abcd.processes:
+                lf, rt = since_path_sets(abcd, src, tgt)
+                _assert_rows_match_switch_rules(m, tgt, tuple(dict.fromkeys(lf + rt)))
+    sets3 = [(PI, PI2), (PLUS, STAR), (parse_path("->"), STAR), *((pi,) for pi in PATH_SHAPES)]
+    for m in [fig_base(), fig_flipped(), *CORPUS3[:8]]:
+        for q in SIG3.processes:
+            for paths in sets3:
+                _assert_rows_match_switch_rules(m, q, paths)
+    for m in CORPUS2:
+        for text in ("->* msg(p,q) ->*", "->* msg(q,p) ->*", "->+"):
+            _assert_rows_match_switch_rules(m, "q", (parse_path(text, SIG2),))
+
+
+def test_preorder_decide_passes_one_forward_trie():
+    # decide reads ⪯ off last events on one last-trie: no mirror trie of
+    # the switch rules is built or passed
+    m = fig_flipped()
+    mach = build_preorder_cfm("p", "q", (PI, PI2))
+    assert mach.decide(ExtendedMsc(m, mach.annotate(fig_flipped())))
+    tries = [key for key in m._caches if isinstance(key, PathTrie)]
+    assert len(tries) == 1 and not tries[0].mirror
 
 
 # -- last-label machine --------------------------------------------------------
@@ -392,6 +448,9 @@ def test_preorder_singleton_is_constant_reflexive():
 def test_preorder_mixed_comp_pairs_rejected():
     with pytest.raises(PathError):
         build_preorder_cfm("p", "q", (PI, parse_path("msg(p,r) ->*", SIG3)), sig=SIG3)
+    # a path that ends on q but starts on r
+    with pytest.raises(PathError, match=r"msg\(r,q\)"):
+        build_preorder_cfm("p", "q", (PI, parse_path("msg(r,q) ->*", SIG3)), sig=SIG3)
 
 
 def test_fixpoint_and_preorder_decide_check_q_events_only():
@@ -466,13 +525,6 @@ def _recurrence_inputs(draw):
         draw(bits),
         draw(bits),
     )
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-2, 3), max_size=8), st.integers(-2, 3))
-def test_hit_mask_matches_mask(hits, h):
-    # the decide route's →* rows: bit k set iff hits[k] = h, repeats included
-    assert _hit_mask(tuple(hits), h) == _mask(x == h for x in hits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -834,17 +886,18 @@ def test_gossip_annotation_matches_oracle_at_k5_n250():
 
 
 def _gossip_by_switch_rules(m, sig) -> dict:
-    """The gossip annotation read off the ⪯ recurrence: per (src, tgt) pair,
-    the component at each tgt-event is gossip_component_value over the
-    family's _preorder_steps rows, with the last-labels of its paths."""
+    """The gossip annotation read off ⪯'s rows: per (src, tgt) pair, the
+    component at each tgt-event is gossip_component_value over the family's
+    preorder_rows, with the last-labels of its paths.  The rows are tied to
+    the switch rules by test_preorder_rows_match_the_switch_rules."""
     comps = {e: [] for e in m.events}
     for tgt in sig.processes:
         for src in sig.processes:
             fam = gossip_paths_between(sig, src, tgt)
-            plan = _preorder_plan(fam)
-            members = tuple(map(plan.clos.index, fam))
+            clos = _preorder_plan(fam)[0]
+            members = tuple(map(clos.index, fam))
             thetas = [last_theta(m, pi, m.label) for pi in fam]
-            for f, _, rows in _preorder_steps(m, tgt, plan):
+            for f, rows in preorder_rows(m, tgt, fam).items():
                 values = [th[f][-1] for th in thetas]
                 comps[f].append(gossip_component_value(members, rows, values))
     return {e: tuple(c) for e, c in comps.items()}
@@ -880,17 +933,23 @@ def test_gossip_decide_passes_one_forward_trie():
     assert len(tries) == 1 and not tries[0].mirror
 
 
+def _gossip_first_trie(sig) -> PathTrie:
+    """A many-path mirror trie over →*π and →+π for every gossip path π, so
+    that mirrored msg(p,q) programs are checked."""
+    return switch_rule_tries(closure_with_star(gossip_paths(sig)))[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), max_events=st.integers(0, 4))
 def test_gossip_trie_nodes_match_oracle(k, seed, max_events):
-    # every node of the gossip last-trie, and of the first-trie of the ⪯
-    # recurrence over every gossip path, holds last (first) of its path at
-    # every event, against the relational oracle
+    # every node of the gossip last-trie, and of a first-trie over →*π and
+    # →+π for every gossip path π, holds last (first) of its path at every
+    # event, against the relational oracle
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
     for trie, oracle, none in (
         (_gossip_plan(sig)[1], last, BOTTOM),
-        (_preorder_plan(gossip_paths(sig)).first_trie, first, TOP),
+        (_gossip_first_trie(sig), first, TOP),
     ):
         maps = trie_maps(m, trie)
         symbols = {0: ()}
@@ -941,7 +1000,7 @@ def test_compiled_pass_matches_theta_rule(k, seed, max_events):
     # edge-by-edge maps of _theta_rule
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
-    for trie in (_gossip_plan(sig)[1], _preorder_plan(gossip_paths(sig)).first_trie):
+    for trie in (_gossip_plan(sig)[1], _gossip_first_trie(sig)):
         assert _trie_pass(m, trie) == _reference_pass(m, trie)
 
 

@@ -8,9 +8,9 @@ from mscgossip.cfm import attach_annotation, find_accepting_run
 from mscgossip.constructions import (
     PathTrie,
     _preorder_plan,
-    _preorder_steps,
     build_gossip_cfm,
     oracle_gossip_annotation,
+    preorder_rows,
 )
 from mscgossip.corpus import random_corpus
 from mscgossip.msc import (
@@ -463,18 +463,20 @@ def test_decide_raises_on_a_non_bit_claim(claim):
 
 
 def test_since_pair_bits_match_the_preorder_switch_rules():
-    # the direct last-event test against the switch-rule recurrence
+    # the direct last-event test against the rows of ⪯, which
+    # test_preorder_rows_match_the_switch_rules ties to the switch rules
     checked = 0
     for src in ABCD_SIG.processes:
         for tgt in ABCD_SIG.processes:
             cs = compile_since(src, tgt, ABCD_SIG)
             lf, rt = since_path_sets(ABCD_SIG, src, tgt)
-            plan = _preorder_plan(tuple(dict.fromkeys(lf + rt)))
-            lf_at = tuple(map(plan.clos.index, lf))
-            rt_mask = sum(1 << plan.clos.index(r) for r in rt)
+            paths = tuple(dict.fromkeys(lf + rt))
+            clos = _preorder_plan(paths)[0]
+            lf_at = tuple(map(clos.index, lf))
+            rt_mask = sum(1 << clos.index(r) for r in rt)
             for m in ABCD_CORPUS:
                 got = cs.annotate(m)
-                for e, _, rows in _preorder_steps(m, tgt, plan):
+                for e, rows in preorder_rows(m, tgt, paths).items():
                     assert got[e] == _dominates(rows, lf_at, rt_mask), (src, tgt, e)
                     checked += 1
     assert checked == 108
