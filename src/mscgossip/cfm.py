@@ -178,7 +178,11 @@ class LazyCfm:
         self._starts = starts
         self._step = step_fn
         self._final = final_ok
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        return self._name
 
     def with_signature(self, sig: SystemSignature) -> "LazyCfm":
         return LazyCfm(sig, self._starts, self._step, self._final, self.name)

@@ -38,6 +38,7 @@ from typing import Callable, Hashable, Iterable, Optional
 from .cfm import LazyCfm
 from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
 from .paths import (
+    LabelTest,
     Msg,
     PathError,
     PathExpr,
@@ -104,6 +105,8 @@ class PathTrie:
                     edges.append((nxt, head, node))
                 node = nxt
         self.edges = tuple(edges)
+        # a pass of a trie without label tests needs no event's letter
+        self.reads_letters = any(isinstance(head, LabelTest) for _, head, _ in edges)
         self._programs: dict[tuple, Callable] = {}
         self._slots: Optional[list] = None
         self._guess_tables: dict[tuple, _GuessTables] = {}
@@ -235,54 +238,80 @@ def _chain_trie(symbols: tuple, mirror: bool) -> PathTrie:
 _BOT, _TOP = -1, -2
 
 
-def _pass_steps(m: Msc, mirror: bool) -> tuple:
-    """What a trie pass steps along, per MSC and direction: the event shapes
-    (as PathTrie.program's keys) and, per event in the order of the pass,
-    (its index, its predecessor's, its sender's, its shape's position), with
-    -1 for no neighbour.  Kept in m's caches, since shapes read letters.
+def _pass_layout(m: Msc, mirror: bool) -> tuple:
+    """The label-free half of what a trie pass steps along, per MSC and
+    direction: the event shapes without their letter, (whether the event has
+    a ⊏-predecessor, the sender's process or None, the process); per event
+    in the order of the pass, (its index, its predecessor's, its sender's),
+    with -1 for no neighbour; and per such event its shape's position.  Kept
+    in m's label-free structure, which relabelled copies share.
 
     The mirror shares m's events and reverses its order, so a mirror pass
     steps along m's linearization reversed, with each event's ⊏-successor
     and message receiver as its mirrored predecessor and sender.
     """
-    key = ("pass-steps", mirror)
-    cached = m._caches.get(key)
+    key = ("pass-layout", mirror)
+    cached = m._structure.get(key)
     if cached is None:
         if mirror:
             order, preds, senders = reversed(linearize(m)), dict(m.proc_succ), m.recv_of
         else:
             order, preds, senders = linearize(m), {b: a for a, b in m.proc_succ}, m.send_of
-        idx, loc, label = m.index, m.loc, m.label
+        idx, loc = m.index, m.loc
         shapes: dict[tuple, int] = {}
-        steps = []
+        steps, kinds = [], []
         for e in order:
             pred, sender = preds.get(e), senders.get(e)
-            shape = (pred is not None, None if sender is None else loc[sender], loc[e], label[e])
             steps.append((
                 idx[e],
                 -1 if pred is None else idx[pred],
                 -1 if sender is None else idx[sender],
-                shapes.setdefault(shape, len(shapes)),
             ))
-        cached = m._caches[key] = (tuple(shapes), steps)
+            shape = (pred is not None, None if sender is None else loc[sender], loc[e])
+            kinds.append(shapes.setdefault(shape, len(shapes)))
+        cached = m._structure[key] = (tuple(shapes), steps, kinds)
+    return cached
+
+
+def _pass_letters(m: Msc, mirror: bool) -> tuple:
+    """The letter half of _pass_layout: the event shapes with their letter,
+    as PathTrie.program's keys, and per event in the order of the pass its
+    shape's position.  Kept in m's caches, since it reads labels; a
+    relabelled copy computes only this half."""
+    key = ("pass-letters", mirror)
+    cached = m._caches.get(key)
+    if cached is None:
+        bases, steps, base_kinds = _pass_layout(m, mirror)
+        events, label = m.events, m.label
+        shapes: dict[tuple, int] = {}
+        kinds = [
+            shapes.setdefault((b, label[events[i]]), len(shapes))
+            for (i, _, _), b in zip(steps, base_kinds)
+        ]
+        cached = m._caches[key] = ([bases[b] + (sigma,) for b, sigma in shapes], kinds)
     return cached
 
 
 def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
     """The trie's programs along a linearization of m (of its mirror for a
-    mirror trie, see _pass_steps), with each event as its index in
+    mirror trie, see _pass_layout), with each event as its index in
     ``m.events``: entry n of the result at index i is the index of last
     (first, on a mirror trie) of node n's path from event i, or _BOT (_TOP)
-    if there is none.
+    if there is none.  A trie without label tests steps by the letter-free
+    shapes, each program keyed with the letter None, which it never reads.
 
     An event with no predecessor (sender) is passed the entry at index -1,
     which its program never reads.
     """
-    shapes, steps = _pass_steps(m, trie.mirror)
+    bases, steps, kinds = _pass_layout(m, trie.mirror)
+    if trie.reads_letters:
+        shapes, kinds = _pass_letters(m, trie.mirror)
+    else:
+        shapes = [base + (None,) for base in bases]
     programs = [trie.program(shape) for shape in shapes]
     none = _TOP if trie.mirror else _BOT
     theta: list = [None] * len(m.events)
-    for i, p, s, k in steps:
+    for (i, p, s), k in zip(steps, kinds):
         theta[i] = programs[k](none, i, theta[p], theta[s])
     return theta
 
@@ -955,6 +984,23 @@ def _unchecked(claim):
     return claim
 
 
+class _MemoKey:
+    """A memo key hashed once, when its machine is made: equal to another
+    exactly when their keys are equal, so machines with equal keys share the
+    memo, while a lookup does not hash the key (a formula tree) again."""
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: Hashable):
+        self.key, self._hash = key, hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _MemoKey) and self.key == other.key
+
+
 class AnnotationCfm(LazyCfm):
     """A LazyCfm over an annotated alphabet, plus its direct decision route.
 
@@ -984,7 +1030,7 @@ class AnnotationCfm(LazyCfm):
     ):
         super().__init__(None, starts, step_fn, final_ok, name)
         self._annotate_fn = annotate
-        self._key = key
+        self._key = None if key is None else _MemoKey(key)
         self._check_proc = check_proc
         self._claim = claim
         self._decide_fn = decide
@@ -1169,7 +1215,12 @@ def build_preorder_cfm(
         for pi in paths:
             if (p, q) not in comp(sig, pi):
                 raise PathError(f"{format_path(pi)} is not compatible with ({p},{q})")
-    core = PreorderCore(q, paths)
+
+    @functools.cache
+    def core() -> PreorderCore:
+        """Built the first time a search needs it, so annotate and decide
+        never do."""
+        return PreorderCore(q, paths)
 
     def annotate(m):
         bits = preorder_bits(m, q, paths)
@@ -1180,18 +1231,19 @@ def build_preorder_cfm(
         }
 
     def starts(pp):
-        return [core.start()]
+        return [core().start()]
 
     def step(pp, state, kind, label, peer, msg_in, want=None):
         sigma, annot = _decode_label(label)
         ctx = StepCtx(pp, kind, peer, sigma)
-        for new_state, out, payload in core.step(state, ctx, msg_in, want):
-            if pp == q and annot != ord_annotation(_path_pairs(core.clos, out), paths):
+        pc = core()
+        for new_state, out, payload in pc.step(state, ctx, msg_in, want):
+            if pp == q and annot != ord_annotation(_path_pairs(pc.clos, out), paths):
                 continue
             yield new_state, payload
 
     def final_ok(pp, state):
-        return core.final(state)
+        return core().final(state)
 
     return AnnotationCfm(
         f"preorder@{q}[{len(paths)} paths]",

@@ -8,7 +8,6 @@ which events are listed, and the direct-successor relation is derived from it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
@@ -99,8 +98,11 @@ class Msc:
         structure, so either computes it once for both."""
         if signature.processes != self.signature.processes:
             raise MscError("a relabelled MSC keeps its processes")
-        out = copy.copy(self)
-        out.signature, out.label, out._caches = signature, label, {}
+        out = Msc.__new__(Msc)
+        out.signature, out.events, out.loc, out.label, out.msg = (
+            signature, self.events, self.loc, label, self.msg
+        )
+        out._structure, out._caches = self._structure, {}
         return out
 
     # -- derived structure ------------------------------------------------
@@ -336,10 +338,15 @@ def causal_leq(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:
         return f is TOP
     if f is BOTTOM:
         return e is BOTTOM
-    idx = m.index
-    if e not in idx or f not in idx:
-        raise MscError(f"unknown event id {e!r} or {f!r}")
-    return bool(m._anc[idx[f]] >> idx[e] & 1)
+    derived = m._structure
+    try:
+        idx, anc = derived["index"], derived["anc"]
+    except KeyError:
+        idx, anc = m.index, m._anc
+    try:
+        return bool(anc[idx[f]] >> idx[e] & 1)
+    except KeyError:
+        raise MscError(f"unknown event id {e!r} or {f!r}") from None
 
 
 def causal_lt(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:

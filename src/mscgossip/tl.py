@@ -23,7 +23,15 @@ import re
 from dataclasses import dataclass
 from typing import Hashable
 
-from .constructions import AnnotationCfm, PreorderCore, StepCtx, product_moves, trie_maps, trie_plan
+from .constructions import (
+    AnnotationCfm,
+    PreorderCore,
+    StepCtx,
+    _function,
+    product_moves,
+    trie_maps,
+    trie_plan,
+)
 from .msc import ExtendedMsc, Msc, SystemSignature, causal_lt
 from .paths import LabelTest, PathExpr, gossip_paths_between
 
@@ -168,20 +176,14 @@ class _Parser:
                     break
                 raise TlError(f"syntax error at position {pos}: {text[pos:]!r}")
             pos = mt.end()
-            if mt.group("lpar"):
-                self.toks.append(("(", "(", mt.start()))
-            elif mt.group("rpar"):
-                self.toks.append((")", ")", mt.start()))
-            elif mt.group("bang"):
-                self.toks.append(("!", "!", mt.start()))
-            elif mt.group("bar"):
-                self.toks.append(("|", "|", mt.start()))
-            elif mt.group("amp"):
-                self.toks.append(("&", "&", mt.start()))
-            elif mt.group("at"):
+            kind = mt.lastgroup
+            if kind == "at":
                 self.toks.append(("@", mt.group("atproc"), mt.start()))
-            else:
+            elif kind == "word":
                 self.toks.append(("word", mt.group("word"), mt.start()))
+            else:
+                sym = mt.group(kind)
+                self.toks.append((sym, sym, mt.start()))
         self.i = 0
 
     def peek(self):
@@ -555,37 +557,70 @@ def _dominates(rows: tuple, left: tuple, right: int) -> bool:
     return any(not rows[l] & right for l in left)
 
 
-def _dominance(m: Msc, sig: SystemSignature, pairs, mirror: bool) -> dict[str, int]:
+@functools.cache
+def _dominance_tests(sig: SystemSignature, mirror: bool, pairs: tuple) -> dict:
+    """Per target process of ``pairs``, the dominance test of its pairs as
+    one straight-line function step(row, rec) → 0 or 1, compiled once per
+    signature, direction and pair set: ``row`` is the since trie map at a
+    tgt-event and ``rec`` the recency of each event index.  The forward
+    pass reads the indices themselves (see _dominance), so it reads no
+    ``rec``."""
+    nodes = _since_plan(sig, mirror)[1]
+    by_tgt: dict[str, list] = {}
+    for src, tgt in pairs:
+        by_tgt.setdefault(tgt, []).append(nodes[src, tgt])
+    read = "rec[row[{}]]" if mirror else "row[{}]"
+    tests = {}
+    for tgt, families in by_tgt.items():
+        lines = ["def step(row, rec):"]
+        for lf, rt in families:
+            lines.append(f"    l = {read.format(lf[0])}")
+            for node in lf[1:]:
+                lines += [f"    t = {read.format(node)}", "    if t > l:", "        l = t"]
+            beaten = " and ".join(f"l > {read.format(node)}" for node in dict.fromkeys(rt))
+            lines += [f"    if {beaten}:", "        return 1"]
+        lines.append("    return 0")
+        tests[tgt] = _function("\n".join(lines))
+    return tests
+
+
+def _no_pair(row, rec) -> int:
+    return 0
+
+
+def _dominance(m: Msc, sig: SystemSignature, pairs: tuple, mirror: bool) -> dict[str, int]:
     """Bit 1 at a tgt-event iff, for some (src, tgt) in ``pairs``, the last
     event of a left path is more recent than that of every right path, all
-    read off the one map of the since trie (its mirror for until).
+    read off the one map of the since trie (its mirror for until), by the
+    compiled test of the event's process (_dominance_tests).
 
     (l, r) is in the preorder at e iff last_l(e) <= last_r(e).  Every such
     last event is a src-event or none, and m.events lists src's events in
-    process order, so recency is the event index on the forward pass and
-    the index reversed on the mirror pass; none (_BOT, _TOP) is the least
-    recent.
+    process order, so recency is the event index on the forward pass, where
+    none is _BOT = -1, and the index reversed on the mirror pass; none
+    (_BOT, _TOP) is the least recent.
     """
-    trie, nodes = _since_plan(sig, mirror)
-    maps = trie_maps(m, trie)
+    tests = _dominance_tests(sig, mirror, pairs)
+    maps = trie_maps(m, _since_plan(sig, mirror)[0])
     n = len(m.events)
     # an event index's recency; _BOT and _TOP index this list from its end
-    recency = [*(range(n, 0, -1) if mirror else range(n)), -1, -1]
-    out = dict.fromkeys(m.events, 0)
-    for src, tgt in pairs:
-        lf, rt = nodes[src, tgt]
-        for e in m.events_of(tgt):
-            row = maps[m.index[e]]
-            if max(recency[row[l]] for l in lf) > max(recency[row[r]] for r in rt):
-                out[e] = 1
-    return out
+    rec = [*range(n, 0, -1), -1, -1] if mirror else None
+    loc = m.loc
+    return {e: tests.get(loc[e], _no_pair)(row, rec) for e, row in zip(m.events, maps)}
+
+
+@functools.cache
+def _abcd_signature(processes: tuple) -> SystemSignature:
+    return SystemSignature(processes, ABCD)
 
 
 def _abcd_msc(m: Msc, bits1: dict, bits2: dict) -> Msc:
     """m recoded over ABCD, sharing its linearization and other label-free
     structure."""
-    sig = SystemSignature(m.signature.processes, ABCD)
-    return m.relabelled(sig, {e: _recode(bits1[e], bits2[e]) for e in m.events})
+    return m.relabelled(
+        _abcd_signature(m.signature.processes),
+        {e: _recode(bits1[e], bits2[e]) for e in m.events},
+    )
 
 
 def _bit_of(annot) -> int:
@@ -600,7 +635,7 @@ class _TlMachine(AnnotationCfm):
 
     def __init__(self, phi, sig, starts, step_fn, final_ok, annotate_fn):
         super().__init__(
-            f"tl[{format_tl(phi)}]",
+            None,
             starts,
             step_fn,
             final_ok,
@@ -608,6 +643,12 @@ class _TlMachine(AnnotationCfm):
             key=("tl-annot", phi, sig),
             claim=_bit_of,
         )
+        self.phi = phi
+
+    @property
+    def name(self) -> str:
+        # formatted when read: compile_tl makes a machine per subformula
+        return f"tl[{format_tl(self.phi)}]"
 
 
 def _checker_machine(phi, sig, holds) -> _TlMachine:
@@ -724,7 +765,7 @@ def compile_since(
         return core()[0].final(state)
 
     def annotate(m):
-        return _dominance(m, sig, [(p, q)], False)
+        return _dominance(m, sig, ((p, q),), False)
 
     out = AnnotationCfm(
         f"since[{p}->{q}]", starts, step, final_ok, annotate,
@@ -749,7 +790,7 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     """
     procs = sig.processes
     mirror = isinstance(phi, Until)
-    every_pair = [(src, tgt) for tgt in procs for src in procs]
+    every_pair = tuple((src, tgt) for tgt in procs for src in procs)
 
     @functools.cache
     def pairs() -> list:

@@ -9,6 +9,9 @@ whose per-event path comparisons are frozen in the tests.
 ``eval_tl`` on an MSC against ``eval_tl`` on its mirror.
 ``switch_rule_steps`` is ⪯ by the paper's switch rules along ⊏, the
 reference that ``preorder_rows`` (⪯ by its definition) is checked against.
+``reference_dominance`` is the since/until dominance test read with two
+generator ``max`` calls per pair and event, the reference for the compiled
+tests of ``tl._dominance``.
 """
 
 import functools
@@ -27,6 +30,7 @@ from mscgossip.constructions import (
 from mscgossip.msc import Msc, SystemSignature
 from mscgossip.paths import plus_prepend, star_prepend
 from mscgossip.tl import (
+    _since_plan,
     And,
     Atom,
     Bool,
@@ -160,4 +164,24 @@ def switch_rule_steps(m, q, paths) -> dict:
             [_mask(plus[j][i] for j in range(c)) for i in range(c)],
         )
         out[f] = rows
+    return out
+
+
+def reference_dominance(m, sig, pairs, mirror) -> dict:
+    """Bit 1 at a tgt-event iff, for some (src, tgt) in ``pairs``, the most
+    recent last event of a left path is more recent than that of every right
+    path, read off the since trie's map (its mirror's for until): recency is
+    the event index forward and the reversed index on the mirror, with none
+    (_BOT, _TOP) the least recent."""
+    trie, nodes = _since_plan(sig, mirror)
+    maps = trie_maps(m, trie)
+    n = len(m.events)
+    recency = [*(range(n, 0, -1) if mirror else range(n)), -1, -1]
+    out = dict.fromkeys(m.events, 0)
+    for src, tgt in pairs:
+        lf, rt = nodes[src, tgt]
+        for e in m.events_of(tgt):
+            row = maps[m.index[e]]
+            if max(recency[row[l]] for l in lf) > max(recency[row[r]] for r in rt):
+                out[e] = 1
     return out

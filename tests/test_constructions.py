@@ -453,6 +453,25 @@ def test_preorder_mixed_comp_pairs_rejected():
         build_preorder_cfm("p", "q", (PI, parse_path("msg(r,q) ->*", SIG3)), sig=SIG3)
 
 
+def test_preorder_core_is_built_only_for_a_search(monkeypatch):
+    built = []
+
+    class CountingCore(PreorderCore):
+        def __init__(self, q, paths):
+            built.append(q)
+            super().__init__(q, paths)
+
+    monkeypatch.setattr(constructions, "PreorderCore", CountingCore)
+    mach = build_preorder_cfm("p", "q", (parse_path("->* msg(p,q) ->*", SIG2),))
+    m = Msc(SIG2, [("e0", "p", "a"), ("f0", "q", "b"), ("f1", "q", "a")], [("e0", "f0")])
+    ann = mach.annotate(m)
+    assert mach.decide(ExtendedMsc(m, ann))
+    assert built == []
+    assert find_accepting_run(mach, encode(m, ann)) is not None
+    assert find_accepting_run(mach, encode(m, ann)) is not None
+    assert built == ["q"]
+
+
 def test_fixpoint_and_preorder_decide_check_q_events_only():
     # junk off q changes no verdict; a wrong value on a q-event is rejected
     m = fig_flipped()

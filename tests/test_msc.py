@@ -120,6 +120,23 @@ def test_causal_order_fig():
     assert not causal_leq(m, "e7", "f6") and not causal_leq(m, "f6", "e7")  # concurrent
 
 
+@pytest.mark.parametrize("derived", [False, True])
+def test_causal_order_rejects_unknown_ids(derived):
+    # a fresh MSC has derived nothing yet; linearize derives the order
+    def msc():
+        m = msc_from_json(msc_to_json(fig_base()))
+        if derived:
+            linearize(m)
+        return m
+
+    for e, f in (("zz", "f0"), ("e0", "zz"), ("zz", "yy")):
+        for relation in (causal_leq, causal_lt):
+            m = msc()
+            with pytest.raises(MscError, match="unknown event id"):
+                relation(m, e, f)
+            assert causal_lt(m, "e1", "f2") and not causal_leq(m, "f0", "g0")
+
+
 def test_linearize_is_topological_and_deterministic():
     m = fig_base()
     order = linearize(m)

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mscgossip import msc as msc_module, tl
 from mscgossip.cfm import attach_annotation, find_accepting_run
@@ -12,7 +13,7 @@ from mscgossip.constructions import (
     oracle_gossip_annotation,
     preorder_rows,
 )
-from mscgossip.corpus import random_corpus
+from mscgossip.corpus import random_corpus, random_msc
 from mscgossip.msc import (
     ExtendedMsc,
     Msc,
@@ -44,9 +45,11 @@ from mscgossip.tl import (
     format_tl,
     parse_tl,
     since_path_sets,
+    _dominance,
+    _dominance_tests,
     _dominates,
 )
-from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula
+from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula, reference_dominance
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
 CORPUS = random_corpus(SIG2, count=14, seed=3, max_events_per_proc=3)
@@ -434,6 +437,33 @@ def test_random_formulas_translate_correctly():
     assert checked == 24
 
 
+def _temporal_nodes(phi):
+    if isinstance(phi, (Since, Until)):
+        yield phi
+    for field in ("sub", "left", "right"):
+        if hasattr(phi, field):
+            yield from _temporal_nodes(getattr(phi, field))
+
+
+def test_compound_operand_formulas_translate_correctly():
+    # the benchmark's shape, which random_formula does not draw: 1-3 S/U
+    # per formula, some with a compound left operand, on 2-process MSCs of
+    # 4-6 events; ten formulas per S/U count
+    rng = random.Random(29)
+    todo = {1: 10, 2: 10, 3: 10}
+    while any(todo.values()):
+        phi = acceptance_formula(rng, rng.randrange(1, 4))
+        nodes = list(_temporal_nodes(phi))
+        if not todo.get(len(nodes)) or all(isinstance(n.left, (Atom, Proc)) for n in nodes):
+            continue
+        m = random_msc(SIG2, rng, 3)
+        while not 4 <= len(m.events) <= 6:
+            m = random_msc(SIG2, rng, 3)
+        ok, diffs = check_translation(phi, m)
+        assert ok, (format_tl(phi), m.events, m.msg, diffs)
+        todo[len(nodes)] -= 1
+
+
 def test_tl_annotation_memo_is_per_signature():
     # the same formula over a one-process signature caches other bits
     phi = Since(Atom("a"), Atom("b"))
@@ -480,6 +510,28 @@ def test_since_pair_bits_match_the_preorder_switch_rules():
                     assert got[e] == _dominates(rows, lf_at, rt_mask), (src, tgt, e)
                     checked += 1
     assert checked == 108
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    max_events=st.integers(0, 5),
+    mirror=st.booleans(),
+)
+def test_compiled_dominance_matches_the_reference(k, seed, max_events, mirror):
+    # every pair at once, as the since/until machines call it, and each
+    # pair alone, as compile_since does; the tests are compiled once per
+    # signature, direction and pair set
+    sig = SystemSignature(("p", "q", "r")[:k], tl.ABCD)
+    m = random_msc(sig, random.Random(seed), max_events)
+    every_pair = tuple((src, tgt) for tgt in sig.processes for src in sig.processes)
+    for pairs in (every_pair, *((pair,) for pair in every_pair)):
+        got = _dominance(m, sig, pairs, mirror)
+        want = reference_dominance(m, sig, pairs, mirror)
+        assert list(got.items()) == list(want.items()), (pairs, mirror)
+        assert all(type(bit) is int for bit in got.values())
+        assert _dominance_tests(sig, mirror, pairs) is _dominance_tests(sig, mirror, pairs)
 
 
 def test_gossip_and_since_maps_on_one_msc_do_not_collide():
