@@ -128,18 +128,12 @@ class PathTrie:
 
     def program(self, key: tuple) -> Callable:
         """The step of the event shape key = (whether the event has a
-        ⊏-predecessor, the sender's process or None, the process, the letter),
-        compiled once per trie; a program compiled without reading the letter
-        serves every letter."""
+        ⊏-predecessor, the sender's process or None, the process, the
+        letter), compiled once per trie.  Only a label test reads the letter,
+        so a trie without one is given the letter None for every event."""
         program = self._programs.get(key)
         if program is None:
-            program = self._programs.get(key[:3])
-            if program is None:
-                letter = _Letter(key[3])
-                program = self._compile(*key[:3], letter)
-                if not letter.read:
-                    self._programs[key[:3]] = program
-            self._programs[key] = program
+            program = self._programs[key] = self._compile(*key)
         return program
 
     def step(self, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
@@ -147,7 +141,12 @@ class PathTrie:
         shape: entry 0 is ``base``; ``pred`` and ``sender`` are θ at the
         ⊏-predecessor and at the message sender, None when the event has
         none, and ``none`` marks an empty preimage."""
-        key = (pred is not None, None if sender is None else sender_proc, proc, sigma)
+        key = (
+            pred is not None,
+            None if sender is None else sender_proc,
+            proc,
+            sigma if self.reads_letters else None,
+        )
         return (self._programs.get(key) or self.program(key))(none, base, pred, sender)
 
     def _compile(self, has_pred: bool, sender_proc, proc, sigma) -> Callable:
@@ -209,22 +208,6 @@ class _Slot:
 
     def __init__(self, i: int):
         self.i = i
-
-
-class _Letter:
-    """An event's letter while its step is compiled, noting whether the rule
-    compared it with anything."""
-
-    __slots__ = ("letter", "read")
-
-    def __init__(self, letter):
-        self.letter, self.read = letter, False
-
-    def __eq__(self, other):
-        self.read = True
-        return self.letter == other
-
-    __hash__ = None
 
 
 @functools.cache
@@ -417,13 +400,10 @@ def fa_target(m: Msc, pi: PathExpr, pi2: PathExpr) -> dict[str, Hashable]:
 
 
 def closure_with_star(paths: Iterable[PathExpr]) -> tuple[PathExpr, ...]:
-    """Π plus π→* for each π ∈ Π (identifying π→*→* with π→*)."""
-    out: list[PathExpr] = []
-    for pi in paths:
-        for cand in (pi, star_append(pi)):
-            if cand not in out:
-                out.append(cand)
-    return tuple(out)
+    """Π plus π→* for each π ∈ Π (identifying π→*→* with π→*): first the
+    distinct paths of Π in their order, then each new π→*."""
+    given = dict.fromkeys(paths)
+    return tuple({**given, **dict.fromkeys(map(star_append, given))})
 
 
 def _star_app(clos: tuple) -> tuple:
@@ -513,27 +493,26 @@ def preorder_rows(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> dict[str, tupl
     return out
 
 
-def _path_pairs(clos: tuple, rows: tuple) -> frozenset:
-    return frozenset(
-        (clos[i], b) for i, row in enumerate(rows) for j, b in enumerate(clos) if row >> j & 1
-    )
+def _given_rows(rows: tuple, d: int) -> tuple:
+    """The rows of ⪯ among the first d closure paths, which closure_with_star
+    lists first when they are the d distinct paths of the given set."""
+    full = (1 << d) - 1
+    return tuple(row & full for row in rows[:d])
 
 
 def preorder_bits(
     m: Msc, q: str, paths: tuple[PathExpr, ...]
 ) -> dict[str, frozenset]:
     """For each q-event f, the set of pairs (π,π') with π ⪯_f π', over the
-    star closure of the given path set, read off preorder_rows."""
+    star closure of the given path set, read off preorder_rows.  No machine
+    reads it; bench/tracing.py traces it by name."""
     clos = _preorder_plan(tuple(paths))[0]
-    return {f: _path_pairs(clos, rows) for f, rows in preorder_rows(m, q, paths).items()}
-
-
-def ord_annotation(pairs: frozenset, paths: Iterable[PathExpr]) -> frozenset:
-    """Canonical preorder value: string pairs restricted to the original set."""
-    keep = set(paths)
-    return frozenset(
-        (format_path(a), format_path(b)) for a, b in pairs if a in keep and b in keep
-    )
+    return {
+        f: frozenset(
+            (a, b) for a, row in zip(clos, rows) for j, b in enumerate(clos) if row >> j & 1
+        )
+        for f, rows in preorder_rows(m, q, paths).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -984,34 +963,18 @@ def _unchecked(claim):
     return claim
 
 
-class _MemoKey:
-    """A memo key hashed once, when its machine is made: equal to another
-    exactly when their keys are equal, so machines with equal keys share the
-    memo, while a lookup does not hash the key (a formula tree) again."""
-
-    __slots__ = ("key", "_hash")
-
-    def __init__(self, key: Hashable):
-        self.key, self._hash = key, hash(key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _MemoKey) and self.key == other.key
-
-
 class AnnotationCfm(LazyCfm):
     """A LazyCfm over an annotated alphabet, plus its direct decision route.
 
     annotate(m) is the canonical correct annotation, memoised on the MSC
-    under ``key``.  decide(ext) compares it with the claimed annotation,
-    each claimed value first passed through ``claim``, on the events of
-    ``check_proc`` (every event when None).  A machine whose annotation reads
-    the claim (the label machines read ξ1 from it) has no key and gives its
-    own ``decide``.  decide defines the same language as the transition
-    relation; the two are cross-validated by run search on small instances
-    and, where ``canonical`` is given, by ``replay`` of the valuation's run.
+    under the machine itself.  decide(ext) compares it with the claimed
+    annotation, each claimed value first passed through ``claim``, on the
+    events of ``check_proc`` (every event when None).  A machine whose
+    annotation reads the claim (the label machines read ξ1 from it) is
+    annotated given ξ1, unmemoised, and gives its own ``decide``.  decide
+    defines the same language as the transition relation; the two are
+    cross-validated by run search on small instances and, where
+    ``canonical`` is given, by ``replay`` of the valuation's run.
     """
 
     def __init__(
@@ -1022,7 +985,6 @@ class AnnotationCfm(LazyCfm):
         final_ok,
         annotate: Callable[..., dict],
         *,
-        key: Hashable = None,
         check_proc: Optional[str] = None,
         claim: Callable = _unchecked,
         decide: Optional[Callable[[ExtendedMsc], bool]] = None,
@@ -1030,19 +992,18 @@ class AnnotationCfm(LazyCfm):
     ):
         super().__init__(None, starts, step_fn, final_ok, name)
         self._annotate_fn = annotate
-        self._key = None if key is None else _MemoKey(key)
         self._check_proc = check_proc
         self._claim = claim
         self._decide_fn = decide
         self._canonical_fn = canonical
 
     def annotate(self, m: Msc, *args) -> dict:
-        """The canonical correct annotation (given ξ1 for a keyless machine)."""
-        if self._key is None:
+        """The canonical correct annotation (given ξ1 for a label machine)."""
+        if args:
             return self._annotate_fn(m, *args)
-        cached = m._caches.get(self._key)
+        cached = m._caches.get(self)
         if cached is None:
-            cached = m._caches[self._key] = self._annotate_fn(m)
+            cached = m._caches[self] = self._annotate_fn(m)
         return cached
 
     def decide(self, ext: ExtendedMsc) -> bool:
@@ -1192,7 +1153,6 @@ def build_fixpoint_cfm(p: str, q: str, pi: PathExpr, pi2: PathExpr) -> Annotatio
         step,
         final_ok,
         annotate,
-        key=("fixpoint-annot", q, pi, pi2),
         check_proc=q,
         canonical=lambda m: fix_canonical_states(m, q, pi, pi2),
     )
@@ -1205,6 +1165,10 @@ def build_preorder_cfm(
     sig: Optional[SystemSignature] = None,
 ) -> AnnotationCfm:
     """(M,γ) with γ(f) = the preorder ⪯_f over the given path set, on E_q.
+
+    γ(f) is preorder_rows at f restricted to the d distinct given paths, in
+    their order: a tuple of d ints, bit j of row i saying π_i ⪯_f π_j.  The
+    canonical annotation off q is (); the machine does not check it.
 
     Every path must run from p to q: ⪯ compares last events on p (see
     preorder_rows).  With ``sig`` each path is checked against it; without,
@@ -1222,13 +1186,11 @@ def build_preorder_cfm(
         never do."""
         return PreorderCore(q, paths)
 
+    d = len(dict.fromkeys(paths))
+
     def annotate(m):
-        bits = preorder_bits(m, q, paths)
-        empty = frozenset()
-        return {
-            e: ord_annotation(bits[e], paths) if m.loc[e] == q else empty
-            for e in m.events
-        }
+        rows = preorder_rows(m, q, paths)
+        return {e: _given_rows(rows[e], d) if e in rows else () for e in m.events}
 
     def starts(pp):
         return [core().start()]
@@ -1236,11 +1198,9 @@ def build_preorder_cfm(
     def step(pp, state, kind, label, peer, msg_in, want=None):
         sigma, annot = _decode_label(label)
         ctx = StepCtx(pp, kind, peer, sigma)
-        pc = core()
-        for new_state, out, payload in pc.step(state, ctx, msg_in, want):
-            if pp == q and annot != ord_annotation(_path_pairs(pc.clos, out), paths):
-                continue
-            yield new_state, payload
+        for new_state, out, payload in core().step(state, ctx, msg_in, want):
+            if pp != q or annot == _given_rows(out, d):
+                yield new_state, payload
 
     def final_ok(pp, state):
         return core().final(state)
@@ -1251,7 +1211,6 @@ def build_preorder_cfm(
         step,
         final_ok,
         annotate,
-        key=("preorder-annot", q, paths),
         check_proc=q,
         canonical=lambda m: preorder_canonical_states(m, q, paths),
     )
@@ -1382,10 +1341,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
             for e in m.events
         }
 
-    return AnnotationCfm(
-        "gossip", starts, step, final_ok, annotate,
-        key=("gossip-annot", procs), canonical=canonical,
-    )
+    return AnnotationCfm("gossip", starts, step, final_ok, annotate, canonical=canonical)
 
 
 def oracle_gossip_annotation(m: Msc) -> ExtendedMsc:

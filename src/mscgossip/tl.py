@@ -139,9 +139,6 @@ class ObsOn(TlFormula):
     sub: TlFormula
 
 
-CORE_TYPES = (Atom, Proc, Bool, Not, Or, Co, Until, Since)
-
-
 # ---------------------------------------------------------------------------
 # concrete syntax
 # ---------------------------------------------------------------------------
@@ -630,20 +627,12 @@ def _bit_of(annot) -> int:
 
 
 class _TlMachine(AnnotationCfm):
-    """Compiled formula machine: bit annotations over Σ×{0,1}, memoised on
-    the MSC under the formula and the signature."""
+    """Compiled formula machine: bit annotations over Σ×{0,1} for the
+    formula ``phi`` over the signature ``sig``."""
 
     def __init__(self, phi, sig, starts, step_fn, final_ok, annotate_fn):
-        super().__init__(
-            None,
-            starts,
-            step_fn,
-            final_ok,
-            annotate_fn,
-            key=("tl-annot", phi, sig),
-            claim=_bit_of,
-        )
-        self.phi = phi
+        super().__init__(None, starts, step_fn, final_ok, annotate_fn, claim=_bit_of)
+        self.phi, self.sig = phi, sig
 
     @property
     def name(self) -> str:
@@ -767,10 +756,7 @@ def compile_since(
     def annotate(m):
         return _dominance(m, sig, ((p, q),), False)
 
-    out = AnnotationCfm(
-        f"since[{p}->{q}]", starts, step, final_ok, annotate,
-        key=("since-annot", p, q, sig), claim=_bit_of,
-    )
+    out = AnnotationCfm(f"since[{p}->{q}]", starts, step, final_ok, annotate, claim=_bit_of)
     out.moves = moves
     return out
 
@@ -839,11 +825,28 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
 def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:
     """Machine over Σ×{0,1} accepting exactly the correctly bit-annotated
     MSCs: the bit at every event equals the formula's truth value there."""
-    phi = expand_derived(phi)
-    return _compile_core(phi, sig)
+    return _compile_core(expand_derived(phi), sig, {})
 
 
-def _compile_core(phi, sig) -> _TlMachine:
+def _compile_core(phi, sig, made: dict) -> _TlMachine:
+    """The machine of phi, one per distinct subformula: ``made`` maps a leaf
+    formula, or a connective's type with its operands' machines, to its
+    machine, so equal subformulas share one machine and its annotation memo,
+    and no formula tree is hashed."""
+    if isinstance(phi, Not):
+        subs = (_compile_core(phi.sub, sig, made),)
+    elif isinstance(phi, (Or, Since, Until)):
+        subs = (_compile_core(phi.left, sig, made), _compile_core(phi.right, sig, made))
+    else:
+        subs = ()
+    key = (type(phi), *subs) if subs else phi
+    machine = made.get(key)
+    if machine is None:
+        machine = made[key] = _make_machine(phi, sig, *subs)
+    return machine
+
+
+def _make_machine(phi, sig, *subs) -> _TlMachine:
     if isinstance(phi, Atom):
         return _checker_machine(phi, sig, lambda p, s: s == phi.letter)
     if isinstance(phi, Proc):
@@ -853,15 +856,11 @@ def _compile_core(phi, sig) -> _TlMachine:
     if isinstance(phi, Bool):
         return _checker_machine(phi, sig, lambda p, s: phi.value)
     if isinstance(phi, Not):
-        return _not_machine(phi, sig, _compile_core(phi.sub, sig))
+        return _not_machine(phi, sig, *subs)
     if isinstance(phi, Or):
-        return _or_machine(
-            phi, sig, _compile_core(phi.left, sig), _compile_core(phi.right, sig)
-        )
+        return _or_machine(phi, sig, *subs)
     if isinstance(phi, (Since, Until)):
-        return _since_machine(
-            phi, sig, _compile_core(phi.left, sig), _compile_core(phi.right, sig)
-        )
+        return _since_machine(phi, sig, *subs)
     if isinstance(phi, Co):
         raise TlError(
             "unsupported: external construction (the concurrency modality's "

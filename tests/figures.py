@@ -9,6 +9,8 @@ whose per-event path comparisons are frozen in the tests.
 ``eval_tl`` on an MSC against ``eval_tl`` on its mirror.
 ``switch_rule_steps`` is ⪯ by the paper's switch rules along ⊏, the
 reference that ``preorder_rows`` (⪯ by its definition) is checked against.
+``oracle_rows`` is the brute-force ``paths.preorder_at`` in the rows of the
+preorder machine's annotation.
 ``reference_dominance`` is the since/until dominance test read with two
 generator ``max`` calls per pair and event, the reference for the compiled
 tests of ``tl._dominance``.
@@ -28,7 +30,7 @@ from mscgossip.constructions import (
     trie_maps,
 )
 from mscgossip.msc import Msc, SystemSignature
-from mscgossip.paths import plus_prepend, star_prepend
+from mscgossip.paths import plus_prepend, preorder_at, star_prepend
 from mscgossip.tl import (
     _since_plan,
     And,
@@ -119,6 +121,14 @@ def mirror_formula(phi: TlFormula) -> TlFormula:
     if isinstance(phi, Since):
         return Until(mirror_formula(phi.left), mirror_formula(phi.right))
     return mirror_formula(expand_derived(phi))
+
+
+def oracle_rows(m, paths, e) -> tuple:
+    """⪯_e over the distinct paths of ``paths``, in their order, from the
+    brute-force preorder_at: bit j of row i says π_i ⪯_e π_j."""
+    given = tuple(dict.fromkeys(paths))
+    po = preorder_at(m, given, e)
+    return tuple(_mask(po.holds(a, b) for b in given) for a in given)
 
 
 @functools.cache

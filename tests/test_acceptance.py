@@ -16,8 +16,6 @@ from mscgossip.constructions import (
     build_gossip_cfm,
     build_last_label_cfm,
     build_preorder_cfm,
-    ord_annotation,
-    preorder_bits,
     oracle_gossip_annotation,
 )
 from mscgossip.corpus import enumerate_mscs, random_cfm, random_corpus
@@ -62,7 +60,7 @@ from mscgossip.tl import (
     expand_derived,
     format_tl,
 )
-from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula
+from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula, oracle_rows
 from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
@@ -191,12 +189,9 @@ def test_criterion_4_label_machines_oracle_equivalent():
         assert pre.decide(ExtendedMsc(m, pann))
         if qs:
             e = rng.choice(qs)
-            a, b = (str(fam[0]), str(fam[1]))
-            flipped = {(x, y): (y, x) for x, y in [(a, b), (b, a)]}
-            bad = dict(pann)
-            bad[e] = frozenset(
-                flipped.get(pair, pair) for pair in pann[e]
-            ) ^ {(a, b), (b, a)}
+            # claim π ⪯ π' iff not π' ⪯ π, and π' ⪯ π iff not π ⪯ π'
+            (r0, r1), bad = pann[e], dict(pann)
+            bad[e] = (r0 & 1 | (~r1 & 1) << 1, r1 & 2 | (~r0 >> 1 & 1))
             if bad[e] != pann[e]:
                 assert not pre.decide(ExtendedMsc(m, bad))
         counts["pre"] += 1
@@ -245,15 +240,12 @@ def test_criterion_5_monotonicity_and_characterization():
             assert causal_leq(m, ge, gf)
         trials += 1
 
-    trials = 0  # the switch recurrence along ⊏ vs the brute-force preorder
+    trials = 0  # the preorder machine's rows vs the brute-force preorder
     for m in corpus:
         for fam in [(pool[1], pool[2]), (pool[0],), (pool[2], pool[3])]:
-            bits = preorder_bits(m, "q", fam)
+            rows = build_preorder_cfm("p", "q", fam).annotate(m)
             for e in m.events_of("q"):
-                want = frozenset(
-                    (str(a), str(b)) for a, b in preorder_at(m, fam, e).leq
-                )
-                assert ord_annotation(bits[e], fam) == want
+                assert rows[e] == oracle_rows(m, fam, e)
                 trials += 1
         if trials >= 1000:
             break

@@ -19,6 +19,7 @@ from mscgossip.constructions import (
     _mask,
     _mirror_symbols,
     _preorder_plan,
+    _star_app,
     _star_lift,
     _theta_rule,
     _trie_pass,
@@ -47,7 +48,6 @@ from mscgossip.constructions import (
     last_theta,
     last_value,
     oracle_gossip_annotation,
-    ord_annotation,
     preorder_bits,
     preorder_canonical_states,
     preorder_combine,
@@ -67,17 +67,24 @@ from mscgossip.paths import (
     PathExpr,
     f_pair,
     first,
-    format_path,
     gossip_paths,
     gossip_paths_between,
     last,
     parse_path,
     plus_prepend,
     preorder_at,
+    star_append,
     star_prepend,
 )
 from mscgossip.tl import ABCD, _since_plan, since_path_sets
-from figures import SIG3, fig_base, fig_flipped, switch_rule_steps, switch_rule_tries
+from figures import (
+    SIG3,
+    fig_base,
+    fig_flipped,
+    oracle_rows,
+    switch_rule_steps,
+    switch_rule_tries,
+)
 
 PI = parse_path("msg(p,q) ->*", SIG3)
 PI2 = parse_path("msg(p,r) ->* msg(r,q) ->*", SIG3)
@@ -187,20 +194,24 @@ def test_preorder_bottom_bits_match_oracle():
     assert checked == len(PATH_SHAPES) * sum(len(m.events) for m in CORPUS3[:10])
 
 
+def _assert_preorder_matches_oracle(m, q, paths):
+    """The preorder machine's rows and preorder_bits' pairs among the given
+    paths against preorder_at, at every q-event."""
+    ann = build_preorder_cfm("p", q, paths).annotate(m)
+    bits = preorder_bits(m, q, paths)
+    for e in m.events_of(q):
+        assert ann[e] == oracle_rows(m, paths, e), (q, paths, e)
+        po = preorder_at(m, paths, e)
+        assert {(a, b) for a, b in bits[e] if a in paths and b in paths} == po.leq
+    return len(m.events_of(q))
+
+
 def test_preorder_bits_match_oracle():
     checked = 0
     for m in CORPUS3[:8]:
         # all paths in one set must share the source process (PLUS is q -> q)
         for paths in [(PI, PI2), (PLUS,), (PI,), (PI2,)]:
-            bits = preorder_bits(m, "q", paths)
-            for e in m.events_of("q"):
-                po = preorder_at(m, paths, e)
-                got = ord_annotation(bits[e], paths)
-                want = frozenset(
-                    (format_path(a), format_path(b)) for a, b in po.leq
-                )
-                assert got == want
-                checked += 1
+            checked += _assert_preorder_matches_oracle(m, "q", paths)
     assert checked > 80
 
 
@@ -210,13 +221,7 @@ def test_preorder_bits_all_source_target_pairs():
 
     for src in SIG3.processes:
         for tgt in SIG3.processes:
-            fam = gossip_paths_between(SIG3, src, tgt)
-            bits = preorder_bits(m, tgt, fam)
-            for e in m.events_of(tgt):
-                po = preorder_at(m, fam, e)
-                assert ord_annotation(bits[e], fam) == frozenset(
-                    (format_path(a), format_path(b)) for a, b in po.leq
-                )
+            _assert_preorder_matches_oracle(m, tgt, gossip_paths_between(SIG3, src, tgt))
 
 
 def _assert_rows_match_switch_rules(m, q, paths):
@@ -399,6 +404,19 @@ def test_fixpoint_machine_rejects_all_zero_when_fixpoint_exists():
     assert not mach.decide(ExtendedMsc(m, zeros))
 
 
+def test_fixpoint_memos_of_two_machines_do_not_collide():
+    # each machine memoises its annotation on the MSC under itself
+    pairs = [(PI, star_prepend(PI2)), (PI2, plus_prepend(PI))]
+    for order in (pairs, pairs[::-1]):
+        m = fig_flipped()
+        machines = [(build_fixpoint_cfm("p", "q", pi, pi2), pi, pi2) for pi, pi2 in order]
+        for _ in range(2):  # computed, then read from the memo
+            for mach, pi, pi2 in machines:
+                ann = mach.annotate(m)
+                for e in m.events_of("q"):
+                    assert ann[e] == (1 if f_pair(m, pi, pi2, e) == e else 0), (pi, e)
+
+
 def test_fixpoint_machine_empty_target_process():
     mach = build_fixpoint_cfm("p", "q", PLUS, STAR)
     m = Msc(SIG2, [("e0", "p", "a"), ("e1", "p", "b")], [])
@@ -412,17 +430,17 @@ def test_fixpoint_machine_empty_target_process():
 
 def test_preorder_machine_fixture_row():
     # strict π' ≺ π at f0, f1, f2, f6; π ⪯ π' at f3, f4, f5, f7
+    # (row 0 is π, row 1 is π'; bit j of row i says π_i ⪯ π_j)
     m = fig_flipped()
     mach = build_preorder_cfm("p", "q", (PI, PI2))
     ann = mach.annotate(m)
-    a, b = format_path(PI), format_path(PI2)
     strict = {"f0", "f1", "f2", "f6"}
     for i in range(8):
         e = f"f{i}"
         if e in strict:
-            assert (b, a) in ann[e] and (a, b) not in ann[e]
+            assert ann[e][1] & 1 and not ann[e][0] & 2
         else:
-            assert (a, b) in ann[e]
+            assert ann[e][0] & 2
     assert mach.decide(ExtendedMsc(m, ann))
 
 
@@ -430,15 +448,14 @@ def test_preorder_machine_rejects_flipped_entry():
     m = fig_flipped()
     mach = build_preorder_cfm("p", "q", (PI, PI2))
     ann = mach.annotate(m)
-    a, b = format_path(PI), format_path(PI2)
     bad = dict(ann)
-    bad["f3"] = frozenset({(a, a), (b, b), (b, a)})  # claim π' ≺ π at f3
+    bad["f3"] = (0b01, 0b11)  # claim π' ≺ π at f3
     assert not mach.decide(ExtendedMsc(m, bad))
 
 
 def test_preorder_singleton_is_constant_reflexive():
     mach = build_preorder_cfm("q", "q", (PLUS,))
-    want = frozenset({(format_path(PLUS), format_path(PLUS))})
+    want = (1,)
     for m in CORPUS2[:6]:
         ann = mach.annotate(m)
         assert all(ann[e] == want for e in m.events_of("q"))
@@ -477,7 +494,7 @@ def test_fixpoint_and_preorder_decide_check_q_events_only():
     m = fig_flipped()
     for mach, wrong in (
         (build_fixpoint_cfm("p", "q", PI, star_prepend(PI2)), lambda v: 1 - v),
-        (build_preorder_cfm("p", "q", (PI, PI2)), lambda v: frozenset()),
+        (build_preorder_cfm("p", "q", (PI, PI2)), lambda v: (0,) * len(v)),
     ):
         ann = mach.annotate(m)
         junk = {e: v if m.loc[e] == "q" else "junk" for e, v in ann.items()}
@@ -485,6 +502,17 @@ def test_fixpoint_and_preorder_decide_check_q_events_only():
         for e in ("f0", "f3"):
             for base in (ann, junk):
                 assert not mach.decide(ExtendedMsc(m, {**base, e: wrong(ann[e])}))
+
+
+def test_closure_lists_the_given_paths_first():
+    # the preorder machine's annotation is the rows of the first d paths
+    step = parse_path("->")
+    for paths in [(step, STAR, step), (PI2, EPS, PI), tuple(PATH_SHAPES), (PLUS, step)]:
+        given = tuple(dict.fromkeys(paths))
+        clos = closure_with_star(paths)
+        assert clos[: len(given)] == given
+        assert set(clos) == set(given) | {star_append(pi) for pi in given}
+        assert len(clos) == len(set(clos))
 
 
 def test_closure_identifies_double_star():
@@ -675,7 +703,7 @@ def test_preorder_machine_search_route_local():
     ann = mach.annotate(m)
     assert find_accepting_run(mach, encode(m, ann)) is not None
     bad = dict(ann)
-    bad["f1"] = frozenset()
+    bad["f1"] = (0,)
     assert find_accepting_run(mach, encode(m, bad)) is None
 
 
@@ -686,13 +714,13 @@ def test_preorder_machine_search_routes_a_payload():
     mach = build_preorder_cfm("p", "q", (pi,))
     m = Msc(SIG2, [("s", "p", "a"), ("r", "q", "b")], [("s", "r")])
     ann = mach.annotate(m)
-    assert ann["r"] == frozenset({(format_path(pi), format_path(pi))})
+    assert ann["r"] == (1,)
     run = find_accepting_run(mach, encode(m, ann))
     assert run is not None
     sent = run.assignment["s"].msg
     assert sent is not None and run.assignment["r"].msg == sent
     bad = dict(ann)
-    bad["r"] = frozenset()
+    bad["r"] = (0,)
     assert find_accepting_run(mach, encode(m, bad)) is None
 
 
@@ -712,6 +740,56 @@ def test_preorder_core_threads_its_canonical_run(text):
     mach = build_preorder_cfm("p", "q", (parse_path(text, SIG2),))
     for m in CORPUS2[:5]:
         replayed(mach, m)
+
+
+def test_preorder_rows_of_a_repeated_path():
+    # (π, π', π) is annotated over its two distinct paths, also when the
+    # closure adds a third (msg(p,q) →*)
+    msg = parse_path("msg(p,q)", SIG3)
+    for paths in [(PI, PI2, PI), (msg, PI2, msg)]:
+        mach = build_preorder_cfm("p", "q", paths)
+        for m in [fig_flipped(), *CORPUS3[:6]]:
+            ann = mach.annotate(m)
+            for e in m.events_of("q"):
+                assert len(ann[e]) == 2 and ann[e] == oracle_rows(m, paths, e)
+            assert mach.decide(ExtendedMsc(m, ann))
+        replayed(mach, fig_flipped())
+
+
+def test_preorder_rows_of_a_path_not_ending_in_star():
+    # the closure adds msg(p,q) →* (PI), so _star_lift moves bits and the
+    # annotation drops a closure row and column
+    paths = (parse_path("msg(p,q)", SIG3), PI2)
+    assert closure_with_star(paths)[2:] == (PI,)
+    assert _star_app(closure_with_star(paths)) == (2, 1, 2)
+    mach = build_preorder_cfm("p", "q", paths)
+    for m in [fig_flipped(), *CORPUS3[:6]]:
+        ann = mach.annotate(m)
+        for e in m.events_of("q"):
+            assert ann[e] == oracle_rows(m, paths, e)
+        assert mach.decide(ExtendedMsc(m, ann))
+    replayed(mach, fig_flipped())
+
+
+def test_preorder_rejects_a_flipped_off_diagonal_bit():
+    m = fig_flipped()
+    mach = build_preorder_cfm("p", "q", (PI, PI2))
+    ann = mach.annotate(m)
+    for e in m.events_of("q"):
+        assert ann[e] == oracle_rows(m, (PI, PI2), e)
+        assert not mach.decide(ExtendedMsc(m, {**ann, e: (ann[e][0] ^ 2, ann[e][1])}))
+        assert not mach.decide(ExtendedMsc(m, {**ann, e: (ann[e][0], ann[e][1] ^ 1)}))
+    # the search, on the smallest set whose relation it can exhaust: ε and
+    # →* on q, so that last_ε(f) = last_→*(f) = f
+    mach = build_preorder_cfm("q", "q", (EPS, STAR))
+    for n in (1, 2):
+        m = Msc(SIG2, [(f"f{i}", "q", "a") for i in range(n)], [])
+        ann = mach.annotate(m)
+        assert ann["f0"] == oracle_rows(m, (EPS, STAR), "f0") == (0b11, 0b11)
+        assert find_accepting_run(mach, encode(m, ann)) is not None
+        bad = {**ann, "f0": (0b01, 0b11)}
+        assert not mach.decide(ExtendedMsc(m, bad))
+        assert find_accepting_run(mach, encode(m, bad)) is None
 
 
 def test_preorder_replay_threads_canonical_runs():

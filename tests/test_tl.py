@@ -483,6 +483,30 @@ def test_tl_annotation_memo_is_per_formula_not_per_text():
     assert compile_tl(Atom("1"), sig).annotate(m) == {"e": 0, "f": 1}
 
 
+def test_equal_subformulas_share_one_machine(monkeypatch):
+    # Or's operands are one machine, whose annotation pass runs once per MSC
+    operands, passes = [], []
+    or_machine, dominance = tl._or_machine, tl._dominance
+
+    def recording_or(phi, sig, m1, m2):
+        operands.append((m1, m2))
+        return or_machine(phi, sig, m1, m2)
+
+    def counted_dominance(m, *args):
+        passes.append(m)
+        return dominance(m, *args)
+
+    monkeypatch.setattr(tl, "_or_machine", recording_or)
+    monkeypatch.setattr(tl, "_dominance", counted_dominance)
+    phi = Or(Since(Atom("a"), Atom("b")), Since(Atom("a"), Atom("b")))
+    compile_tl(phi, SIG2)
+    [(m1, m2)] = operands
+    assert m1 is m2
+    for m in CORPUS[:6]:
+        assert check_translation(phi, m) == (True, [])
+    assert len(passes) == 6
+
+
 @pytest.mark.parametrize("claim", [2, "1"])
 def test_decide_raises_on_a_non_bit_claim(claim):
     m = Msc(ABCD_SIG, [("s", "p", "a"), ("r", "q", "b")], [("s", "r")])
