@@ -598,16 +598,12 @@ def product(c1: Cfm, c2: Cfm) -> Cfm:
     return Cfm(sig, messages, states, initial, transitions, accepting, gi)
 
 
-def relabel(c: Cfm, h: dict, new_alphabet: Optional[tuple] = None) -> Cfm:
-    """Apply an alphabet morphism h to every transition label."""
+def relabel(c: Cfm, h: dict) -> Cfm:
+    """Apply an alphabet morphism h to every transition label, onto h's image."""
     missing = [a for a in c.signature.alphabet if a not in h]
     if missing:
         raise CfmError(f"morphism undefined on {missing}")
-    alphabet = (
-        tuple(dict.fromkeys(h[a] for a in c.signature.alphabet))
-        if new_alphabet is None
-        else tuple(new_alphabet)
-    )
+    alphabet = tuple(dict.fromkeys(h[a] for a in c.signature.alphabet))
     sig = SystemSignature(c.signature.processes, alphabet)
     transitions = [
         Transition(t.proc, t.source, t.kind, h[t.label], t.target, t.msg, t.peer)

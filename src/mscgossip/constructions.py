@@ -16,8 +16,10 @@ Each construction is a machine over an annotated alphabet whose language is
 
 The fixpoint, preorder and gossip machines also give the states of that
 valuation's run (``canonical_states``).  ``replay`` steps the composite
-relation along it, telling each step the state it must reach (``want``), so
-the relation is checked on MSCs that blind search cannot finish.
+relation along it: each step, told the state it must reach (``want``),
+yields exactly its moves to that state, so the relation is checked on MSCs
+that blind search cannot finish.  Every composite step is one product of
+parts that each core builds once (``product_moves``).
 
 The machines:
   last-label    ξ2(e) = ξ1(last_π(e))            forward, deterministic
@@ -519,40 +521,37 @@ def preorder_bits(
 # machine cores
 # ---------------------------------------------------------------------------
 #
-# Component protocol: start() -> state; step(state, ctx, base, payload_in,
-# want=None) yields (new_state, output_value, payload_out); final(state) ->
-# bool.  States are the θ functions as tuples indexed by prefix (LastCore) or
-# suffix (FirstCore) length; "start" marks an empty process history.
+# Component protocol: start() -> state; step(...) yields (new_state,
+# output_value, payload_out); final(state) -> bool.  A product part's step is
+# step(state, ctx, payload_in, want), made once by the core that owns it;
+# LastCore, FirstCore and FaCore also take the event's base value after ctx.
+# States are the θ functions as tuples indexed by prefix (LastCore) or suffix
+# (FirstCore) length; "start" marks an empty process history.
 #
-# ``want`` is a wanted new state, which the run search never passes.  With
-# it, a step yields a subset of its moves that holds every move to ``want``:
-# a guessing core guesses only what ``want`` holds, and a core may ignore it.
+# ``want`` is a wanted new state, or None, as the run search passes it.  Given
+# a state, a step yields exactly its moves to ``want``: a guessing core guesses
+# only what ``want`` holds, and the others check their moves against it.
 
 
-def _moves_to(moves, state):
-    return (mv for mv in moves if mv[0] == state)
-
-
-def product_moves(parts, msg_in, send: bool, want=None):
+def product_moves(steps, states, ctx: StepCtx, msg_in, want):
     """The moves of independent parts combined at one event.
 
-    Part i is called once, with msg_in[i] (None when no message arrives) and
-    want[i] (None without ``want``), and yields its moves as (state, out,
-    payload).  Each combination comes out as (states, outs, payload), the
-    payload being the parts' payloads on a send and None otherwise, with the
-    last part varying fastest.  With ``want``, part i's moves to any state
-    but want[i] are dropped.  A part's moves are pulled only as far as the
-    combinations need them and kept, so no product is held in memory, and
-    the product ends as soon as one part turns out to have no move.
+    Part i is called once, as steps[i](states[i], ctx, msg_in[i], want[i]),
+    with msg_in[i] None when no message arrives and want[i] None without
+    ``want``, and yields its moves as (state, out, payload).  Each
+    combination comes out as (states, outs, payload), the payload being the
+    parts' payloads on a send and None otherwise, with the last part varying
+    fastest.  A part's moves are pulled only as far as the combinations need
+    them and kept, so no product is held in memory, and the product ends as
+    soon as one part turns out to have no move.
     """
-    n = len(parts)
+    n = len(steps)
     gens = [
-        part(None if msg_in is None else msg_in[i], None if want is None else want[i])
-        for i, part in enumerate(parts)
+        step(s, ctx, None if msg_in is None else msg_in[i], None if want is None else want[i])
+        for i, (step, s) in enumerate(zip(steps, states))
     ]
-    if want is not None:
-        gens = [_moves_to(gen, w) for gen, w in zip(gens, want)]
-    seen: list[list] = [[] for _ in parts]  # the moves pulled from each part
+    send = ctx.kind == "send"
+    seen: list[list] = [[] for _ in steps]  # the moves pulled from each part
     pick = [0] * n  # the current combination
     i = 0
     while i >= 0:
@@ -611,10 +610,21 @@ class LastCore:
             ctx.peer,
             ctx.sigma,
         )
-        yield t, t[-1], t if ctx.kind == "send" else None
+        if want is None or t == want:
+            yield t, t[-1], t if ctx.kind == "send" else None
 
     def final(self, state) -> bool:
         return True
+
+
+def _label_step(core: LastCore, state, ctx: StepCtx, msg_in, want):
+    """A LastCore as a product part: the last event's label."""
+    return core.step(state, ctx, ctx.sigma, msg_in, want)
+
+
+def _bottom_step(core: LastCore, state, ctx: StepCtx, msg_in, want):
+    """A LastCore as a product part: whether a last event exists."""
+    return core.step(state, ctx, "•", msg_in, want)
 
 
 _FREE = object()  # a FirstCore entry that reads a neighbour not yet seen
@@ -905,6 +915,7 @@ class PreorderCore:
     paths, the components are the bottom trackers, bots[i] for π_i, then
     fixes, indexed like the recurrence's bits: fixes[i*c + j] and
     fixes[c*c + i*c + j] for the f^{π_i,→*π_j} and f^{π_i,→+π_j} fixpoints.
+    Given ``want``, a step keeps the product's moves whose rows are want's.
     """
 
     def __init__(self, q: str, paths: tuple[PathExpr, ...]):
@@ -918,6 +929,9 @@ class PreorderCore:
             for a in self.clos
             for b in self.clos
         )
+        self.steps = tuple(functools.partial(_bottom_step, bc) for bc in self.bots) + tuple(
+            fc.guess for fc in self.fixes
+        )
 
     def start(self):
         states = tuple(bc.start() for bc in self.bots) + tuple(
@@ -927,27 +941,22 @@ class PreorderCore:
 
     def step(self, state, ctx: StepCtx, payload_in, want=None):
         states, prev = state
+        wanted = None if want is None else want[0]
+        on_q = ctx.proc == self.q
         c = len(self.bots)
-        parts = [
-            functools.partial(bc.step, s, ctx, "•") for bc, s in zip(self.bots, states)
-        ] + [functools.partial(fc.guess, s, ctx) for fc, s in zip(self.fixes, states[c:])]
-        moves = product_moves(
-            parts, payload_in, ctx.kind == "send", None if want is None else want[0]
-        )
-        if ctx.proc != self.q:
-            for new_states, _, payload in moves:
-                yield (new_states, prev), None, payload
-            return
         plus = c + c * c  # the outputs from here on are the →+ fixpoint bits
-        for new_states, outs, payload in moves:
-            pre = preorder_combine(
-                self.lift,
-                prev,
-                _mask(out is BOTTOM for out in outs[:c]),
-                [_mask(outs[c + i * c : c + i * c + c]) for i in range(c)],
-                [_mask(outs[plus + j * c + i] for j in range(c)) for i in range(c)],
-            )
-            yield (new_states, pre), pre, payload
+        for new_states, outs, pay in product_moves(self.steps, states, ctx, payload_in, wanted):
+            pre = prev
+            if on_q:
+                pre = preorder_combine(
+                    self.lift,
+                    prev,
+                    _mask(out is BOTTOM for out in outs[:c]),
+                    [_mask(outs[c + i * c : c + i * c + c]) for i in range(c)],
+                    [_mask(outs[plus + j * c + i] for j in range(c)) for i in range(c)],
+                )
+            if want is None or pre == want[1]:
+                yield (new_states, pre), pre if on_q else None, pay
 
     def final(self, state) -> bool:
         states = state[0][len(self.bots) :]
@@ -1236,6 +1245,16 @@ def gossip_component_value(members: tuple, rows: tuple, values):
     return _NO_MAXIMUM
 
 
+def _pair_step(tgt: str, members: tuple, steps: tuple, state, ctx: StepCtx, msg_in, want):
+    """A gossip (src, tgt) pair as one product part: the product of its
+    PreorderCore and value LastCores (``steps``), whose output at tgt is the
+    pair's component value, and None elsewhere."""
+    at_tgt = ctx.proc == tgt
+    for states, outs, payload in product_moves(steps, state, ctx, msg_in, want):
+        value = gossip_component_value(members, outs[0], outs[1:]) if at_tgt else None
+        yield states, value, payload
+
+
 @functools.cache
 def _gossip_plan(sig: SystemSignature) -> tuple:
     """The gossip families as build_gossip_cfm reads them, compiled once per
@@ -1273,14 +1292,19 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
 
     @functools.cache
     def cores() -> tuple:
-        """Per pair, its PreorderCore, the family's closure indices in it and
-        one LastCore per family path; built the first time a search needs
-        them, so annotate and decide never do."""
+        """The pairs' start states, PreorderCores and product parts, a pair's
+        part over its PreorderCore and one value LastCore per family path;
+        built the first time a search needs them, so annotate and decide
+        never do."""
         out = []
         for _, tgt, fam in pairs:
             pc = PreorderCore(tgt, fam)
-            out.append((pc, tuple(map(pc.clos.index, fam)), tuple(LastCore(pi) for pi in fam)))
-        return tuple(out)
+            vcs = tuple(LastCore(pi) for pi in fam)
+            steps = (pc.step, *(functools.partial(_label_step, vc) for vc in vcs))
+            start = (pc.start(), *(vc.start() for vc in vcs))
+            members = tuple(map(pc.clos.index, fam))
+            out.append((start, pc, functools.partial(_pair_step, tgt, members, steps)))
+        return tuple(zip(*out))
 
     def annotate(m):
         # index _BOT = -1 of the labels reads None, the value of ⊥
@@ -1292,41 +1316,21 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         }
 
     def starts(p):
-        state = tuple(
-            (pc.start(), *(vc.start() for vc in vcs)) for pc, _, vcs in cores()
-        )
-        return [state]
+        return [cores()[0]]
 
     def step(p, state, kind, label, peer, msg_in, want=None):
         sigma, xi = _decode_label(label)
-        ctx = StepCtx(p, kind, peer, sigma)
         if not (isinstance(xi, tuple) and len(xi) == len(procs)):
             return
-        xi_by_proc = dict(zip(procs, xi))
-        send = kind == "send"
-
-        def pair_moves(src, tgt, pc, members, vcs, pair_state, msg_in, want):
-            """The product of a pair's PreorderCore and value LastCores,
-            checked against the claimed component at tgt."""
-            parts = [functools.partial(pc.step, pair_state[0], ctx)] + [
-                functools.partial(vc.step, s, ctx, sigma)
-                for vc, s in zip(vcs, pair_state[1:])
-            ]
-            for states, outs, payload in product_moves(parts, msg_in, send, want):
-                if p != tgt or xi_by_proc[src] == gossip_component_value(
-                    members, outs[0], outs[1:]
-                ):
-                    yield states, None, payload
-
-        parts = [
-            functools.partial(pair_moves, src, tgt, *core, pair_state)
-            for (src, tgt, _), core, pair_state in zip(pairs, cores(), state)
-        ]
-        for states, _, payload in product_moves(parts, msg_in, send, want):
-            yield states, payload
+        # the pairs run target by target, sources in process order
+        at = len(procs) * procs.index(p)
+        ctx = StepCtx(p, kind, peer, sigma)
+        for states, outs, payload in product_moves(cores()[2], state, ctx, msg_in, want):
+            if outs[at : at + len(procs)] == xi:
+                yield states, payload
 
     def final_ok(p, state):
-        return all(pc.final(st[0]) for (pc, _, _), st in zip(cores(), state))
+        return all(pc.final(st[0]) for pc, st in zip(cores()[1], state))
 
     def canonical(m):
         parts = [
@@ -1445,7 +1449,8 @@ def replay(machine: AnnotationCfm, ext: ExtendedMsc) -> dict[str, list]:
     """Step the composite relation of ``machine`` on ``ext`` along its
     canonical run: along linearize, with FIFO channel queues, each event's
     step given (letter, annotation) and, as ``want``, the event's state in
-    machine.canonical_states; then check final_ok.
+    machine.canonical_states, so that it yields that state's move or none;
+    then check final_ok.
 
     Returns, per process, its start state and the state after each of its
     events.  Raises ReplayError at the first event with no move to its
@@ -1459,13 +1464,10 @@ def replay(machine: AnnotationCfm, ext: ExtendedMsc) -> dict[str, list]:
         p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
         msg_in = chans[peer, p].popleft() if kind == "recv" else None
         label = (m.label[e], ext.annot[e])
-        for new_state, payload in machine._step(
-            p, states[p][-1], kind, label, peer, msg_in, canon[e]
-        ):
-            if new_state == canon[e]:
-                break
-        else:
+        move = next(machine._step(p, states[p][-1], kind, label, peer, msg_in, canon[e]), None)
+        if move is None or move[0] != canon[e]:
             raise ReplayError(machine.name, e)
+        new_state, payload = move
         states[p].append(new_state)
         if kind == "send":
             chans[p, peer].append(payload)

@@ -301,13 +301,9 @@ def gossip_paths_between(sig: SystemSignature, p: str, q: str) -> tuple[PathExpr
 
 
 def gossip_paths(sig: SystemSignature) -> tuple[PathExpr, ...]:
-    out: list[PathExpr] = []
-    for p in sig.processes:
-        for q in sig.processes:
-            for pi in gossip_paths_between(sig, p, q):
-                if pi not in out:
-                    out.append(pi)
-    return tuple(out)
+    """Every pair's gossip paths, each once, in the order first met."""
+    pairs = [(p, q) for p in sig.processes for q in sig.processes]
+    return tuple(dict.fromkeys(pi for p, q in pairs for pi in gossip_paths_between(sig, p, q)))
 
 
 def path_size(paths: Iterable[PathExpr]) -> int:

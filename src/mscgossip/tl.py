@@ -516,20 +516,18 @@ def since_path_sets(
     event violating the gap letters (c or d) on the way to tgt.  The witness
     condition "some left strictly dominates every right" then says: the most
     recent witness is more recent than any src-event whose connection to here
-    crosses a gap violation.  Built once per (sig, src, tgt).
+    crosses a gap violation.  Built once per (sig, src, tgt).  A right path
+    π1·[x]·π2 splits only at its one label test, so no right path is built
+    twice.
     """
-    left = []
-    for letter in ("a", "c"):
-        for pi in gossip_paths_between(sig, src, tgt):
-            left.append(_label_prepend(letter, pi))
-    right = []
-    for r in sig.processes:
-        for pi1 in gossip_paths_between(sig, src, r):
-            for letter in ("c", "d"):
-                for pi2 in gossip_paths_between(sig, r, tgt):
-                    cand = _label_join(pi1, letter, pi2)
-                    if cand not in right:
-                        right.append(cand)
+    left = [_label_prepend(x, pi) for x in ("a", "c") for pi in gossip_paths_between(sig, src, tgt)]
+    right = [
+        _label_join(pi1, letter, pi2)
+        for r in sig.processes
+        for pi1 in gossip_paths_between(sig, src, r)
+        for letter in ("c", "d")
+        for pi2 in gossip_paths_between(sig, r, tgt)
+    ]
     return tuple(left), tuple(right)
 
 
@@ -672,28 +670,32 @@ def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
     return _TlMachine(phi, sig, starts, step, inner._final, annotate)
 
 
-def _guessed(machine: _TlMachine, p, state, kind, sigma, peer, bits=(0, 1)):
-    """A part for product_moves: the sub-formula machine's moves with its bit
-    guessed from ``bits``; each move's output is its bit.  A wanted state is
-    ignored."""
+def _guessed(machine: _TlMachine):
+    """The sub-formula machine as a product part, made once per machine: its
+    moves with its bit guessed, each move's output its bit; given ``want``,
+    only its moves to ``want``."""
 
-    def moves(msg_in, want=None):
-        for b in bits:
-            for new_state, payload in machine._step(p, state, kind, (sigma, b), peer, msg_in):
-                yield new_state, b, payload
+    def step(state, ctx, msg_in, want):
+        p, kind, peer = ctx.proc, ctx.kind, ctx.peer
+        for b in (0, 1):
+            for new_state, payload in machine._step(p, state, kind, (ctx.sigma, b), peer, msg_in):
+                if want is None or new_state == want:
+                    yield new_state, b, payload
 
-    return moves
+    return step
 
 
 def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     def starts(p):
         return [(s1, s2) for s1 in m1._starts(p) for s2 in m2._starts(p)]
 
+    operands = (_guessed(m1), _guessed(m2))
+
     def step(p, state, kind, label, peer, msg_in):
         sigma, bit = label
         bit = _bit_of(bit)
-        parts = [_guessed(sub, p, s, kind, sigma, peer) for sub, s in zip((m1, m2), state)]
-        for states, (b1, b2), payload in product_moves(parts, msg_in, kind == "send"):
+        ctx = StepCtx(p, kind, peer, sigma)
+        for states, (b1, b2), payload in product_moves(operands, state, ctx, msg_in, None):
             if (b1 | b2) == bit:
                 yield states, payload
 
@@ -707,6 +709,22 @@ def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     return _TlMachine(phi, sig, starts, step, final_ok, annotate)
 
 
+def _since_pair(src: str, tgt: str, sig: SystemSignature) -> tuple:
+    """A (src, tgt) pair's preorder core over its since families, and the
+    core as a product part whose output is the pair's dominance bit (False
+    off tgt)."""
+    lf, rt = since_path_sets(sig, src, tgt)
+    pc = PreorderCore(tgt, lf + rt)
+    left = tuple(map(pc.clos.index, lf))
+    right = sum(1 << pc.clos.index(r) for r in rt)
+
+    def step(state, ctx, msg_in, want):
+        for ns, out, pay in pc.step(state, ctx, msg_in, want):
+            yield ns, ctx.proc == tgt and _dominates(out, left, right), pay
+
+    return pc, step
+
+
 def compile_since(
     p: str, q: str, sig: SystemSignature
 ) -> AnnotationCfm:
@@ -717,48 +735,34 @@ def compile_since(
     dominates every right path.  Events off q must carry bit 0.  The direct
     route is _dominance for the one pair (p, q).
 
-    This is the one construction of a pair: the since machine's search runs
-    these.  ``moves(pp, state, ctx, msg_in, want=None)`` yields the
-    preorder core's moves with their dominance bit (False off q) and ignores
-    ``want``; the core is built the first time a search needs it, so
-    annotate and decide never build it.
+    Its search steps the pair's _since_pair part, as the since machine's
+    does every pair's; the core is built the first time a search needs it,
+    so annotate and decide never build it.
     """
     if p not in sig.processes or q not in sig.processes:
         raise TlError(f"unknown process in pair ({p!r}, {q!r})")
-    lf, rt = since_path_sets(sig, p, q)
 
-    @functools.cache
-    def core() -> tuple[PreorderCore, tuple, int]:
-        """The preorder core, the closure indices of lf and their mask for rt."""
-        pc = PreorderCore(q, tuple(dict.fromkeys(lf + rt)))
-        return pc, tuple(map(pc.clos.index, lf)), sum(1 << pc.clos.index(r) for r in rt)
-
-    def moves(pp, state, ctx, msg_in, want=None):
-        pc, lf_at, rt_mask = core()
-        for ns, out, pay in pc.step(state, ctx, msg_in):
-            yield ns, pp == q and _dominates(out, lf_at, rt_mask), pay
+    pair = functools.cache(functools.partial(_since_pair, p, q, sig))
 
     def starts(pp):
-        return [core()[0].start()]
+        return [pair()[0].start()]
 
     def step(pp, state, kind, label, peer, msg_in):
         sigma, bit = label
         bit = _bit_of(bit)
         if sigma not in ABCD:
             return
-        for ns, dom, pay in moves(pp, state, StepCtx(pp, kind, peer, sigma), msg_in):
+        for ns, dom, pay in pair()[1](state, StepCtx(pp, kind, peer, sigma), msg_in, None):
             if dom == bit:
                 yield ns, pay
 
     def final_ok(pp, state):
-        return core()[0].final(state)
+        return pair()[0].final(state)
 
     def annotate(m):
         return _dominance(m, sig, ((p, q),), False)
 
-    out = AnnotationCfm(f"since[{p}->{q}]", starts, step, final_ok, annotate, claim=_bit_of)
-    out.moves = moves
-    return out
+    return AnnotationCfm(f"since[{p}->{q}]", starts, step, final_ok, annotate, claim=_bit_of)
 
 
 def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
@@ -770,49 +774,49 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     reversed time: annotate is _dominance on the mirror pass of the since
     trie over the recoded MSC, so no mirror MSC is built.
 
-    A search steps the product of the operands' machines and of every
-    (src, tgt) pair's compile_since machine, built the first time a search
-    needs them.  Until has no forward relation: its search raises TlError.
+    A search steps the product of the operands' machines and, per move of
+    theirs, the product of every (src, tgt) pair's _since_pair part, built
+    the first time a search needs them.  Until has no forward relation: its
+    search raises TlError.
     """
     procs = sig.processes
     mirror = isinstance(phi, Until)
     every_pair = tuple((src, tgt) for tgt in procs for src in procs)
+    operands = (_guessed(m1), _guessed(m2))
 
     @functools.cache
-    def pairs() -> list:
+    def pairs() -> tuple:
+        """The pairs' cores and their product parts."""
         if mirror:
             raise TlError(
                 "the until machine's transition relation is the mirror of its "
                 "since core and cannot be searched forward; use decide()"
             )
-        return [compile_since(src, tgt, sig) for src, tgt in every_pair]
+        return tuple(zip(*(_since_pair(src, tgt, sig) for src, tgt in every_pair)))
 
     def starts(p):
-        cs = tuple(pair._starts(p)[0] for pair in pairs())
+        cs = tuple(pc.start() for pc in pairs()[0])
         return [(s1, s2, *cs) for s1 in m1._starts(p) for s2 in m2._starts(p)]
 
     def step(p, state, kind, label, peer, msg_in):
-        """The product of both operands' machines, at guessed bits b1 and
-        b2, and of every pair's core on the event recoded from b1 and b2."""
+        """The product of both operands' machines, each bit guessed, and per
+        move (b1, b2) of theirs, of every pair's core on the event recoded
+        from b1 and b2."""
         sigma, bit = label
         bit = _bit_of(bit)
-        cores = list(zip(pairs(), state[2:]))
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                ctx = StepCtx(p, kind, peer, _recode(b1, b2))
-                parts = [
-                    _guessed(m1, p, state[0], kind, sigma, peer, (b1,)),
-                    _guessed(m2, p, state[1], kind, sigma, peer, (b2,)),
-                ] + [functools.partial(pair.moves, p, cs, ctx) for pair, cs in cores]
-                for states, outs, payload in product_moves(parts, msg_in, kind == "send"):
-                    if any(outs[2:]) == bit:
-                        yield states, payload
+        ops_in, pairs_in = (None, None) if msg_in is None else (msg_in[:2], msg_in[2:])
+        ctx = StepCtx(p, kind, peer, sigma)
+        for ops, (b1, b2), ops_out in product_moves(operands, state[:2], ctx, ops_in, None):
+            recoded = StepCtx(p, kind, peer, _recode(b1, b2))
+            for cs, doms, outs in product_moves(pairs()[1], state[2:], recoded, pairs_in, None):
+                if any(doms) == bit:
+                    yield (*ops, *cs), None if outs is None else (*ops_out, *outs)
 
     def final_ok(p, state):
         return (
             m1._final(p, state[0])
             and m2._final(p, state[1])
-            and all(pair._final(p, cs) for pair, cs in zip(pairs(), state[2:]))
+            and all(pc.final(cs) for pc, cs in zip(pairs()[0], state[2:]))
         )
 
     def annotate(m):

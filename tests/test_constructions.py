@@ -5,7 +5,7 @@ from collections import Counter, defaultdict, deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mscgossip import constructions
+from mscgossip import constructions, tl
 from mscgossip.cfm import (
     attach_annotation,
     find_accepting_run,
@@ -52,6 +52,7 @@ from mscgossip.constructions import (
     preorder_canonical_states,
     preorder_combine,
     preorder_rows,
+    product_moves,
     reachable_state_report,
     replay,
     trie_maps,
@@ -76,7 +77,7 @@ from mscgossip.paths import (
     star_append,
     star_prepend,
 )
-from mscgossip.tl import ABCD, _since_plan, since_path_sets
+from mscgossip.tl import ABCD, _since_plan, compile_tl, parse_tl, since_path_sets
 from figures import (
     SIG3,
     fig_base,
@@ -1286,15 +1287,14 @@ def test_reachable_state_counts_are_pinned():
 
 def check_want(rng, step, extra=()):
     """For states sampled from the generic moves step(None), and for
-    ``extra``: step(want) yields a sub-multiset of the generic moves that
-    holds every generic move to ``want``.  Returns the sampled states."""
+    ``extra``: step(want) yields exactly the generic moves to ``want``, each
+    as often.  Returns the sampled states."""
     generic = Counter(step(None))
     states = list(dict.fromkeys(mv[0] for mv in generic))
     wants = rng.sample(states, min(3, len(states)))
     for want in [*wants, *extra]:
         targeted = Counter(step(want))
-        assert not targeted - generic, want
-        assert all(targeted[mv] == n for mv, n in generic.items() if mv[0] == want), want
+        assert targeted == Counter({mv: n for mv, n in generic.items() if mv[0] == want}), want
     return wants
 
 
@@ -1558,6 +1558,84 @@ def test_fix_core_guess_want_contract(seed):
     msg_in = random_state(False)[0] if ctx.kind == "recv" else None
     wants = [random_state(False) for _ in range(2)]
     check_want(rng, functools.partial(core.guess, random_state(True), ctx, msg_in), wants)
+
+
+def recorded_products(monkeypatch, *modules):
+    """The list that the step tuple of every product_moves call, made
+    through any of ``modules``, is appended to."""
+    made = []
+
+    def recording(steps, *args):
+        made.append(steps)
+        return product_moves(steps, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "product_moves", recording)
+    return made
+
+
+def test_gossip_pair_part_want_contract(monkeypatch):
+    # each (src, tgt) pair's part as the gossip step runs it: the first
+    # product of a replay is the gossip step's, over the pairs' parts
+    mach = build_gossip_cfm(SIG2)
+    m = CORPUS2[0]
+    made = recorded_products(monkeypatch, constructions)
+    replayed(mach, m)
+    parts = made[0]
+    monkeypatch.undo()
+    [start] = mach._starts("p")
+    canon = mach.canonical_states(m)
+    rng = random.Random(21)
+    assert len(parts) == len(start) == 4
+    for i, part in enumerate(parts):
+        pair_canon = {e: state[i] for e, state in canon.items()}
+
+        def core_step(state, ctx, msg_in, want=None, part=part):
+            return part(state, ctx, msg_in, want)
+
+        wants, checked = [], 0
+        for ctx, step in sampled_steps(core_step, start[i], pair_canon, m, rng):
+            wants = check_want(rng, step, wants)
+            checked += bool(wants)
+        assert checked >= len(m.events) // 2, i
+
+
+def test_product_parts_are_made_once_per_core(monkeypatch):
+    # every product, at every event of a replay, steps the tuple of parts
+    # that its core made once: the gossip step's, each pair part's and each
+    # pair's PreorderCore's
+    made = recorded_products(monkeypatch, constructions)
+    mach = build_gossip_cfm(SIG2)
+    for m in CORPUS2[:4]:
+        replayed(mach, m)
+    pairs = len(SIG2.processes) ** 2
+    assert len(made) > len({id(steps) for steps in made}) == 1 + 2 * pairs
+
+
+def test_tl_guessed_part_want_contract():
+    # an operand part of the or and since machines yields, given a state,
+    # exactly its moves to that state
+    sig1 = SystemSignature(("p",), ("a", "b"))
+    machine = compile_tl(parse_tl("a | !b"), sig1)
+    part = tl._guessed(machine)
+    [start] = machine._starts("p")
+    rng = random.Random(3)
+    for sigma in sig1.alphabet:
+        ctx = StepCtx("p", "local", None, sigma)
+        assert check_want(rng, functools.partial(part, start, ctx, None), [("s", "t"), "s"])
+
+
+def test_tl_product_parts_are_made_once_per_machine(monkeypatch):
+    # at two events, the since step and its or operand's step each step
+    # the part tuples that their machines made once: the since machine's
+    # operands and pairs, and the or machine's operands
+    made = recorded_products(monkeypatch, tl)
+    sig1 = SystemSignature(("p",), ("a", "b"))
+    machine = compile_tl(parse_tl("(a | b) S b"), sig1)
+    [start] = machine._starts("p")
+    for sigma in sig1.alphabet:  # with no past event the formula is false
+        assert next(machine._step("p", start, "local", (sigma, 0), None, None), None)
+    assert len(made) > len({id(steps) for steps in made}) == 3
 
 
 def test_gossip_step_want_contract_at_k1():

@@ -262,6 +262,16 @@ def test_gossip_paths_full_family():
     assert path_size(fam) == 2 + 6 * (3 + 5)
 
 
+def test_gossip_paths_lists_each_path_once_in_first_order():
+    for k in range(1, 6):
+        sig = type(SIG3)(("p", "q", "r", "s", "t")[:k], ("a",))
+        scanned = []
+        for p in sig.processes:
+            for q in sig.processes:
+                scanned += [pi for pi in gossip_paths_between(sig, p, q) if pi not in scanned]
+        assert gossip_paths(sig) == tuple(scanned), k
+
+
 def test_gossip_paths_four_procs():
     sig4 = type(SIG3)(("p", "q", "r", "s"), ("a",))
     pq = gossip_paths_between(sig4, "p", "q")

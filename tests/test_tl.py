@@ -22,6 +22,7 @@ from mscgossip.msc import (
     msc_from_json,
     msc_to_json,
 )
+from mscgossip.paths import gossip_paths_between
 from mscgossip.tl import (
     And,
     Atom,
@@ -362,6 +363,34 @@ def test_strict_dominance_ties_give_zero():
     want = eval_tl(m, PHI_PQ)
     assert want["r"] is False  # the gap event x violates a∨b
     assert cs.annotate(m)["r"] == 0
+
+
+def scanned_since_path_sets(sig, src, tgt):
+    """The since families built path by path, each right path kept only if
+    not met before."""
+    left = [tl._label_prepend(x, pi) for x in "ac" for pi in gossip_paths_between(sig, src, tgt)]
+    right = []
+    for r in sig.processes:
+        for pi1 in gossip_paths_between(sig, src, r):
+            for letter in ("c", "d"):
+                for pi2 in gossip_paths_between(sig, r, tgt):
+                    cand = tl._label_join(pi1, letter, pi2)
+                    if cand not in right:
+                        right.append(cand)
+    return tuple(left), tuple(right)
+
+
+def test_since_families_hold_no_duplicate():
+    # a right path π1·[x]·π2 splits only at its one label test, so no scan
+    # for repeats is needed: the families are those a scan builds, in order
+    for k in (1, 2, 3, 4):
+        sig = SystemSignature(("p", "q", "r", "s")[:k], tl.ABCD)
+        for src in sig.processes:
+            for tgt in sig.processes:
+                lf, rt = since_path_sets(sig, src, tgt)
+                if k <= 3:
+                    assert (lf, rt) == scanned_since_path_sets(sig, src, tgt), (src, tgt)
+                assert len(set(lf)) == len(lf) and len(set(rt)) == len(rt), (src, tgt)
 
 
 def test_compile_since_pair_rejects_unknown_process():
