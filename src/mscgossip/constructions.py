@@ -1260,8 +1260,10 @@ def _gossip_plan(sig: SystemSignature) -> tuple:
     """The gossip families as build_gossip_cfm reads them, compiled once per
     signature: per (src, tgt) pair, (src, tgt, family), target by target in
     process order; one last-trie over every gossip family; and per target
-    process tgt, the trie nodes of each source's family into tgt, sources
-    in process order.
+    process tgt, its read-out as one straight-line function step(row, labels)
+    → the annotation at a tgt-event, from the trie map ``row`` there and the
+    label of each event index: per source in process order, the label at the
+    greatest of its family's trie entries.
     """
     procs = sig.processes
     families = {tgt: [gossip_paths_between(sig, src, tgt) for src in procs] for tgt in procs}
@@ -1269,7 +1271,14 @@ def _gossip_plan(sig: SystemSignature) -> tuple:
     pairs = tuple(
         (src, tgt, fam) for tgt, fams in families.items() for src, fam in zip(procs, fams)
     )
-    return pairs, trie, nodes
+    reads = {}
+    for tgt, fams in nodes.items():
+        lines = ["def step(row, labels):", "    return ("]
+        for fam in fams:
+            at = ", ".join(f"row[{j}]" for j in fam)
+            lines.append(f"        labels[max({at})]," if len(fam) > 1 else f"        labels[{at}],")
+        reads[tgt] = _function("\n".join(lines + ["    )"]))
+    return pairs, trie, reads
 
 
 def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
@@ -1285,10 +1294,13 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     π ⪯_f π′ iff last_π(f) ⊑ last_π′(f), off _gossip_plan's last-trie: those
     last events are src-events or ⊥ (_BOT = -1), and ``m.events`` lists each
     process's events in process order, so the ⪯-maximal one is the greatest
-    index among the family's nodes.  The relation runs the ⪯ recurrence.
+    index among the family's nodes.  That read-out is compiled once per
+    signature and target process (_gossip_plan), as tl._dominance_tests is,
+    so annotate makes one call per event.  The relation runs the ⪯
+    recurrence.
     """
     procs = sig.processes
-    pairs, trie, nodes = _gossip_plan(sig)
+    pairs, trie, reads = _gossip_plan(sig)
 
     @functools.cache
     def cores() -> tuple:
@@ -1310,10 +1322,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         # index _BOT = -1 of the labels reads None, the value of ⊥
         labels = [m.label[e] for e in m.events] + [None]
         loc = m.loc
-        return {
-            f: tuple([labels[max([row[j] for j in fam])] for fam in nodes[loc[f]]])
-            for f, row in zip(m.events, trie_maps(m, trie))
-        }
+        return {f: reads[loc[f]](row, labels) for f, row in zip(m.events, trie_maps(m, trie))}
 
     def starts(p):
         return [cores()[0]]

@@ -40,6 +40,13 @@ class TlError(ValueError):
     """Malformed formula, bad syntax, or unsupported compilation target."""
 
 
+# The deepest nesting of subformulas (or, in the concrete syntax, of
+# parentheses and prefix operators) that parse_tl, compile_tl and eval_tl
+# accept: they and the machines compile_tl builds recurse on it.
+MAX_DEPTH = 100
+_TOO_DEEP = f"formula nests deeper than {MAX_DEPTH} levels"
+
+
 # ---------------------------------------------------------------------------
 # abstract syntax
 # ---------------------------------------------------------------------------
@@ -47,7 +54,18 @@ class TlError(ValueError):
 
 @dataclass(frozen=True)
 class TlFormula:
-    pass
+    @functools.cached_property
+    def depth(self) -> int:
+        """The nesting of subformulas, a leaf being one level: found with an
+        explicit stack, so that any depth can be measured, and kept on the
+        formula, which parse_tl, compile_tl and eval_tl then measure once."""
+        deepest, todo = 0, [(self, 1)]
+        while todo:
+            f, depth = todo.pop()
+            deepest = max(deepest, depth)
+            for name in _SUBFORMULAS.get(type(f), ()):
+                todo.append((getattr(f, name), depth + 1))
+        return deepest
 
 
 @dataclass(frozen=True)
@@ -139,6 +157,19 @@ class ObsOn(TlFormula):
     sub: TlFormula
 
 
+# the fields of each connective that hold its subformulas
+_SUBFORMULAS = {
+    **dict.fromkeys((Not, Co, NextOn, PrevOn, ObsOn), ("sub",)),
+    **dict.fromkeys((Or, And, Until, Since, UntilOn), ("left", "right")),
+}
+
+
+def check_depth(phi: TlFormula) -> None:
+    """Raise TlError if phi nests deeper than MAX_DEPTH."""
+    if phi.depth > MAX_DEPTH:
+        raise TlError(_TOO_DEEP)
+
+
 # ---------------------------------------------------------------------------
 # concrete syntax
 # ---------------------------------------------------------------------------
@@ -182,6 +213,17 @@ class _Parser:
                 sym = mt.group(kind)
                 self.toks.append((sym, sym, mt.start()))
         self.i = 0
+        self.nesting = 0
+
+    def nested(self, parse) -> TlFormula:
+        """``parse`` one level deeper in parentheses or prefix operators,
+        which the parser recurses on: at most MAX_DEPTH levels."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise TlError(_TOO_DEEP)
+        out = parse()
+        self.nesting -= 1
+        return out
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, len(self.text))
@@ -229,15 +271,15 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if kind == "word":
             if val == "co":
                 self.take()
-                return Co(self.unary())
+                return Co(self.nested(self.unary))
             mu = _SUGAR_UNARY.match(val)
             if mu:
                 self.take()
-                body = self.unary()
+                body = self.nested(self.unary)
                 op = mu.group("op")
                 p = mu.group("proc")
                 return {"X": NextOn, "Y": PrevOn, "O": ObsOn}[op](p, body)
@@ -246,7 +288,7 @@ class _Parser:
     def atom(self) -> TlFormula:
         kind, val, _ = self.take()
         if kind == "(":
-            out = self.formula()
+            out = self.nested(self.formula)
             k, _, _ = self.take()
             if k != ")":
                 self.error("expected ')'")
@@ -269,6 +311,7 @@ def parse_tl(text: str) -> TlFormula:
     out = p.formula()
     if p.i != len(p.toks):
         p.error("trailing input")
+    check_depth(out)
     return out
 
 
@@ -368,6 +411,11 @@ def expand_derived(phi: TlFormula) -> TlFormula:
 
 def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
     """Per-event truth values straight from the causal matrix."""
+    check_depth(phi)
+    return _eval_tl(m, phi)
+
+
+def _eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
     if isinstance(phi, Atom):
         return {e: m.label[e] == phi.letter for e in m.events}
     if isinstance(phi, Proc):
@@ -375,13 +423,13 @@ def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
     if isinstance(phi, Bool):
         return {e: phi.value for e in m.events}
     if isinstance(phi, Not):
-        v = eval_tl(m, phi.sub)
+        v = _eval_tl(m, phi.sub)
         return {e: not v[e] for e in m.events}
     if isinstance(phi, Or):
-        v1, v2 = eval_tl(m, phi.left), eval_tl(m, phi.right)
+        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
         return {e: v1[e] or v2[e] for e in m.events}
     if isinstance(phi, Co):
-        v = eval_tl(m, phi.sub)
+        v = _eval_tl(m, phi.sub)
         return {
             e: any(
                 v[f]
@@ -393,7 +441,7 @@ def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
             for e in m.events
         }
     if isinstance(phi, Until):
-        v1, v2 = eval_tl(m, phi.left), eval_tl(m, phi.right)
+        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
         out = {}
         for e in m.events:
             out[e] = any(
@@ -408,7 +456,7 @@ def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
             )
         return out
     if isinstance(phi, Since):
-        v1, v2 = eval_tl(m, phi.left), eval_tl(m, phi.right)
+        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
         out = {}
         for e in m.events:
             out[e] = any(
@@ -423,11 +471,11 @@ def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
             )
         return out
     if isinstance(phi, And):
-        v1, v2 = eval_tl(m, phi.left), eval_tl(m, phi.right)
+        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
         return {e: v1[e] and v2[e] for e in m.events}
     if isinstance(phi, NextOn):
         # the first p-event strictly above e satisfies the body
-        v = eval_tl(m, phi.sub)
+        v = _eval_tl(m, phi.sub)
         out = {}
         for e in m.events:
             above = [
@@ -443,7 +491,7 @@ def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
             out[e] = bool(nxt) and v[nxt[0]]
         return out
     if isinstance(phi, PrevOn):
-        v = eval_tl(m, phi.sub)
+        v = _eval_tl(m, phi.sub)
         out = {}
         for e in m.events:
             below = [
@@ -460,7 +508,7 @@ def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
         return out
     if isinstance(phi, UntilOn):
         # non-strict until over the p-events at or above e
-        v1, v2 = eval_tl(m, phi.left), eval_tl(m, phi.right)
+        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
         p = phi.proc
         out = {}
         for e in m.events:
@@ -481,7 +529,7 @@ def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
                     break
             out[e] = ok
         return out
-    return eval_tl(m, expand_derived(phi))
+    return _eval_tl(m, expand_derived(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -828,19 +876,28 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
 
 def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:
     """Machine over Σ×{0,1} accepting exactly the correctly bit-annotated
-    MSCs: the bit at every event equals the formula's truth value there."""
-    return _compile_core(expand_derived(phi), sig, {})
+    MSCs: the bit at every event equals the formula's truth value there.
+    Both phi and its expansion, which the machines recurse on, are held to
+    MAX_DEPTH."""
+    check_depth(phi)
+    return _compile_core(expand_derived(phi), sig, {}, 1)
 
 
-def _compile_core(phi, sig, made: dict) -> _TlMachine:
-    """The machine of phi, one per distinct subformula: ``made`` maps a leaf
-    formula, or a connective's type with its operands' machines, to its
-    machine, so equal subformulas share one machine and its annotation memo,
-    and no formula tree is hashed."""
+def _compile_core(phi, sig, made: dict, depth: int) -> _TlMachine:
+    """The machine of phi, at ``depth`` in the expanded formula, one per
+    distinct subformula: ``made`` maps a leaf formula, or a connective's
+    type with its operands' machines, to its machine, so equal subformulas
+    share one machine and its annotation memo, and no formula tree is
+    hashed."""
+    if depth > MAX_DEPTH:
+        raise TlError(f"{_TOO_DEEP} once expanded")
     if isinstance(phi, Not):
-        subs = (_compile_core(phi.sub, sig, made),)
+        subs = (_compile_core(phi.sub, sig, made, depth + 1),)
     elif isinstance(phi, (Or, Since, Until)):
-        subs = (_compile_core(phi.left, sig, made), _compile_core(phi.right, sig, made))
+        subs = (
+            _compile_core(phi.left, sig, made, depth + 1),
+            _compile_core(phi.right, sig, made, depth + 1),
+        )
     else:
         subs = ()
     key = (type(phi), *subs) if subs else phi

@@ -14,12 +14,16 @@ preorder machine's annotation.
 ``reference_dominance`` is the since/until dominance test read with two
 generator ``max`` calls per pair and event, the reference for the compiled
 tests of ``tl._dominance``.
+``reference_gossip_readout`` is the gossip annotation read with one list
+and one ``max`` per family and event, the reference for the compiled
+read-outs of ``build_gossip_cfm``.
 """
 
 import functools
 
 from mscgossip.constructions import (
     _BOT,
+    _gossip_plan,
     _mask,
     _mirror_symbols,
     _star_app,
@@ -30,7 +34,7 @@ from mscgossip.constructions import (
     trie_maps,
 )
 from mscgossip.msc import Msc, SystemSignature
-from mscgossip.paths import plus_prepend, preorder_at, star_prepend
+from mscgossip.paths import gossip_paths_between, plus_prepend, preorder_at, star_prepend
 from mscgossip.tl import (
     _since_plan,
     And,
@@ -195,3 +199,23 @@ def reference_dominance(m, sig, pairs, mirror) -> dict:
             if max(recency[row[l]] for l in lf) > max(recency[row[r]] for r in rt):
                 out[e] = 1
     return out
+
+
+def reference_gossip_readout(m) -> dict:
+    """Per event f, per source process in order, the label at the greatest
+    entry of the source's family into f's process on the gossip last-trie's
+    map at f (None at _BOT = -1)."""
+    sig = m.signature
+    trie = _gossip_plan(sig)[1]
+    nodes = {
+        tgt: [
+            [trie.find(pi.symbols) for pi in gossip_paths_between(sig, src, tgt)]
+            for src in sig.processes
+        ]
+        for tgt in sig.processes
+    }
+    labels = [m.label[e] for e in m.events] + [None]
+    return {
+        f: tuple([labels[max([row[j] for j in fam])] for fam in nodes[m.loc[f]]])
+        for f, row in zip(m.events, trie_maps(m, trie))
+    }

@@ -17,7 +17,7 @@ from mscgossip.cli import (
 from mscgossip.corpus import random_corpus
 from mscgossip.msc import Msc, SystemSignature, is_valid, msc_to_json, validate_msc
 from mscgossip.paths import parse_path, format_path
-from mscgossip.tl import parse_tl, format_tl
+from mscgossip.tl import MAX_DEPTH, parse_tl, format_tl
 from figures import fig_base, fig_flipped
 from test_impossibility import CLAIMANTS
 
@@ -412,6 +412,17 @@ def test_tl_commands(fig_file, capsys):
     assert bits["e2"] == 1 and bits["e0"] == 0
     assert dispatch(["tl", "check", fig_file, "--formula", "!@p | b"]) == 0
     assert dispatch(["tl", "eval", fig_file, "--formula", "a U"]) == 2
+
+
+@pytest.mark.parametrize("verb", ["eval", "check"])
+@pytest.mark.parametrize("excess", [1, 500])
+def test_tl_formula_beyond_the_depth_bound_is_an_input_error(verb, excess, tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(msc_to_json(Msc(SIG2, [("e1", "p", "a")], []))))
+    deep = MAX_DEPTH + excess
+    for text in ("(" * deep + "a" + ")" * deep, "!" * (deep - 1) + "a"):
+        assert dispatch(["tl", verb, str(path), "--formula", text]) == 2
+        assert f"formula nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
 
 
 def test_corpus_gen_cli(tmp_path):

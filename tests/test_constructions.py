@@ -83,6 +83,7 @@ from figures import (
     fig_base,
     fig_flipped,
     oracle_rows,
+    reference_gossip_readout,
     switch_rule_steps,
     switch_rule_tries,
 )
@@ -981,6 +982,56 @@ def test_gossip_annotation_matches_oracle_at_k5_n250():
         if abs(len(m.events) - 250) <= 25
     )
     assert build_gossip_cfm(sig).annotate(m) == oracle_gossip_annotation(m).annot
+
+
+def _with_idle_process(m: Msc) -> Msc:
+    """m over its signature with one more process, which has no events."""
+    sig = m.signature
+    wider = SystemSignature((*sig.processes, "idle"), sig.alphabet)
+    events = [(e, m.loc[e], m.label[e]) for e in m.events]
+    return Msc(wider, events, list(m.msg))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_compiled_gossip_readout_matches_the_reference(k):
+    sig = SystemSignature(tuple(f"p{i}" for i in range(1, k + 1)), ("a", "b"))
+    rng = random.Random(100 + k)
+    bottoms = 0
+    for max_events in (1, 3, 6, 10):
+        drawn = random_msc(sig, rng, max_events)
+        for m in (drawn, _with_idle_process(drawn)):
+            got = build_gossip_cfm(m.signature).annotate(m)
+            assert got == reference_gossip_readout(m)
+            bottoms += sum(v is None for xi in got.values() for v in xi)
+    assert bottoms > 0
+
+
+def test_gossip_readouts_are_compiled_once_per_signature(monkeypatch):
+    # a signature no other test builds, so that its plan is compiled here
+    sig = SystemSignature(("p", "q", "r"), ("a", "b", "readout"))
+    calls = Counter()
+    compile_step = constructions._function
+
+    def counted(source):
+        step = compile_step(source)
+
+        def read(row, labels):
+            calls[read] += 1
+            return step(row, labels)
+
+        return read
+
+    monkeypatch.setattr(constructions, "_function", counted)
+    first = build_gossip_cfm(sig)
+    monkeypatch.setattr(constructions, "_function", compile_step)
+    second = build_gossip_cfm(sig)
+    m = random_msc(sig, random.Random(5), 6)
+    # each machine memoises its annotation under itself, so both read m
+    assert first.annotate(m) == second.annotate(m) == reference_gossip_readout(m)
+    # one read-out per target process, shared by both machines: one call per
+    # event and machine
+    assert len(calls) == len(sig.processes)
+    assert sum(calls.values()) == 2 * len(m.events)
 
 
 def _gossip_by_switch_rules(m, sig) -> dict:

@@ -94,6 +94,51 @@ def test_parse_errors_are_positioned():
         assert "position" in str(exc.value)
 
 
+def _nested(depth: int, wrap) -> "tl.TlFormula":
+    """A formula ``depth`` levels deep: an atom under depth - 1 wraps."""
+    phi = Atom("a")
+    for _ in range(depth - 1):
+        phi = wrap(phi)
+    return phi
+
+
+ONE_EVENT = Msc(SIG2, [("e1", "p", "a")], [])
+
+
+def test_parse_rejects_nesting_beyond_the_bound():
+    bound = tl.MAX_DEPTH
+    assert parse_tl("(" * bound + "a" + ")" * bound) == Atom("a")
+    assert parse_tl("!" * (bound - 1) + "a") == _nested(bound, Not)
+    for text in (
+        "(" * (bound + 1) + "a" + ")" * (bound + 1),
+        "!" * bound + "a",
+        " | ".join(["a"] * (bound + 1)),
+        "(" * 300 + "a" + ")" * 300,
+        "!" * 600 + "a",
+    ):
+        with pytest.raises(TlError, match=f"deeper than {bound} levels"):
+            parse_tl(text)
+
+
+@pytest.mark.parametrize("wrap", [Not, lambda f: Since(Atom("b"), f), lambda f: Or(f, Proc("q"))])
+def test_formulas_at_the_bound_evaluate_and_translate(wrap):
+    phi = _nested(tl.MAX_DEPTH, wrap)
+    assert set(eval_tl(ONE_EVENT, phi)) == {"e1"}
+    ok, diffs = check_translation(phi, ONE_EVENT)
+    assert ok, diffs
+
+
+def test_formulas_beyond_the_bound_are_refused_without_recursing():
+    for depth in (tl.MAX_DEPTH + 1, 5000):
+        phi = _nested(depth, Not)
+        for run in (lambda: eval_tl(ONE_EVENT, phi), lambda: compile_tl(phi, SIG2)):
+            with pytest.raises(TlError, match=f"deeper than {tl.MAX_DEPTH} levels"):
+                run()
+    # within the bound as written, beyond it once X_p is expanded
+    with pytest.raises(TlError, match="once expanded"):
+        compile_tl(_nested(40, lambda f: NextOn("p", f)), SIG2)
+
+
 # -- derived-modality expansion ------------------------------------------------
 
 
