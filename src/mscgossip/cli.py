@@ -48,7 +48,7 @@ from .msc import (
     validate_msc,
 )
 from .paths import PathError, f_pair, first, last, eval_path, parse_path, preorder_at
-from .tl import TlError, check_translation, compile_tl, eval_tl, expand_derived, format_tl, parse_tl
+from .tl import TlError, check_translation, compile_tl, eval_tl, expand_checked, format_tl, parse_tl
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -334,7 +334,7 @@ def _cmd_tl_eval(args) -> int:
 
 
 def _cmd_tl_expand(args) -> int:
-    text = format_tl(expand_derived(parse_tl(args.formula)))
+    text = format_tl(expand_checked(parse_tl(args.formula)))
     _emit(args, {"formula": text}, text)
     return EXIT_OK
 

@@ -191,6 +191,24 @@ class Msc:
             self._structure["anc"] = anc
         return self._structure["anc"]
 
+    @property
+    def causal_rows(self) -> tuple[list[int], list[int]]:
+        """Per event (in ``events`` position), the bitmask of the events
+        strictly below it (``_anc`` without the event itself) and of those
+        strictly above it (the transpose), the bit-set form of a vector
+        clock and of its dual."""
+        if "rows" not in self._structure:
+            below = [a ^ (1 << i) for i, a in enumerate(self._anc)]
+            above = [0] * len(below)
+            for j, row in enumerate(below):
+                bit = 1 << j
+                while row:
+                    low = row & -row
+                    above[low.bit_length() - 1] |= bit
+                    row ^= low
+            self._structure["rows"] = (below, above)
+        return self._structure["rows"]
+
     def pos_on_proc(self, e: str) -> int:
         if "pos" not in self._structure:
             pos = {}

@@ -5,7 +5,8 @@ atoms, boolean constants, negation, disjunction, a concurrency modality, and
 strict until/since along the causal order.  Derived process-local modalities
 (next/previous/non-strict until/first-observable) expand into the core.
 
-``eval_tl`` is the brute-force semantic oracle (causal matrix only).
+``eval_tl`` is the semantic oracle: it reads the causal order alone, as
+bitmask rows of the events below and above each event.
 ``compile_tl`` produces machines over Σ×{0,1} recognizing exactly the
 correctly bit-annotated MSCs, built from the preorder construction chain:
 a since formula reduces, after recoding subformula bits to a four-letter
@@ -32,7 +33,7 @@ from .constructions import (
     trie_maps,
     trie_plan,
 )
-from .msc import ExtendedMsc, Msc, SystemSignature, causal_lt
+from .msc import ExtendedMsc, Msc, SystemSignature
 from .paths import LabelTest, PathExpr, gossip_paths_between
 
 
@@ -45,6 +46,7 @@ class TlError(ValueError):
 # accept: they and the machines compile_tl builds recurse on it.
 MAX_DEPTH = 100
 _TOO_DEEP = f"formula nests deeper than {MAX_DEPTH} levels"
+_TOO_DEEP_EXPANDED = f"{_TOO_DEEP} once expanded"
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +60,16 @@ class TlFormula:
     def depth(self) -> int:
         """The nesting of subformulas, a leaf being one level: found with an
         explicit stack, so that any depth can be measured, and kept on the
-        formula, which parse_tl, compile_tl and eval_tl then measure once."""
-        deepest, todo = 0, [(self, 1)]
+        formula, which parse_tl, compile_tl and eval_tl then measure once.
+        ``reached`` holds the deepest level each subformula object was
+        reached at, so that one shared by several parents (as in
+        expand_derived's output) is walked again only when reached deeper."""
+        deepest, todo, reached = 0, [(self, 1)], {}
         while todo:
             f, depth = todo.pop()
+            if reached.get(id(f), 0) >= depth:
+                continue
+            reached[id(f)] = depth
             deepest = max(deepest, depth)
             for name in _SUBFORMULAS.get(type(f), ()):
                 todo.append((getattr(f, name), depth + 1))
@@ -360,8 +368,20 @@ def _and(l: TlFormula, r: TlFormula) -> TlFormula:
     return Not(Or(Not(l), Not(r)))
 
 
+def _next(p: str, body: TlFormula) -> TlFormula:
+    """X_p of an expanded body."""
+    return Until(Not(Proc(p)), _and(Proc(p), body))
+
+
+def _prev(p: str, body: TlFormula) -> TlFormula:
+    """Y_p of an expanded body."""
+    return Since(Not(Proc(p)), _and(Proc(p), body))
+
+
 def expand_derived(phi: TlFormula) -> TlFormula:
-    """Eliminate sugar, producing the core connectives only."""
+    """Eliminate sugar, producing the core connectives only.  Each operand
+    is expanded once and shared where the expansion repeats it, so the
+    result is a DAG whose size is linear in phi's."""
     if isinstance(phi, (Atom, Proc, Bool)):
         return phi
     if isinstance(phi, Not):
@@ -377,11 +397,9 @@ def expand_derived(phi: TlFormula) -> TlFormula:
     if isinstance(phi, And):
         return _and(expand_derived(phi.left), expand_derived(phi.right))
     if isinstance(phi, NextOn):
-        p, body = Proc(phi.proc), expand_derived(phi.sub)
-        return Until(Not(p), _and(p, body))
+        return _next(phi.proc, expand_derived(phi.sub))
     if isinstance(phi, PrevOn):
-        p, body = Proc(phi.proc), expand_derived(phi.sub)
-        return Since(Not(p), _and(p, body))
+        return _prev(phi.proc, expand_derived(phi.sub))
     if isinstance(phi, UntilOn):
         p = Proc(phi.proc)
         f1, f2 = expand_derived(phi.left), expand_derived(phi.right)
@@ -389,147 +407,144 @@ def expand_derived(phi: TlFormula) -> TlFormula:
         keep = Or(Not(p), f1)
         return Or(now, _and(keep, Until(keep, now)))
     if isinstance(phi, ObsOn):
-        p = phi.proc
-        body = phi.sub
-        never_before = And(Not(PrevOn(p, Bool(True))), body)
-        return expand_derived(
-            Or(
-                PrevOn(p, NextOn(p, body)),
-                Or(
-                    Co(And(Proc(p), never_before)),
-                    NextOn(p, never_before),
-                ),
-            )
-        )
+        # Y_p X_p body | co (@p & first) | X_p first, first = !Y_p true & body
+        p, body = phi.proc, expand_derived(phi.sub)
+        first = _and(Not(_prev(p, Bool(True))), body)
+        return Or(_prev(p, _next(p, body)), Or(Co(_and(Proc(p), first)), _next(p, first)))
     raise TlError(f"unknown formula node {phi!r}")
 
 
 # ---------------------------------------------------------------------------
-# brute-force semantics (the oracle)
+# semantics on the causal order (the oracle)
 # ---------------------------------------------------------------------------
 
 
 def eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
-    """Per-event truth values straight from the causal matrix."""
+    """Per-event truth values read off the causal order alone: no path,
+    trie, θ or machine.  Each subformula is one int mask over event
+    positions, built from two rows per event, the events strictly below and
+    strictly above it (``Msc.causal_rows``).  The brute force over
+    ``causal_lt`` is its reference in the tests.  A process outside the
+    signature raises TlError, as compile_tl does."""
     check_depth(phi)
-    return _eval_tl(m, phi)
+    v = _Masks(m).of(phi)
+    return {e: bool(v >> i & 1) for i, e in enumerate(m.events)}
 
 
-def _eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
-    if isinstance(phi, Atom):
-        return {e: m.label[e] == phi.letter for e in m.events}
-    if isinstance(phi, Proc):
-        return {e: m.loc[e] == phi.proc for e in m.events}
-    if isinstance(phi, Bool):
-        return {e: phi.value for e in m.events}
-    if isinstance(phi, Not):
-        v = _eval_tl(m, phi.sub)
-        return {e: not v[e] for e in m.events}
-    if isinstance(phi, Or):
-        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
-        return {e: v1[e] or v2[e] for e in m.events}
-    if isinstance(phi, Co):
-        v = _eval_tl(m, phi.sub)
-        return {
-            e: any(
-                v[f]
-                and not causal_lt(m, e, f)
-                and not causal_lt(m, f, e)
-                and e != f
-                for f in m.events
-            )
-            for e in m.events
-        }
-    if isinstance(phi, Until):
-        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
-        out = {}
-        for e in m.events:
-            out[e] = any(
-                causal_lt(m, e, f)
-                and v2[f]
-                and all(
-                    v1[g]
-                    for g in m.events
-                    if causal_lt(m, e, g) and causal_lt(m, g, f)
-                )
-                for f in m.events
-            )
+class _Masks:
+    """Truth masks on one MSC, bit i holding the value at ``m.events[i]``,
+    one per distinct subformula object."""
+
+    def __init__(self, m: Msc):
+        self.m = m
+        self.below, self.above = m.causal_rows
+        self.full = (1 << len(m.events)) - 1
+        self.memo: dict[int, int] = {}
+        # the events of each label and of each process
+        self.letters: dict = {}
+        self.procs: dict[str, int] = {}
+        letters, procs = self.letters, self.procs
+        for i, e in enumerate(m.events):
+            a, p = m.label[e], m.loc[e]
+            letters[a] = letters.get(a, 0) | 1 << i
+            procs[p] = procs.get(p, 0) | 1 << i
+
+    def proc(self, p: str) -> int:
+        if p not in self.m.signature.processes:
+            raise TlError(f"unknown process {p!r}")
+        return self.procs.get(p, 0)
+
+    def of(self, phi: TlFormula) -> int:
+        v = self.memo.get(id(phi))
+        if v is None:
+            v = self.memo[id(phi)] = self._eval(phi)
+        return v
+
+    def _eval(self, phi: TlFormula) -> int:
+        below, above = self.below, self.above
+        if isinstance(phi, Atom):
+            return self.letters.get(phi.letter, 0)
+        if isinstance(phi, Proc):
+            return self.proc(phi.proc)
+        if isinstance(phi, Bool):
+            return self.full if phi.value else 0
+        if isinstance(phi, Not):
+            return self.full ^ self.of(phi.sub)
+        if isinstance(phi, Or):
+            return self.of(phi.left) | self.of(phi.right)
+        if isinstance(phi, And):
+            return self.of(phi.left) & self.of(phi.right)
+        if isinstance(phi, Since):
+            return _since(self.of(phi.left), self.of(phi.right), below)
+        if isinstance(phi, Until):
+            return _since(self.of(phi.left), self.of(phi.right), above)
+        out = 0
+        if isinstance(phi, Co):
+            # some body event that is neither below, above nor e itself
+            v = self.of(phi.sub)
+            for i, (lo, hi) in enumerate(zip(below, above)):
+                if v & ~(lo | hi | 1 << i):
+                    out |= 1 << i
+            return out
+        if not isinstance(phi, (NextOn, PrevOn, UntilOn, ObsOn)):
+            raise TlError(f"unknown formula node {phi!r}")
+        p = self.proc(phi.proc)
+        if isinstance(phi, NextOn):
+            # m.events lists p's events in process order, so the first
+            # p-event above e is the lowest p-bit of its row
+            v = self.of(phi.sub)
+            for i, hi in enumerate(above):
+                s = hi & p
+                if v & s & -s:
+                    out |= 1 << i
+            return out
+        if isinstance(phi, PrevOn):
+            # and the last p-event below e the highest
+            v = self.of(phi.sub)
+            for i, lo in enumerate(below):
+                s = lo & p
+                if s and v >> (s.bit_length() - 1) & 1:
+                    out |= 1 << i
+            return out
+        if isinstance(phi, UntilOn):
+            # along the p-events at or above e, a right one comes no later
+            # than the first that fails the left
+            v1, v2 = self.of(phi.left), self.of(phi.right)
+            for i, hi in enumerate(above):
+                s = (hi | 1 << i) & p
+                now, stop = s & v2, s & ~v1
+                if now and (not stop or now & -now <= stop & -stop):
+                    out |= 1 << i
+            return out
+        # ObsOn: the first p-event not below e; at p's first event itself,
+        # the expansion through Y_p, co and X_p reads false
+        v = self.of(phi.sub)
+        for i, lo in enumerate(below):
+            rest = p & ~lo
+            first = rest & -rest
+            if v & first and (first != 1 << i or lo & p):
+                out |= 1 << i
         return out
-    if isinstance(phi, Since):
-        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
-        out = {}
-        for e in m.events:
-            out[e] = any(
-                causal_lt(m, f, e)
-                and v2[f]
-                and all(
-                    v1[g]
-                    for g in m.events
-                    if causal_lt(m, f, g) and causal_lt(m, g, e)
-                )
-                for f in m.events
-            )
-        return out
-    if isinstance(phi, And):
-        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
-        return {e: v1[e] and v2[e] for e in m.events}
-    if isinstance(phi, NextOn):
-        # the first p-event strictly above e satisfies the body
-        v = _eval_tl(m, phi.sub)
-        out = {}
-        for e in m.events:
-            above = [
-                f
-                for f in m.events_of(phi.proc)
-                if causal_lt(m, e, f)
-            ]
-            nxt = [
-                f
-                for f in above
-                if not any(causal_lt(m, g, f) for g in above if g != f)
-            ]
-            out[e] = bool(nxt) and v[nxt[0]]
-        return out
-    if isinstance(phi, PrevOn):
-        v = _eval_tl(m, phi.sub)
-        out = {}
-        for e in m.events:
-            below = [
-                f
-                for f in m.events_of(phi.proc)
-                if causal_lt(m, f, e)
-            ]
-            prv = [
-                f
-                for f in below
-                if not any(causal_lt(m, f, g) for g in below if g != f)
-            ]
-            out[e] = bool(prv) and v[prv[0]]
-        return out
-    if isinstance(phi, UntilOn):
-        # non-strict until over the p-events at or above e
-        v1, v2 = _eval_tl(m, phi.left), _eval_tl(m, phi.right)
-        p = phi.proc
-        out = {}
-        for e in m.events:
-            if m.loc[e] == p and v2[e]:
-                out[e] = True
-                continue
-            ok = False
-            for f in m.events_of(p):
-                if not causal_lt(m, e, f) or not v2[f]:
-                    continue
-                gap = [
-                    g
-                    for g in m.events_of(p)
-                    if causal_lt(m, g, f) and (g == e or causal_lt(m, e, g))
-                ]
-                if all(v1[g] for g in gap):
-                    ok = True
-                    break
-            out[e] = ok
-        return out
-    return _eval_tl(m, expand_derived(phi))
+
+
+def _since(v1: int, v2: int, rows: list[int]) -> int:
+    """Strict since on the rows strictly below each event (until on the rows
+    strictly above): some v2 event f in e's row with no event failing v1
+    strictly between f and e, i.e. f outside the OR of the rows of the
+    failing events in e's row."""
+    out = 0
+    fail = ~v1
+    for i, row in enumerate(rows):
+        witnesses = row & v2
+        if witnesses:
+            bad, blocked = row & fail, 0
+            while bad:
+                low = bad & -bad
+                blocked |= rows[low.bit_length() - 1]
+                bad ^= low
+            if witnesses & ~blocked:
+                out |= 1 << i
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -880,23 +895,38 @@ def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:
     Both phi and its expansion, which the machines recurse on, are held to
     MAX_DEPTH."""
     check_depth(phi)
-    return _compile_core(expand_derived(phi), sig, {}, 1)
+    return _compile_core(expand_derived(phi), sig, {}, {}, 1)
 
 
-def _compile_core(phi, sig, made: dict, depth: int) -> _TlMachine:
+def expand_checked(phi: TlFormula) -> TlFormula:
+    """expand_derived of phi, with both held to MAX_DEPTH."""
+    check_depth(phi)
+    core = expand_derived(phi)
+    if core.depth > MAX_DEPTH:
+        raise TlError(_TOO_DEEP_EXPANDED)
+    return core
+
+
+def _compile_core(phi, sig, made: dict, seen: dict, depth: int) -> _TlMachine:
     """The machine of phi, at ``depth`` in the expanded formula, one per
-    distinct subformula: ``made`` maps a leaf formula, or a connective's
+    distinct subformula.  ``made`` maps a leaf formula, or a connective's
     type with its operands' machines, to its machine, so equal subformulas
     share one machine and its annotation memo, and no formula tree is
-    hashed."""
+    hashed.  ``seen`` maps each subformula object to its machine and the
+    deepest level it was reached at, so an object shared by several parents
+    is walked again only when reached deeper, to hold that path to
+    MAX_DEPTH."""
     if depth > MAX_DEPTH:
-        raise TlError(f"{_TOO_DEEP} once expanded")
+        raise TlError(_TOO_DEEP_EXPANDED)
+    hit = seen.get(id(phi))
+    if hit is not None and hit[1] >= depth:
+        return hit[0]
     if isinstance(phi, Not):
-        subs = (_compile_core(phi.sub, sig, made, depth + 1),)
+        subs = (_compile_core(phi.sub, sig, made, seen, depth + 1),)
     elif isinstance(phi, (Or, Since, Until)):
         subs = (
-            _compile_core(phi.left, sig, made, depth + 1),
-            _compile_core(phi.right, sig, made, depth + 1),
+            _compile_core(phi.left, sig, made, seen, depth + 1),
+            _compile_core(phi.right, sig, made, seen, depth + 1),
         )
     else:
         subs = ()
@@ -904,6 +934,7 @@ def _compile_core(phi, sig, made: dict, depth: int) -> _TlMachine:
     machine = made.get(key)
     if machine is None:
         machine = made[key] = _make_machine(phi, sig, *subs)
+    seen[id(phi)] = machine, depth
     return machine
 
 
@@ -937,13 +968,17 @@ def _make_machine(phi, sig, *subs) -> _TlMachine:
 
 def check_translation(phi: TlFormula, m: Msc) -> tuple[bool, list[str]]:
     """True iff the compiled machine accepts the oracle bits and rejects
-    every single-bit mutation; the diff lists each failing case."""
+    every single-bit mutation; the diff lists each failing case, a rejection
+    of the oracle bits with the first event where the machine's own
+    annotation differs from them."""
     machine = compile_tl(phi, m.signature)
     want = eval_tl(m, phi)
     bits = {e: (1 if want[e] else 0) for e in m.events}
     diffs: list[str] = []
     if not machine.decide(ExtendedMsc(m, bits)):
-        diffs.append("correct annotation rejected")
+        got = machine.annotate(m)
+        at = next(e for e in m.events if got[e] != bits[e])
+        diffs.append(f"correct annotation rejected at {at!r}: oracle {bits[at]}, machine {got[at]}")
     for e in m.events:
         flipped = dict(bits)
         flipped[e] = 1 - bits[e]

@@ -17,6 +17,8 @@ tests of ``tl._dominance``.
 ``reference_gossip_readout`` is the gossip annotation read with one list
 and one ``max`` per family and event, the reference for the compiled
 read-outs of ``build_gossip_cfm``.
+``reference_eval_tl`` is the brute-force semantics of the logic over
+``causal_lt``, the reference for the mask evaluator ``tl.eval_tl``.
 """
 
 import functools
@@ -33,7 +35,7 @@ from mscgossip.constructions import (
     preorder_combine,
     trie_maps,
 )
-from mscgossip.msc import Msc, SystemSignature
+from mscgossip.msc import Msc, SystemSignature, causal_lt
 from mscgossip.paths import gossip_paths_between, plus_prepend, preorder_at, star_prepend
 from mscgossip.tl import (
     _since_plan,
@@ -41,12 +43,15 @@ from mscgossip.tl import (
     Atom,
     Bool,
     Co,
+    NextOn,
     Not,
     Or,
+    PrevOn,
     Proc,
     Since,
     TlFormula,
     Until,
+    UntilOn,
     expand_derived,
 )
 
@@ -219,3 +224,123 @@ def reference_gossip_readout(m) -> dict:
         f: tuple([labels[max([row[j] for j in fam])] for fam in nodes[m.loc[f]]])
         for f, row in zip(m.events, trie_maps(m, trie))
     }
+
+
+def reference_eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
+    """Per-event truth values straight from the causal matrix, by brute
+    force over causal_lt (O(n³) for since and until, O_p through
+    expand_derived): the reference for the mask evaluator tl.eval_tl."""
+    if isinstance(phi, Atom):
+        return {e: m.label[e] == phi.letter for e in m.events}
+    if isinstance(phi, Proc):
+        return {e: m.loc[e] == phi.proc for e in m.events}
+    if isinstance(phi, Bool):
+        return {e: phi.value for e in m.events}
+    if isinstance(phi, Not):
+        v = reference_eval_tl(m, phi.sub)
+        return {e: not v[e] for e in m.events}
+    if isinstance(phi, Or):
+        v1, v2 = reference_eval_tl(m, phi.left), reference_eval_tl(m, phi.right)
+        return {e: v1[e] or v2[e] for e in m.events}
+    if isinstance(phi, Co):
+        v = reference_eval_tl(m, phi.sub)
+        return {
+            e: any(
+                v[f]
+                and not causal_lt(m, e, f)
+                and not causal_lt(m, f, e)
+                and e != f
+                for f in m.events
+            )
+            for e in m.events
+        }
+    if isinstance(phi, Until):
+        v1, v2 = reference_eval_tl(m, phi.left), reference_eval_tl(m, phi.right)
+        out = {}
+        for e in m.events:
+            out[e] = any(
+                causal_lt(m, e, f)
+                and v2[f]
+                and all(
+                    v1[g]
+                    for g in m.events
+                    if causal_lt(m, e, g) and causal_lt(m, g, f)
+                )
+                for f in m.events
+            )
+        return out
+    if isinstance(phi, Since):
+        v1, v2 = reference_eval_tl(m, phi.left), reference_eval_tl(m, phi.right)
+        out = {}
+        for e in m.events:
+            out[e] = any(
+                causal_lt(m, f, e)
+                and v2[f]
+                and all(
+                    v1[g]
+                    for g in m.events
+                    if causal_lt(m, f, g) and causal_lt(m, g, e)
+                )
+                for f in m.events
+            )
+        return out
+    if isinstance(phi, And):
+        v1, v2 = reference_eval_tl(m, phi.left), reference_eval_tl(m, phi.right)
+        return {e: v1[e] and v2[e] for e in m.events}
+    if isinstance(phi, NextOn):
+        # the first p-event strictly above e satisfies the body
+        v = reference_eval_tl(m, phi.sub)
+        out = {}
+        for e in m.events:
+            above = [
+                f
+                for f in m.events_of(phi.proc)
+                if causal_lt(m, e, f)
+            ]
+            nxt = [
+                f
+                for f in above
+                if not any(causal_lt(m, g, f) for g in above if g != f)
+            ]
+            out[e] = bool(nxt) and v[nxt[0]]
+        return out
+    if isinstance(phi, PrevOn):
+        v = reference_eval_tl(m, phi.sub)
+        out = {}
+        for e in m.events:
+            below = [
+                f
+                for f in m.events_of(phi.proc)
+                if causal_lt(m, f, e)
+            ]
+            prv = [
+                f
+                for f in below
+                if not any(causal_lt(m, f, g) for g in below if g != f)
+            ]
+            out[e] = bool(prv) and v[prv[0]]
+        return out
+    if isinstance(phi, UntilOn):
+        # non-strict until over the p-events at or above e
+        v1, v2 = reference_eval_tl(m, phi.left), reference_eval_tl(m, phi.right)
+        p = phi.proc
+        out = {}
+        for e in m.events:
+            if m.loc[e] == p and v2[e]:
+                out[e] = True
+                continue
+            ok = False
+            for f in m.events_of(p):
+                if not causal_lt(m, e, f) or not v2[f]:
+                    continue
+                gap = [
+                    g
+                    for g in m.events_of(p)
+                    if causal_lt(m, g, f) and (g == e or causal_lt(m, e, g))
+                ]
+                if all(v1[g] for g in gap):
+                    ok = True
+                    break
+            out[e] = ok
+        return out
+    return reference_eval_tl(m, expand_derived(phi))

@@ -425,6 +425,21 @@ def test_tl_formula_beyond_the_depth_bound_is_an_input_error(verb, excess, tmp_p
         assert f"formula nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["@zz S a", "X_zz a"])
+def test_tl_formula_on_an_unknown_process_is_an_input_error(text, tmp_path, capsys):
+    path = tmp_path / "two.json"
+    m = Msc(SIG2, [("e1", "p", "a"), ("f1", "q", "b")], [("e1", "f1")])
+    path.write_text(json.dumps(msc_to_json(m)))
+    for verb in ("eval", "check"):
+        assert dispatch(["tl", verb, str(path), "--formula", text]) == 2
+        assert "unknown process 'zz'" in capsys.readouterr().err
+
+
+def test_tl_expand_refuses_an_expansion_beyond_the_depth_bound(capsys):
+    assert dispatch(["tl", "expand", "--formula", "O_p " * 12 + "a"]) == 2
+    assert "once expanded" in capsys.readouterr().err
+
+
 def test_corpus_gen_cli(tmp_path):
     out = tmp_path / "corpus.json"
     assert dispatch(["corpus", "gen", "--seed", "3", "--count", "4",

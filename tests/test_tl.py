@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -13,7 +14,7 @@ from mscgossip.constructions import (
     oracle_gossip_annotation,
     preorder_rows,
 )
-from mscgossip.corpus import random_corpus, random_msc
+from mscgossip.corpus import enumerate_mscs, random_corpus, random_msc
 from mscgossip.msc import (
     ExtendedMsc,
     Msc,
@@ -50,7 +51,14 @@ from mscgossip.tl import (
     _dominance_tests,
     _dominates,
 )
-from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula, reference_dominance
+from figures import (
+    SIG3,
+    acceptance_formula,
+    fig_flipped,
+    mirror_formula,
+    reference_dominance,
+    reference_eval_tl,
+)
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
 CORPUS = random_corpus(SIG2, count=14, seed=3, max_events_per_proc=3)
@@ -215,6 +223,91 @@ def test_until_since_mirror_duality():
         for f1, f2 in combos:
             assert eval_tl(m, Until(f1, f2)) == eval_tl(mm, Since(f1, f2))
             assert eval_tl(m, Since(f1, f2)) == eval_tl(mm, Until(f1, f2))
+
+
+def full_formula(rng, depth, sig):
+    """A random formula over the full grammar: label and process atoms,
+    true and false, ! | & S U co and, on a random process, X_p Y_p O_p Up_p."""
+    leaves = [Atom("a"), Atom("b"), Bool(True), Bool(False), *map(Proc, sig.processes)]
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(leaves)
+    p = rng.choice(sig.processes)
+    unary = [Not, Co, *(functools.partial(op, p) for op in (NextOn, PrevOn, ObsOn))]
+    binary = [Or, And, Since, Until, functools.partial(UntilOn, p)]
+    k = rng.randrange(len(unary) + len(binary))
+    if k < len(unary):
+        return unary[k](full_formula(rng, depth - 1, sig))
+    return binary[k - len(unary)](full_formula(rng, depth - 1, sig), full_formula(rng, depth - 1, sig))
+
+
+def _equivalence_cases():
+    """Seeded (MSC, formula) pairs at k = 1-4: every MSC shape of up to four
+    events (k <= 2) or three (k >= 3), randomly labelled, and random_msc
+    draws, two formulas of depth up to 3 each."""
+    rng = random.Random(23)
+    for k in (1, 2, 3, 4):
+        sig = SystemSignature(tuple(f"p{i}" for i in range(1, k + 1)), ("a", "b"))
+        shapes = list(enumerate_mscs(sig, 4 if k <= 2 else 3, max_labelings=1))
+        draws = [random_msc(sig, rng, rng.randrange(1, 5)) for _ in range(40)]
+        for m in shapes + draws:
+            m = m.relabelled(sig, {e: rng.choice(sig.alphabet) for e in m.events})
+            for _ in range(2):
+                yield m, full_formula(rng, rng.randrange(1, 4), sig)
+
+
+def test_mask_evaluator_matches_the_brute_force():
+    cases = 0
+    for m, phi in _equivalence_cases():
+        assert eval_tl(m, phi) == reference_eval_tl(m, phi), (format_tl(phi), m.events, m.msg)
+        cases += 1
+    assert cases >= 500
+
+
+def _k3_msc(events: int, seed: int) -> Msc:
+    sig = SystemSignature(("p1", "p2", "p3"), ("a", "b"))
+    rng = random.Random(seed)
+    per_proc = round(events / 2.25)  # random_msc gives ~0.75 of the maximum
+    return next(
+        m
+        for m in iter(lambda: random_msc(sig, rng, per_proc), None)
+        if abs(len(m.events) - events) <= events // 10
+    )
+
+
+def test_mask_evaluator_matches_the_brute_force_at_k3_n120():
+    m = _k3_msc(120, 120)
+    phi = parse_tl("((a S b) U (b S a)) | co (X_p1 a & Y_p2 b) | O_p3 (a Up_p1 b)")
+    assert eval_tl(m, phi) == reference_eval_tl(m, phi)
+
+
+def test_mask_evaluator_returns_at_k3_n250():
+    # the brute force takes most of a second here per S/U pair
+    m = _k3_msc(250, 250)
+    for text in ("(a S b) U (b S a)", "co a"):
+        assert set(eval_tl(m, parse_tl(text))) == set(m.events)
+
+
+def test_eval_of_nested_first_observable_is_linear():
+    # each O_p expands with its body three times; shared, not copied
+    phi = _nested(13, lambda f: ObsOn("p", f))
+    assert eval_tl(ONE_EVENT, phi) == {"e1": False}
+    core = expand_derived(phi)
+    nodes, todo = set(), [core]
+    while todo:
+        f = todo.pop()
+        if id(f) not in nodes:
+            nodes.add(id(f))
+            todo += [getattr(f, name) for name in ("sub", "left", "right") if hasattr(f, name)]
+    assert len(nodes) < 50 * 12
+    assert core.depth > tl.MAX_DEPTH
+    with pytest.raises(TlError, match="once expanded"):
+        compile_tl(phi, SIG2)
+
+
+@pytest.mark.parametrize("text", ["@zz S a", "X_zz a", "Y_zz a", "O_zz a", "a Up_zz b", "false & @zz"])
+def test_eval_rejects_an_unknown_process(text):
+    with pytest.raises(TlError, match="unknown process 'zz'"):
+        eval_tl(ONE_EVENT, parse_tl(text))
 
 
 def test_mirror_formula_swaps_operators():
@@ -468,6 +561,17 @@ def test_check_translation_since_until():
         for m in CORPUS[:3]:
             ok, diffs = check_translation(phi, m)
             assert ok, diffs
+
+
+def test_check_translation_names_the_first_disagreeing_event(monkeypatch):
+    # a machine that annotates !a for a: the oracle bits are rejected, and
+    # the diff names the first event where the two disagree
+    m = Msc(SIG2, [("e1", "p", "b"), ("e2", "p", "a"), ("f1", "q", "a")], [])
+    wrong = compile_tl(Not(Atom("a")), SIG2)
+    monkeypatch.setattr(tl, "compile_tl", lambda phi, sig: wrong)
+    ok, diffs = check_translation(Atom("a"), m)
+    assert not ok
+    assert diffs[0] == "correct annotation rejected at 'e1': oracle 0, machine 1"
 
 
 def test_check_translation_reports_unsupported():
