@@ -82,7 +82,6 @@ from .tl import (
     TlError,
     Until,
     check_translation,
-    compile_since,
     compile_tl,
     eval_tl,
     expand_derived,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cfm import (
-    BudgetExhausted,
     Cfm,
     Transition,
     accepts,
@@ -218,8 +217,8 @@ def refute_deterministic(c: Cfm, budget: int = 10**6) -> RefutationResult:
     the specification (``accepted_wrong_labeling``), which both exhibits an
     accepted-but-wrong MSC and dominates the weaker rejects-correct verdict;
     the first rejected M^k is the fallback counterexample.  ``budget`` bounds
-    each splice check and each labeling search; a labeling search that
-    exhausts it moves on to the next structure.
+    each splice check and each labeling search, and either one that exhausts
+    it raises BudgetExhausted, so no verdict rests on a search cut short.
     """
     for needed in ("p", "q", "r"):
         if needed not in c.signature.processes:
@@ -264,10 +263,7 @@ def refute_deterministic(c: Cfm, budget: int = 10**6) -> RefutationResult:
     # structure where p interleaves direct and forwarded messages (the shape
     # on which the forwarding machine shows its defect).
     for structure in [_interleaved_structure()] + family:
-        try:
-            labeled = accepted_wrong_labeling(c, structure, budget)
-        except BudgetExhausted:
-            continue
+        labeled = accepted_wrong_labeling(c, structure, budget)
         if labeled is not None:
             return RefutationResult(
                 "accepts-wrong", labeled, "accepted labeling violates L"

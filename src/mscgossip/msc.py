@@ -275,35 +275,11 @@ def validate_msc(m: Msc) -> list[str]:
         if recv_pos != sorted(recv_pos):
             out.append(f"FIFO violation on channel {p}->{q}: {by_send}")
 
-    # acyclicity of proc_succ ∪ msg
-    idx = m.index
-    succs: dict[int, list[int]] = {i: [] for i in range(len(m.events))}
-    for a, b in m.proc_succ:
-        succs[idx[a]].append(idx[b])
-    for s, r in m.msg:
-        succs[idx[s]].append(idx[r])
-    state = [0] * len(m.events)  # 0 unseen, 1 on stack, 2 done
-
-    def has_cycle(i: int) -> bool:
-        stack = [(i, iter(succs[i]))]
-        state[i] = 1
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                state[node] = 2
-                stack.pop()
-            elif state[nxt] == 1:
-                return True
-            elif state[nxt] == 0:
-                state[nxt] = 1
-                stack.append((nxt, iter(succs[nxt])))
-        return False
-
-    for i in range(len(m.events)):
-        if state[i] == 0 and has_cycle(i):
-            out.append("proc_succ ∪ msg has a cycle; ≤ is not a partial order")
-            break
+    # acyclicity of proc_succ ∪ msg: linearize raises on a cycle
+    try:
+        linearize(m)
+    except MscError:
+        out.append("proc_succ ∪ msg has a cycle; ≤ is not a partial order")
     return out
 
 

@@ -11,10 +11,13 @@ bitmask rows of the events below and above each event.
 correctly bit-annotated MSCs, built from the preorder construction chain:
 a since formula reduces, after recoding subformula bits to a four-letter
 alphabet, to a per-process-pair dominance test between two families of
-letter-decorated paths (``compile_since``), stepped by the preorder machinery
-and decided directly by comparing the indices of last events.  Until is the
-time reversal of since: the same dominance test on the same MSC, read off the
-mirror pass of the since paths, which walks the linearization backwards.
+letter-decorated paths (``since_path_sets``), decided directly by comparing
+the indices of last events (``_dominance``) and stepped, for a search, by
+one ``PreorderCore`` per pair.  Each machine's relation is one product part
+that computes its bit; the search step keeps the moves whose bit is the
+claimed one.  Until is the time reversal of since: the same dominance test
+on the same MSC, read off the mirror pass of the since paths, which walks
+the linearization backwards.
 """
 
 from __future__ import annotations
@@ -158,8 +161,8 @@ class UntilOn(TlFormula):
 
 @dataclass(frozen=True)
 class ObsOn(TlFormula):
-    """Holds at e iff the first event of the process not in e's past
-    satisfies the body."""
+    """Holds at e iff the first event of the process not in e's strict past
+    satisfies the body: on the process, e itself."""
 
     proc: str
     sub: TlFormula
@@ -407,10 +410,12 @@ def expand_derived(phi: TlFormula) -> TlFormula:
         keep = Or(Not(p), f1)
         return Or(now, _and(keep, Until(keep, now)))
     if isinstance(phi, ObsOn):
-        # Y_p X_p body | co (@p & first) | X_p first, first = !Y_p true & body
+        # Y_p X_p body | co (@p & first) | X_p first | (@p & first),
+        # first = !Y_p true & body
         p, body = phi.proc, expand_derived(phi.sub)
         first = _and(Not(_prev(p, Bool(True))), body)
-        return Or(_prev(p, _next(p, body)), Or(Co(_and(Proc(p), first)), _next(p, first)))
+        here = _and(Proc(p), first)
+        return Or(_prev(p, _next(p, body)), Or(Co(here), Or(_next(p, first), here)))
     raise TlError(f"unknown formula node {phi!r}")
 
 
@@ -516,13 +521,11 @@ class _Masks:
                 if now and (not stop or now & -now <= stop & -stop):
                     out |= 1 << i
             return out
-        # ObsOn: the first p-event not below e; at p's first event itself,
-        # the expansion through Y_p, co and X_p reads false
+        # ObsOn: the first p-event not strictly below e, e itself on p
         v = self.of(phi.sub)
         for i, lo in enumerate(below):
             rest = p & ~lo
-            first = rest & -rest
-            if v & first and (first != 1 << i or lo & p):
+            if v & rest & -rest:
                 out |= 1 << i
         return out
 
@@ -687,13 +690,30 @@ def _bit_of(annot) -> int:
     return annot
 
 
+def _claimed(part):
+    """The search step of a machine with product part ``part``: its moves
+    whose computed bit is the claimed one."""
+
+    def step(p, state, kind, label, peer, msg_in):
+        sigma, claim = label
+        bit = _bit_of(claim)
+        for new_state, b, payload in part(state, StepCtx(p, kind, peer, sigma), msg_in, None):
+            if b == bit:
+                yield new_state, payload
+
+    return step
+
+
 class _TlMachine(AnnotationCfm):
     """Compiled formula machine: bit annotations over Σ×{0,1} for the
-    formula ``phi`` over the signature ``sig``."""
+    formula ``phi`` over the signature ``sig``.  ``step_fn`` is its product
+    part, part(state, ctx, msg_in, want), which yields (state, bit, payload)
+    with the formula's bit computed; the search step keeps the moves whose
+    bit is claimed (_claimed)."""
 
     def __init__(self, phi, sig, starts, step_fn, final_ok, annotate_fn):
-        super().__init__(None, starts, step_fn, final_ok, annotate_fn, claim=_bit_of)
-        self.phi, self.sig = phi, sig
+        super().__init__(None, starts, _claimed(step_fn), final_ok, annotate_fn, claim=_bit_of)
+        self.phi, self.sig, self.part = phi, sig, step_fn
 
     @property
     def name(self) -> str:
@@ -707,60 +727,37 @@ def _checker_machine(phi, sig, holds) -> _TlMachine:
     def starts(p):
         return ["s"]
 
-    def step(p, state, kind, label, peer, msg_in):
-        sigma, bit = label
-        if _bit_of(bit) == (1 if holds(p, sigma) else 0):
-            yield "s", None
+    def part(state, ctx, msg_in, want):
+        if want is None or want == "s":
+            yield "s", 1 if holds(ctx.proc, ctx.sigma) else 0, None
 
     def annotate(m):
         return {e: (1 if holds(m.loc[e], m.label[e]) else 0) for e in m.events}
 
-    return _TlMachine(phi, sig, starts, step, lambda p, s: True, annotate)
+    return _TlMachine(phi, sig, starts, part, lambda p, s: True, annotate)
 
 
 def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
-    def starts(p):
-        return inner._starts(p)
-
-    def step(p, state, kind, label, peer, msg_in):
-        sigma, bit = label
-        yield from inner._step(p, state, kind, (sigma, 1 - _bit_of(bit)), peer, msg_in)
+    def part(state, ctx, msg_in, want):
+        for new_state, bit, payload in inner.part(state, ctx, msg_in, want):
+            yield new_state, 1 - bit, payload
 
     def annotate(m):
         sub = inner.annotate(m)
         return {e: 1 - sub[e] for e in m.events}
 
-    return _TlMachine(phi, sig, starts, step, inner._final, annotate)
-
-
-def _guessed(machine: _TlMachine):
-    """The sub-formula machine as a product part, made once per machine: its
-    moves with its bit guessed, each move's output its bit; given ``want``,
-    only its moves to ``want``."""
-
-    def step(state, ctx, msg_in, want):
-        p, kind, peer = ctx.proc, ctx.kind, ctx.peer
-        for b in (0, 1):
-            for new_state, payload in machine._step(p, state, kind, (ctx.sigma, b), peer, msg_in):
-                if want is None or new_state == want:
-                    yield new_state, b, payload
-
-    return step
+    return _TlMachine(phi, sig, inner._starts, part, inner._final, annotate)
 
 
 def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     def starts(p):
         return [(s1, s2) for s1 in m1._starts(p) for s2 in m2._starts(p)]
 
-    operands = (_guessed(m1), _guessed(m2))
+    operands = (m1.part, m2.part)
 
-    def step(p, state, kind, label, peer, msg_in):
-        sigma, bit = label
-        bit = _bit_of(bit)
-        ctx = StepCtx(p, kind, peer, sigma)
-        for states, (b1, b2), payload in product_moves(operands, state, ctx, msg_in, None):
-            if (b1 | b2) == bit:
-                yield states, payload
+    def part(state, ctx, msg_in, want):
+        for states, (b1, b2), payload in product_moves(operands, state, ctx, msg_in, want):
+            yield states, b1 | b2, payload
 
     def final_ok(p, state):
         return m1._final(p, state[0]) and m2._final(p, state[1])
@@ -769,7 +766,7 @@ def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         v1, v2 = m1.annotate(m), m2.annotate(m)
         return {e: v1[e] | v2[e] for e in m.events}
 
-    return _TlMachine(phi, sig, starts, step, final_ok, annotate)
+    return _TlMachine(phi, sig, starts, part, final_ok, annotate)
 
 
 def _since_pair(src: str, tgt: str, sig: SystemSignature) -> tuple:
@@ -788,46 +785,6 @@ def _since_pair(src: str, tgt: str, sig: SystemSignature) -> tuple:
     return pc, step
 
 
-def compile_since(
-    p: str, q: str, sig: SystemSignature
-) -> AnnotationCfm:
-    """The single-pair dominance machine over the four-letter alphabet.
-
-    Reads (letter, bit) pairs with letter in {a, b, c, d}; the bit on
-    q-events must be 1 iff some decorated left path from p strictly
-    dominates every right path.  Events off q must carry bit 0.  The direct
-    route is _dominance for the one pair (p, q).
-
-    Its search steps the pair's _since_pair part, as the since machine's
-    does every pair's; the core is built the first time a search needs it,
-    so annotate and decide never build it.
-    """
-    if p not in sig.processes or q not in sig.processes:
-        raise TlError(f"unknown process in pair ({p!r}, {q!r})")
-
-    pair = functools.cache(functools.partial(_since_pair, p, q, sig))
-
-    def starts(pp):
-        return [pair()[0].start()]
-
-    def step(pp, state, kind, label, peer, msg_in):
-        sigma, bit = label
-        bit = _bit_of(bit)
-        if sigma not in ABCD:
-            return
-        for ns, dom, pay in pair()[1](state, StepCtx(pp, kind, peer, sigma), msg_in, None):
-            if dom == bit:
-                yield ns, pay
-
-    def final_ok(pp, state):
-        return pair()[0].final(state)
-
-    def annotate(m):
-        return _dominance(m, sig, ((p, q),), False)
-
-    return AnnotationCfm(f"since[{p}->{q}]", starts, step, final_ok, annotate, claim=_bit_of)
-
-
 def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     """Since, and until as its time reversal, over the abcd recoding.
 
@@ -837,15 +794,16 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     reversed time: annotate is _dominance on the mirror pass of the since
     trie over the recoded MSC, so no mirror MSC is built.
 
-    A search steps the product of the operands' machines and, per move of
-    theirs, the product of every (src, tgt) pair's _since_pair part, built
-    the first time a search needs them.  Until has no forward relation: its
-    search raises TlError.
+    The part is the product of the operands' parts and, per move (b1, b2)
+    of theirs, the product of every (src, tgt) pair's _since_pair part on
+    the event recoded from b1 and b2, built the first time a search needs
+    them; its bit is whether some pair dominates.  Until has no forward
+    relation: its search raises TlError.
     """
     procs = sig.processes
     mirror = isinstance(phi, Until)
     every_pair = tuple((src, tgt) for tgt in procs for src in procs)
-    operands = (_guessed(m1), _guessed(m2))
+    operands = (m1.part, m2.part)
 
     @functools.cache
     def pairs() -> tuple:
@@ -861,19 +819,14 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         cs = tuple(pc.start() for pc in pairs()[0])
         return [(s1, s2, *cs) for s1 in m1._starts(p) for s2 in m2._starts(p)]
 
-    def step(p, state, kind, label, peer, msg_in):
-        """The product of both operands' machines, each bit guessed, and per
-        move (b1, b2) of theirs, of every pair's core on the event recoded
-        from b1 and b2."""
-        sigma, bit = label
-        bit = _bit_of(bit)
+    def part(state, ctx, msg_in, want):
         ops_in, pairs_in = (None, None) if msg_in is None else (msg_in[:2], msg_in[2:])
-        ctx = StepCtx(p, kind, peer, sigma)
-        for ops, (b1, b2), ops_out in product_moves(operands, state[:2], ctx, ops_in, None):
-            recoded = StepCtx(p, kind, peer, _recode(b1, b2))
-            for cs, doms, outs in product_moves(pairs()[1], state[2:], recoded, pairs_in, None):
-                if any(doms) == bit:
-                    yield (*ops, *cs), None if outs is None else (*ops_out, *outs)
+        ops_want, pairs_want = (None, None) if want is None else (want[:2], want[2:])
+        parts = pairs()[1]
+        for ops, (b1, b2), ops_out in product_moves(operands, state[:2], ctx, ops_in, ops_want):
+            recoded = StepCtx(ctx.proc, ctx.kind, ctx.peer, _recode(b1, b2))
+            for cs, doms, outs in product_moves(parts, state[2:], recoded, pairs_in, pairs_want):
+                yield (*ops, *cs), any(doms), None if outs is None else (*ops_out, *outs)
 
     def final_ok(p, state):
         return (
@@ -886,7 +839,7 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         recoded = _abcd_msc(m, m1.annotate(m), m2.annotate(m))
         return _dominance(recoded, sig, every_pair, mirror)
 
-    return _TlMachine(phi, sig, starts, step, final_ok, annotate)
+    return _TlMachine(phi, sig, starts, part, final_ok, annotate)
 
 
 def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:

@@ -45,6 +45,7 @@ from mscgossip.tl import (
     Co,
     NextOn,
     Not,
+    ObsOn,
     Or,
     PrevOn,
     Proc,
@@ -228,8 +229,8 @@ def reference_gossip_readout(m) -> dict:
 
 def reference_eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
     """Per-event truth values straight from the causal matrix, by brute
-    force over causal_lt (O(n³) for since and until, O_p through
-    expand_derived): the reference for the mask evaluator tl.eval_tl."""
+    force over causal_lt (O(n³) for since and until): the reference for
+    the mask evaluator tl.eval_tl."""
     if isinstance(phi, Atom):
         return {e: m.label[e] == phi.letter for e in m.events}
     if isinstance(phi, Proc):
@@ -343,4 +344,17 @@ def reference_eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
                     break
             out[e] = ok
         return out
-    return reference_eval_tl(m, expand_derived(phi))
+    if isinstance(phi, ObsOn):
+        # the first p-event not strictly below e, e itself on p
+        v = reference_eval_tl(m, phi.sub)
+        out = {}
+        for e in m.events:
+            rest = [f for f in m.events_of(phi.proc) if not causal_lt(m, f, e)]
+            first = [
+                f
+                for f in rest
+                if not any(causal_lt(m, g, f) for g in rest if g != f)
+            ]
+            out[e] = bool(first) and v[first[0]]
+        return out
+    raise ValueError(f"unknown formula node {phi!r}")

@@ -399,6 +399,9 @@ def test_impossible_family_and_refute(tmp_path, capsys):
     assert dispatch(["impossible", "refute", "--json"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "accepts-wrong" and "counterexample" in rep
+    # a search cut short by the budget gives no verdict
+    assert dispatch(["impossible", "refute", "--budget", "10"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_tl_commands(fig_file, capsys):

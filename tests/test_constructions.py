@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 from collections import Counter, defaultdict, deque
 
 import pytest
@@ -1664,16 +1665,17 @@ def test_product_parts_are_made_once_per_core(monkeypatch):
 
 
 def test_tl_guessed_part_want_contract():
-    # an operand part of the or and since machines yields, given a state,
-    # exactly its moves to that state
+    # a TL machine's part, an operand of the or and since machines, yields,
+    # given a state, exactly its moves to that state; a wanted state is one
+    # of the or machine's, a pair
     sig1 = SystemSignature(("p",), ("a", "b"))
     machine = compile_tl(parse_tl("a | !b"), sig1)
-    part = tl._guessed(machine)
     [start] = machine._starts("p")
     rng = random.Random(3)
     for sigma in sig1.alphabet:
         ctx = StepCtx("p", "local", None, sigma)
-        assert check_want(rng, functools.partial(part, start, ctx, None), [("s", "t"), "s"])
+        step = functools.partial(machine.part, start, ctx, None)
+        assert check_want(rng, step, [("s", "t"), ("t", "s")])
 
 
 def test_tl_product_parts_are_made_once_per_machine(monkeypatch):
@@ -1687,6 +1689,35 @@ def test_tl_product_parts_are_made_once_per_machine(monkeypatch):
     for sigma in sig1.alphabet:  # with no past event the formula is false
         assert next(machine._step("p", start, "local", (sigma, 0), None, None), None)
     assert len(made) > len({id(steps) for steps in made}) == 3
+
+
+def test_tl_or_chain_step_computes_each_bit_once(monkeypatch):
+    # every or machine's part computes its bit from its operands' parts,
+    # one product per level, where guessing each operand's bit made 2^d
+    made = recorded_products(monkeypatch, tl)
+    sig1 = SystemSignature(("p",), ("a", "b"))
+    phi = tl.Atom("a")
+    for _ in range(12):
+        phi = tl.Or(phi, tl.Atom("b"))
+    machine = compile_tl(phi, sig1)
+    [start] = machine._starts("p")
+    assert len(list(machine._step("p", start, "local", ("a", 1), None, None))) == 1
+    assert not list(machine._step("p", start, "local", ("a", 0), None, None))
+    assert len(made) == 2 * 12
+
+
+def test_tl_since_part_given_want_yields_its_moves_to_it():
+    # at k=1, the first move's state as want: the pairs' cores guess only
+    # what it holds, so the step ends at once
+    sig1 = SystemSignature(("p",), ("a", "b"))
+    machine = compile_tl(parse_tl("a S b"), sig1)
+    [start] = machine._starts("p")
+    ctx = StepCtx("p", "local", None, "a")
+    t0 = time.perf_counter()
+    first = next(machine.part(start, ctx, None, None))
+    moves = list(machine.part(start, ctx, None, first[0]))
+    assert time.perf_counter() - t0 < 1.0
+    assert first in moves and all(move[0] == first[0] for move in moves)
 
 
 def test_gossip_step_want_contract_at_k1():

@@ -1,8 +1,16 @@
 import itertools
+import json
 
 import pytest
 
-from mscgossip.cfm import Cfm, Transition, accepts, find_accepting_run, is_deterministic
+from mscgossip.cfm import (
+    BudgetExhausted,
+    Cfm,
+    Transition,
+    accepts,
+    find_accepting_run,
+    is_deterministic,
+)
 from mscgossip.impossibility import (
     GOSSIP_SIG,
     FamilyParams,
@@ -15,7 +23,7 @@ from mscgossip.impossibility import (
     refute_deterministic,
     splice_family_msc,
 )
-from mscgossip.msc import Msc, MscError, is_valid, last_on_process, validate_msc
+from mscgossip.msc import Msc, MscError, is_valid, last_on_process, msc_to_json, validate_msc
 
 
 def test_family_params_validation():
@@ -175,6 +183,26 @@ def test_refute_naive_machine_reproduces_defect():
     assert wrong == ["f2", "f5"]
     assert m.label["f2"] == "b" and spec["f2"] == "a"
     assert m.label["f5"] == "b" and spec["f5"] == "a"
+
+
+@pytest.mark.parametrize("name", ["naive", "mod3"])
+def test_refuter_budget_exhaustion_raises(name):
+    # a splice check or a labeling search that runs out raises, so every
+    # budget gives the default budget's verdict or BudgetExhausted
+    c = naive_gossip_cfm() if name == "naive" else CLAIMANTS[name]
+    for budget in (1, 10):
+        with pytest.raises(BudgetExhausted):
+            refute_deterministic(c, budget=budget)
+    full = refute_deterministic(c)
+    assert full.verdict == "accepts-wrong"
+    res = refute_deterministic(c, budget=100)
+    assert (res.verdict, res.detail) == (full.verdict, full.detail)
+    assert msc_to_json(res.counterexample) == msc_to_json(full.counterexample)
+    if name == "mod3":
+        assert full.detail == "splice of runs k=0, k'=3 at n=10"
+        assert json.dumps(msc_to_json(full.counterexample)) == json.dumps(
+            msc_to_json(splice_family_msc(10, 0, 3))
+        )
 
 
 def test_refute_nondeterministic_verdict():

@@ -40,7 +40,6 @@ from mscgossip.tl import (
     Until,
     UntilOn,
     check_translation,
-    compile_since,
     compile_tl,
     eval_tl,
     expand_derived,
@@ -288,9 +287,9 @@ def test_mask_evaluator_returns_at_k3_n250():
 
 
 def test_eval_of_nested_first_observable_is_linear():
-    # each O_p expands with its body three times; shared, not copied
+    # each O_p expands with its body four times; shared, not copied
     phi = _nested(13, lambda f: ObsOn("p", f))
-    assert eval_tl(ONE_EVENT, phi) == {"e1": False}
+    assert eval_tl(ONE_EVENT, phi) == {"e1": True}
     core = expand_derived(phi)
     nodes, todo = set(), [core]
     while todo:
@@ -302,6 +301,18 @@ def test_eval_of_nested_first_observable_is_linear():
     assert core.depth > tl.MAX_DEPTH
     with pytest.raises(TlError, match="once expanded"):
         compile_tl(phi, SIG2)
+
+
+@pytest.mark.parametrize("labels", ["ab", "ba"])
+def test_first_observable_at_a_process_event_is_the_event_itself(labels):
+    # strict past: at a p-event, the first p-event outside its past is the
+    # event itself, p's first event included
+    m = Msc(SIG2, [("e1", "p", labels[0]), ("e2", "p", labels[1])], [])
+    phi = ObsOn("p", Atom("a"))
+    want = {"e1": labels[0] == "a", "e2": labels[1] == "a"}
+    assert eval_tl(m, phi) == want
+    assert reference_eval_tl(m, phi) == want
+    assert eval_tl(m, expand_derived(phi)) == want
 
 
 @pytest.mark.parametrize("text", ["@zz S a", "X_zz a", "Y_zz a", "O_zz a", "a Up_zz b", "false & @zz"])
@@ -469,30 +480,32 @@ PHI_PQ = And(
 )
 
 
+def _pair_bits(m, src="p", tgt="q"):
+    """The one-pair dominance bits of (src, tgt) on m."""
+    return _dominance(m, ABCD_SIG, ((src, tgt),), False)
+
+
 def test_compile_since_pair_matches_formula():
-    cs = compile_since("p", "q", ABCD_SIG)
     for m in ABCD_CORPUS:
         want = eval_tl(m, PHI_PQ)
-        got = cs.annotate(m)
+        got = _pair_bits(m)
         assert got == {e: int(want[e]) for e in m.events}
 
 
 def test_compile_since_pair_no_witness_is_zero():
-    cs = compile_since("p", "q", ABCD_SIG)
     # all p-events labeled b or d: left family is empty of witnesses
     m = Msc(
         ABCD_SIG,
         [("s", "p", "b"), ("r", "q", "a"), ("s2", "p", "d"), ("r2", "q", "c")],
         [("s", "r"), ("s2", "r2")],
     )
-    got = cs.annotate(m)
+    got = _pair_bits(m)
     assert all(got[e] == 0 for e in m.events_of("q"))
 
 
 def test_strict_dominance_ties_give_zero():
     # the same p-event is both witness and gap violation: c is in a∨c and
     # in the violation letters, so left max = right max and strict fails
-    cs = compile_since("p", "q", ABCD_SIG)
     m = Msc(
         ABCD_SIG,
         [("s", "p", "c"), ("x", "p", "d"), ("r", "q", "d")],
@@ -500,7 +513,7 @@ def test_strict_dominance_ties_give_zero():
     )
     want = eval_tl(m, PHI_PQ)
     assert want["r"] is False  # the gap event x violates a∨b
-    assert cs.annotate(m)["r"] == 0
+    assert _pair_bits(m)["r"] == 0
 
 
 def scanned_since_path_sets(sig, src, tgt):
@@ -533,7 +546,7 @@ def test_since_families_hold_no_duplicate():
 
 def test_compile_since_pair_rejects_unknown_process():
     with pytest.raises(TlError):
-        compile_since("p", "zz", ABCD_SIG)
+        compile_tl(Since(Proc("p"), Proc("zz")), ABCD_SIG)
 
 
 def test_abcd_recoding_partitions():
@@ -687,11 +700,14 @@ def test_equal_subformulas_share_one_machine(monkeypatch):
 
 @pytest.mark.parametrize("claim", [2, "1"])
 def test_decide_raises_on_a_non_bit_claim(claim):
+    # the direct route and the search step alike
     m = Msc(ABCD_SIG, [("s", "p", "a"), ("r", "q", "b")], [("s", "r")])
-    for machine in (compile_tl(Since(Atom("a"), Atom("b")), ABCD_SIG),
-                    compile_since("p", "q", ABCD_SIG)):
-        with pytest.raises(TlError):
-            machine.decide(ExtendedMsc(m, {"s": claim, "r": 0}))
+    machine = compile_tl(Since(Atom("a"), Atom("b")), ABCD_SIG)
+    with pytest.raises(TlError):
+        machine.decide(ExtendedMsc(m, {"s": claim, "r": 0}))
+    [start] = machine._starts("p")
+    with pytest.raises(TlError):
+        next(machine._step("p", start, "send", ("a", claim), "q", None))
 
 
 def test_since_pair_bits_match_the_preorder_switch_rules():
@@ -700,14 +716,13 @@ def test_since_pair_bits_match_the_preorder_switch_rules():
     checked = 0
     for src in ABCD_SIG.processes:
         for tgt in ABCD_SIG.processes:
-            cs = compile_since(src, tgt, ABCD_SIG)
             lf, rt = since_path_sets(ABCD_SIG, src, tgt)
             paths = tuple(dict.fromkeys(lf + rt))
             clos = _preorder_plan(paths)[0]
             lf_at = tuple(map(clos.index, lf))
             rt_mask = sum(1 << clos.index(r) for r in rt)
             for m in ABCD_CORPUS:
-                got = cs.annotate(m)
+                got = _pair_bits(m, src, tgt)
                 for e, rows in preorder_rows(m, tgt, paths).items():
                     assert got[e] == _dominates(rows, lf_at, rt_mask), (src, tgt, e)
                     checked += 1
@@ -723,7 +738,7 @@ def test_since_pair_bits_match_the_preorder_switch_rules():
 )
 def test_compiled_dominance_matches_the_reference(k, seed, max_events, mirror):
     # every pair at once, as the since/until machines call it, and each
-    # pair alone, as compile_since does; the tests are compiled once per
+    # pair alone; the tests are compiled once per
     # signature, direction and pair set
     sig = SystemSignature(("p", "q", "r")[:k], tl.ABCD)
     m = random_msc(sig, random.Random(seed), max_events)
@@ -740,15 +755,15 @@ def test_gossip_and_since_maps_on_one_msc_do_not_collide():
     # both routes memoise trie maps on the MSC they read; in either order
     # each must read its own maps
     gossip = build_gossip_cfm(ABCD_SIG)
-    pairs = [compile_since(src, tgt, ABCD_SIG) for tgt in "pq" for src in "pq"]
+    pairs = [(src, tgt) for tgt in "pq" for src in "pq"]
     for m in ABCD_CORPUS:
         want_gossip = oracle_gossip_annotation(m).annot
-        want_since = [pair.annotate(msc_from_json(msc_to_json(m))) for pair in pairs]
+        want_since = [_pair_bits(msc_from_json(msc_to_json(m)), *pair) for pair in pairs]
         for gossip_first in (True, False):
             shared = msc_from_json(msc_to_json(m))
             if gossip_first:
                 assert gossip.annotate(shared) == want_gossip
-            assert [pair.annotate(shared) for pair in pairs] == want_since
+            assert [_pair_bits(shared, *pair) for pair in pairs] == want_since
             assert gossip.annotate(shared) == want_gossip
             assert sum(isinstance(key, PathTrie) for key in shared._caches) == 2
 
