@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 from .msc import ExtendedMsc, Msc, SystemSignature, check_json, json_strings, linearize
 
@@ -34,8 +34,7 @@ class BudgetExhausted(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Transition:
+class _TransitionFields(NamedTuple):
     proc: str
     source: State
     kind: str  # 'local' | 'send' | 'recv'
@@ -44,15 +43,28 @@ class Transition:
     msg: Optional[Hashable] = None  # send/recv only
     peer: Optional[str] = None  # receiver for send, sender for recv
 
-    def __post_init__(self):
-        if self.kind not in ("local", "send", "recv"):
-            raise CfmError(f"bad transition kind {self.kind!r}")
-        if self.kind == "local" and (self.msg is not None or self.peer is not None):
-            raise CfmError("local transitions carry no message or peer")
-        if self.kind != "local" and (self.msg is None or self.peer is None):
-            raise CfmError(f"{self.kind} transition needs msg and peer")
-        if self.peer == self.proc:
+
+class Transition(_TransitionFields):
+    """One move of one process's automaton, checked when built.
+
+    An immutable named tuple, so that the search can build one per pulled
+    move cheaply; fields, repr, equality and hash are those of the field
+    tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, proc, source, kind, label, target, msg=None, peer=None):
+        if kind not in ("local", "send", "recv"):
+            raise CfmError(f"bad transition kind {kind!r}")
+        if kind == "local":
+            if msg is not None or peer is not None:
+                raise CfmError("local transitions carry no message or peer")
+        elif msg is None or peer is None:
+            raise CfmError(f"{kind} transition needs msg and peer")
+        if peer == proc:
             raise CfmError("peer process must differ from own process")
+        return tuple.__new__(cls, (proc, source, kind, label, target, msg, peer))
 
 
 class Cfm:
@@ -163,7 +175,9 @@ class LazyCfm:
     pairs; msg_out must be None except for sends.  States and messages are
     arbitrary hashable structured values.  Acceptance is per-process:
     final_ok(p, state) for every process (empty processes are checked on a
-    start state).
+    start state).  The run search relies on this: a process's state after
+    its last event is its final state, so a move at that event to a state
+    failing final_ok leads to no accepting run and is not searched.
     """
 
     def __init__(
@@ -196,19 +210,16 @@ class LazyCfm:
         return out
 
     def step(self, p, state, kind, label, peer, msg_in):
+        # a transition carries the message it sends or receives, and a peer
+        # unless local
+        msg = msg_in if kind == "recv" else None
+        t_peer = None if kind == "local" else peer
         for new_state, msg_out in self._step(p, state, kind, label, peer, msg_in):
-            t = Transition(
-                proc=p,
-                source=state,
-                kind=kind,
-                label=label,
-                target=new_state,
-                msg=(msg_out if kind == "send" else msg_in)
-                if kind != "local"
-                else None,
-                peer=peer if kind != "local" else None,
-            )
-            yield new_state, (msg_out if kind == "send" else None), t
+            if kind == "send":
+                msg = msg_out
+            else:
+                msg_out = None
+            yield new_state, msg_out, Transition(p, state, kind, label, new_state, msg, t_peer)
 
     def is_accepting(self, final: tuple[State, ...]) -> bool:
         return all(
@@ -287,14 +298,25 @@ def find_accepting_run(
     The path is kept on an explicit stack, one frame per event, so the depth
     is not bounded by the interpreter's recursion limit.
 
+    On a ``LazyCfm``, which accepts process by process (``final_ok`` of
+    each process's final state), a move at a process's last event whose
+    new state fails that process's final test is dropped as if the step had
+    not yielded it: it is never pushed, visited or remembered as failed.
+    No later event changes that process's state, so every run through the
+    move ends in a tuple the machine rejects, and as the moves kept are
+    tried in the same order, the run returned is the one found without the
+    rule.  The closing acceptance check stays, for processes without
+    events.  Explicit ``Cfm``s and other machines with global acceptance
+    drop nothing.
+
     ``order`` is the linearization searched, ``linearize(m)`` by default; a
     given order must list every event once, each after its process
     predecessor and after its send, or CfmError is raised.  Raises
     BudgetExhausted when a node beyond the first ``budget`` would be
     visited before resolution.  When a ``stats`` dict is supplied, the number
     of nodes visited (at most ``budget``) is written into it as ``visited``,
-    and the number of machine steps started, one per table entry, as
-    ``steps``.
+    the number of machine steps started, one per table entry, as
+    ``steps``, and the number of moves dropped at last events as ``pruned``.
     """
     if machine.signature is None:
         # signature-generic lazy machine: adopt the MSC's processes
@@ -303,13 +325,18 @@ def find_accepting_run(
         raise CfmError("machine and MSC have different process sets")
     order = linearize(m) if order is None else _checked_order(m, order)
     pidx = {p: i for i, p in enumerate(machine.signature.processes)}
+    # a machine that accepts process by process has its moves at each
+    # process's last event checked against that process's final test
+    final_ok = machine._final if isinstance(machine, LazyCfm) else None
+    final_at = {} if final_ok is None else {es[-1]: p for p in pidx if (es := m.events_of(p))}
     # channel contents are one tuple of queues, one per channel the MSC
     # uses, in a fixed order, so that the tuple itself is part of a node key
     channel = {}
     for s, r in m.msg:
         channel.setdefault((m.loc[s], m.loc[r]), len(channel))
     # per event in the order searched: (process index, kind, channel index,
-    # shape id); shapes[shape id] is (process, kind, label, peer) and
+    # shape id, the process if its final test applies there);
+    # shapes[shape id] is (process, kind, label, peer) and
     # tables[shape id] maps (state, channel head) to [moves pulled, step or
     # None once exhausted]
     recv_of, send_of = m.recv_of, m.send_of
@@ -326,11 +353,19 @@ def find_accepting_run(
         else:
             kind, peer, c = "local", None, None
         sid = shape_ids.setdefault((p, kind, m.label[e], peer), len(shape_ids))
-        events.append((pidx[p], kind, c, sid))
+        events.append((pidx[p], kind, c, sid, final_at.get(e)))
     shapes = list(shape_ids)
     tables: list[dict] = [{} for _ in shapes]
-    visited = steps = 0
+    visited = steps = pruned = 0
     failed: set[tuple[int, tuple, tuple]] = set()
+
+    def final_moves(moves, p):
+        nonlocal pruned
+        for move in moves:
+            if final_ok(p, move[0]):
+                yield move
+            else:
+                pruned += 1
 
     try:
         for start in machine.initial_tuples():
@@ -350,7 +385,7 @@ def find_accepting_run(
                 else:
                     key = (i, states, chans)
                     if key not in failed:
-                        k, kind, c, sid = events[i]
+                        k, kind, c, sid, fin = events[i]
                         # a receive's queue is not empty: its send comes first
                         situation = (states[k], chans[c][0] if kind == "recv" else None)
                         entry = tables[sid].get(situation)
@@ -361,6 +396,8 @@ def find_accepting_run(
                             step = iter(machine.step(p, state, kind, label, peer, msg_in))
                             entry = tables[sid][situation] = [[], step]
                         untried = iter(entry[0]) if entry[1] is None else _pull(entry)
+                        if fin is not None:
+                            untried = final_moves(untried, fin)
                         stack.append((key, states, chans, untried))
                 move = None
                 while stack and move is None:
@@ -372,7 +409,7 @@ def find_accepting_run(
                 if move is None:
                     break
                 i = len(stack) - 1
-                k, kind, c, _ = events[i]
+                k, kind, c, _, _ = events[i]
                 new_state, msg_out, t = move
                 del path[i:]
                 path.append(t)
@@ -386,6 +423,7 @@ def find_accepting_run(
         if stats is not None:
             stats["visited"] = visited
             stats["steps"] = steps
+            stats["pruned"] = pruned
 
 
 def _pull(entry: list) -> Iterator:

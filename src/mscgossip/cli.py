@@ -92,7 +92,7 @@ def search_with_report(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> RunRepo
     stats["wall_time"] = time.perf_counter() - t0
     if run is not None:
         stats["reachable_structured_states"] = len(
-            {run.start}
+            set(run.start)
             | {s for t in run.assignment.values() for s in (t.source, t.target)}
         )
     return RunReport(outcome, run, stats)

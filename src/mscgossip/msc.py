@@ -428,11 +428,22 @@ def msc_from_json(obj: dict) -> Msc:
     try:
         procs = json_strings(obj["processes"], "processes")
         sig = SystemSignature(procs, tuple(check_json(obj["alphabet"], list, "alphabet")))
-        events = [(r["id"], r["proc"], r["label"]) for r in obj["events"]]
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in obj["messages"]):
-            raise TypeError("a message must be a pair of event ids")
-        messages = [tuple(pair) for pair in obj["messages"]]
-        if not all(isinstance(x[0], str) and isinstance(x[1], str) for x in events + messages):
+        # one pass over each list; a message that is no pair is reported
+        # before a name that is no string
+        named = True
+        events = []
+        for r in obj["events"]:
+            e, p = r["id"], r["proc"]
+            events.append((e, p, r["label"]))
+            named = named and isinstance(e, str) and isinstance(p, str)
+        messages = []
+        for pair in obj["messages"]:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise TypeError("a message must be a pair of event ids")
+            s, r = pair
+            messages.append((s, r))
+            named = named and isinstance(s, str) and isinstance(r, str)
+        if not named:
             raise TypeError("event ids, procs and message ends must be strings")
     except (KeyError, TypeError) as exc:
         raise MscError(f"malformed MSC object: {exc}") from exc

@@ -398,14 +398,17 @@ def test_detach_inverts_attach():
 # -- the move table against the search that steps at every node -----------------
 
 
-def _reference_search(machine, m, budget=DEFAULT_BUDGET):
+def _reference_search(machine, m, budget=DEFAULT_BUDGET, final_rule=True):
     """The run search asking the machine for a node's moves at every visit.
 
-    Returns (run or None, nodes visited); the node that exceeds the budget
-    raises BudgetExhausted.
+    With ``final_rule``, a LazyCfm's moves at a process's last event are
+    only those whose new state passes the process's final test.  Returns
+    (run or None, nodes visited); the node that exceeds the budget raises
+    BudgetExhausted.
     """
     if machine.signature is None:
         machine = machine.with_signature(m.signature)
+    final_ok = machine._final if final_rule and isinstance(machine, LazyCfm) else None
     order = linearize(m)
     pidx = {p: i for i, p in enumerate(machine.signature.processes)}
     channel = {}
@@ -422,7 +425,10 @@ def _reference_search(machine, m, budget=DEFAULT_BUDGET):
     def moves(i, states, chans):
         k, p, kind, peer, label, c = shapes[i]
         msg_in = chans[c][0] if kind == "recv" else None
-        return iter(machine.step(p, states[k], kind, label, peer, msg_in))
+        moves = machine.step(p, states[k], kind, label, peer, msg_in)
+        if final_ok is not None and m.proc_succ_of(order[i]) is None:
+            moves = (mv for mv in moves if final_ok(p, mv[0]))
+        return iter(moves)
 
     for start in machine.initial_tuples():
         stack, path = [], []
@@ -463,10 +469,13 @@ def _reference_search(machine, m, budget=DEFAULT_BUDGET):
 
 def _same_search(machine, m) -> bool:
     """The search and the reference return the same run and visit as many
-    nodes; returns whether a run was found."""
+    nodes, and the reference without the final rule returns that run too,
+    visiting no fewer nodes; returns whether a run was found."""
     stats: dict = {}
     run = find_accepting_run(machine, m, stats=stats)
     assert (run, stats["visited"]) == _reference_search(machine, m)
+    plain_run, plain_visited = _reference_search(machine, m, final_rule=False)
+    assert plain_run == run and plain_visited >= stats["visited"]
     return run is not None
 
 
@@ -569,3 +578,64 @@ def test_moves_are_pulled_only_as_needed():
         lazy = LazyCfm(sig, lambda p: [0], step, lambda p, s, final=final: s == final)
         run = find_accepting_run(lazy, m)
         assert [run.assignment[e].target for e in ("e0", "e1")] == targets
+
+
+# -- the final test at a process's last event --------------------------------------
+
+
+def _toy_lazy(p_final):
+    """p's one event may go to 0, 1 or 2 and q's events keep q at 0; p is
+    final in ``p_final``, q always."""
+    def step(p, state, kind, label, peer, msg_in):
+        return [(s, None) for s in (0, 1, 2)] if p == "p" else [(0, None)]
+
+    return LazyCfm(SIG2, lambda p: [0], step, lambda p, s: p == "q" or s in p_final)
+
+
+def test_non_final_state_at_a_last_event_is_not_searched():
+    # the order is p's only event, then q's three; without the rule each of
+    # p's moves to 0 and 1 would be followed through q's events to a
+    # rejected end (4 nodes each)
+    m = Msc(SIG2, [("a0", "p", "a"), ("b0", "q", "a"), ("b1", "q", "a"), ("b2", "q", "b")], [])
+    assert linearize(m) == ("a0", "b0", "b1", "b2")
+    stats: dict = {}
+    run = find_accepting_run(_toy_lazy({2}), m, stats=stats)
+    assert run.assignment["a0"].target == 2
+    assert (stats["visited"], stats["pruned"]) == (5, 2)
+    assert _reference_search(_toy_lazy({2}), m) == (run, 5)
+    assert _reference_search(_toy_lazy({2}), m, final_rule=False) == (run, 13)
+    # nothing final at p's last event: one node, both searches reject
+    assert find_accepting_run(_toy_lazy(set()), m, stats=stats) is None
+    assert (stats["visited"], stats["pruned"]) == (1, 3)
+    assert _reference_search(_toy_lazy(set()), m, final_rule=False) == (None, 13)
+
+
+def test_process_without_events_is_rejected_by_the_closing_check():
+    # q has no event, so no move is checked against q's final test; the end
+    # node's acceptance check still rejects q's start state
+    m = Msc(SIG2, [("a0", "p", "a")], [])
+    stats: dict = {}
+    lazy = LazyCfm(SIG2, lambda p: [0], lambda *a: [(0, None)], lambda p, s: p == "p")
+    assert find_accepting_run(lazy, m, stats=stats) is None
+    assert (stats["visited"], stats["pruned"]) == (2, 0)
+    lazy = LazyCfm(SIG2, lambda p: [0], lambda *a: [(0, None)], lambda p, s: True)
+    assert find_accepting_run(lazy, m) is not None
+
+
+def test_pruned_counts_moves_dropped_at_last_events():
+    pi = parse_path(GOSSIP_PQ, SIG2)
+    pi2 = star_prepend(pi)
+    mach = build_fixpoint_cfm("p", "q", pi, pi2)
+    m = Msc(SIG2, [("p0", "p", "a"), ("q0", "q", "b"), ("q1", "q", "a")], [("p0", "q0")])
+    bits = {e: 0 for e in m.events}
+    for e in m.events_of("q"):
+        bits[e] = 1 if f_pair(m, pi, pi2, e) == e else 0
+    stats: dict = {}
+    assert find_accepting_run(mach, attach_annotation(ExtendedMsc(m, bits)), stats=stats)
+    wrong = {**bits, "q1": 1 - bits["q1"]}
+    assert find_accepting_run(mach, attach_annotation(ExtendedMsc(m, wrong)), stats=stats) is None
+    assert stats["pruned"] > 0
+    u = universal_cfm(SIG3)
+    for m in random_corpus(SIG3, 3, seed=11):
+        assert find_accepting_run(u, m, stats=stats) is not None
+        assert stats["pruned"] == 0

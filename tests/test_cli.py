@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mscgossip.cfm import Transition, Cfm, cfm_to_json, oracle_accepts
+from mscgossip.cfm import Transition, Cfm, cfm_to_json, oracle_accepts, universal_cfm
 from mscgossip.cli import (
     CorpusSpec,
     RunReport,
@@ -14,11 +15,11 @@ from mscgossip.cli import (
     generate_corpus,
     search_with_report,
 )
-from mscgossip.corpus import random_corpus
+from mscgossip.corpus import random_corpus, random_msc
 from mscgossip.msc import Msc, SystemSignature, is_valid, msc_to_json, validate_msc
 from mscgossip.paths import parse_path, format_path
 from mscgossip.tl import MAX_DEPTH, parse_tl, format_tl
-from figures import fig_base, fig_flipped
+from figures import SIG3, fig_base, fig_flipped
 from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
@@ -61,6 +62,14 @@ def test_search_with_report_outcomes():
     assert rep2.outcome == "rejected" and rep2.run is None
     rep3 = search_with_report(c, good, budget=1)
     assert rep3.outcome == "budget-exhausted"
+
+
+def test_reachable_structured_states_counts_states():
+    # the universal machine has the one state u on every process
+    m = random_msc(SIG3, random.Random(3), 4)
+    rep = search_with_report(universal_cfm(SIG3), m)
+    assert rep.outcome == "accepted" and len(rep.run.start) == 3
+    assert rep.stats["reachable_structured_states"] == 1
 
 
 # -- corpus generation ---------------------------------------------------------
@@ -260,8 +269,9 @@ def test_cfm_run_json_counts_nodes_within_budget(tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["cfm", "run", str(cfm_path), str(good), "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)["stats"]
-    # three nodes (before e0, before e1, the end); e0 and e1 each step once
-    assert (stats["visited"], stats["steps"]) == (3, 2)
+    # three nodes (before e0, before e1, the end); e0 and e1 each step once;
+    # an explicit machine's acceptance is global, so no move is pruned
+    assert (stats["visited"], stats["steps"], stats["pruned"]) == (3, 2, 0)
     assert dispatch(["cfm", "run", str(cfm_path), str(good), "--budget", "2",
                      "--json"]) == 3
     stats = json.loads(capsys.readouterr().out)["stats"]

@@ -227,6 +227,30 @@ def test_json_roundtrip():
         assert back.signature == m.signature
 
 
+def _broken(edit):
+    obj = msc_to_json(fig_base())
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["messages"].append(["e0"]), "a message must be a pair of event ids"),
+    (lambda o: o["messages"].append("e0e1"), "a message must be a pair of event ids"),
+    (lambda o: o["messages"][0].append("e2"), "a message must be a pair of event ids"),
+    (lambda o: o["events"][0].update(id=0), "event ids, procs and message ends must be strings"),
+    (lambda o: o["events"][-1].update(proc=["p"]), "event ids, procs and message ends must be strings"),
+    (lambda o: o["messages"][-1].__setitem__(1, None), "event ids, procs and message ends must be strings"),
+    # a message that is no pair is reported before a name that is no string
+    (lambda o: (o["events"][0].update(id=0), o["messages"].append([])),
+     "a message must be a pair of event ids"),
+    (lambda o: o["events"][1].pop("label"), "'label'"),
+    (lambda o: o.pop("messages"), "'messages'"),
+])
+def test_malformed_msc_json_messages(edit, message):
+    with pytest.raises(MscError, match=f"^malformed MSC object: {message}$"):
+        msc_from_json(_broken(edit))
+
+
 def test_extended_roundtrip():
     m = fig_base()
     annot = {e: m.label[e] for e in m.events}
