@@ -27,7 +27,6 @@ from .cfm import (
     find_accepting_run,
     is_deterministic,
     mirror_cfm,
-    oracle_accepts,
     product,
     relabel,
     universal_cfm,

@@ -277,14 +277,14 @@ def find_accepting_run(
     machine,
     m: Msc,
     budget: int = DEFAULT_BUDGET,
-    order: Optional[list[str]] = None,
     stats: Optional[dict] = None,
 ) -> Optional[Run]:
     """Depth-first search for an accepting run; None if none exists.
 
     Deterministic: explores initial tuples and transitions in their canonical
-    enumeration order and returns the first run found.  A node is an event
-    index with the state tuple and channel contents reached before it; a node
+    enumeration order, along the events in ``linearize(m)`` order, and
+    returns the first run found.  A node is an event index in that order
+    with the state tuple and channel contents reached before it; a node
     none of whose moves leads to acceptance is remembered and not searched
     again.  A node's moves depend only on its event's shape (process, kind,
     label, peer), the process's state and, on a receive, the message at the
@@ -309,10 +309,7 @@ def find_accepting_run(
     events.  Explicit ``Cfm``s and other machines with global acceptance
     drop nothing.
 
-    ``order`` is the linearization searched, ``linearize(m)`` by default; a
-    given order must list every event once, each after its process
-    predecessor and after its send, or CfmError is raised.  Raises
-    BudgetExhausted when a node beyond the first ``budget`` would be
+    Raises BudgetExhausted when a node beyond the first ``budget`` would be
     visited before resolution.  When a ``stats`` dict is supplied, the number
     of nodes visited (at most ``budget``) is written into it as ``visited``,
     the number of machine steps started, one per table entry, as
@@ -323,7 +320,7 @@ def find_accepting_run(
         machine = machine.with_signature(m.signature)
     if machine.signature.processes != m.signature.processes:
         raise CfmError("machine and MSC have different process sets")
-    order = linearize(m) if order is None else _checked_order(m, order)
+    order = linearize(m)
     pidx = {p: i for i, p in enumerate(machine.signature.processes)}
     # a machine that accepts process by process has its moves at each
     # process's last event checked against that process's final test
@@ -443,19 +440,6 @@ def _pull(entry: list) -> Iterator:
         i += 1
 
 
-def _checked_order(m: Msc, order):
-    """``order`` if it lists each event of m once, each after its process
-    predecessor and after its send; CfmError otherwise."""
-    pos = {e: i for i, e in enumerate(order)}
-    if len(order) != len(m.events) or pos.keys() != m.loc.keys():
-        raise CfmError("order must list every event of the MSC exactly once")
-    for e, i in pos.items():
-        for before in (m.proc_pred_of(e), m.send_of.get(e)):
-            if before is not None and pos[before] > i:
-                raise CfmError(f"order puts {e!r} before {before!r}")
-    return order
-
-
 def accepts(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> bool:
     """Language membership by the run search.
 
@@ -514,55 +498,6 @@ def validate_run(machine, m: Msc, run: Run) -> list[str]:
         ):
             out.append(f"{e!r}: transition {t} is not a move of the machine")
     return out
-
-
-def oracle_accepts(machine: Cfm, m: Msc) -> bool:
-    """Brute force: try every assignment of transitions to events.
-
-    Exponential; only usable on tiny MSCs.  Independent of the DFS search.
-    """
-    import itertools
-
-    order = m.events
-    choices = []
-    for e in order:
-        p = m.loc[e]
-        kind = m.kind_of(e)
-        cand = [
-            t
-            for t in machine.transitions_of(p)
-            if t.kind == kind and t.label == m.label[e]
-            and (kind == "local" or t.peer == m.peer_of(e))
-        ]
-        if not cand:
-            return False
-        choices.append(cand)
-    for start in machine.initial_tuples():
-        startd = dict(zip(machine.signature.processes, start))
-        for combo in itertools.product(*choices):
-            run = Run(assignment=dict(zip(order, combo)), start=tuple(start))
-            if not _plain_conditions(machine, m, run, startd):
-                continue
-            return True
-    return False
-
-
-def _plain_conditions(machine: Cfm, m: Msc, run: Run, start) -> bool:
-    rho = run.assignment
-    for e in m.events:
-        if m.proc_pred_of(e) is None and rho[e].source != start[m.loc[e]]:
-            return False
-    for a, b in m.proc_succ:
-        if rho[a].target != rho[b].source:
-            return False
-    for s, r in m.msg:
-        if rho[s].msg != rho[r].msg:
-            return False
-    final = tuple(
-        rho[m.events_of(p)[-1]].target if m.events_of(p) else start[p]
-        for p in machine.signature.processes
-    )
-    return machine.is_accepting(final)
 
 
 # -- determinism --------------------------------------------------------------

@@ -317,12 +317,11 @@ def _cmd_impossible_family(args) -> int:
 def _cmd_impossible_refute(args) -> int:
     claimant = _cfm(args.cfm) if args.cfm else naive_gossip_cfm()
     res = refute_deterministic(claimant, budget=args.budget)
-    refuted = res.verdict != "no-counterexample-found"
     payload = {"verdict": res.verdict, "detail": res.detail}
     if res.counterexample is not None:
         payload["counterexample"] = msc_to_json(res.counterexample)
     _emit(args, payload, f"{res.verdict}: {res.detail}")
-    return EXIT_REJECT if refuted else EXIT_OK
+    return EXIT_REJECT if res.refuted else EXIT_OK
 
 
 def _cmd_tl_eval(args) -> int:

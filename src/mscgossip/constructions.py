@@ -1377,41 +1377,38 @@ def canonical_coloring(m: Msc, q: str, pi: PathExpr, pi2: PathExpr) -> dict:
     """A 4-coloring witnessing the correct fixpoint bits.
 
     q-events with bit 1 alternate the two real colors along the process;
-    bit-0 q-events take a hatted color different from their fa-target's
-    (the targets form a functional graph, so chains and even cycles can
-    always be 2-colored); other processes get a fixed dummy color.
+    bit-0 q-events take a hatted color, "z2" if their fa-target is a bit-0
+    q-event colored "z1" and "z1" otherwise; other processes get a fixed
+    dummy color.
+
+    The fa-targets form no cycle but the fixpoints.  Each path symbol's
+    preimage map is monotone along a process: at once for ⊏ and [a], by
+    FIFO for msg(p,q), and →* only grows the preimage.  So last_π, first_π′
+    and fa = first_π′∘last_π are monotone along q where defined, and a
+    monotone map on a chain has no cycle but its fixpoints, the bit-1
+    events.  It also keeps each target on its source's side: a bit-0 event
+    whose target is later has a target whose own target is later still,
+    and likewise for earlier.  Coloring first, in process order, the events
+    whose target is not later, then, in reverse order, those whose target
+    is later, colors every target before its source.
     """
     targets = fa_target(m, pi, pi2)
     zeta = {e: "z1" for e in m.events}
     alt = "c2"
+    pos = {e: i for i, e in enumerate(m.events_of(q))}
     gray = []
-    for e in m.events_of(q):
+    for e in pos:
         if targets[e] == e:
             alt = "c1" if alt == "c2" else "c2"
             zeta[e] = alt
         else:
             gray.append(e)
-    grayset = set(gray)
-    succ = {e: targets[e] for e in gray if targets[e] in grayset}
+    # a target off q ranks -1, before every q-event
+    back = [e for e in gray if pos.get(targets[e], -1) < pos[e]]
+    ahead = [e for e in gray if pos.get(targets[e], -1) > pos[e]]
     color: dict[str, str] = {}
-    for start in gray:
-        if start in color:
-            continue
-        chain = [start]
-        cur = succ.get(start)
-        while cur is not None and cur not in color and cur not in chain:
-            chain.append(cur)
-            cur = succ.get(cur)
-        if cur is not None and cur in chain:
-            cyc = chain[chain.index(cur) :]
-            chain = chain[: chain.index(cur)]
-            if len(cyc) % 2:
-                raise AssertionError("odd fa-target cycle; no valid coloring")
-            for i, x in enumerate(cyc):
-                color[x] = "z1" if i % 2 == 0 else "z2"
-        for x in reversed(chain):
-            nxt = succ.get(x)
-            color[x] = "z2" if color.get(nxt) == "z1" else "z1"
+    for e in back + ahead[::-1]:
+        color[e] = "z2" if color.get(targets[e]) == "z1" else "z1"
     zeta.update(color)
     return zeta
 

@@ -11,7 +11,6 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from .cfm import Cfm, Transition
 from .msc import Msc, SystemSignature
 
 
@@ -152,34 +151,3 @@ def _matchings(procs, ids, loc, shape_events):
 
     yield from extend(0, set(), [])
 
-
-def random_cfm(
-    sig: SystemSignature,
-    rng: random.Random,
-    n_states: int = 2,
-    n_msgs: int = 2,
-    n_transitions: int = 10,
-) -> Cfm:
-    """A random explicit CFM (states s0..s_{n-1} per process, random moves)."""
-    messages = [f"m{i}" for i in range(n_msgs)]
-    states = {p: [f"{p}s{i}" for i in range(n_states)] for p in sig.processes}
-    initial = {p: states[p][0] for p in sig.processes}
-    transitions = []
-    for _ in range(n_transitions):
-        p = rng.choice(sig.processes)
-        src = rng.choice(states[p])
-        dst = rng.choice(states[p])
-        a = rng.choice(sig.alphabet)
-        kind = rng.choice(["local", "send", "recv"])
-        if kind == "local" or len(sig.processes) == 1:
-            transitions.append(Transition(p, src, "local", a, dst))
-        else:
-            peer = rng.choice([q for q in sig.processes if q != p])
-            msg = rng.choice(messages)
-            transitions.append(Transition(p, src, kind, a, dst, msg, peer))
-    n_acc = rng.randint(1, 2)
-    accepting = {
-        tuple(rng.choice(states[p]) for p in sig.processes) for _ in range(n_acc)
-    }
-    accepting.add(tuple(initial[p] for p in sig.processes))
-    return Cfm(sig, messages, states, initial, transitions, accepting)

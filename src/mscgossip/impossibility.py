@@ -61,8 +61,7 @@ def q_labels_correct(m: Msc) -> bool:
 
 def _with_labels(m: Msc, labels: dict) -> Msc:
     """m with each event in ``labels`` given that label."""
-    events = [(e, m.loc[e], labels.get(e, m.label[e])) for e in m.events]
-    return Msc(m.signature, events, m.msg)
+    return m.relabelled(m.signature, {**m.label, **labels})
 
 
 @dataclass(frozen=True)

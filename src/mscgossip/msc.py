@@ -136,11 +136,6 @@ class Msc:
             self._structure["proc_pred"] = {b: a for a, b in self.proc_succ}
         return self._structure["proc_pred"].get(e)
 
-    def proc_succ_of(self, e: str) -> Optional[str]:
-        if "proc_succ_of" not in self._structure:
-            self._structure["proc_succ_of"] = {a: b for a, b in self.proc_succ}
-        return self._structure["proc_succ_of"].get(e)
-
     @property
     def send_of(self) -> dict[str, str]:
         """receive event -> its send event."""

@@ -246,11 +246,6 @@ class EventPreorder:
         """π ≺_e π', i.e. π' ⋠_e π."""
         return (pi2, pi) not in self.leq
 
-    def maxima(self) -> tuple[PathExpr, ...]:
-        return tuple(
-            p for p in self.paths if all(self.holds(q, p) for q in self.paths)
-        )
-
 
 def preorder_at(m: Msc, paths: Iterable[PathExpr], e: str) -> EventPreorder:
     """Brute-force ⪯_e: compare last_π(e) values under the causal order."""
@@ -304,11 +299,6 @@ def gossip_paths(sig: SystemSignature) -> tuple[PathExpr, ...]:
     """Every pair's gossip paths, each once, in the order first met."""
     pairs = [(p, q) for p in sig.processes for q in sig.processes]
     return tuple(dict.fromkeys(pi for p, q in pairs for pi in gossip_paths_between(sig, p, q)))
-
-
-def path_size(paths: Iterable[PathExpr]) -> int:
-    """‖Π‖: total symbol count."""
-    return sum(len(pi) for pi in paths)
 
 
 # -- concrete syntax -----------------------------------------------------------

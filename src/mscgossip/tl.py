@@ -61,22 +61,22 @@ _TOO_DEEP_EXPANDED = f"{_TOO_DEEP} once expanded"
 class TlFormula:
     @functools.cached_property
     def depth(self) -> int:
-        """The nesting of subformulas, a leaf being one level: found with an
-        explicit stack, so that any depth can be measured, and kept on the
-        formula, which parse_tl, compile_tl and eval_tl then measure once.
-        ``reached`` holds the deepest level each subformula object was
-        reached at, so that one shared by several parents (as in
-        expand_derived's output) is walked again only when reached deeper."""
-        deepest, todo, reached = 0, [(self, 1)], {}
-        while todo:
-            f, depth = todo.pop()
-            if reached.get(id(f), 0) >= depth:
-                continue
-            reached[id(f)] = depth
-            deepest = max(deepest, depth)
-            for name in _SUBFORMULAS.get(type(f), ()):
-                todo.append((getattr(f, name), depth + 1))
-        return deepest
+        """The nesting of subformulas, a leaf being one level: the number
+        of levels of a breadth-first walk, which does not recurse, so that
+        any depth can be measured, and kept on the formula, which parse_tl,
+        compile_tl and eval_tl then measure once.  A level holds each
+        subformula object once, so that one shared by several parents (as
+        in expand_derived's output) is walked once per level it is on."""
+        depth, level = 0, [self]
+        while level:
+            depth += 1
+            below = {}
+            for f in level:
+                for name in _SUBFORMULAS.get(type(f), ()):
+                    sub = getattr(f, name)
+                    below[id(sub)] = sub
+            level = below.values()
+        return depth
 
 
 @dataclass(frozen=True)
@@ -847,8 +847,7 @@ def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:
     MSCs: the bit at every event equals the formula's truth value there.
     Both phi and its expansion, which the machines recurse on, are held to
     MAX_DEPTH."""
-    check_depth(phi)
-    return _compile_core(expand_derived(phi), sig, {}, {}, 1)
+    return _compile_core(expand_checked(phi), sig, {}, {})
 
 
 def expand_checked(phi: TlFormula) -> TlFormula:
@@ -860,26 +859,22 @@ def expand_checked(phi: TlFormula) -> TlFormula:
     return core
 
 
-def _compile_core(phi, sig, made: dict, seen: dict, depth: int) -> _TlMachine:
-    """The machine of phi, at ``depth`` in the expanded formula, one per
-    distinct subformula.  ``made`` maps a leaf formula, or a connective's
-    type with its operands' machines, to its machine, so equal subformulas
-    share one machine and its annotation memo, and no formula tree is
-    hashed.  ``seen`` maps each subformula object to its machine and the
-    deepest level it was reached at, so an object shared by several parents
-    is walked again only when reached deeper, to hold that path to
-    MAX_DEPTH."""
-    if depth > MAX_DEPTH:
-        raise TlError(_TOO_DEEP_EXPANDED)
-    hit = seen.get(id(phi))
-    if hit is not None and hit[1] >= depth:
-        return hit[0]
+def _compile_core(phi, sig, made: dict, seen: dict) -> _TlMachine:
+    """The machine of phi, one per distinct subformula.  ``made`` maps a
+    leaf formula, or a connective's type with its operands' machines, to
+    its machine, so equal subformulas share one machine and its annotation
+    memo, and no formula tree is hashed.  ``seen`` maps each subformula
+    object to its machine, so an object shared by several parents is
+    walked once."""
+    machine = seen.get(id(phi))
+    if machine is not None:
+        return machine
     if isinstance(phi, Not):
-        subs = (_compile_core(phi.sub, sig, made, seen, depth + 1),)
+        subs = (_compile_core(phi.sub, sig, made, seen),)
     elif isinstance(phi, (Or, Since, Until)):
         subs = (
-            _compile_core(phi.left, sig, made, seen, depth + 1),
-            _compile_core(phi.right, sig, made, seen, depth + 1),
+            _compile_core(phi.left, sig, made, seen),
+            _compile_core(phi.right, sig, made, seen),
         )
     else:
         subs = ()
@@ -887,7 +882,7 @@ def _compile_core(phi, sig, made: dict, seen: dict, depth: int) -> _TlMachine:
     machine = made.get(key)
     if machine is None:
         machine = made[key] = _make_machine(phi, sig, *subs)
-    seen[id(phi)] = machine, depth
+    seen[id(phi)] = machine
     return machine
 
 

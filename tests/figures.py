@@ -19,10 +19,16 @@ and one ``max`` per family and event, the reference for the compiled
 read-outs of ``build_gossip_cfm``.
 ``reference_eval_tl`` is the brute-force semantics of the logic over
 ``causal_lt``, the reference for the mask evaluator ``tl.eval_tl``.
+``oracle_accepts`` decides acceptance by an explicit CFM by trying every
+transition assignment, the reference for the run search, and
+``random_cfm`` draws the small explicit machines it is checked on.
 """
 
 import functools
+import itertools
+import random
 
+from mscgossip.cfm import Cfm, Run, Transition
 from mscgossip.constructions import (
     _BOT,
     _gossip_plan,
@@ -358,3 +364,82 @@ def reference_eval_tl(m: Msc, phi: TlFormula) -> dict[str, bool]:
             out[e] = bool(first) and v[first[0]]
         return out
     raise ValueError(f"unknown formula node {phi!r}")
+
+
+def random_cfm(
+    sig: SystemSignature,
+    rng: random.Random,
+    n_states: int = 2,
+    n_msgs: int = 2,
+    n_transitions: int = 10,
+) -> Cfm:
+    """A random explicit CFM (states s0..s_{n-1} per process, random moves)."""
+    messages = [f"m{i}" for i in range(n_msgs)]
+    states = {p: [f"{p}s{i}" for i in range(n_states)] for p in sig.processes}
+    initial = {p: states[p][0] for p in sig.processes}
+    transitions = []
+    for _ in range(n_transitions):
+        p = rng.choice(sig.processes)
+        src = rng.choice(states[p])
+        dst = rng.choice(states[p])
+        a = rng.choice(sig.alphabet)
+        kind = rng.choice(["local", "send", "recv"])
+        if kind == "local" or len(sig.processes) == 1:
+            transitions.append(Transition(p, src, "local", a, dst))
+        else:
+            peer = rng.choice([q for q in sig.processes if q != p])
+            msg = rng.choice(messages)
+            transitions.append(Transition(p, src, kind, a, dst, msg, peer))
+    n_acc = rng.randint(1, 2)
+    accepting = {
+        tuple(rng.choice(states[p]) for p in sig.processes) for _ in range(n_acc)
+    }
+    accepting.add(tuple(initial[p] for p in sig.processes))
+    return Cfm(sig, messages, states, initial, transitions, accepting)
+
+
+def oracle_accepts(machine: Cfm, m: Msc) -> bool:
+    """Brute force: try every assignment of transitions to events.
+
+    Exponential; only usable on tiny MSCs.  Independent of the DFS search.
+    """
+    order = m.events
+    choices = []
+    for e in order:
+        p = m.loc[e]
+        kind = m.kind_of(e)
+        cand = [
+            t
+            for t in machine.transitions_of(p)
+            if t.kind == kind and t.label == m.label[e]
+            and (kind == "local" or t.peer == m.peer_of(e))
+        ]
+        if not cand:
+            return False
+        choices.append(cand)
+    for start in machine.initial_tuples():
+        startd = dict(zip(machine.signature.processes, start))
+        for combo in itertools.product(*choices):
+            run = Run(assignment=dict(zip(order, combo)), start=tuple(start))
+            if not _plain_conditions(machine, m, run, startd):
+                continue
+            return True
+    return False
+
+
+def _plain_conditions(machine: Cfm, m: Msc, run: Run, start) -> bool:
+    rho = run.assignment
+    for e in m.events:
+        if m.proc_pred_of(e) is None and rho[e].source != start[m.loc[e]]:
+            return False
+    for a, b in m.proc_succ:
+        if rho[a].target != rho[b].source:
+            return False
+    for s, r in m.msg:
+        if rho[s].msg != rho[r].msg:
+            return False
+    final = tuple(
+        rho[m.events_of(p)[-1]].target if m.events_of(p) else start[p]
+        for p in machine.signature.processes
+    )
+    return machine.is_accepting(final)

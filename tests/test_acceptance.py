@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from mscgossip.cfm import accepts, find_accepting_run, mirror_cfm, oracle_accepts, product, relabel
+from mscgossip.cfm import accepts, find_accepting_run, mirror_cfm, product, relabel
 from mscgossip.constructions import (
     build_fa_label_cfm,
     build_first_label_cfm,
@@ -18,7 +18,7 @@ from mscgossip.constructions import (
     build_preorder_cfm,
     oracle_gossip_annotation,
 )
-from mscgossip.corpus import enumerate_mscs, random_cfm, random_corpus
+from mscgossip.corpus import enumerate_mscs, random_corpus
 from mscgossip.impossibility import (
     FamilyParams,
     build_family_msc,
@@ -60,7 +60,15 @@ from mscgossip.tl import (
     expand_derived,
     format_tl,
 )
-from figures import SIG3, acceptance_formula, fig_flipped, mirror_formula, oracle_rows
+from figures import (
+    SIG3,
+    acceptance_formula,
+    fig_flipped,
+    mirror_formula,
+    oracle_accepts,
+    oracle_rows,
+    random_cfm,
+)
 from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))

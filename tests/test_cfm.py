@@ -20,7 +20,6 @@ from mscgossip.cfm import (
     find_accepting_run,
     is_deterministic,
     mirror_cfm,
-    oracle_accepts,
     product,
     project_annotation,
     relabel,
@@ -32,7 +31,7 @@ from mscgossip.constructions import (
     build_first_label_cfm,
     build_fixpoint_cfm,
 )
-from mscgossip.corpus import enumerate_mscs, random_cfm, random_corpus
+from mscgossip.corpus import enumerate_mscs, random_corpus
 from mscgossip.impossibility import (
     FamilyParams,
     _GuessingQ,
@@ -43,7 +42,7 @@ from mscgossip.impossibility import (
 )
 from mscgossip.msc import ExtendedMsc, Msc, SystemSignature, linearize, mirror_msc
 from mscgossip.paths import PLUS, STAR, f_pair, parse_path, star_prepend
-from figures import SIG3, fig_base, fig_flipped
+from figures import SIG3, fig_base, fig_flipped, oracle_accepts, random_cfm
 from test_impossibility import CLAIMANTS
 
 NAIVE = naive_gossip_cfm()
@@ -74,6 +73,29 @@ def test_cfm_validation():
             SIG2, ["m"], {"p": ["s"], "q": ["s"]}, {"p": "s", "q": "s"},
             [], [("s",)],  # wrong arity
         )
+
+
+_OK_STATES = {"p": ["s"], "q": ["s"]}
+_OK_INITIAL = {"p": "s", "q": "s"}
+
+
+@pytest.mark.parametrize("initial, transitions, accepting, message", [
+    ({"p": "s"}, [], [], "no initial state for process 'q'"),
+    ({"p": "x", "q": "s"}, [], [], "initial state of 'p' not in its state set"),
+    (_OK_INITIAL, [Transition("r", "s", "local", "a", "s")], [],
+     "transition on unknown process 'r'"),
+    (_OK_INITIAL, [Transition("p", "s", "local", "a", "x")], [], "references unknown states"),
+    (_OK_INITIAL, [Transition("p", "s", "local", "zzz", "s")], [], "uses unknown label"),
+    (_OK_INITIAL, [Transition("p", "s", "send", "a", "s", "zz", "q")], [],
+     "uses unknown message"),
+    (_OK_INITIAL, [Transition("p", "s", "send", "a", "s", "m", "r")], [],
+     "references unknown peer"),
+    (_OK_INITIAL, [], [("s",)], r"global tuple \('s',\) has wrong arity"),
+    (_OK_INITIAL, [], [("s", "x")], r"global tuple \('s', 'x'\) uses unknown state for 'q'"),
+])
+def test_cfm_check_names_each_malformation(initial, transitions, accepting, message):
+    with pytest.raises(CfmError, match=message):
+        Cfm(SIG2, ["m"], _OK_STATES, initial, transitions, accepting)
 
 
 # -- the forwarding machine on the 24-event fixture ----------------------------
@@ -116,6 +138,50 @@ def test_validate_run_requires_totality():
     run = find_accepting_run(NAIVE, m)
     del run.assignment["f0"]
     assert any("no transition assigned" in v for v in validate_run(NAIVE, m, run))
+
+
+# p: e1 sends to q, then e2 is local; q: f1 receives; r has no event
+_SEND_SIG = SystemSignature(("p", "q", "r"), ("a", "b"))
+_SEND_MSC = Msc(_SEND_SIG, [("e1", "p", "a"), ("e2", "p", "a"), ("f1", "q", "a")],
+                [("e1", "f1")])
+_SEND_MOVES = {
+    "e1": Transition("p", "s0", "send", "a", "s1", "m", "q"),
+    "e2": Transition("p", "s1", "local", "a", "s1"),
+    "f1": Transition("q", "t0", "recv", "a", "t1", "m", "p"),
+}
+
+
+def _send_cfm(accepting=(("s1", "t1", "v0"),)):
+    states = {"p": ["s0", "s1"], "q": ["t0", "t1"], "r": ["v0"]}
+    initial = {"p": "s0", "q": "t0", "r": "v0"}
+    return Cfm(_SEND_SIG, ["m"], states, initial, _SEND_MOVES.values(), accepting)
+
+
+@pytest.mark.parametrize("event, move, start, message", [
+    ("e1", Transition("q", "s0", "send", "a", "s1", "m", "p"), None,
+     "'e1': transition belongs to process 'q'"),
+    ("e1", Transition("p", "s0", "send", "b", "s1", "m", "q"), None,
+     "'e1': label mismatch ('b' vs 'a')"),
+    ("e1", Transition("p", "s0", "local", "a", "s1"), None,
+     "'e1': event is a send but transition is a local"),
+    (None, None, ("s1", "t0", "v0"), "'e1': first event does not start in the initial state"),
+    ("e2", Transition("p", "s0", "local", "a", "s1"), None,
+     "states do not chain across ('e1', 'e2')"),
+    ("e1", Transition("p", "s0", "send", "a", "s1", "m", "r"), None,
+     "peer processes wrong on ('e1', 'f1')"),
+])
+def test_validate_run_names_each_fault(event, move, start, message):
+    c = _send_cfm()
+    assert validate_run(c, _SEND_MSC, Run(dict(_SEND_MOVES), ("s0", "t0", "v0"))) == []
+    assignment = dict(_SEND_MOVES) if event is None else {**_SEND_MOVES, event: move}
+    assert message in validate_run(c, _SEND_MSC, Run(assignment, start or ("s0", "t0", "v0")))
+
+
+def test_validate_run_names_a_final_tuple_that_is_not_accepting():
+    run = Run(dict(_SEND_MOVES), ("s0", "t0", "v0"))
+    assert validate_run(_send_cfm(accepting=()), _SEND_MSC, run) == [
+        "final tuple ('s1', 't1', 'v0') is not accepting"
+    ]
 
 
 def test_empty_acc_rejects_everything():
@@ -197,45 +263,29 @@ def test_search_matches_bruteforce_oracle():
     assert checked > 100
 
 
+def _renamed(m, rng):
+    """m with its event ids permuted, so that linearize, which breaks ties
+    by event id, searches another order."""
+    ids = list(m.events)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    events = [(new[e], m.loc[e], m.label[e]) for e in m.events]
+    return Msc(m.signature, events, [(new[s], new[r]) for s, r in m.msg]), new
+
+
 def test_acceptance_independent_of_linearization():
     rng = random.Random(9)
-    m = fig_base()
-    base = accepts(NAIVE, m)
-    for _ in range(20):
-        order = _random_linearization(m, rng)
-        assert (find_accepting_run(NAIVE, m, order=order) is not None) == base
-
-
-def test_given_order_must_be_a_linearization():
-    m = fig_flipped()
-    order = list(linearize(m))
-    s, r = m.msg[0]
-    recv_first = [e for e in order if e != s]
-    recv_first.insert(recv_first.index(r) + 1, s)
-    a, b = m.events_of("p")[:2]
-    swapped = [b if e == a else a if e == b else e for e in order]
-    for bad in ([], order[:-1], order + order[:1], order + ["zz"], recv_first, swapped):
-        with pytest.raises(CfmError):
-            find_accepting_run(NAIVE, m, order=bad)
-    assert find_accepting_run(NAIVE, m, order=order) is None
-
-
-def _random_linearization(m, rng):
-    preds = {e: 0 for e in m.events}
-    succs = {e: [] for e in m.events}
-    for a, b in list(m.proc_succ) + list(m.msg):
-        succs[a].append(b)
-        preds[b] += 1
-    ready = [e for e in m.events if preds[e] == 0]
-    out = []
-    while ready:
-        e = ready.pop(rng.randrange(len(ready)))
-        out.append(e)
-        for f in succs[e]:
-            preds[f] -= 1
-            if preds[f] == 0:
-                ready.append(f)
-    return out
+    verdicts = []
+    for m in (fig_base(), fig_flipped()):
+        base = accepts(NAIVE, m)
+        orders = set()
+        for _ in range(20):
+            renamed, new = _renamed(m, rng)
+            back = {v: e for e, v in new.items()}
+            orders.add(tuple(back[e] for e in linearize(renamed)))
+            assert accepts(NAIVE, renamed) == base
+        assert len(orders) >= 15
+        verdicts.append(base)
+    assert verdicts == [True, False]
 
 
 # -- closure operations ---------------------------------------------------------
@@ -297,6 +347,35 @@ def test_product_with_label_filter_rejects():
     assert not accepts(product(NAIVE, no_d), fig_base())
 
 
+def test_product_requires_identical_signatures():
+    with pytest.raises(CfmError, match="product requires identical signatures"):
+        product(universal_cfm(SIG2), NAIVE)
+
+
+def test_product_with_generalized_start_tuples_intersects():
+    # a mirrored machine starts from its generalized start tuples, which the
+    # product pairs with the other machine's start tuple
+    rng = random.Random(19)
+    checked = 0
+    for i in range(6):
+        c1, c2 = mirror_cfm(random_cfm(SIG2, rng)), random_cfm(SIG2, rng)
+        for both in (product(c1, c2), product(c2, c1)):
+            assert both.generalized_initial is not None
+            for m in CORPUS[i * 4 : i * 4 + 4]:
+                assert accepts(both, m) == (accepts(c1, m) and accepts(c2, m))
+                checked += accepts(both, m)
+    assert checked > 0
+
+
+def test_mirror_of_a_machine_without_accepting_tuples_accepts_nothing():
+    c = _send_cfm(accepting=())
+    mc = mirror_cfm(c)
+    assert mc.initial == c.initial
+    assert mc.generalized_initial == frozenset()
+    assert not accepts(mc, mirror_msc(_SEND_MSC))
+    assert accepts(mirror_cfm(_send_cfm()), mirror_msc(_SEND_MSC))
+
+
 def test_mirror_property_random():
     rng = random.Random(31)
     checked = 0
@@ -335,6 +414,8 @@ def test_project_annotation_drops_bit():
     assert set(flat.signature.alphabet) == {"a", "b"}
     m = Msc(SIG2, [("e", "p", "a"), ("f", "q", "b")], [])
     assert accepts(flat, m)
+    with pytest.raises(CfmError, match="alphabet is not a product of pairs"):
+        project_annotation(universal_cfm(SIG2))
 
 
 # -- lazy machines ---------------------------------------------------------------
@@ -393,6 +474,13 @@ def test_detach_inverts_attach():
         assert back.base.loc == m.loc and back.base.label == m.label
         assert back.base.msg == m.msg
         assert back.annot == annot
+    with pytest.raises(CfmError, match="event 'e' does not carry a \\(label, annot\\) pair"):
+        detach_annotation(Msc(SIG2, [("e", "p", "a")], []))
+
+
+def test_search_requires_the_msc_processes():
+    with pytest.raises(CfmError, match="machine and MSC have different process sets"):
+        find_accepting_run(universal_cfm(SIG2), fig_base())
 
 
 # -- the move table against the search that steps at every node -----------------
@@ -411,6 +499,7 @@ def _reference_search(machine, m, budget=DEFAULT_BUDGET, final_rule=True):
     final_ok = machine._final if final_rule and isinstance(machine, LazyCfm) else None
     order = linearize(m)
     pidx = {p: i for i, p in enumerate(machine.signature.processes)}
+    last = {es[-1] for p in pidx if (es := m.events_of(p))}
     channel = {}
     for s, r in m.msg:
         channel.setdefault((m.loc[s], m.loc[r]), len(channel))
@@ -426,7 +515,7 @@ def _reference_search(machine, m, budget=DEFAULT_BUDGET, final_rule=True):
         k, p, kind, peer, label, c = shapes[i]
         msg_in = chans[c][0] if kind == "recv" else None
         moves = machine.step(p, states[k], kind, label, peer, msg_in)
-        if final_ok is not None and m.proc_succ_of(order[i]) is None:
+        if final_ok is not None and order[i] in last:
             moves = (mv for mv in moves if final_ok(p, mv[0]))
         return iter(moves)
 

@@ -1,25 +1,29 @@
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from mscgossip.cfm import Transition, Cfm, cfm_to_json, oracle_accepts, universal_cfm
+from mscgossip.cfm import Transition, Cfm, cfm_to_json, universal_cfm
 from mscgossip.cli import (
     CorpusSpec,
     RunReport,
     dispatch,
     generate_corpus,
+    main,
     search_with_report,
 )
 from mscgossip.corpus import random_corpus, random_msc
+from mscgossip.impossibility import FamilyParams, build_family_msc
 from mscgossip.msc import Msc, SystemSignature, is_valid, msc_to_json, validate_msc
 from mscgossip.paths import parse_path, format_path
 from mscgossip.tl import MAX_DEPTH, parse_tl, format_tl
-from figures import SIG3, fig_base, fig_flipped
+from figures import SIG3, fig_base, fig_flipped, oracle_accepts
 from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
@@ -106,6 +110,15 @@ def test_msc_validate_and_dot(fig_file, capsys):
     assert out.count('"e0"') >= 2 and "digraph" in out
 
 
+def test_msc_dot_shows_an_annotation(tmp_path, capsys):
+    m = fig_flipped()
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps(msc_to_json(m, {e: f"x{e}" for e in m.events})))
+    assert dispatch(["msc", "dot", str(path)]) == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert '"e0" [label="e0\\nb\\nxe0"];' in lines
+
+
 def test_msc_validate_broken(tmp_path, capsys):
     obj = msc_to_json(fig_flipped())
     obj["messages"].append(["f7", "e0"])  # cycle
@@ -135,7 +148,7 @@ def test_invalid_msc_input_exits_2(tmp_path, capsys):
     assert dispatch(["msc", "validate", str(path)]) == 1
     assert dispatch(["gossip", "check", str(path)]) == 2
     assert dispatch(["tl", "check", str(path), "--formula", "a"]) == 2
-    assert dispatch(["path", "last", str(path), "--path", "->", "--event", "f2"]) == 2
+    assert dispatch(["path", "last", str(path), "--path=->", "--event", "f2"]) == 2
     assert "FIFO" in capsys.readouterr().err
 
 
@@ -151,11 +164,11 @@ def _malformed_msc(case):
 
 
 MSC_VERBS = [
-    ["msc", "validate"], ["msc", "dot"], ["path", "eval", "--path", "->"],
-    ["path", "last", "--path", "->", "--event", "e1"],
-    ["path", "first", "--path", "->", "--event", "e1"],
-    ["path", "fpair", "--path", "->", "--path2", "->", "--event", "e1"],
-    ["path", "compare", "--path", "->", "--event", "e1"],
+    ["msc", "validate"], ["msc", "dot"], ["path", "eval", "--path=->"],
+    ["path", "last", "--path=->", "--event", "e1"],
+    ["path", "first", "--path=->", "--event", "e1"],
+    ["path", "fpair", "--path=->", "--path2=->", "--event", "e1"],
+    ["path", "compare", "--path=->", "--event", "e1"],
     ["gossip", "annotate"], ["gossip", "check"], ["gossip", "build"],
     ["tl", "eval", "--formula", "a"], ["tl", "compile", "--formula", "a"],
     ["tl", "check", "--formula", "a"],
@@ -170,6 +183,7 @@ def test_malformed_msc_json_exits_2(case, tmp_path, capsys):
     cfm_path.write_text(json.dumps(cfm_to_json(CLAIMANTS["echo"])))
     for verb in MSC_VERBS:
         assert dispatch(verb[:2] + [str(path)] + verb[2:]) == 2, verb
+        assert "must be" in capsys.readouterr().err, verb
     assert dispatch(["cfm", "run", str(cfm_path), str(path)]) == 2
     assert "must be" in capsys.readouterr().err
 
@@ -239,7 +253,10 @@ def test_path_queries(fig_file, capsys):
     assert len(leq) == 3
     assert dispatch(["path", "last", fig_file, "--path", "msg(p,zz)",
                      "--event", "f5"]) == 2
-    assert dispatch(["path", "last", fig_file, "--path", "->", "--event", "zz"]) == 2
+    capsys.readouterr()
+    for verb in ("last", "compare"):
+        assert dispatch(["path", verb, fig_file, "--path=->", "--event", "zz"]) == 2
+        assert capsys.readouterr().err == "error: unknown event 'zz'\n"
 
 
 def test_cfm_run_and_accepts(tmp_path, capsys):
@@ -358,6 +375,33 @@ def test_gossip_build_rejects_mixed_signatures(tmp_path, capsys):
     assert str(b) in capsys.readouterr().err
 
 
+FAMILY_ARGV = ["impossible", "family", "--n", "1", "--k", "0"]
+
+
+FAMILY_JSON = msc_to_json(build_family_msc(FamilyParams(1, 0)))
+
+
+def test_main_exits_with_the_verb_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mscgossip", *FAMILY_ARGV])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out) == FAMILY_JSON
+
+
+@pytest.mark.parametrize("module", ["mscgossip", "mscgossip.cli"])
+def test_the_package_and_its_cli_module_run_as_scripts(module, monkeypatch, capsys):
+    # in process, as ``python -m MODULE``; the cli module is imported
+    # already, which runpy warns about
+    monkeypatch.setattr(sys, "argv", [module, *FAMILY_ARGV])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out) == FAMILY_JSON
+
+
 def run_module(*args, hash_seed="0", module="mscgossip"):
     """``python -m MODULE ARGS`` in a fresh interpreter, without an install."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -451,6 +495,18 @@ def test_tl_formula_on_an_unknown_process_is_an_input_error(text, tmp_path, caps
 def test_tl_expand_refuses_an_expansion_beyond_the_depth_bound(capsys):
     assert dispatch(["tl", "expand", "--formula", "O_p " * 12 + "a"]) == 2
     assert "once expanded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["check", "compile", "expand"])
+@pytest.mark.parametrize("text", ["O_p " * 12 + "a", "X_p " * 40 + "a"])
+def test_tl_verbs_refuse_an_expansion_beyond_the_depth_bound_alike(verb, text, tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(msc_to_json(Msc(SIG2, [("e1", "p", "a")], []))))
+    argv = ["tl", verb] + ([] if verb == "expand" else [str(path)]) + ["--formula", text]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: formula nests deeper than {MAX_DEPTH} levels once expanded\n"
+    )
 
 
 def test_corpus_gen_cli(tmp_path):

@@ -58,8 +58,17 @@ from mscgossip.constructions import (
     replay,
     trie_maps,
 )
-from mscgossip.corpus import random_corpus, random_msc
-from mscgossip.msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize, mirror_msc
+from mscgossip.corpus import enumerate_mscs, random_corpus, random_msc
+from mscgossip.msc import (
+    BOTTOM,
+    TOP,
+    ExtendedMsc,
+    Msc,
+    SystemSignature,
+    causal_leq,
+    linearize,
+    mirror_msc,
+)
 from mscgossip.paths import (
     EPS,
     PLUS,
@@ -1261,26 +1270,56 @@ def test_gossip_search_route_single_process():
     assert ext.annot["e"] == (None,)
     assert find_accepting_run(mach, encode(m, ext.annot)) is not None
     assert find_accepting_run(mach, encode(m, {"e": ("a",)})) is None
+    # an annotation that is not one value per process has no move
+    for bad in ("a", ("a", "b")):
+        assert find_accepting_run(mach, encode(m, {"e": bad})) is None
 
 
 # -- canonical states and reporting --------------------------------------------
 
 
-def test_canonical_coloring_is_valid():
-    m = fig_flipped()
-    star_pi2 = star_prepend(PI2)
-    zeta = canonical_coloring(m, "q", PI, star_pi2)
-    bits = fixpoint_bits(m, PI, star_pi2)
-    targets = fa_target(m, PI, star_pi2)
-    real = [zeta[e] for e in m.events_of("q") if bits[e]]
+def _check_coloring(m, q, pi, pi2) -> Counter:
+    """Assert that fa is monotone along q where defined and that the
+    canonical coloring is valid: bit-1 q-events alternate c1/c2, bit-0
+    q-events are hatted and differ from a bit-0 q-target.  Counts the
+    bit-0 → bit-0 edges by the target's side."""
+    zeta = canonical_coloring(m, q, pi, pi2)
+    bits = fixpoint_bits(m, pi, pi2)
+    targets = fa_target(m, pi, pi2)
+    qs = m.events_of(q)
+    defined = [targets[e] for e in qs if targets[e] in m.loc]
+    assert all(causal_leq(m, a, b) for a, b in zip(defined, defined[1:]))
+    real = [zeta[e] for e in qs if bits[e]]
     assert all(c in ("c1", "c2") for c in real)
     assert all(a != b for a, b in zip(real, real[1:]))
-    for e in m.events_of("q"):
-        if not bits[e]:
-            assert zeta[e] in ("z1", "z2")
-            t = targets[e]
-            if isinstance(t, str) and t in zeta and m.loc.get(t) == "q":
-                assert zeta[e] != zeta[t] or bits[t]
+    edges = Counter()
+    for i, e in enumerate(qs):
+        if bits[e]:
+            continue
+        assert zeta[e] in ("z1", "z2")
+        t = targets[e]
+        if t in m.loc and m.loc[t] == q and not bits[t]:
+            assert zeta[e] != zeta[t]
+            edges["later" if qs.index(t) > i else "earlier"] += 1
+    return edges
+
+
+def test_canonical_coloring_is_valid():
+    edges = _check_coloring(fig_flipped(), "q", PI, star_prepend(PI2))
+    # every MSC shape with k=2 and at most 6 events or k=3 and at most 5,
+    # over every closure pair of every gossip family, as the PreorderCores
+    # of build_gossip_cfm run them
+    for k, size in ((2, 6), (3, 5)):
+        sig = SystemSignature(("p", "q", "r")[:k], ("a",))
+        pairs = _gossip_plan(sig)[0]
+        for m in enumerate_mscs(sig, size):
+            for _, q, fam in pairs:
+                clos = closure_with_star(fam)
+                for prepend in (star_prepend, plus_prepend):
+                    for a in clos:
+                        for b in clos:
+                            edges += _check_coloring(m, q, a, prepend(b))
+    assert edges["later"] > 0 and edges["earlier"] > 0
 
 
 def test_fix_core_drives_canonical_run():
@@ -1298,6 +1337,32 @@ def test_fixpoint_replay_names_a_flipped_bit():
         with pytest.raises(ReplayError) as err:
             replay(mach, ExtendedMsc(m, {**ann, e: 1 - ann[e]}))
         assert err.value.event == e
+
+
+def test_replay_names_the_final_check():
+    # a final test that rejects the canonical run's last states stops the
+    # replay after its last event
+    mach = build_fixpoint_cfm("p", "q", PI, star_prepend(PI2))
+    m = fig_flipped()
+    replayed(mach, m)
+    mach._final = lambda p, state: p != "q"
+    with pytest.raises(ReplayError, match=r"^fixpoint.*: replay fails at the final check$") as err:
+        replay(mach, ExtendedMsc(m, mach.annotate(m)))
+    assert err.value.event is None
+
+
+def test_a_label_machine_has_no_canonical_states():
+    mach = build_last_label_cfm(("a", "b"), PI)
+    with pytest.raises(NotImplementedError, match=r"has no canonical-state pass$"):
+        mach.canonical_states(fig_flipped())
+
+
+def test_annotation_machines_refuse_unpaired_labels_and_claims():
+    m = fig_flipped()
+    with pytest.raises(ValueError, match="^expected \\(label, annotation\\) pairs, got 'b'$"):
+        find_accepting_run(build_fixpoint_cfm("p", "q", PI, star_prepend(PI2)), m)
+    with pytest.raises(ValueError, match="^annotation at 'e0' is not a \\(ξ1, ξ2\\) pair$"):
+        build_last_label_cfm(("a", "b"), PI).decide(ExtendedMsc(m, dict(m.label)))
 
 
 def test_state_report_monotone_in_path_size():

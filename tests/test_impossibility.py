@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mscgossip import impossibility
 from mscgossip.cfm import (
     BudgetExhausted,
     Cfm,
@@ -23,7 +24,15 @@ from mscgossip.impossibility import (
     refute_deterministic,
     splice_family_msc,
 )
-from mscgossip.msc import Msc, MscError, is_valid, last_on_process, msc_to_json, validate_msc
+from mscgossip.msc import (
+    Msc,
+    MscError,
+    SystemSignature,
+    is_valid,
+    last_on_process,
+    msc_to_json,
+    validate_msc,
+)
 
 
 def test_family_params_validation():
@@ -33,6 +42,20 @@ def test_family_params_validation():
         FamilyParams(3, 3)
     with pytest.raises(MscError):
         FamilyParams(3, -1)
+
+
+def test_family_self_checks_name_a_drifted_construction(monkeypatch):
+    # the family's labels are checked against their closed form and the MSC
+    # against the axioms; a drifted construction fails the checks by name
+    spec = impossibility.q_label_spec
+    monkeypatch.setattr(impossibility, "q_label_spec", lambda m: dict.fromkeys(spec(m), "a"))
+    drifted = r"^family labels disagree with closed form at f0 \(n=3, k=1\)$"
+    with pytest.raises(AssertionError, match=drifted):
+        build_family_msc(FamilyParams(3, 1))
+    monkeypatch.setattr(impossibility, "q_label_spec", spec)
+    monkeypatch.setattr(impossibility, "validate_msc", lambda m: ["drifted"])
+    with pytest.raises(AssertionError, match=r"^family MSC invalid: \['drifted'\]$"):
+        build_family_msc(FamilyParams(3, 1))
 
 
 def test_family_52_matches_drawn_instance():
@@ -213,6 +236,13 @@ def test_refute_nondeterministic_verdict():
     t.append(Transition("q", "q0", "local", "a", "q1"))
     nd = Cfm(GOSSIP_SIG, ["m"], states, c.initial, t, c.accepting)
     assert refute_deterministic(nd).verdict == "not-deterministic"
+
+
+def test_refute_needs_processes_p_q_r():
+    sig = SystemSignature(("p", "q"), ("a", "b", "d"))
+    c = Cfm(sig, ["m"], {"p": ["s"], "q": ["s"]}, {"p": "s", "q": "s"}, [], [("s", "s")])
+    with pytest.raises(ValueError, match="^claimant lacks process 'r'$"):
+        refute_deterministic(c)
 
 
 def test_refute_empty_acceptance():

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -41,6 +42,14 @@ def test_signature_rejects_duplicates():
         SystemSignature(("p", "p"), ("a",))
     with pytest.raises(MscError):
         SystemSignature(("p",), ())
+    with pytest.raises(MscError, match="sentinels cannot be alphabet members"):
+        SystemSignature(("p",), ("a", BOTTOM))
+
+
+def test_proc_index_names_an_unknown_process():
+    assert SIG2.proc_index("q") == 1
+    with pytest.raises(MscError, match="unknown process 'z'"):
+        SIG2.proc_index("z")
 
 
 def test_valid_simple():
@@ -58,6 +67,11 @@ def test_unknown_process_and_label():
     errs = validate_msc(m)
     assert any("unknown process" in v for v in errs)
     assert any("outside the alphabet" in v for v in errs)
+
+
+def test_message_endpoint_must_be_an_event():
+    m = mk([("e", "p", "a")], [("e", "zz")])
+    assert "message endpoint 'zz' is not an event" in validate_msc(m)
 
 
 def test_message_same_process_rejected():
@@ -108,6 +122,10 @@ def test_causal_sentinels():
     assert not causal_leq(m, TOP, "e0")
     assert not causal_leq(m, "e0", BOTTOM)
     assert causal_leq(m, BOTTOM, BOTTOM) and causal_leq(m, TOP, TOP)
+    # the sentinels print by name and are never copied
+    assert (repr(BOTTOM), repr(TOP)) == ("BOTTOM", "TOP")
+    assert copy.deepcopy([BOTTOM, TOP]) == [BOTTOM, TOP]
+    assert copy.deepcopy(BOTTOM) is BOTTOM
 
 
 def test_causal_order_fig():
@@ -158,6 +176,10 @@ def test_last_on_process_fig():
     # strictness: the event itself does not count
     assert last_on_process(m, "q", "f0") is BOTTOM
     assert last_on_process(m, "q", "f3") == "f2"
+    with pytest.raises(MscError, match="unknown process 'z'"):
+        last_on_process(m, "z", "f3")
+    with pytest.raises(MscError, match="unknown event id 'zz'"):
+        last_on_process(m, "q", "zz")
 
 
 @settings(max_examples=100, deadline=None)
@@ -265,6 +287,8 @@ def test_extended_requires_full_annotation():
     m = fig_base()
     with pytest.raises(MscError):
         ExtendedMsc(m, {"e0": 1})
+    with pytest.raises(MscError, match="extended MSC requires an 'annot' field per event"):
+        extended_msc_from_json(msc_to_json(m))
 
 
 def test_export_dot_mentions_everything():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mscgossip.corpus import random_corpus
-from mscgossip.msc import BOTTOM, TOP, causal_leq, causal_lt
+from mscgossip.msc import BOTTOM, TOP, MscError, causal_leq, causal_lt
 from mscgossip.paths import (
     EPS,
     PLUS,
@@ -26,7 +26,6 @@ from mscgossip.paths import (
     gossip_paths_between,
     last,
     parse_path,
-    path_size,
     plus_prepend,
     preorder_at,
     star_append,
@@ -49,6 +48,8 @@ def test_parse_and_format_roundtrip():
         assert parse_path(format_path(pi), SIG3) == pi
     assert parse_path("eps") == EPS
     assert format_path(EPS) == "eps"
+    # trailing blanks end the input
+    assert parse_path("msg(p,q) ->*  ", SIG3) == PI
 
 
 def test_plus_is_sugar():
@@ -138,6 +139,9 @@ def test_last_first_fig():
     assert first(m, PI, "e2") == "f1"
     assert first(m, PI2, "e7") == "f7"
     assert first(m, PI2, "e2") is TOP  # e2 sends to q, not r
+    for query in (last, first):
+        with pytest.raises(MscError, match="unknown event id 'zz'"):
+            query(m, PI, "zz")
 
 
 def test_f_pair_frozen_values():
@@ -160,6 +164,11 @@ def test_f_pair_requires_shared_comp():
         f_pair(m, PI, parse_path("msg(p,r) ->*", SIG3), "f0")
 
 
+def _maxima(po):
+    """The paths of ``po`` that every path is ⪯ to."""
+    return tuple(a for a in po.paths if all(po.holds(b, a) for b in po.paths))
+
+
 def test_preorder_fig_row():
     m = fig_flipped()
     expect_strict_pi2 = {"f0", "f1", "f2", "f6"}  # π' ≺ π there, π ⪯ π' elsewhere
@@ -169,10 +178,10 @@ def test_preorder_fig_row():
         if e in expect_strict_pi2:
             assert po.strictly(PI2, PI)
             assert po.holds(PI2, PI) and not po.holds(PI, PI2)
-            assert po.maxima() == (PI,)
+            assert _maxima(po) == (PI,)
         else:
             assert po.holds(PI, PI2)
-            assert po.maxima()[-1] == PI2
+            assert _maxima(po)[-1] == PI2
 
 
 # -- properties against brute force ------------------------------------------
@@ -210,12 +219,15 @@ def test_monotone_last_along_star():
 def test_monotone_f_pair():
     for m in CORPUS[:10]:
         star_pi2 = star_prepend(PI2)
-        for e in m.events_of("q"):
-            f = m.proc_succ_of(e)
-            if f is None:
-                continue
+        es = m.events_of("q")
+        for e, f in zip(es, es[1:]):
             a, b = f_pair(m, PI, star_pi2, e), f_pair(m, PI, star_pi2, f)
             assert causal_leq(m, a, b)
+
+
+def test_preorder_needs_paths_that_end_on_the_event_process():
+    with pytest.raises(PathError, match="cannot end on process p"):
+        preorder_at(fig_flipped(), [PI, PI2], "e0")
 
 
 def test_preorder_is_total_preorder():
@@ -230,7 +242,7 @@ def test_preorder_is_total_preorder():
                     for c in paths:
                         if po.holds(a, b) and po.holds(b, c):
                             assert po.holds(a, c)
-            assert po.maxima()
+            assert _maxima(po)
 
 
 def test_preorder_matches_causal_comparison():
@@ -251,6 +263,8 @@ def test_gossip_paths_between():
     assert len(pq) == 2  # direct and via r
     texts = {format_path(pi) for pi in pq}
     assert texts == {"->* msg(p,q) ->*", "->* msg(p,r) ->* msg(r,q) ->*"}
+    with pytest.raises(PathError, match="unknown process"):
+        gossip_paths_between(SIG3, "p", "z")
 
 
 def test_gossip_paths_full_family():
@@ -258,8 +272,9 @@ def test_gossip_paths_full_family():
     # 3 same-process (all equal ->+, deduplicated to 1) + 6 ordered pairs * 2
     assert len(fam) == 13
     assert PLUS in fam
-    assert path_size([PLUS]) == 2
-    assert path_size(fam) == 2 + 6 * (3 + 5)
+    # ‖Π‖, the total symbol count
+    assert len(PLUS) == 2
+    assert sum(map(len, fam)) == 2 + 6 * (3 + 5)
 
 
 def test_gossip_paths_lists_each_path_once_in_first_order():

@@ -1,6 +1,7 @@
 import functools
 import random
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,28 @@ def test_parse_errors_are_positioned():
         with pytest.raises(TlError) as exc:
             parse_tl(bad)
         assert "position" in str(exc.value)
+
+
+def test_parse_ends_at_trailing_blanks_and_refuses_trailing_input():
+    assert parse_tl("a S b  ") == parse_tl("a S b")
+    with pytest.raises(TlError, match="^syntax error at position 1: trailing input$"):
+        parse_tl("a(b)")
+
+
+@dataclass(frozen=True)
+class _Odd(tl.TlFormula):
+    """A formula node that no pass of the logic knows."""
+
+
+@pytest.mark.parametrize("run", [
+    tl.format_tl,
+    tl.expand_derived,
+    lambda phi: eval_tl(ONE_EVENT, phi),
+    lambda phi: tl._make_machine(phi, SIG2),
+])
+def test_an_unknown_formula_node_is_refused(run):
+    with pytest.raises(TlError, match=r"^(unknown formula node|cannot compile) _Odd\(\)$"):
+        run(_Odd())
 
 
 def _nested(depth: int, wrap) -> "tl.TlFormula":
@@ -354,6 +377,17 @@ def test_compile_propositional_search_route():
             assert find_accepting_run(mach, attach_annotation(ExtendedMsc(m, bad))) is None
 
 
+def test_since_machine_accepts_the_empty_msc_by_its_final_test():
+    # with no event to step, the search's closing check alone decides,
+    # and it reads every part's final test
+    mach = compile_tl(Since(Atom("a"), Atom("b")), SIG2)
+    empty = attach_annotation(ExtendedMsc(Msc(SIG2, [], []), {}))
+    stats = {}
+    run = find_accepting_run(mach, empty, stats=stats)
+    assert run is not None and run.assignment == {}
+    assert stats == {"visited": 1, "steps": 0, "pruned": 0}
+
+
 def test_compile_since_matches_oracle():
     phi = Since(Or(Atom("a"), Atom("b")), Atom("a"))
     mach = compile_tl(phi, SIG2)
@@ -587,6 +621,18 @@ def test_check_translation_names_the_first_disagreeing_event(monkeypatch):
     assert diffs[0] == "correct annotation rejected at 'e1': oracle 0, machine 1"
 
 
+def test_check_translation_names_an_accepted_mutation(monkeypatch):
+    # an oracle that is wrong at e2: the machine rejects its bits there
+    # and accepts the mutation there, which is the right annotation
+    m = Msc(SIG2, [("e1", "p", "b"), ("e2", "p", "a")], [])
+    eval_right = tl.eval_tl
+    monkeypatch.setattr(tl, "eval_tl", lambda m, phi: {**eval_right(m, phi), "e2": False})
+    assert check_translation(Atom("a"), m) == (False, [
+        "correct annotation rejected at 'e2': oracle 0, machine 1",
+        "mutation at 'e2' accepted",
+    ])
+
+
 def test_check_translation_reports_unsupported():
     with pytest.raises(TlError):
         check_translation(Co(Atom("a")), CORPUS[0])
@@ -672,6 +718,35 @@ def test_tl_annotation_memo_is_per_formula_not_per_text():
     assert format_tl(Atom(1)) == format_tl(Atom("1"))
     assert compile_tl(Atom(1), sig).annotate(m) == {"e": 1, "f": 0}
     assert compile_tl(Atom("1"), sig).annotate(m) == {"e": 0, "f": 1}
+
+
+def test_a_shared_subformula_is_compiled_once(monkeypatch):
+    # Up_p's expansion holds its left operand twice as one object: each
+    # object is walked once, so the walk is linear in the distinct objects,
+    # not exponential in the nesting
+    calls = []
+    compile_core = tl._compile_core
+
+    def counted(phi, *args):
+        calls.append(id(phi))
+        return compile_core(phi, *args)
+
+    monkeypatch.setattr(tl, "_compile_core", counted)
+    phi = _nested(9, lambda f: UntilOn("p", f, Atom("b")))
+    core = expand_derived(phi)
+    nodes, edges, todo = set(), 0, [core]
+    while todo:
+        f = todo.pop()
+        if id(f) not in nodes:
+            nodes.add(id(f))
+            subs = [getattr(f, name) for name in ("sub", "left", "right") if hasattr(f, name)]
+            edges += len(subs)
+            todo += subs
+    compile_tl(phi, SIG2)
+    assert len(set(calls)) == len(nodes)
+    assert len(calls) == edges + 1 < 2 ** 8
+    for m in (ONE_EVENT, *CORPUS[:3]):
+        assert check_translation(phi, m) == (True, [])
 
 
 def test_equal_subformulas_share_one_machine(monkeypatch):
