@@ -291,125 +291,160 @@ def find_accepting_run(
     channel head, so the machine is stepped once per such key: a move table
     keeps the moves pulled so far from each step, every node with the key
     reads them in the same order, and a step is pulled further only when a
-    node needs more of it.  The ``failed`` memo and the move table are local
-    to the call and hold at most ``budget`` keys each: a node's frame is
-    pushed only after the node is counted against the budget, each popped
-    frame adds one failed key, and each frame adds at most one table entry.
-    The path is kept on an explicit stack, one frame per event, so the depth
-    is not bounded by the interpreter's recursion limit.
+    node needs more of it.
+
+    The path is one mutable frame per event index: the node's states and
+    channels, its move-table entry, a cursor into the entry's moves, the
+    transition taken there and, fixed per event, the process whose final
+    test applies there.  Moves are read by index, so a node costs no
+    iterator, and the run returned is read off the frames.  As the frames
+    are a list and not the interpreter's stack, the depth is not bounded by
+    the recursion limit.  Failed nodes are kept per event index, a set of
+    (states, channels) keys made at that index's first failure, so a node's
+    key is hashed only where its index has a failure on record, and a
+    search that never backtracks hashes none.  The failure memo and the
+    move table are local to the call and hold at most ``budget`` keys each:
+    a node's frame is filled only after the node is counted against the
+    budget, each frame given up adds one failed key, and each filled frame
+    adds at most one table entry.
 
     On a ``LazyCfm``, which accepts process by process (``final_ok`` of
     each process's final state), a move at a process's last event whose
     new state fails that process's final test is dropped as if the step had
-    not yielded it: it is never pushed, visited or remembered as failed.
+    not yielded it: it is never taken, visited or remembered as failed.
     No later event changes that process's state, so every run through the
     move ends in a tuple the machine rejects, and as the moves kept are
     tried in the same order, the run returned is the one found without the
     rule.  The closing acceptance check stays, for processes without
-    events.  Explicit ``Cfm``s and other machines with global acceptance
-    drop nothing.
+    events.  Both ask ``final_ok`` through a memo local to the call, once
+    per (process, state); it holds at most one answer per move in the move
+    table and per start state.  Explicit ``Cfm``s and other machines with
+    global acceptance drop nothing.
 
     Raises BudgetExhausted when a node beyond the first ``budget`` would be
     visited before resolution.  When a ``stats`` dict is supplied, the number
     of nodes visited (at most ``budget``) is written into it as ``visited``,
     the number of machine steps started, one per table entry, as
-    ``steps``, and the number of moves dropped at last events as ``pruned``.
+    ``steps``, and the number of moves dropped at last events, once per
+    node that reads one, as ``pruned``.
     """
     if machine.signature is None:
         # signature-generic lazy machine: adopt the MSC's processes
         machine = machine.with_signature(m.signature)
-    if machine.signature.processes != m.signature.processes:
+    procs = machine.signature.processes
+    if procs != m.signature.processes:
         raise CfmError("machine and MSC have different process sets")
     order = linearize(m)
-    pidx = {p: i for i, p in enumerate(machine.signature.processes)}
+    n = len(order)
+    pidx = {p: i for i, p in enumerate(procs)}
     # a machine that accepts process by process has its moves at each
     # process's last event checked against that process's final test
     final_ok = machine._final if isinstance(machine, LazyCfm) else None
     final_at = {} if final_ok is None else {es[-1]: p for p in pidx if (es := m.events_of(p))}
+    answers: dict[tuple, bool] = {}
+
+    def passes(p, state) -> bool:
+        ok = answers.get((p, state))
+        if ok is None:
+            ok = answers[p, state] = bool(final_ok(p, state))
+        return ok
+
+    if final_ok is None:
+        accepting = machine.is_accepting
+    else:
+        def accepting(final):
+            return all(passes(p, s) for p, s in zip(procs, final))
+
     # channel contents are one tuple of queues, one per channel the MSC
     # uses, in a fixed order, so that the tuple itself is part of a node key
-    channel = {}
+    loc = m.loc
+    channel: dict[tuple, int] = {}
     for s, r in m.msg:
-        channel.setdefault((m.loc[s], m.loc[r]), len(channel))
-    # per event in the order searched: (process index, kind, channel index,
-    # shape id, the process if its final test applies there);
-    # shapes[shape id] is (process, kind, label, peer) and
-    # tables[shape id] maps (state, channel head) to [moves pulled, step or
-    # None once exhausted]
-    recv_of, send_of = m.recv_of, m.send_of
-    shape_ids: dict[tuple, int] = {}
+        channel.setdefault((loc[s], loc[r]), len(channel))
+    # per event in the order searched, shared by the events of one shape
+    # (process, kind, label, peer): (process index, kind, channel index,
+    # move table, process, label, peer); a move table maps (state, channel
+    # head) to [moves pulled, step or None once exhausted]
+    recv_of, send_of, label_of = m.recv_of, m.send_of, m.label
+    shapes: dict[tuple, tuple] = {}
     events = []
     for e in order:
-        p = m.loc[e]
+        p = loc[e]
         if e in recv_of:
-            kind, peer = "send", m.loc[recv_of[e]]
-            c = channel[(p, peer)]
+            shape = (p, "send", label_of[e], loc[recv_of[e]])
         elif e in send_of:
-            kind, peer = "recv", m.loc[send_of[e]]
-            c = channel[(peer, p)]
+            shape = (p, "recv", label_of[e], loc[send_of[e]])
         else:
-            kind, peer, c = "local", None, None
-        sid = shape_ids.setdefault((p, kind, m.label[e], peer), len(shape_ids))
-        events.append((pidx[p], kind, c, sid, final_at.get(e)))
-    shapes = list(shape_ids)
-    tables: list[dict] = [{} for _ in shapes]
+            shape = (p, "local", label_of[e], None)
+        ev = shapes.get(shape)
+        if ev is None:
+            _, kind, label, peer = shape
+            # a local event's (None, p) is no channel: c is None
+            c = channel.get((p, peer) if kind == "send" else (peer, p))
+            ev = shapes[shape] = (pidx[p], kind, c, {}, p, label, peer)
+        events.append(ev)
+    # frames[i]: [states, channels, move-table entry, cursor, transition
+    # taken, final process, process index, kind, channel index] of the node
+    # at event i on the current path
+    frames = [
+        [None, None, None, 0, None, final_at.get(e), ev[0], ev[1], ev[2]]
+        for e, ev in zip(order, events)
+    ]
+    failed: list[Optional[set]] = [None] * n
     visited = steps = pruned = 0
-    failed: set[tuple[int, tuple, tuple]] = set()
-
-    def final_moves(moves, p):
-        nonlocal pruned
-        for move in moves:
-            if final_ok(p, move[0]):
-                yield move
-            else:
-                pruned += 1
 
     try:
         for start in machine.initial_tuples():
-            # stack[i]: (key, states, channels, untried moves) of the node at
-            # event i on the current path; path[i]: the transition taken there
-            stack: list[tuple] = []
-            path: list[Transition] = []
             states, chans = tuple(start), ((),) * len(channel)
+            depth = 0  # frames on the path; the node reached is at event depth
             while True:
                 if visited == budget:
                     raise BudgetExhausted(budget)
                 visited += 1
-                i = len(stack)
-                if i == len(order):
-                    if not any(chans) and machine.is_accepting(states):
-                        return Run(assignment=dict(zip(order, path)), start=tuple(start))
+                if depth == n:
+                    if not any(chans) and accepting(states):
+                        return Run({e: fr[4] for e, fr in zip(order, frames)}, tuple(start))
+                elif (f := failed[depth]) is None or (states, chans) not in f:
+                    k, kind, c, table, p, label, peer = events[depth]
+                    # a receive's queue is not empty: its send comes first
+                    situation = (states[k], chans[c][0] if kind == "recv" else None)
+                    entry = table.get(situation)
+                    if entry is None:
+                        steps += 1
+                        step = machine.step(p, situation[0], kind, label, peer, situation[1])
+                        entry = table[situation] = [[], iter(step)]
+                    frames[depth][:4] = states, chans, entry, 0
+                    depth += 1
+                # the next move of the deepest frame that has one left
+                while depth:
+                    frame = frames[depth - 1]
+                    states, chans, entry, j, _, fin, k, kind, c = frame
+                    moves = entry[0]
+                    while True:
+                        if j == len(moves):
+                            # the entry's moves are read: pull its step further
+                            move = None if entry[1] is None else next(entry[1], None)
+                            if move is None:
+                                entry[1] = None
+                                break
+                            moves.append(move)
+                        else:
+                            move = moves[j]
+                        j += 1
+                        if fin is None or passes(fin, move[0]):
+                            break
+                        pruned += 1
+                    if move is not None:
+                        break
+                    depth -= 1
+                    if (f := failed[depth]) is None:
+                        failed[depth] = {(states, chans)}
+                    else:
+                        f.add((states, chans))
                 else:
-                    key = (i, states, chans)
-                    if key not in failed:
-                        k, kind, c, sid, fin = events[i]
-                        # a receive's queue is not empty: its send comes first
-                        situation = (states[k], chans[c][0] if kind == "recv" else None)
-                        entry = tables[sid].get(situation)
-                        if entry is None:
-                            steps += 1
-                            p, _, label, peer = shapes[sid]
-                            state, msg_in = situation
-                            step = iter(machine.step(p, state, kind, label, peer, msg_in))
-                            entry = tables[sid][situation] = [[], step]
-                        untried = iter(entry[0]) if entry[1] is None else _pull(entry)
-                        if fin is not None:
-                            untried = final_moves(untried, fin)
-                        stack.append((key, states, chans, untried))
-                move = None
-                while stack and move is None:
-                    key, states, chans, untried = stack[-1]
-                    move = next(untried, None)
-                    if move is None:
-                        stack.pop()
-                        failed.add(key)
-                if move is None:
                     break
-                i = len(stack) - 1
-                k, kind, c, _, _ = events[i]
-                new_state, msg_out, t = move
-                del path[i:]
-                path.append(t)
+                frame[3] = j
+                new_state, msg_out, frame[4] = move
                 states = states[:k] + (new_state,) + states[k + 1 :]
                 if kind == "send":
                     chans = chans[:c] + (chans[c] + (msg_out,),) + chans[c + 1 :]
@@ -421,23 +456,6 @@ def find_accepting_run(
             stats["visited"] = visited
             stats["steps"] = steps
             stats["pruned"] = pruned
-
-
-def _pull(entry: list) -> Iterator:
-    """The moves of a move-table entry: those already pulled, then the rest
-    of its step, each pulled once and kept for the entry's other readers."""
-    seen = entry[0]
-    i = 0
-    while True:
-        if i == len(seen):
-            step = entry[1]
-            move = None if step is None else next(step, None)
-            if move is None:
-                entry[1] = None
-                return
-            seen.append(move)
-        yield seen[i]
-        i += 1
 
 
 def accepts(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> bool:

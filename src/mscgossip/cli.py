@@ -439,10 +439,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# options whose value is a path expression, which often starts with "-"
+_PATH_OPTIONS = ("--path", "--path2")
+
+
+def _glued_path_values(argv: list[str]) -> list[str]:
+    """argv with each ``--path VALUE`` spelled ``--path=VALUE``, so that
+    argparse reads a value such as ``->`` as the option's argument and not
+    as an option of its own; nothing after ``--`` changes."""
+    out: list[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            out.append(arg)
+            out.extend(rest)
+        elif arg in _PATH_OPTIONS and (value := next(rest, None)) is not None:
+            out.append(f"{arg}={value}")
+        else:
+            out.append(arg)
+    return out
+
+
 def dispatch(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glued_path_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our input-error code
         return EXIT_INPUT if exc.code else EXIT_OK

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Optional
 
 from .constructions import (
     AnnotationCfm,
@@ -211,18 +211,20 @@ class _Parser:
         while pos < len(text):
             mt = _TL_TOKEN.match(text, pos)
             if mt is None or mt.end() == pos:
-                if text[pos:].strip() == "":
+                rest = text[pos:].lstrip()
+                if rest == "":
                     break
-                raise TlError(f"syntax error at position {pos}: {text[pos:]!r}")
+                raise TlError(f"syntax error at position {len(text) - len(rest)}: {rest!r}")
             pos = mt.end()
+            # a token's position is where it starts, after the blanks before it
             kind = mt.lastgroup
             if kind == "at":
-                self.toks.append(("@", mt.group("atproc"), mt.start()))
+                self.toks.append(("@", mt.group("atproc"), mt.start(kind)))
             elif kind == "word":
-                self.toks.append(("word", mt.group("word"), mt.start()))
+                self.toks.append(("word", mt.group("word"), mt.start(kind)))
             else:
                 sym = mt.group(kind)
-                self.toks.append((sym, sym, mt.start()))
+                self.toks.append((sym, sym, mt.start(kind)))
         self.i = 0
         self.nesting = 0
 
@@ -244,8 +246,10 @@ class _Parser:
         self.i += 1
         return tok
 
-    def error(self, msg: str):
-        _, _, at = self.peek()
+    def error(self, msg: str, at: Optional[int] = None):
+        """Refuse the text at position ``at``, by default the next token's."""
+        if at is None:
+            _, _, at = self.peek()
         raise TlError(f"syntax error at position {at}: {msg}")
 
     def formula(self) -> TlFormula:
@@ -297,12 +301,12 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> TlFormula:
-        kind, val, _ = self.take()
+        kind, val, at = self.take()
         if kind == "(":
             out = self.nested(self.formula)
-            k, _, _ = self.take()
+            k, _, end = self.take()
             if k != ")":
-                self.error("expected ')'")
+                self.error("expected ')'", end)
             return out
         if kind == "@":
             return Proc(val)
@@ -312,9 +316,9 @@ class _Parser:
             if val == "false":
                 return Bool(False)
             if val in ("U", "S", "co"):
-                self.error(f"{val!r} is an operator, not an atom")
+                self.error(f"{val!r} is an operator, not an atom", at)
             return Atom(val)
-        self.error("expected a formula")
+        self.error("expected a formula", at)
 
 
 def parse_tl(text: str) -> TlFormula:

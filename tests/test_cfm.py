@@ -31,7 +31,7 @@ from mscgossip.constructions import (
     build_first_label_cfm,
     build_fixpoint_cfm,
 )
-from mscgossip.corpus import enumerate_mscs, random_corpus
+from mscgossip.corpus import enumerate_mscs, random_corpus, random_msc
 from mscgossip.impossibility import (
     FamilyParams,
     _GuessingQ,
@@ -616,6 +616,13 @@ def test_search_matches_reference_on_universal_machine():
         assert _same_search(u, m)
 
 
+def test_search_matches_reference_on_a_long_universal_run():
+    # 265 events of three processes, with up to 18 messages in flight
+    m = random_msc(SIG3, random.Random(1), 111)
+    assert 240 <= len(m.events) <= 300
+    assert _same_search(universal_cfm(SIG3), m)
+
+
 def test_search_matches_reference_on_guessing_claimant():
     m = build_family_msc(FamilyParams(5, 2))
     assert _same_search(_GuessingQ(CLAIMANTS["parity"]), _with_labels(m, q_label_spec(m)))
@@ -709,6 +716,55 @@ def test_process_without_events_is_rejected_by_the_closing_check():
     assert (stats["visited"], stats["pruned"]) == (2, 0)
     lazy = LazyCfm(SIG2, lambda p: [0], lambda *a: [(0, None)], lambda p, s: True)
     assert find_accepting_run(lazy, m) is not None
+
+
+def test_a_failed_node_is_not_searched_again():
+    # both of p's moves reach the same node at b0, from which q's last
+    # event has no final move; the second visit finds the node failed
+    m = Msc(SIG2, [("a0", "p", "a"), ("b0", "q", "a"), ("b1", "q", "b")], [])
+    assert linearize(m) == ("a0", "b0", "b1")
+
+    def step(p, state, kind, label, peer, msg_in):
+        return [(1, None), (1, None)] if p == "p" else [(0, None)]
+
+    lazy = LazyCfm(SIG2, lambda p: [0], step, lambda p, s: p == "p")
+    stats: dict = {}
+    assert find_accepting_run(lazy, m, stats=stats) is None
+    assert (stats["visited"], stats["pruned"]) == (4, 1)
+    assert _reference_search(lazy, m) == (None, 4)
+
+
+def test_final_test_is_asked_once_per_process_and_state():
+    pi = parse_path(GOSSIP_PQ, SIG2)
+    pi2 = star_prepend(pi)
+    rng = random.Random(4)
+    asked = Counter()
+    searches = pruned = 0
+    for shape in enumerate_mscs(SIG2, 4, max_labelings=1):
+        if len(shape.events) != 4 or not shape.events_of("q"):
+            continue
+        m = Msc(SIG2, [(e, shape.loc[e], rng.choice("ab")) for e in shape.events], shape.msg)
+        bits = {e: 0 for e in m.events}
+        for e in m.events_of("q"):
+            bits[e] = 1 if f_pair(m, pi, pi2, e) == e else 0
+        for e in [None, *m.events_of("q")]:
+            claim = bits if e is None else {**bits, e: 1 - bits[e]}
+            mach = build_fixpoint_cfm("p", "q", pi, pi2)
+            final_ok = mach._final
+            asked.clear()
+
+            def counted(p, state):
+                asked[p, state] += 1
+                return final_ok(p, state)
+
+            mach._final = counted
+            stats: dict = {}
+            run = find_accepting_run(mach, attach_annotation(ExtendedMsc(m, claim)), stats=stats)
+            assert (run is not None) == (e is None)
+            assert set(asked.values()) <= {1}
+            searches += bool(asked)
+            pruned += stats["pruned"]
+    assert searches > 30 and pruned > searches
 
 
 def test_pruned_counts_moves_dropped_at_last_events():

@@ -259,6 +259,29 @@ def test_path_queries(fig_file, capsys):
         assert capsys.readouterr().err == "error: unknown event 'zz'\n"
 
 
+@pytest.mark.parametrize("spelled", [
+    ["--path", "->"],
+    ["--path", "->", "--path2", "->*"],
+    ["--path", "->* msg(p,q) ->*", "--path2", "->+ msg(p,q)"],
+])
+def test_path_values_may_start_with_a_dash(fig_file, capsys, spelled):
+    # "--path ->" reads like "--path=->", though "->" starts like an option
+    glued = [f"{a}={b}" for a, b in zip(spelled[::2], spelled[1::2])]
+    verb = "fpair" if "--path2" in spelled else "eval"
+    event = ["--event", "f1"] if verb == "fpair" else []
+    outputs = []
+    for args in (spelled, glued):
+        assert dispatch(["path", verb, fig_file, *args, *event]) == 0
+        outputs.append(capsys.readouterr().out)
+    # after "--" every argument is left alone, and the file can follow it
+    assert dispatch(["path", verb, *spelled, *event, "--", fig_file]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] != ""
+    # a trailing "--path" still lacks its value
+    assert dispatch(["path", "eval", fig_file, "--path"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_cfm_run_and_accepts(tmp_path, capsys):
     c = chain_cfm()
     cfm_path = tmp_path / "c.json"

@@ -108,6 +108,19 @@ def test_parse_ends_at_trailing_blanks_and_refuses_trailing_input():
         parse_tl("a(b)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a b", "position 2: trailing input"),
+    ("a  ~ b", "position 3: '~ b'"),
+    ("  U a", "position 2: 'U' is an operator, not an atom"),
+    ("(a  b)", "position 4: expected ')'"),
+    ("a |  )", "position 5: expected a formula"),
+])
+def test_parse_errors_point_at_the_token_not_the_blanks_before_it(text, message):
+    with pytest.raises(TlError) as exc:
+        parse_tl(text)
+    assert str(exc.value) == f"syntax error at {message}"
+
+
 @dataclass(frozen=True)
 class _Odd(tl.TlFormula):
     """A formula node that no pass of the logic knows."""
