@@ -306,7 +306,9 @@ def find_accepting_run(
     move table are local to the call and hold at most ``budget`` keys each:
     a node's frame is filled only after the node is counted against the
     budget, each frame given up adds one failed key, and each filled frame
-    adds at most one table entry.
+    adds at most one table entry.  A move pulled is taken, visiting a
+    node, or dropped (below), and both count, so the table holds at most
+    ``budget`` + 1 moves in all.
 
     On a ``LazyCfm``, which accepts process by process (``final_ok`` of
     each process's final state), a move at a process's last event whose
@@ -321,12 +323,12 @@ def find_accepting_run(
     table and per start state.  Explicit ``Cfm``s and other machines with
     global acceptance drop nothing.
 
-    Raises BudgetExhausted when a node beyond the first ``budget`` would be
-    visited before resolution.  When a ``stats`` dict is supplied, the number
-    of nodes visited (at most ``budget``) is written into it as ``visited``,
-    the number of machine steps started, one per table entry, as
-    ``steps``, and the number of moves dropped at last events, once per
-    node that reads one, as ``pruned``.
+    Raises BudgetExhausted when the nodes visited and the moves dropped
+    would together exceed ``budget`` before resolution.  When a ``stats``
+    dict is supplied, the nodes visited are written into it as ``visited``,
+    the machine steps started, one per table entry, as ``steps``, and the
+    moves dropped at last events, once per node that reads one, as
+    ``pruned``; ``visited`` + ``pruned`` is at most ``budget``.
     """
     if machine.signature is None:
         # signature-generic lazy machine: adopt the MSC's processes
@@ -398,7 +400,7 @@ def find_accepting_run(
             states, chans = tuple(start), ((),) * len(channel)
             depth = 0  # frames on the path; the node reached is at event depth
             while True:
-                if visited == budget:
+                if visited + pruned == budget:
                     raise BudgetExhausted(budget)
                 visited += 1
                 if depth == n:
@@ -433,6 +435,8 @@ def find_accepting_run(
                         j += 1
                         if fin is None or passes(fin, move[0]):
                             break
+                        if visited + pruned == budget:
+                            raise BudgetExhausted(budget)
                         pruned += 1
                     if move is not None:
                         break

@@ -224,19 +224,18 @@ _BOT, _TOP = -1, -2
 
 
 def _pass_layout(m: Msc, mirror: bool) -> tuple:
-    """The label-free half of what a trie pass steps along, per MSC and
-    direction: the event shapes without their letter, (whether the event has
-    a ⊏-predecessor, the sender's process or None, the process); per event
-    in the order of the pass, (its index, its predecessor's, its sender's),
-    with -1 for no neighbour; and per such event its shape's position.  Kept
-    in m's label-free structure, which relabelled copies share.
+    """What a trie pass steps along, per MSC and direction: the event
+    shapes without their letter, (whether the event has a ⊏-predecessor,
+    the sender's process or None, the process); per event in the order of
+    the pass, (its index, its predecessor's, its sender's), with -1 for no
+    neighbour; and per such event its shape's position.  Kept in m's caches.
 
     The mirror shares m's events and reverses its order, so a mirror pass
     steps along m's linearization reversed, with each event's ⊏-successor
     and message receiver as its mirrored predecessor and sender.
     """
     key = ("pass-layout", mirror)
-    cached = m._structure.get(key)
+    cached = m._caches.get(key)
     if cached is None:
         if mirror:
             order, preds, senders = reversed(linearize(m)), dict(m.proc_succ), m.recv_of
@@ -254,43 +253,28 @@ def _pass_layout(m: Msc, mirror: bool) -> tuple:
             ))
             shape = (pred is not None, None if sender is None else loc[sender], loc[e])
             kinds.append(shapes.setdefault(shape, len(shapes)))
-        cached = m._structure[key] = (tuple(shapes), steps, kinds)
+        cached = m._caches[key] = (tuple(shapes), steps, kinds)
     return cached
 
 
-def _pass_letters(m: Msc, mirror: bool) -> tuple:
-    """The letter half of _pass_layout: the event shapes with their letter,
-    as PathTrie.program's keys, and per event in the order of the pass its
-    shape's position.  Kept in m's caches, since it reads labels; a
-    relabelled copy computes only this half."""
-    key = ("pass-letters", mirror)
-    cached = m._caches.get(key)
-    if cached is None:
-        bases, steps, base_kinds = _pass_layout(m, mirror)
-        events, label = m.events, m.label
-        shapes: dict[tuple, int] = {}
-        kinds = [
-            shapes.setdefault((b, label[events[i]]), len(shapes))
-            for (i, _, _), b in zip(steps, base_kinds)
-        ]
-        cached = m._caches[key] = ([bases[b] + (sigma,) for b, sigma in shapes], kinds)
-    return cached
-
-
-def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
+def _trie_pass(m: Msc, trie: PathTrie, letters: Optional[list]) -> list[tuple]:
     """The trie's programs along a linearization of m (of its mirror for a
     mirror trie, see _pass_layout), with each event as its index in
     ``m.events``: entry n of the result at index i is the index of last
     (first, on a mirror trie) of node n's path from event i, or _BOT (_TOP)
-    if there is none.  A trie without label tests steps by the letter-free
-    shapes, each program keyed with the letter None, which it never reads.
+    if there is none.  ``letters`` is indexed like ``m.events`` and gives
+    each event's letter; only a trie with label tests reads it, and a trie
+    without them steps by the letter-free shapes, each program keyed with
+    the letter None, which it never reads.
 
     An event with no predecessor (sender) is passed the entry at index -1,
     which its program never reads.
     """
     bases, steps, kinds = _pass_layout(m, trie.mirror)
     if trie.reads_letters:
-        shapes, kinds = _pass_letters(m, trie.mirror)
+        ids: dict[tuple, int] = {}
+        kinds = [ids.setdefault((b, letters[i]), len(ids)) for (i, _, _), b in zip(steps, kinds)]
+        shapes = [bases[b] + (sigma,) for b, sigma in ids]
     else:
         shapes = [base + (None,) for base in bases]
     programs = [trie.program(shape) for shape in shapes]
@@ -302,11 +286,12 @@ def _trie_pass(m: Msc, trie: PathTrie) -> list[tuple]:
 
 
 def trie_maps(m: Msc, trie: PathTrie) -> list[tuple]:
-    """_trie_pass(m, trie), computed once per MSC and kept in its caches
-    under the trie itself."""
+    """_trie_pass of m's own labels, computed once per MSC and kept in its
+    caches under the trie itself."""
     maps = m._caches.get(trie)
     if maps is None:
-        maps = m._caches[trie] = _trie_pass(m, trie)
+        letters = [m.label[e] for e in m.events] if trie.reads_letters else None
+        maps = m._caches[trie] = _trie_pass(m, trie, letters)
     return maps
 
 

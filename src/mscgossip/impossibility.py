@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cfm import (
+    DEFAULT_BUDGET,
     Cfm,
     Transition,
     accepts,
@@ -61,7 +62,7 @@ def q_labels_correct(m: Msc) -> bool:
 
 def _with_labels(m: Msc, labels: dict) -> Msc:
     """m with each event in ``labels`` given that label."""
-    return m.relabelled(m.signature, {**m.label, **labels})
+    return Msc(m.signature, [(e, m.loc[e], labels.get(e, m.label[e])) for e in m.events], m.msg)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class _GuessingQ:
         return differed and self.c.is_accepting(self._with_q(final, s))
 
 
-def accepted_wrong_labeling(c: Cfm, m: Msc, budget: int = 10**6) -> Optional[Msc]:
+def accepted_wrong_labeling(c: Cfm, m: Msc, budget: int = DEFAULT_BUDGET) -> Optional[Msc]:
     """A relabeling of m's q-events by {b, a} that the claimant accepts and
     that violates L, or None if there is none.
 
@@ -204,7 +205,7 @@ class RefutationResult:
         return self.verdict in ("not-deterministic", "accepts-wrong", "rejects-correct")
 
 
-def refute_deterministic(c: Cfm, budget: int = 10**6) -> RefutationResult:
+def refute_deterministic(c: Cfm, budget: int = DEFAULT_BUDGET) -> RefutationResult:
     """Disprove that a claimant machine deterministically recognizes L.
 
     Strategy: (1) check the determinism clauses; (2) find the claimant's run

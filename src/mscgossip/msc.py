@@ -67,7 +67,9 @@ class Msc:
 
     Construction is permissive: ``validate()`` reports axiom violations
     instead of raising, so malformed inputs can be diagnosed.  All other
-    operations assume a valid MSC.
+    operations assume a valid MSC.  What is derived from an MSC is computed
+    on first use and kept in its one memo dict, ``_caches``; an MSC is never
+    changed after construction, so an MSC with other labels is a new one.
     """
 
     def __init__(
@@ -86,69 +88,54 @@ class Msc:
         self.loc: dict[str, str] = {e[0]: e[1] for e in ev}
         self.label: dict[str, Label] = {e[0]: e[2] for e in ev}
         self.msg: tuple[tuple[str, str], ...] = tuple([(s, r) for s, r in messages])
-        # derived structure that reads no label (linearization, index,
-        # process order, message maps), shared with relabelled copies
-        self._structure: dict[str, Any] = {}
-        # memos that may read labels: trie maps, annotations
+        # linearization, index, process order, message maps, pass layouts,
+        # trie maps and annotations, each under its own key
         self._caches: dict[Any, Any] = {}
-
-    def relabelled(self, signature: SystemSignature, label: dict[str, Label]) -> Msc:
-        """The same events and messages on ``signature``, which has the same
-        processes, with new labels.  The copy shares this MSC's label-free
-        structure, so either computes it once for both."""
-        if signature.processes != self.signature.processes:
-            raise MscError("a relabelled MSC keeps its processes")
-        out = Msc.__new__(Msc)
-        out.signature, out.events, out.loc, out.label, out.msg = (
-            signature, self.events, self.loc, label, self.msg
-        )
-        out._structure, out._caches = self._structure, {}
-        return out
 
     # -- derived structure ------------------------------------------------
 
     @property
     def index(self) -> dict[str, int]:
-        if "index" not in self._structure:
-            self._structure["index"] = {e: i for i, e in enumerate(self.events)}
-        return self._structure["index"]
+        if "index" not in self._caches:
+            self._caches["index"] = {e: i for i, e in enumerate(self.events)}
+        return self._caches["index"]
 
     def events_of(self, p: str) -> tuple[str, ...]:
-        if "per_proc" not in self._structure:
+        if "per_proc" not in self._caches:
             per: dict[str, list[str]] = {q: [] for q in self.signature.processes}
             for e in self.events:
                 per.setdefault(self.loc[e], []).append(e)
-            self._structure["per_proc"] = {q: tuple(es) for q, es in per.items()}
-        return self._structure["per_proc"].get(p, ())
+            self._caches["per_proc"] = {q: tuple(es) for q, es in per.items()}
+        return self._caches["per_proc"].get(p, ())
 
     @property
     def proc_succ(self) -> tuple[tuple[str, str], ...]:
-        if "proc_succ" not in self._structure:
+        if "proc_succ" not in self._caches:
             pairs = []
             for p in self.signature.processes:
                 es = self.events_of(p)
                 pairs.extend(zip(es, es[1:]))
-            self._structure["proc_succ"] = tuple(pairs)
-        return self._structure["proc_succ"]
+            self._caches["proc_succ"] = tuple(pairs)
+        return self._caches["proc_succ"]
 
     def proc_pred_of(self, e: str) -> Optional[str]:
-        if "proc_pred" not in self._structure:
-            self._structure["proc_pred"] = {b: a for a, b in self.proc_succ}
-        return self._structure["proc_pred"].get(e)
+        if "proc_pred" not in self._caches:
+            self._caches["proc_pred"] = {b: a for a, b in self.proc_succ}
+        return self._caches["proc_pred"].get(e)
 
     @property
     def send_of(self) -> dict[str, str]:
         """receive event -> its send event."""
-        if "send_of" not in self._structure:
-            self._structure["send_of"] = {r: s for s, r in self.msg}
-        return self._structure["send_of"]
+        if "send_of" not in self._caches:
+            self._caches["send_of"] = {r: s for s, r in self.msg}
+        return self._caches["send_of"]
 
     @property
     def recv_of(self) -> dict[str, str]:
         """send event -> its receive event."""
-        if "recv_of" not in self._structure:
-            self._structure["recv_of"] = {s: r for s, r in self.msg}
-        return self._structure["recv_of"]
+        if "recv_of" not in self._caches:
+            self._caches["recv_of"] = {s: r for s, r in self.msg}
+        return self._caches["recv_of"]
 
     def kind_of(self, e: str) -> str:
         """'send', 'recv', or 'local'."""
@@ -169,7 +156,7 @@ class Msc:
     @property
     def _anc(self) -> list[int]:
         """Per event (in ``events`` position), bitmask of causal ancestors incl. itself."""
-        if "anc" not in self._structure:
+        if "anc" not in self._caches:
             idx = self.index
             order = linearize(self)
             anc = [0] * len(self.events)
@@ -183,8 +170,8 @@ class Msc:
                 if snd is not None:
                     m |= anc[idx[snd]]
                 anc[i] = m
-            self._structure["anc"] = anc
-        return self._structure["anc"]
+            self._caches["anc"] = anc
+        return self._caches["anc"]
 
     @property
     def causal_rows(self) -> tuple[list[int], list[int]]:
@@ -192,7 +179,7 @@ class Msc:
         strictly below it (``_anc`` without the event itself) and of those
         strictly above it (the transpose), the bit-set form of a vector
         clock and of its dual."""
-        if "rows" not in self._structure:
+        if "rows" not in self._caches:
             below = [a ^ (1 << i) for i, a in enumerate(self._anc)]
             above = [0] * len(below)
             for j, row in enumerate(below):
@@ -201,17 +188,17 @@ class Msc:
                     low = row & -row
                     above[low.bit_length() - 1] |= bit
                     row ^= low
-            self._structure["rows"] = (below, above)
-        return self._structure["rows"]
+            self._caches["rows"] = (below, above)
+        return self._caches["rows"]
 
     def pos_on_proc(self, e: str) -> int:
-        if "pos" not in self._structure:
+        if "pos" not in self._caches:
             pos = {}
             for p in self.signature.processes:
                 for k, ev in enumerate(self.events_of(p)):
                     pos[ev] = k
-            self._structure["pos"] = pos
-        return self._structure["pos"][e]
+            self._caches["pos"] = pos
+        return self._caches["pos"][e]
 
 
 class ExtendedMsc:
@@ -288,11 +275,10 @@ def is_valid(m: Msc) -> bool:
 def linearize(m: Msc) -> tuple[str, ...]:
     """Deterministic topological order of (E, <); ties broken by event-id order.
 
-    Computed once per MSC and kept in its label-free structure, which
-    relabelled copies share.
+    Computed once per MSC and kept in its caches.
     """
-    if "order" in m._structure:
-        return m._structure["order"]
+    if "order" in m._caches:
+        return m._caches["order"]
     pred_count = {e: 0 for e in m.events}
     succs: dict[str, list[str]] = {e: [] for e in m.events}
     for a, b in m.proc_succ:
@@ -315,8 +301,8 @@ def linearize(m: Msc) -> tuple[str, ...]:
                 heapq.heappush(ready, f)
     if len(out) != len(m.events):
         raise MscError("cannot linearize a cyclic MSC")
-    m._structure["order"] = tuple(out)
-    return m._structure["order"]
+    m._caches["order"] = tuple(out)
+    return m._caches["order"]
 
 
 def causal_leq(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:
@@ -327,11 +313,7 @@ def causal_leq(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:
         return f is TOP
     if f is BOTTOM:
         return e is BOTTOM
-    derived = m._structure
-    try:
-        idx, anc = derived["index"], derived["anc"]
-    except KeyError:
-        idx, anc = m.index, m._anc
+    idx, anc = m.index, m._anc
     try:
         return bool(anc[idx[f]] >> idx[e] & 1)
     except KeyError:

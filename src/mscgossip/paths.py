@@ -172,7 +172,7 @@ def eval_path(m: Msc, pi: PathExpr) -> set[tuple[str, str]]:
 def _descendant_masks(m: Msc) -> list[int]:
     """step[i] = bitmask of events f with e_i →* f (same-process, reflexive)."""
     key = "path_desc"
-    if key not in m._structure:
+    if key not in m._caches:
         idx = m.index
         n = len(m.events)
         step = [1 << i for i in range(n)]
@@ -182,8 +182,8 @@ def _descendant_masks(m: Msc) -> list[int]:
             for e in reversed(es):
                 acc |= 1 << idx[e]
                 step[idx[e]] = acc
-        m._structure[key] = step
-    return m._structure[key]
+        m._caches[key] = step
+    return m._caches[key]
 
 
 def _extremal(m: Msc, events: Iterable[str], pick_max: bool) -> ExtEvent:

@@ -32,8 +32,8 @@ from .constructions import (
     PreorderCore,
     StepCtx,
     _function,
+    _trie_pass,
     product_moves,
-    trie_maps,
     trie_plan,
 )
 from .msc import ExtendedMsc, Msc, SystemSignature
@@ -653,11 +653,14 @@ def _no_pair(row, rec) -> int:
     return 0
 
 
-def _dominance(m: Msc, sig: SystemSignature, pairs: tuple, mirror: bool) -> dict[str, int]:
+def _dominance(m: Msc, letters: list, sig: SystemSignature, pairs: tuple, mirror: bool) -> dict:
     """Bit 1 at a tgt-event iff, for some (src, tgt) in ``pairs``, the last
     event of a left path is more recent than that of every right path, all
-    read off the one map of the since trie (its mirror for until), by the
-    compiled test of the event's process (_dominance_tests).
+    read off the one pass of the since trie (its mirror for until) over m
+    with each event's ABCD letter from ``letters``, indexed like
+    ``m.events``, by the compiled test of the event's process
+    (_dominance_tests).  The pass reads m's own layout and is not memoised,
+    since its letters are not m's labels.
 
     (l, r) is in the preorder at e iff last_l(e) <= last_r(e).  Every such
     last event is a src-event or none, and m.events lists src's events in
@@ -666,26 +669,12 @@ def _dominance(m: Msc, sig: SystemSignature, pairs: tuple, mirror: bool) -> dict
     (_BOT, _TOP) is the least recent.
     """
     tests = _dominance_tests(sig, mirror, pairs)
-    maps = trie_maps(m, _since_plan(sig, mirror)[0])
+    maps = _trie_pass(m, _since_plan(sig, mirror)[0], letters)
     n = len(m.events)
     # an event index's recency; _BOT and _TOP index this list from its end
     rec = [*range(n, 0, -1), -1, -1] if mirror else None
     loc = m.loc
     return {e: tests.get(loc[e], _no_pair)(row, rec) for e, row in zip(m.events, maps)}
-
-
-@functools.cache
-def _abcd_signature(processes: tuple) -> SystemSignature:
-    return SystemSignature(processes, ABCD)
-
-
-def _abcd_msc(m: Msc, bits1: dict, bits2: dict) -> Msc:
-    """m recoded over ABCD, sharing its linearization and other label-free
-    structure."""
-    return m.relabelled(
-        _abcd_signature(m.signature.processes),
-        {e: _recode(bits1[e], bits2[e]) for e in m.events},
-    )
 
 
 def _bit_of(annot) -> int:
@@ -796,7 +785,9 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     recent src-witness (letters a/c) strictly dominates every src-event whose
     path to here crosses a letter in {c, d}.  For until, most recent is in
     reversed time: annotate is _dominance on the mirror pass of the since
-    trie over the recoded MSC, so no mirror MSC is built.
+    trie.  Both passes step along m itself, given each event's letter
+    recoded from its operands' bits, so neither a mirror MSC nor a recoded
+    MSC is built.
 
     The part is the product of the operands' parts and, per move (b1, b2)
     of theirs, the product of every (src, tgt) pair's _since_pair part on
@@ -840,8 +831,9 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         )
 
     def annotate(m):
-        recoded = _abcd_msc(m, m1.annotate(m), m2.annotate(m))
-        return _dominance(recoded, sig, every_pair, mirror)
+        bits1, bits2 = m1.annotate(m), m2.annotate(m)
+        letters = [_recode(bits1[e], bits2[e]) for e in m.events]
+        return _dominance(m, letters, sig, every_pair, mirror)
 
     return _TlMachine(phi, sig, starts, part, final_ok, annotate)
 

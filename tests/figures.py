@@ -11,6 +11,8 @@ whose per-event path comparisons are frozen in the tests.
 reference that ``preorder_rows`` (⪯ by its definition) is checked against.
 ``oracle_rows`` is the brute-force ``paths.preorder_at`` in the rows of the
 preorder machine's annotation.
+``own_letters`` is an MSC's labels indexed like its events, the letters a
+trie pass of the MSC itself is given.
 ``reference_dominance`` is the since/until dominance test read with two
 generator ``max`` calls per pair and event, the reference for the compiled
 tests of ``tl._dominance``.
@@ -191,6 +193,10 @@ def switch_rule_steps(m, q, paths) -> dict:
         )
         out[f] = rows
     return out
+
+
+def own_letters(m) -> list:
+    return [m.label[e] for e in m.events]
 
 
 def reference_dominance(m, sig, pairs, mirror) -> dict:

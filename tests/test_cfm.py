@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -704,6 +705,27 @@ def test_non_final_state_at_a_last_event_is_not_searched():
     assert find_accepting_run(_toy_lazy(set()), m, stats=stats) is None
     assert (stats["visited"], stats["pruned"]) == (1, 3)
     assert _reference_search(_toy_lazy(set()), m, final_rule=False) == (None, 13)
+
+
+def test_moves_dropped_at_last_events_count_against_the_budget():
+    # nodes visited and moves dropped share the budget: the search above
+    # visits 5 nodes and drops 2 moves
+    m = Msc(SIG2, [("a0", "p", "a"), ("b0", "q", "a"), ("b1", "q", "a"), ("b2", "q", "b")], [])
+    assert find_accepting_run(_toy_lazy({2}), m, budget=7) is not None
+    with pytest.raises(BudgetExhausted):
+        find_accepting_run(_toy_lazy({2}), m, budget=6)
+    # a step with endlessly many moves at the only event, none of them
+    # final, stops at the budget instead of pulling moves forever
+    sig = SystemSignature(("p",), ("a",))
+    endless = LazyCfm(
+        sig, lambda p: [0], lambda *a: ((n, None) for n in itertools.count()), lambda p, s: False
+    )
+    stats: dict = {}
+    began = time.perf_counter()
+    with pytest.raises(BudgetExhausted):
+        find_accepting_run(endless, Msc(sig, [("e0", "p", "a")], []), budget=10, stats=stats)
+    assert time.perf_counter() - began < 0.5
+    assert (stats["visited"], stats["pruned"]) == (1, 9)
 
 
 def test_process_without_events_is_rejected_by_the_closing_check():

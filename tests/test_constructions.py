@@ -93,6 +93,7 @@ from figures import (
     fig_base,
     fig_flipped,
     oracle_rows,
+    own_letters,
     reference_gossip_readout,
     switch_rule_steps,
     switch_rule_tries,
@@ -933,17 +934,20 @@ def test_gossip_replay_at_k4():
 def test_canonical_states_run_one_pass_per_trie(monkeypatch):
     # θ under any base is the identity-base map of its trie read through that
     # base, so the canonical run makes one pass per trie and keeps its map
+    # a trie without label tests is passed no letters list
     passes = []
 
-    def counted(m, trie):
+    def counted(m, trie, letters):
         passes.append(trie)
-        return _trie_pass(m, trie)
+        assert (letters is None) is not trie.reads_letters
+        return _trie_pass(m, trie, letters)
 
     monkeypatch.setattr(constructions, "_trie_pass", counted)
     m = random_msc(SIG3, random.Random(3), 12)
     assert len(m.events) >= 20
     build_gossip_cfm(SIG3).canonical_states(m)
     assert len(passes) == sum(isinstance(key, PathTrie) for key in m._caches)
+    assert passes
 
 
 def test_gossip_message_carries_label():
@@ -1160,7 +1164,7 @@ def test_compiled_pass_matches_theta_rule(k, seed, max_events):
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
     for trie in (_gossip_plan(sig)[1], _gossip_first_trie(sig)):
-        assert _trie_pass(m, trie) == _reference_pass(m, trie)
+        assert _trie_pass(m, trie, own_letters(m)) == _reference_pass(m, trie)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1170,7 +1174,7 @@ def test_compiled_since_pass_matches_theta_rule(seed, max_events):
     m = random_msc(sig, random.Random(seed), max_events)
     for mirror in (False, True):  # the since and the until trie
         trie, _ = _since_plan(sig, mirror)
-        assert _trie_pass(m, trie) == _reference_pass(m, trie)
+        assert _trie_pass(m, trie, own_letters(m)) == _reference_pass(m, trie)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1225,10 +1229,13 @@ def test_compiled_programs_do_not_leak_between_mscs(seed, mirror):
     rng = random.Random(seed)
     warm_on, m = (random_msc(SIG3, rng, 4) for _ in range(2))
     warmed = PathTrie(LEAK_PATHS, mirror)
-    _trie_pass(warm_on, warmed)
-    _trie_pass(mirror_msc(warm_on), warmed)
-    assert _trie_pass(m, warmed) == _trie_pass(m, PathTrie(LEAK_PATHS, mirror))
-    assert _trie_pass(m, warmed) == _reference_pass(m, warmed)
+    _trie_pass(warm_on, warmed, own_letters(warm_on))
+    mirrored = mirror_msc(warm_on)
+    _trie_pass(mirrored, warmed, own_letters(mirrored))
+    got = _trie_pass(m, warmed, own_letters(m))
+    assert got == _trie_pass(m, PathTrie(LEAK_PATHS, mirror), own_letters(m))
+    assert got == _reference_pass(m, warmed)
+    assert warmed.reads_letters and trie_maps(m, warmed) == got  # m's own labels
 
 
 def test_gossip_cores_are_built_only_for_a_search(monkeypatch):

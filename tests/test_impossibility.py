@@ -16,6 +16,7 @@ from mscgossip.impossibility import (
     GOSSIP_SIG,
     FamilyParams,
     _interleaved_structure,
+    _with_labels,
     accepted_wrong_labeling,
     build_family_msc,
     naive_gossip_cfm,
@@ -30,6 +31,7 @@ from mscgossip.msc import (
     SystemSignature,
     is_valid,
     last_on_process,
+    linearize,
     msc_to_json,
     validate_msc,
 )
@@ -113,6 +115,20 @@ def test_splice_structure_and_labels():
     assert m.label["f0"] == "b" and all(m.label[f"f{i}"] == "a" for i in range(1, 10))
     assert not q_labels_correct(m)  # M^0 demands all a
     assert splice_family_msc(5, 0, 1).label["f0"] == "a"  # degenerate pair
+
+
+def test_with_labels_keeps_the_msc_and_sets_the_given_labels():
+    m = build_family_msc(FamilyParams(4, 1))
+    before = dict(m.label)
+    labels = {e: "d" for e in m.events_of("q")[::2]}
+    out = _with_labels(m, labels)
+    assert out is not m and out.signature is m.signature
+    assert out.events == m.events and out.loc == m.loc and out.msg == m.msg
+    assert list(out.label) == list(m.events)
+    assert all(out.label[e] == labels.get(e, m.label[e]) for e in m.events)
+    assert any(out.label[e] != m.label[e] for e in labels)
+    assert m.label == before and linearize(out) == linearize(m)
+    assert is_valid(out)
 
 
 # -- claimants ------------------------------------------------------------------

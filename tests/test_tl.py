@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mscgossip import msc as msc_module, tl
+from mscgossip import constructions, msc as msc_module, tl
 from mscgossip.cfm import attach_annotation, find_accepting_run
 from mscgossip.constructions import (
     PathTrie,
@@ -56,6 +56,7 @@ from figures import (
     acceptance_formula,
     fig_flipped,
     mirror_formula,
+    own_letters,
     reference_dominance,
     reference_eval_tl,
 )
@@ -285,7 +286,7 @@ def _equivalence_cases():
         shapes = list(enumerate_mscs(sig, 4 if k <= 2 else 3, max_labelings=1))
         draws = [random_msc(sig, rng, rng.randrange(1, 5)) for _ in range(40)]
         for m in shapes + draws:
-            m = m.relabelled(sig, {e: rng.choice(sig.alphabet) for e in m.events})
+            m = Msc(sig, [(e, m.loc[e], rng.choice(sig.alphabet)) for e in m.events], m.msg)
             for _ in range(2):
                 yield m, full_formula(rng, rng.randrange(1, 4), sig)
 
@@ -468,33 +469,36 @@ def test_tl_decide_builds_no_mirror_msc(monkeypatch):
         assert ok, diffs
 
 
-def test_recoded_msc_shares_the_base_structure(monkeypatch):
-    # each since/until node recodes the MSC over ABCD; the copy reads the
-    # base's linearization and message maps, and only its trie maps are its own
-    recoded = []
-    abcd_msc = tl._abcd_msc
+def test_since_annotate_builds_no_msc_and_steps_the_base_layout(monkeypatch):
+    # each since/until node passes the base MSC with the letters recoded
+    # from its operands' bits: no MSC is built, and every pass steps the
+    # base MSC's own layout, kept once per direction
+    built, layouts = [], []
+    init, pass_layout = Msc.__init__, constructions._pass_layout
 
-    def recording(m, bits1, bits2):
-        recoded.append((m, abcd_msc(m, bits1, bits2)))
-        return recoded[-1][1]
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(tl, "_abcd_msc", recording)
+    def recording_layout(m, mirror):
+        layouts.append((m, mirror))
+        return pass_layout(m, mirror)
+
     phi = Since(Until(Atom("a"), Proc("q")), Until(Since(Atom("b"), Atom("a")), Proc("p")))
     mach = compile_tl(phi, SIG2)
-    for m in CORPUS[:6]:
-        m = msc_from_json(msc_to_json(m))  # nothing derived yet
-        want = eval_tl(m, phi)
+    ms = [msc_from_json(msc_to_json(m)) for m in CORPUS[:6]]  # nothing derived yet
+    wants = [eval_tl(m, phi) for m in ms]
+    monkeypatch.setattr(Msc, "__init__", counted_init)
+    monkeypatch.setattr(constructions, "_pass_layout", recording_layout)
+    for m, want in zip(ms, wants):
         assert mach.annotate(m) == {e: int(want[e]) for e in m.events}
-    assert len(recoded) == 6 * 4
-    for base, copy in recoded:
-        assert copy.events is base.events and copy.msg is base.msg
-        assert msc_module.linearize(copy) is msc_module.linearize(base)
-        assert copy.index is base.index and copy.send_of is base.send_of
-        assert copy.signature.alphabet == tl.ABCD and copy.label is not base.label
-        assert any(isinstance(key, PathTrie) for key in copy._caches)
-        assert not any(isinstance(key, PathTrie) for key in base._caches)
-    with pytest.raises(msc_module.MscError):
-        CORPUS[0].relabelled(SIG3, dict(CORPUS[0].label))
+    assert built == []
+    assert len(layouts) == 6 * 4
+    for m in ms:
+        assert sorted(mirror for base, mirror in layouts if base is m) == [False, False, True, True]
+        kept = [key for key in m._caches if isinstance(key, tuple) and key[0] == "pass-layout"]
+        assert sorted(kept) == [("pass-layout", False), ("pass-layout", True)]
+        assert not any(isinstance(key, PathTrie) for key in m._caches)
 
 
 def test_compile_co_is_unsupported():
@@ -529,7 +533,7 @@ PHI_PQ = And(
 
 def _pair_bits(m, src="p", tgt="q"):
     """The one-pair dominance bits of (src, tgt) on m."""
-    return _dominance(m, ABCD_SIG, ((src, tgt),), False)
+    return _dominance(m, own_letters(m), ABCD_SIG, ((src, tgt),), False)
 
 
 def test_compile_since_pair_matches_formula():
@@ -832,7 +836,7 @@ def test_compiled_dominance_matches_the_reference(k, seed, max_events, mirror):
     m = random_msc(sig, random.Random(seed), max_events)
     every_pair = tuple((src, tgt) for tgt in sig.processes for src in sig.processes)
     for pairs in (every_pair, *((pair,) for pair in every_pair)):
-        got = _dominance(m, sig, pairs, mirror)
+        got = _dominance(m, own_letters(m), sig, pairs, mirror)
         want = reference_dominance(m, sig, pairs, mirror)
         assert list(got.items()) == list(want.items()), (pairs, mirror)
         assert all(type(bit) is int for bit in got.values())
@@ -840,8 +844,8 @@ def test_compiled_dominance_matches_the_reference(k, seed, max_events, mirror):
 
 
 def test_gossip_and_since_maps_on_one_msc_do_not_collide():
-    # both routes memoise trie maps on the MSC they read; in either order
-    # each must read its own maps
+    # the gossip route memoises its trie maps on the MSC, and the since
+    # route passes the same MSC; in either order each must read its own maps
     gossip = build_gossip_cfm(ABCD_SIG)
     pairs = [(src, tgt) for tgt in "pq" for src in "pq"]
     for m in ABCD_CORPUS:
@@ -853,7 +857,8 @@ def test_gossip_and_since_maps_on_one_msc_do_not_collide():
                 assert gossip.annotate(shared) == want_gossip
             assert [_pair_bits(shared, *pair) for pair in pairs] == want_since
             assert gossip.annotate(shared) == want_gossip
-            assert sum(isinstance(key, PathTrie) for key in shared._caches) == 2
+            # since maps read letters given with the MSC and are not memoised
+            assert sum(isinstance(key, PathTrie) for key in shared._caches) == 1
 
 
 def test_since_cores_are_built_only_for_a_search(monkeypatch):
