@@ -38,7 +38,7 @@ from collections import defaultdict, deque
 from typing import Callable, Hashable, Iterable, Optional
 
 from .cfm import LazyCfm
-from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
+from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, inverse_links, linearize
 from .paths import (
     LabelTest,
     Msg,
@@ -230,28 +230,28 @@ def _pass_layout(m: Msc, mirror: bool) -> tuple:
     the pass, (its index, its predecessor's, its sender's), with -1 for no
     neighbour; and per such event its shape's position.  Kept in m's caches.
 
-    The mirror shares m's events and reverses its order, so a mirror pass
-    steps along m's linearization reversed, with each event's ⊏-successor
-    and message receiver as its mirrored predecessor and sender.
+    The pass walks ``linearize(m)`` and reads each event's neighbours off
+    ``m._links``.  The mirror shares m's events and reverses its order, so
+    a mirror pass steps along m's linearization reversed, with each event's
+    ⊏-successor and message receiver, derived from the same links, as its
+    mirrored predecessor and sender.
     """
     key = ("pass-layout", mirror)
     cached = m._caches.get(key)
     if cached is None:
+        idx = m.index
+        order = [idx[e] for e in linearize(m)]
+        proc, preds, senders = m._links
         if mirror:
-            order, preds, senders = reversed(linearize(m)), dict(m.proc_succ), m.recv_of
-        else:
-            order, preds, senders = linearize(m), {b: a for a, b in m.proc_succ}, m.send_of
-        idx, loc = m.index, m.loc
+            order.reverse()
+            preds, senders = inverse_links(preds), inverse_links(senders)
+        procs = m.signature.processes
         shapes: dict[tuple, int] = {}
         steps, kinds = [], []
-        for e in order:
-            pred, sender = preds.get(e), senders.get(e)
-            steps.append((
-                idx[e],
-                -1 if pred is None else idx[pred],
-                -1 if sender is None else idx[sender],
-            ))
-            shape = (pred is not None, None if sender is None else loc[sender], loc[e])
+        for i in order:
+            p, s = preds[i], senders[i]
+            steps.append((i, p, s))
+            shape = (p >= 0, procs[proc[s]] if s >= 0 else None, procs[proc[i]])
             kinds.append(shapes.setdefault(shape, len(shapes)))
         cached = m._caches[key] = (tuple(shapes), steps, kinds)
     return cached

@@ -8,6 +8,7 @@ which events are listed, and the direct-successor relation is derived from it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
@@ -88,8 +89,8 @@ class Msc:
         self.loc: dict[str, str] = {e[0]: e[1] for e in ev}
         self.label: dict[str, Label] = {e[0]: e[2] for e in ev}
         self.msg: tuple[tuple[str, str], ...] = tuple([(s, r) for s, r in messages])
-        # linearization, index, process order, message maps, pass layouts,
-        # trie maps and annotations, each under its own key
+        # linearization, index, per-index links, process order, message
+        # maps, pass layouts, trie maps and annotations, each under its own key
         self._caches: dict[Any, Any] = {}
 
     # -- derived structure ------------------------------------------------
@@ -154,21 +155,47 @@ class Msc:
         return None
 
     @property
+    def _links(self) -> tuple[list[int], list[int], list[int]]:
+        """Per event (in ``events`` position): its process's position in the
+        signature, and the positions of its ⊏-predecessor and of its sender,
+        with -1 for none.  One pass over ``events`` and one over ``msg``; it
+        assumes what ``validate_msc`` checks before it linearizes: every
+        event is on a process of the signature and every message end is an
+        event."""
+        links = self._caches.get("links")
+        if links is None:
+            col = {p: c for c, p in enumerate(self.signature.processes)}
+            loc = self.loc
+            proc = [col[loc[e]] for e in self.events]
+            last = [-1] * len(col)
+            pred = []
+            for i, c in enumerate(proc):
+                pred.append(last[c])
+                last[c] = i
+            idx = self.index
+            sender = [-1] * len(proc)
+            for s, r in self.msg:
+                sender[idx[r]] = idx[s]
+            links = self._caches["links"] = (proc, pred, sender)
+        return links
+
+    @property
     def _anc(self) -> list[int]:
-        """Per event (in ``events`` position), bitmask of causal ancestors incl. itself."""
+        """Per event (in ``events`` position), bitmask of causal ancestors
+        incl. itself: along ``linearize``, its own bit or'ed with the masks
+        of its ⊏-predecessor and its sender, read off ``_links``."""
         if "anc" not in self._caches:
             idx = self.index
-            order = linearize(self)
+            _, pred, sender = self._links
             anc = [0] * len(self.events)
-            for e in order:
+            for e in linearize(self):
                 i = idx[e]
                 m = 1 << i
-                pred = self.proc_pred_of(e)
-                if pred is not None:
-                    m |= anc[idx[pred]]
-                snd = self.send_of.get(e)
-                if snd is not None:
-                    m |= anc[idx[snd]]
+                p, s = pred[i], sender[i]
+                if p >= 0:
+                    m |= anc[p]
+                if s >= 0:
+                    m |= anc[s]
                 anc[i] = m
             self._caches["anc"] = anc
         return self._caches["anc"]
@@ -273,36 +300,60 @@ def is_valid(m: Msc) -> bool:
 
 
 def linearize(m: Msc) -> tuple[str, ...]:
-    """Deterministic topological order of (E, <); ties broken by event-id order.
+    """Deterministic topological order of (E, <): the least by event id.
 
-    Computed once per MSC and kept in its caches.
+    Only the next event of each process can be ready, so the heap holds at
+    most one ``(id, index)`` pair per process, read off ``m._links``.  A
+    process's next event that receives a message not yet sent waits on the
+    send's index, and is pushed when the send is emitted.  Computed once per
+    MSC and kept in its caches; raises ``MscError`` on a cycle.
     """
     if "order" in m._caches:
         return m._caches["order"]
-    pred_count = {e: 0 for e in m.events}
-    succs: dict[str, list[str]] = {e: [] for e in m.events}
-    for a, b in m.proc_succ:
-        succs[a].append(b)
-        pred_count[b] += 1
-    for s, r in m.msg:
-        succs[s].append(r)
-        pred_count[r] += 1
-    import heapq
-
-    ready = [e for e in m.events if pred_count[e] == 0]
-    heapq.heapify(ready)
+    events = m.events
+    _, pred, sender = m._links
+    succ = inverse_links(pred)
+    n = len(events)
+    heap: list[tuple[str, int]] = []
+    waiting: dict[int, int] = {}  # send index -> its receive, a process's next event
+    emitted = bytearray(n)
+    for i in range(n):
+        if pred[i] < 0:
+            if sender[i] < 0:
+                heap.append((events[i], i))
+            else:
+                waiting[sender[i]] = i
+    heapq.heapify(heap)
     out = []
-    while ready:
-        e = heapq.heappop(ready)
+    while heap:
+        e, i = heapq.heappop(heap)
         out.append(e)
-        for f in succs[e]:
-            pred_count[f] -= 1
-            if pred_count[f] == 0:
-                heapq.heappush(ready, f)
-    if len(out) != len(m.events):
+        emitted[i] = 1
+        if i in waiting:
+            r = waiting.pop(i)
+            heapq.heappush(heap, (events[r], r))
+        j = succ[i]
+        if j >= 0:
+            s = sender[j]
+            if s < 0 or emitted[s]:
+                heapq.heappush(heap, (events[j], j))
+            else:
+                waiting[s] = j
+    if len(out) != n:
         raise MscError("cannot linearize a cyclic MSC")
     m._caches["order"] = tuple(out)
     return m._caches["order"]
+
+
+def inverse_links(links: list[int]) -> list[int]:
+    """Per event position, the position whose link in ``links`` is it, or -1
+    for none: the ⊏-successors from the ⊏-predecessors of ``Msc._links``,
+    and the receivers from the senders."""
+    inverse = [-1] * len(links)
+    for i, j in enumerate(links):
+        if j >= 0:
+            inverse[j] = i
+    return inverse
 
 
 def causal_leq(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:

@@ -24,9 +24,17 @@ read-outs of ``build_gossip_cfm``.
 ``oracle_accepts`` decides acceptance by an explicit CFM by trying every
 transition assignment, the reference for the run search, and
 ``random_cfm`` draws the small explicit machines it is checked on.
+``reference_linearize`` (a heap over every ready event),
+``reference_pass_layout`` (name-keyed maps of ⊏-pairs and messages) and
+``reference_causal_below`` (a search back along ⊏ and ◁) are the references
+for ``linearize``, ``_pass_layout`` and ``Msc.causal_rows``, which read
+per-index links; ``links_corpus`` is the MSCs they are compared on, and
+``renamed`` permutes an MSC's event ids, so that the id order disagrees with
+the causal order.
 """
 
 import functools
+import heapq
 import itertools
 import random
 
@@ -43,6 +51,7 @@ from mscgossip.constructions import (
     preorder_combine,
     trie_maps,
 )
+from mscgossip.corpus import random_msc
 from mscgossip.msc import Msc, SystemSignature, causal_lt
 from mscgossip.paths import gossip_paths_between, plus_prepend, preorder_at, star_prepend
 from mscgossip.tl import (
@@ -197,6 +206,94 @@ def switch_rule_steps(m, q, paths) -> dict:
 
 def own_letters(m) -> list:
     return [m.label[e] for e in m.events]
+
+
+def renamed(m, rng):
+    """m with its event ids permuted, so that linearize, which breaks ties
+    by event id, searches another order; and the map from old to new ids."""
+    ids = list(m.events)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    events = [(new[e], m.loc[e], m.label[e]) for e in m.events]
+    return Msc(m.signature, events, [(new[s], new[r]) for s, r in m.msg]), new
+
+
+@functools.cache
+def links_corpus() -> tuple:
+    """Two seeded random MSCs per k = 2..5 processes and about 10, 50 and
+    250 events, each followed by a copy with its event ids permuted."""
+    rng = random.Random(29)
+    out = []
+    for k in range(2, 6):
+        sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
+        for n in (10, 50, 250):
+            for _ in range(2):
+                m = random_msc(sig, rng, max(1, round(n / (0.75 * k))))
+                out += [m, renamed(m, rng)[0]]
+    return tuple(out)
+
+
+def reference_linearize(m) -> tuple:
+    """The least topological order of (E, <) by event id, from a heap over
+    every ready event and successor lists of ⊏ and ◁."""
+    pred_count = {e: 0 for e in m.events}
+    succs: dict = {e: [] for e in m.events}
+    for a, b in list(m.proc_succ) + list(m.msg):
+        succs[a].append(b)
+        pred_count[b] += 1
+    ready = [e for e in m.events if pred_count[e] == 0]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        e = heapq.heappop(ready)
+        out.append(e)
+        for f in succs[e]:
+            pred_count[f] -= 1
+            if pred_count[f] == 0:
+                heapq.heappush(ready, f)
+    return tuple(out)
+
+
+def reference_pass_layout(m, mirror) -> tuple:
+    """_pass_layout read with name-keyed maps: each event's ⊏-predecessor
+    and sender (on the mirror its ⊏-successor and receiver) looked up by
+    name along reference_linearize (reversed on the mirror)."""
+    if mirror:
+        order = reversed(reference_linearize(m))
+        preds, senders = dict(m.proc_succ), m.recv_of
+    else:
+        order = reference_linearize(m)
+        preds, senders = {b: a for a, b in m.proc_succ}, m.send_of
+    idx, loc = m.index, m.loc
+    shapes: dict = {}
+    steps, kinds = [], []
+    for e in order:
+        pred, sender = preds.get(e), senders.get(e)
+        steps.append((
+            idx[e],
+            -1 if pred is None else idx[pred],
+            -1 if sender is None else idx[sender],
+        ))
+        shape = (pred is not None, None if sender is None else loc[sender], loc[e])
+        kinds.append(shapes.setdefault(shape, len(shapes)))
+    return tuple(shapes), steps, kinds
+
+
+def reference_causal_below(m) -> list:
+    """Per event (in ``events`` position), the bitmask of the events
+    strictly below it, found by a search back along ⊏ and ◁."""
+    preds: dict = {e: [] for e in m.events}
+    for a, b in list(m.proc_succ) + list(m.msg):
+        preds[b].append(a)
+    rows = []
+    for e in m.events:
+        seen, todo = set(), list(preds[e])
+        while todo:
+            f = todo.pop()
+            if f not in seen:
+                seen.add(f)
+                todo += preds[f]
+        rows.append(sum(1 << m.index[f] for f in seen))
+    return rows
 
 
 def reference_dominance(m, sig, pairs, mirror) -> dict:

@@ -43,7 +43,7 @@ from mscgossip.impossibility import (
 )
 from mscgossip.msc import ExtendedMsc, Msc, SystemSignature, linearize, mirror_msc
 from mscgossip.paths import PLUS, STAR, f_pair, parse_path, star_prepend
-from figures import SIG3, fig_base, fig_flipped, oracle_accepts, random_cfm
+from figures import SIG3, fig_base, fig_flipped, oracle_accepts, random_cfm, renamed
 from test_impossibility import CLAIMANTS
 
 NAIVE = naive_gossip_cfm()
@@ -264,15 +264,6 @@ def test_search_matches_bruteforce_oracle():
     assert checked > 100
 
 
-def _renamed(m, rng):
-    """m with its event ids permuted, so that linearize, which breaks ties
-    by event id, searches another order."""
-    ids = list(m.events)
-    new = dict(zip(ids, rng.sample(ids, len(ids))))
-    events = [(new[e], m.loc[e], m.label[e]) for e in m.events]
-    return Msc(m.signature, events, [(new[s], new[r]) for s, r in m.msg]), new
-
-
 def test_acceptance_independent_of_linearization():
     rng = random.Random(9)
     verdicts = []
@@ -280,10 +271,10 @@ def test_acceptance_independent_of_linearization():
         base = accepts(NAIVE, m)
         orders = set()
         for _ in range(20):
-            renamed, new = _renamed(m, rng)
+            other, new = renamed(m, rng)
             back = {v: e for e, v in new.items()}
-            orders.add(tuple(back[e] for e in linearize(renamed)))
-            assert accepts(NAIVE, renamed) == base
+            orders.add(tuple(back[e] for e in linearize(other)))
+            assert accepts(NAIVE, other) == base
         assert len(orders) >= 15
         verdicts.append(base)
     assert verdicts == [True, False]

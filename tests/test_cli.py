@@ -152,6 +152,20 @@ def test_invalid_msc_input_exits_2(tmp_path, capsys):
     assert "FIFO" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, issue", [
+    (lambda o: o["events"][1].update(proc="z"), "event 'f' on unknown process 'z'"),
+    (lambda o: o["messages"].append(["e", "zz"]), "message endpoint 'zz' is not an event"),
+], ids=["unknown-process", "unknown-event"])
+def test_gossip_check_reports_validation_before_deriving_anything(edit, issue, tmp_path, capsys):
+    m = Msc(SIG2, [("e", "p", "a"), ("f", "q", "b")], [("e", "f")])
+    obj = msc_to_json(m, {"e": [None, None], "f": ["a", None]})
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert dispatch(["gossip", "check", str(path)]) == 2
+    assert f"invalid MSC {path}: {issue}" in capsys.readouterr().err
+
+
 def _malformed_msc(case):
     obj = msc_to_json(fig_flipped(), {e: [None, None, None] for e in fig_flipped().events})
     if case == "list-id":

@@ -92,9 +92,11 @@ from figures import (
     SIG3,
     fig_base,
     fig_flipped,
+    links_corpus,
     oracle_rows,
     own_letters,
     reference_gossip_readout,
+    reference_pass_layout,
     switch_rule_steps,
     switch_rule_tries,
 )
@@ -1153,6 +1155,14 @@ def _reference_pass(m, trie) -> list:
             x.label[e],
         )
     return theta
+
+
+def test_pass_layout_equals_the_name_keyed_reference():
+    # both directions, on MSCs whose id order agrees and disagrees with the
+    # causal order; the mirror derives each ⊏-successor and receiver
+    for m in links_corpus():
+        for mirror in (False, True):
+            assert constructions._pass_layout(m, mirror) == reference_pass_layout(m, mirror)
 
 
 @settings(max_examples=60, deadline=None)

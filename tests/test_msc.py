@@ -25,7 +25,14 @@ from mscgossip.msc import (
     validate_msc,
     vector_clocks,
 )
-from figures import SIG3, fig_base, fig_flipped
+from figures import (
+    SIG3,
+    fig_base,
+    fig_flipped,
+    links_corpus,
+    reference_causal_below,
+    reference_linearize,
+)
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
 
@@ -106,6 +113,20 @@ def test_cycle_detected():
     assert any("cycle" in v for v in errs)
 
 
+def test_cycle_behind_an_emittable_prefix():
+    # e0 and f0 can be emitted; after them e1 waits on f2, which follows f1,
+    # which waits on e2, which follows e1
+    m = mk(
+        [("e0", "p", "a"), ("e1", "p", "a"), ("e2", "p", "b"),
+         ("f0", "q", "a"), ("f1", "q", "a"), ("f2", "q", "b")],
+        [("f2", "e1"), ("e2", "f1")],
+    )
+    with pytest.raises(MscError, match="cannot linearize a cyclic MSC"):
+        linearize(m)
+    assert "order" not in m._caches
+    assert validate_msc(m) == ["proc_succ ∪ msg has a cycle; ≤ is not a partial order"]
+
+
 def test_fig_fixtures_valid():
     assert is_valid(fig_base())
     assert is_valid(fig_flipped())
@@ -163,6 +184,28 @@ def test_linearize_is_topological_and_deterministic():
     for a, b in list(m.proc_succ) + list(m.msg):
         assert pos[a] < pos[b]
     assert linearize(fig_base()) == order
+
+
+def test_linearize_holds_a_receive_until_its_send():
+    # b0 heads q but receives from y1; a1 is reached through a0 before its
+    # send z0; the least id goes first among the events that are ready
+    heads = mk([("y0", "p", "a"), ("y1", "p", "a"), ("b0", "q", "b")], [("y1", "b0")])
+    later = mk([("z0", "p", "a"), ("a0", "q", "b"), ("a1", "q", "b")], [("z0", "a1")])
+    assert linearize(heads) == ("y0", "y1", "b0") == reference_linearize(heads)
+    assert linearize(later) == ("a0", "z0", "a1") == reference_linearize(later)
+
+
+def test_linearize_equals_the_all_events_heap():
+    for m in links_corpus():
+        assert linearize(m) == reference_linearize(m)
+
+
+def test_causal_rows_match_a_search_along_the_relation():
+    for m in links_corpus():
+        below, above = m.causal_rows
+        assert below == reference_causal_below(m)
+        n = len(m.events)
+        assert above == [sum(1 << i for i in range(n) if below[i] >> j & 1) for j in range(n)]
 
 
 def test_last_on_process_fig():
