@@ -15,9 +15,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
-from .msc import ExtendedMsc, Msc, SystemSignature, check_json, json_strings, linearize
+from .msc import (
+    ExtendedMsc,
+    Msc,
+    SystemSignature,
+    check_json,
+    inverse_links,
+    json_strings,
+    linearize,
+)
 
 State = Hashable
 
@@ -283,32 +292,40 @@ def find_accepting_run(
 
     Deterministic: explores initial tuples and transitions in their canonical
     enumeration order, along the events in ``linearize(m)`` order, and
-    returns the first run found.  A node is an event index in that order
-    with the state tuple and channel contents reached before it; a node
-    none of whose moves leads to acceptance is remembered and not searched
-    again.  A node's moves depend only on its event's shape (process, kind,
-    label, peer), the process's state and, on a receive, the message at the
-    channel head, so the machine is stepped once per such key: a move table
-    keeps the moves pulled so far from each step, every node with the key
-    reads them in the same order, and a step is pulled further only when a
-    node needs more of it.
+    returns the first run found.  ``m`` must be an MSC that ``validate_msc``
+    accepts: under FIFO, the message at the head of a receive's channel is
+    the one its matched send sent, so a receive reads its send's payload.
 
-    The path is one mutable frame per event index: the node's states and
-    channels, its move-table entry, a cursor into the entry's moves, the
-    transition taken there and, fixed per event, the process whose final
-    test applies there.  Moves are read by index, so a node costs no
-    iterator, and the run returned is read off the frames.  As the frames
-    are a list and not the interpreter's stack, the depth is not bounded by
-    the recursion limit.  Failed nodes are kept per event index, a set of
-    (states, channels) keys made at that index's first failure, so a node's
-    key is hashed only where its index has a failure on record, and a
-    search that never backtracks hashes none.  The failure memo and the
-    move table are local to the call and hold at most ``budget`` keys each:
-    a node's frame is filled only after the node is counted against the
-    budget, each frame given up adds one failed key, and each filled frame
-    adds at most one table entry.  A move pulled is taken, visiting a
-    node, or dropped (below), and both count, so the table holds at most
-    ``budget`` + 1 moves in all.
+    A node is a depth d in that order with the moves chosen before d.  The
+    search keeps them in one flat list of values: the state chosen at each
+    depth, then each process's start state, then the payload sent at each
+    depth.  So a node's situation is the value at its ⊏-predecessor's depth
+    (or its process's start slot) and, on a receive, the payload at its
+    sender's depth: one getter per depth reads both, and no node builds a
+    state tuple or channel queues.  A node's moves depend only on its
+    event's shape (process, kind, label, peer) and that situation, so the
+    machine is stepped once per such key: a move table per shape keeps the
+    moves pulled so far from each step, every node with the key reads them
+    in the same order, and a step is pulled further only when a node needs
+    more of it.  The path is held per depth in lists, not on the
+    interpreter's stack, so the depth is not bounded by the recursion
+    limit: the move-table entry read there, a cursor into its moves and
+    the transition taken, off which the run returned is read.
+
+    A node none of whose moves leads to acceptance is remembered and not
+    searched again.  Its key is the values at each process's latest depth
+    before d (or its start slot), then the payloads of the sends in flight
+    at d.  At a fixed depth the sends in flight and their channels are
+    fixed, so this key determines the state tuple and channel contents
+    reached and is determined by them.  Failed keys are kept per depth, and
+    the per-depth getters of keys are made at the search's first failure,
+    so a search that never backtracks makes and hashes none.  The failure
+    memo and the move table are local to the call and hold at most
+    ``budget`` keys each: a node reads its entry only after it is counted
+    against the budget, each node given up adds one failed key, and each
+    node expanded adds at most one table entry.  A move pulled is taken,
+    visiting a node, or dropped (below), and both count, so the table holds
+    at most ``budget`` + 1 moves in all.
 
     On a ``LazyCfm``, which accepts process by process (``final_ok`` of
     each process's final state), a move at a process's last event whose
@@ -321,7 +338,9 @@ def find_accepting_run(
     events.  Both ask ``final_ok`` through a memo local to the call, once
     per (process, state); it holds at most one answer per move in the move
     table and per start state.  Explicit ``Cfm``s and other machines with
-    global acceptance drop nothing.
+    global acceptance drop nothing.  Every send of an MSC has its receive,
+    so the channels are empty at the end and the closing check does not
+    look at them.
 
     Raises BudgetExhausted when the nodes visited and the moves dropped
     would together exceed ``budget`` before resolution.  When a ``stats``
@@ -338,11 +357,9 @@ def find_accepting_run(
         raise CfmError("machine and MSC have different process sets")
     order = linearize(m)
     n = len(order)
-    pidx = {p: i for i, p in enumerate(procs)}
     # a machine that accepts process by process has its moves at each
     # process's last event checked against that process's final test
     final_ok = machine._final if isinstance(machine, LazyCfm) else None
-    final_at = {} if final_ok is None else {es[-1]: p for p in pidx if (es := m.events_of(p))}
     answers: dict[tuple, bool] = {}
 
     def passes(p, state) -> bool:
@@ -357,70 +374,79 @@ def find_accepting_run(
         def accepting(final):
             return all(passes(p, s) for p, s in zip(procs, final))
 
-    # channel contents are one tuple of queues, one per channel the MSC
-    # uses, in a fixed order, so that the tuple itself is part of a node key
-    loc = m.loc
-    channel: dict[tuple, int] = {}
-    for s, r in m.msg:
-        channel.setdefault((loc[s], loc[r]), len(channel))
-    # per event in the order searched, shared by the events of one shape
-    # (process, kind, label, peer): (process index, kind, channel index,
-    # move table, process, label, peer); a move table maps (state, channel
-    # head) to [moves pulled, step or None once exhausted]
-    recv_of, send_of, label_of = m.recv_of, m.send_of, m.label
+    # vals: at [d] the state chosen at depth d, at [n + c] process c's
+    # start state, at [pay + d] the payload sent at depth d, and at [none]
+    # None, the message that a step at an event other than a receive reads
+    pay = n + len(procs)
+    none = pay + n
+    vals = [None] * (none + 1)
+    proc, _, sender = m._links
+    receiver = inverse_links(sender)
+    index, label_of = m.index, m.label
+    latest = list(range(n, pay))  # per process, the slot of its state so far
+    read = [none] * n  # per event position, the slot of the message it reads
+    # per depth: the getter of its situation (state, message) and its
+    # shape's (move table, process, kind, label, peer); a move table maps
+    # a situation to [moves pulled, step or None once exhausted]
     shapes: dict[tuple, tuple] = {}
-    events = []
-    for e in order:
-        p = loc[e]
-        if e in recv_of:
-            shape = (p, "send", label_of[e], loc[recv_of[e]])
-        elif e in send_of:
-            shape = (p, "recv", label_of[e], loc[send_of[e]])
+    situation_at, shape_at = [], []
+    for d, e in enumerate(order):
+        i = index[e]
+        c = proc[i]
+        if (r := receiver[i]) >= 0:
+            read[r] = pay + d
+            shape = (procs[c], "send", label_of[e], procs[proc[r]])
+        elif (s := sender[i]) >= 0:
+            shape = (procs[c], "recv", label_of[e], procs[proc[s]])
         else:
-            shape = (p, "local", label_of[e], None)
-        ev = shapes.get(shape)
-        if ev is None:
-            _, kind, label, peer = shape
-            # a local event's (None, p) is no channel: c is None
-            c = channel.get((p, peer) if kind == "send" else (peer, p))
-            ev = shapes[shape] = (pidx[p], kind, c, {}, p, label, peer)
-        events.append(ev)
-    # frames[i]: [states, channels, move-table entry, cursor, transition
-    # taken, final process, process index, kind, channel index] of the node
-    # at event i on the current path
-    frames = [
-        [None, None, None, 0, None, final_at.get(e), ev[0], ev[1], ev[2]]
-        for e, ev in zip(order, events)
-    ]
+            shape = (procs[c], "local", label_of[e], None)
+        at = shapes.get(shape)
+        if at is None:
+            at = shapes[shape] = ({}, *shape)
+        situation_at.append(itemgetter(latest[c], read[i]))
+        shape_at.append(at)
+        latest[c] = d
+    # per depth on the current path: the move-table entry read, the cursor
+    # into its moves and the transition taken; fixed per depth, the process
+    # whose final test applies there
+    entries: list = [None] * n
+    cursors = [0] * n
+    taken: list = [None] * n
+    final_at: list = [None] * n
+    if final_ok is not None:
+        for c, d in enumerate(latest):
+            if d < n:
+                final_at[d] = procs[c]
     failed: list[Optional[set]] = [None] * n
+    keys = None  # per depth, the getter of a failed node's key
     visited = steps = pruned = 0
 
     try:
         for start in machine.initial_tuples():
-            states, chans = tuple(start), ((),) * len(channel)
-            depth = 0  # frames on the path; the node reached is at event depth
+            vals[n:pay] = start
+            depth = 0  # the node reached is at this depth
             while True:
                 if visited + pruned == budget:
                     raise BudgetExhausted(budget)
                 visited += 1
                 if depth == n:
-                    if not any(chans) and accepting(states):
-                        return Run({e: fr[4] for e, fr in zip(order, frames)}, tuple(start))
-                elif (f := failed[depth]) is None or (states, chans) not in f:
-                    k, kind, c, table, p, label, peer = events[depth]
-                    # a receive's queue is not empty: its send comes first
-                    situation = (states[k], chans[c][0] if kind == "recv" else None)
+                    if accepting(tuple([vals[d] for d in latest])):
+                        return Run(dict(zip(order, taken)), tuple(start))
+                elif (f := failed[depth]) is None or keys[depth](vals) not in f:
+                    situation = situation_at[depth](vals)
+                    table, p, kind, label, peer = shape_at[depth]
                     entry = table.get(situation)
                     if entry is None:
                         steps += 1
                         step = machine.step(p, situation[0], kind, label, peer, situation[1])
                         entry = table[situation] = [[], iter(step)]
-                    frames[depth][:4] = states, chans, entry, 0
+                    entries[depth] = entry
+                    cursors[depth] = 0
                     depth += 1
-                # the next move of the deepest frame that has one left
+                # the next move at the deepest depth on the path with one left
                 while depth:
-                    frame = frames[depth - 1]
-                    states, chans, entry, j, _, fin, k, kind, c = frame
+                    d = depth - 1
+                    entry, j, fin = entries[d], cursors[d], final_at[d]
                     moves = entry[0]
                     while True:
                         if j == len(moves):
@@ -440,26 +466,46 @@ def find_accepting_run(
                         pruned += 1
                     if move is not None:
                         break
-                    depth -= 1
-                    if (f := failed[depth]) is None:
-                        failed[depth] = {(states, chans)}
+                    depth = d
+                    if keys is None:
+                        keys = _failure_keys(m, order, len(procs))
+                    if (f := failed[d]) is None:
+                        failed[d] = {keys[d](vals)}
                     else:
-                        f.add((states, chans))
+                        f.add(keys[d](vals))
                 else:
                     break
-                frame[3] = j
-                new_state, msg_out, frame[4] = move
-                states = states[:k] + (new_state,) + states[k + 1 :]
-                if kind == "send":
-                    chans = chans[:c] + (chans[c] + (msg_out,),) + chans[c + 1 :]
-                elif kind == "recv":
-                    chans = chans[:c] + (chans[c][1:],) + chans[c + 1 :]
+                cursors[d] = j
+                vals[d], vals[pay + d], taken[d] = move
         return None
     finally:
         if stats is not None:
             stats["visited"] = visited
             stats["steps"] = steps
             stats["pruned"] = pruned
+
+
+def _failure_keys(m: Msc, order: tuple[str, ...], width: int) -> list:
+    """Per depth d of ``order``, the getter of a failed node's key off the
+    run search's values: the slot of each of the ``width`` processes' latest
+    state before d (its start slot when it has none), then the payload slots
+    of the sends in flight at d, in the order they were sent."""
+    proc, _, sender = m._links
+    receiver = inverse_links(sender)
+    index = m.index
+    n = len(order)
+    latest = list(range(n, n + width))
+    flight: dict[int, int] = {}  # a send's event position -> its payload slot
+    keys = []
+    for d, e in enumerate(order):
+        keys.append(itemgetter(*latest, *flight.values()))
+        i = index[e]
+        latest[proc[i]] = d
+        if receiver[i] >= 0:
+            flight[i] = n + width + d
+        elif sender[i] >= 0:
+            del flight[sender[i]]
+    return keys
 
 
 def accepts(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> bool:

@@ -327,8 +327,9 @@ def _chain_theta(m: Msc, trie: PathTrie, base: dict, none) -> dict[str, tuple]:
     through base: θ under any base is the identity-base map read through it,
     so one pass per MSC and path serves every base."""
     vals = [base[e] for e in m.events]
+    # tuple([...]), not tuple(generator), as in Msc.__init__
     return {
-        e: tuple(none if g < 0 else vals[g] for g in row)
+        e: tuple([none if g < 0 else vals[g] for g in row])
         for e, row in zip(m.events, trie_maps(m, trie))
     }
 
@@ -476,7 +477,7 @@ def preorder_rows(m: Msc, q: str, paths: tuple[PathExpr, ...]) -> dict[str, tupl
     for f in m.events_of(q):
         row = maps[idx[f]]
         at = [row[n] for n in nodes]
-        out[f] = tuple(_mask(g <= h for h in at) for g in at)
+        out[f] = tuple([_mask(g <= h for h in at) for g in at])
     return out
 
 

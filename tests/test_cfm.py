@@ -620,6 +620,73 @@ def test_search_matches_reference_on_guessing_claimant():
     assert _same_search(_GuessingQ(CLAIMANTS["parity"]), _with_labels(m, q_label_spec(m)))
 
 
+def _most_in_flight(m):
+    """Along linearize(m): the most messages in flight at once on one
+    channel, and the most channels with a message in flight at once."""
+    flight = Counter()
+    most = busiest = 0
+    for e in linearize(m):
+        if e in m.recv_of:
+            flight[m.loc[e], m.peer_of(e)] += 1
+        elif e in m.send_of:
+            flight[m.peer_of(e), m.loc[e]] -= 1
+        most = max(most, *flight.values(), 0)
+        busiest = max(busiest, sum(1 for v in flight.values() if v))
+    return most, busiest
+
+
+@pytest.mark.parametrize(
+    "sig, corpus_seed, events_per_proc, n_transitions",
+    [(SIG2, 8, 5, 60), (SIG3, 9, 4, 300)],
+    ids=["two-processes", "three-processes"],
+)
+def test_search_matches_reference_with_messages_in_flight(
+    sig, corpus_seed, events_per_proc, n_transitions
+):
+    # a receive reads its matched send's payload and a failed node's key
+    # holds the payloads in flight: random machines with two messages, on
+    # MSCs with several messages in flight on one channel and on two
+    # channels at once
+    corpus = random_corpus(sig, 12, seed=corpus_seed, max_events_per_proc=events_per_proc)
+    flights = [_most_in_flight(m) for m in corpus]
+    assert max(most for most, _ in flights) >= 3
+    assert max(busiest for _, busiest in flights) >= 2
+    rng = random.Random(7)
+    found = Counter()
+    for _ in range(6):
+        mach = random_cfm(sig, rng, n_msgs=2, n_transitions=n_transitions)
+        for m in corpus:
+            found[_same_search(mach, m)] += 1
+    assert found[True] >= 10 and found[False] >= 10
+
+
+def test_failure_memo_is_shared_across_start_tuples():
+    # q's event comes first; p's start state is read off its start slot at
+    # both depths.  Start tuple (p0, q1) reaches the node (p0, q1) at depth
+    # 1 that (p0, q0) left failed, and does not search it again; (p1, q0)
+    # differs from both only in p's start state and finds the run.
+    m = Msc(SIG2, [("c0", "p", "a"), ("b0", "q", "a")], [])
+    assert linearize(m) == ("b0", "c0")
+    mach = Cfm(
+        SIG2, ["m"], {"p": ["p0", "p1"], "q": ["q0", "q1"]}, {"p": "p0", "q": "q0"},
+        [
+            Transition("q", "q0", "local", "a", "q1"),
+            Transition("q", "q1", "local", "a", "q1"),
+            Transition("p", "p0", "local", "a", "p0"),
+            Transition("p", "p1", "local", "a", "p1"),
+        ],
+        accepting=[("p1", "q1")],
+        generalized_initial=[("p0", "q0"), ("p0", "q1"), ("p1", "q0")],
+    )
+    stats: dict = {}
+    run = find_accepting_run(mach, m, stats=stats)
+    assert run.start == ("p1", "q0")
+    assert [run.assignment[e].target for e in ("b0", "c0")] == ["q1", "p1"]
+    # 3 nodes for each of the first and last start tuples, 2 for the middle
+    assert stats["visited"] == 8
+    assert _reference_search(mach, m) == (run, 8)
+
+
 class _CountedSteps:
     """A machine that counts its steps per tuple of step arguments."""
 

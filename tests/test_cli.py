@@ -152,6 +152,20 @@ def test_invalid_msc_input_exits_2(tmp_path, capsys):
     assert "FIFO" in capsys.readouterr().err
 
 
+def test_cfm_run_refuses_a_fifo_violation_before_searching(tmp_path, capsys):
+    # the run search reads a receive's message off its matched send, which
+    # is the channel head only under FIFO: the MSC above never reaches it
+    sig = SystemSignature(("p", "q"), ("a", "b"))
+    m = Msc(sig, [("e2", "p", "a"), ("e3", "p", "b"), ("f1", "q", "a"),
+                  ("f2", "q", "b")], [("e2", "f2"), ("e3", "f1")])
+    msc_path = tmp_path / "fifo.json"
+    msc_path.write_text(json.dumps(msc_to_json(m)))
+    cfm_path = tmp_path / "u.json"
+    cfm_path.write_text(json.dumps(cfm_to_json(universal_cfm(sig))))
+    assert dispatch(["cfm", "run", str(cfm_path), str(msc_path)]) == 2
+    assert "FIFO violation on channel p->q" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, issue", [
     (lambda o: o["events"][1].update(proc="z"), "event 'f' on unknown process 'z'"),
     (lambda o: o["messages"].append(["e", "zz"]), "message endpoint 'zz' is not an event"),
