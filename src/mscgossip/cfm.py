@@ -23,7 +23,6 @@ from .msc import (
     Msc,
     SystemSignature,
     check_json,
-    inverse_links,
     json_strings,
     linearize,
 )
@@ -380,14 +379,14 @@ def find_accepting_run(
     pay = n + len(procs)
     none = pay + n
     vals = [None] * (none + 1)
-    proc, _, sender = m._links
-    receiver = inverse_links(sender)
+    proc, _, _, sender, receiver = m._links
     index, label_of = m.index, m.label
     latest = list(range(n, pay))  # per process, the slot of its state so far
     read = [none] * n  # per event position, the slot of the message it reads
-    # per depth: the getter of its situation (state, message) and its
-    # shape's (move table, process, kind, label, peer); a move table maps
-    # a situation to [moves pulled, step or None once exhausted]
+    # per depth, from the event table's process, receiver and sender of its
+    # event: the getter of its situation (state, message) and its shape's
+    # (move table, process, kind, label, peer); a move table maps a
+    # situation to [moves pulled, step or None once exhausted]
     shapes: dict[tuple, tuple] = {}
     situation_at, shape_at = [], []
     for d, e in enumerate(order):
@@ -490,8 +489,7 @@ def _failure_keys(m: Msc, order: tuple[str, ...], width: int) -> list:
     run search's values: the slot of each of the ``width`` processes' latest
     state before d (its start slot when it has none), then the payload slots
     of the sends in flight at d, in the order they were sent."""
-    proc, _, sender = m._links
-    receiver = inverse_links(sender)
+    proc, _, _, sender, receiver = m._links
     index = m.index
     n = len(order)
     latest = list(range(n, n + width))
@@ -528,7 +526,9 @@ def validate_run(machine, m: Msc, run: Run) -> list[str]:
     if out:
         return out
     start = dict(zip(procs, run.start))
-    for e in m.events:
+    events = m.events
+    _, pred, _, sender, _ = m._links
+    for i, e in enumerate(events):
         t = rho[e]
         if t.proc != m.loc[e]:
             out.append(f"{e!r}: transition belongs to process {t.proc!r}")
@@ -537,34 +537,30 @@ def validate_run(machine, m: Msc, run: Run) -> list[str]:
         kind = m.kind_of(e)
         if t.kind != kind:
             out.append(f"{e!r}: event is a {kind} but transition is a {t.kind}")
-        if m.proc_pred_of(e) is None and t.source != start[m.loc[e]]:
-            out.append(f"{e!r}: first event does not start in the initial state")
-    for a, b in m.proc_succ:
-        if rho[a].target != rho[b].source:
-            out.append(f"states do not chain across ({a!r}, {b!r})")
-    for s, r in m.msg:
-        ts, tr = rho[s], rho[r]
-        if ts.kind == "send" and tr.kind == "recv":
-            if ts.msg != tr.msg:
-                out.append(f"message letters differ on ({s!r}, {r!r})")
-            if ts.peer != m.loc[r] or tr.peer != m.loc[s]:
-                out.append(f"peer processes wrong on ({s!r}, {r!r})")
-    final = []
-    for p in procs:
-        es = m.events_of(p)
-        final.append(rho[es[-1]].target if es else start[p])
-    if not machine.is_accepting(tuple(final)):
-        out.append(f"final tuple {tuple(final)} is not accepting")
-    # transitions must exist in the machine
-    for e in m.events:
-        t = rho[e]
-        kind = m.kind_of(e)
+        if (j := pred[i]) < 0:
+            if t.source != start[m.loc[e]]:
+                out.append(f"{e!r}: first event does not start in the initial state")
+        elif rho[events[j]].target != t.source:
+            out.append(f"states do not chain across ({events[j]!r}, {e!r})")
+        s = events[sender[i]] if sender[i] >= 0 else None
+        if s is not None and rho[s].kind == "send" and t.kind == "recv":
+            if rho[s].msg != t.msg:
+                out.append(f"message letters differ on ({s!r}, {e!r})")
+            if rho[s].peer != m.loc[e] or t.peer != m.loc[s]:
+                out.append(f"peer processes wrong on ({s!r}, {e!r})")
+        # the transition must be a move of the machine
         msg_in = t.msg if kind == "recv" else None
         moves = machine.step(t.proc, t.source, kind, t.label, t.peer, msg_in)
         if not any(
             ns == t.target and (kind != "send" or mo == t.msg) for ns, mo, _ in moves
         ):
             out.append(f"{e!r}: transition {t} is not a move of the machine")
+    final = []
+    for p in procs:
+        es = m.events_of(p)
+        final.append(rho[es[-1]].target if es else start[p])
+    if not machine.is_accepting(tuple(final)):
+        out.append(f"final tuple {tuple(final)} is not accepting")
     return out
 
 

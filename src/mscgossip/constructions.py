@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import defaultdict, deque
 from typing import Callable, Hashable, Iterable, Optional
 
 from .cfm import LazyCfm
-from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, inverse_links, linearize
+from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
 from .paths import (
     LabelTest,
     Msg,
@@ -233,7 +232,7 @@ def _pass_layout(m: Msc, mirror: bool) -> tuple:
     The pass walks ``linearize(m)`` and reads each event's neighbours off
     ``m._links``.  The mirror shares m's events and reverses its order, so
     a mirror pass steps along m's linearization reversed, with each event's
-    ⊏-successor and message receiver, derived from the same links, as its
+    ⊏-successor and message receiver, read off the same table, as its
     mirrored predecessor and sender.
     """
     key = ("pass-layout", mirror)
@@ -241,10 +240,10 @@ def _pass_layout(m: Msc, mirror: bool) -> tuple:
     if cached is None:
         idx = m.index
         order = [idx[e] for e in linearize(m)]
-        proc, preds, senders = m._links
+        proc, preds, succs, senders, receivers = m._links
         if mirror:
             order.reverse()
-            preds, senders = inverse_links(preds), inverse_links(senders)
+            preds, senders = succs, receivers
         procs = m.signature.processes
         shapes: dict[tuple, int] = {}
         steps, kinds = [], []
@@ -1439,10 +1438,12 @@ class ReplayError(Exception):
 
 def replay(machine: AnnotationCfm, ext: ExtendedMsc) -> dict[str, list]:
     """Step the composite relation of ``machine`` on ``ext`` along its
-    canonical run: along linearize, with FIFO channel queues, each event's
-    step given (letter, annotation) and, as ``want``, the event's state in
-    machine.canonical_states, so that it yields that state's move or none;
-    then check final_ok.
+    canonical run: along linearize, each event's step given (letter,
+    annotation), on a receive the payload its matched send chose, and, as
+    ``want``, the event's state in machine.canonical_states, so that it
+    yields that state's move or none; then check final_ok.  ``ext.base``
+    must be an MSC that ``validate_msc`` accepts: by FIFO the matched send's
+    payload is then the head of its channel.
 
     Returns, per process, its start state and the state after each of its
     events.  Raises ReplayError at the first event with no move to its
@@ -1451,18 +1452,18 @@ def replay(machine: AnnotationCfm, ext: ExtendedMsc) -> dict[str, list]:
     m = ext.base
     canon = machine.canonical_states(m)
     states = {p: [next(iter(machine._starts(p)))] for p in m.signature.processes}
-    chans: dict[tuple, deque] = defaultdict(deque)
+    index, sender = m.index, m._links[3]
+    sent: list = [None] * len(m.events)  # per event position, the payload it sent
     for e in linearize(m):
+        i = index[e]
         p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
-        msg_in = chans[peer, p].popleft() if kind == "recv" else None
+        msg_in = sent[sender[i]] if kind == "recv" else None
         label = (m.label[e], ext.annot[e])
         move = next(machine._step(p, states[p][-1], kind, label, peer, msg_in, canon[e]), None)
         if move is None or move[0] != canon[e]:
             raise ReplayError(machine.name, e)
-        new_state, payload = move
+        new_state, sent[i] = move
         states[p].append(new_state)
-        if kind == "send":
-            chans[p, peer].append(payload)
     if not all(machine._final(p, trace[-1]) for p, trace in states.items()):
         raise ReplayError(machine.name, None)
     return states

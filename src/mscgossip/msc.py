@@ -66,7 +66,7 @@ class SystemSignature:
 class Msc:
     """An MSC over a signature.
 
-    Construction is permissive: ``validate()`` reports axiom violations
+    Construction is permissive: ``validate_msc`` reports axiom violations
     instead of raising, so malformed inputs can be diagnosed.  All other
     operations assume a valid MSC.  What is derived from an MSC is computed
     on first use and kept in its one memo dict, ``_caches``; an MSC is never
@@ -89,8 +89,8 @@ class Msc:
         self.loc: dict[str, str] = {e[0]: e[1] for e in ev}
         self.label: dict[str, Label] = {e[0]: e[2] for e in ev}
         self.msg: tuple[tuple[str, str], ...] = tuple([(s, r) for s, r in messages])
-        # linearization, index, per-index links, process order, message
-        # maps, pass layouts, trie maps and annotations, each under its own key
+        # linearization, index, event table, events per process, pass
+        # layouts, trie maps and annotations, each under its own key
         self._caches: dict[Any, Any] = {}
 
     # -- derived structure ------------------------------------------------
@@ -109,74 +109,47 @@ class Msc:
             self._caches["per_proc"] = {q: tuple(es) for q, es in per.items()}
         return self._caches["per_proc"].get(p, ())
 
-    @property
-    def proc_succ(self) -> tuple[tuple[str, str], ...]:
-        if "proc_succ" not in self._caches:
-            pairs = []
-            for p in self.signature.processes:
-                es = self.events_of(p)
-                pairs.extend(zip(es, es[1:]))
-            self._caches["proc_succ"] = tuple(pairs)
-        return self._caches["proc_succ"]
-
-    def proc_pred_of(self, e: str) -> Optional[str]:
-        if "proc_pred" not in self._caches:
-            self._caches["proc_pred"] = {b: a for a, b in self.proc_succ}
-        return self._caches["proc_pred"].get(e)
-
-    @property
-    def send_of(self) -> dict[str, str]:
-        """receive event -> its send event."""
-        if "send_of" not in self._caches:
-            self._caches["send_of"] = {r: s for s, r in self.msg}
-        return self._caches["send_of"]
-
-    @property
-    def recv_of(self) -> dict[str, str]:
-        """send event -> its receive event."""
-        if "recv_of" not in self._caches:
-            self._caches["recv_of"] = {s: r for s, r in self.msg}
-        return self._caches["recv_of"]
-
     def kind_of(self, e: str) -> str:
         """'send', 'recv', or 'local'."""
-        if e in self.recv_of:
-            return "send"
-        if e in self.send_of:
-            return "recv"
-        return "local"
+        _, _, _, sender, receiver = self._links
+        i = self.index[e]
+        return "send" if receiver[i] >= 0 else "recv" if sender[i] >= 0 else "local"
 
     def peer_of(self, e: str) -> Optional[str]:
         """For a send (recv): the receiving (sending) process."""
-        if e in self.recv_of:
-            return self.loc[self.recv_of[e]]
-        if e in self.send_of:
-            return self.loc[self.send_of[e]]
-        return None
+        proc, _, _, sender, receiver = self._links
+        i = self.index[e]
+        j = receiver[i] if receiver[i] >= 0 else sender[i]
+        return self.signature.processes[proc[j]] if j >= 0 else None
 
     @property
-    def _links(self) -> tuple[list[int], list[int], list[int]]:
-        """Per event (in ``events`` position): its process's position in the
-        signature, and the positions of its ⊏-predecessor and of its sender,
-        with -1 for none.  One pass over ``events`` and one over ``msg``; it
-        assumes what ``validate_msc`` checks before it linearizes: every
-        event is on a process of the signature and every message end is an
-        event."""
+    def _links(self) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """The MSC's one event table.  Per event (in ``events`` position):
+        its process's position in the signature, then the positions of its
+        ⊏-predecessor, its ⊏-successor, its sender and its receiver, with -1
+        for none.  On one process, position order is process order.  One
+        pass over ``events`` and one over ``msg``; it assumes what
+        ``validate_msc`` checks before it reads the table: event ids are
+        distinct, every event is on a process of the signature, and every
+        message end is an event in no other message."""
         links = self._caches.get("links")
         if links is None:
             col = {p: c for c, p in enumerate(self.signature.processes)}
             loc = self.loc
             proc = [col[loc[e]] for e in self.events]
+            n = len(proc)
+            pred, succ, sender, receiver = [-1] * n, [-1] * n, [-1] * n, [-1] * n
             last = [-1] * len(col)
-            pred = []
             for i, c in enumerate(proc):
-                pred.append(last[c])
+                j = last[c]
+                if j >= 0:
+                    pred[i], succ[j] = j, i
                 last[c] = i
             idx = self.index
-            sender = [-1] * len(proc)
             for s, r in self.msg:
-                sender[idx[r]] = idx[s]
-            links = self._caches["links"] = (proc, pred, sender)
+                i, j = idx[s], idx[r]
+                sender[j], receiver[i] = i, j
+            links = self._caches["links"] = (proc, pred, succ, sender, receiver)
         return links
 
     @property
@@ -186,7 +159,7 @@ class Msc:
         of its ⊏-predecessor and its sender, read off ``_links``."""
         if "anc" not in self._caches:
             idx = self.index
-            _, pred, sender = self._links
+            _, pred, _, sender, _ = self._links
             anc = [0] * len(self.events)
             for e in linearize(self):
                 i = idx[e]
@@ -217,15 +190,6 @@ class Msc:
                     row ^= low
             self._caches["rows"] = (below, above)
         return self._caches["rows"]
-
-    def pos_on_proc(self, e: str) -> int:
-        if "pos" not in self._caches:
-            pos = {}
-            for p in self.signature.processes:
-                for k, ev in enumerate(self.events_of(p)):
-                    pos[ev] = k
-            self._caches["pos"] = pos
-        return self._caches["pos"][e]
 
 
 class ExtendedMsc:
@@ -274,17 +238,20 @@ def validate_msc(m: Msc) -> list[str]:
     if out:
         return out
 
-    # FIFO: per channel, send order must equal receive order.
-    chans: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    # FIFO: per channel, send order must equal receive order; on one
+    # process, index order is process order
+    receiver, idx, events = m._links[4], m.index, m.events
+    chans: dict[tuple[str, str], list[int]] = {}
     for s, r in m.msg:
-        chans.setdefault((m.loc[s], m.loc[r]), []).append((s, r))
-    for (p, q), pairs in chans.items():
-        by_send = sorted(pairs, key=lambda sr: m.pos_on_proc(sr[0]))
-        recv_pos = [m.pos_on_proc(r) for _, r in by_send]
-        if recv_pos != sorted(recv_pos):
+        chans.setdefault((m.loc[s], m.loc[r]), []).append(idx[s])
+    for (p, q), sends in chans.items():
+        sends.sort()
+        recvs = [receiver[i] for i in sends]
+        if recvs != sorted(recvs):
+            by_send = [(events[i], events[j]) for i, j in zip(sends, recvs)]
             out.append(f"FIFO violation on channel {p}->{q}: {by_send}")
 
-    # acyclicity of proc_succ ∪ msg: linearize raises on a cycle
+    # acyclicity of ⊏ ∪ msg: linearize raises on a cycle
     try:
         linearize(m)
     except MscError:
@@ -311,8 +278,7 @@ def linearize(m: Msc) -> tuple[str, ...]:
     if "order" in m._caches:
         return m._caches["order"]
     events = m.events
-    _, pred, sender = m._links
-    succ = inverse_links(pred)
+    _, pred, succ, sender, _ = m._links
     n = len(events)
     heap: list[tuple[str, int]] = []
     waiting: dict[int, int] = {}  # send index -> its receive, a process's next event
@@ -343,17 +309,6 @@ def linearize(m: Msc) -> tuple[str, ...]:
         raise MscError("cannot linearize a cyclic MSC")
     m._caches["order"] = tuple(out)
     return m._caches["order"]
-
-
-def inverse_links(links: list[int]) -> list[int]:
-    """Per event position, the position whose link in ``links`` is it, or -1
-    for none: the ⊏-successors from the ⊏-predecessors of ``Msc._links``,
-    and the receivers from the senders."""
-    inverse = [-1] * len(links)
-    for i, j in enumerate(links):
-        if j >= 0:
-            inverse[j] = i
-    return inverse
 
 
 def causal_leq(m: Msc, e: ExtEvent, f: ExtEvent) -> bool:
@@ -400,22 +355,21 @@ def vector_clocks(m: Msc) -> dict[str, tuple]:
     event of p strictly below e, or BOTTOM.  Gossip ground truth for all
     events at once, from vector clocks (Fidge 1988; Mattern 1989): one pass
     along ``linearize``, O(n·k).  ``last_on_process`` is the reference."""
-    procs = m.signature.processes
-    col = {p: i for i, p in enumerate(procs)}
-    # per event, how many events of each process are causally below or at it
-    seen: dict[str, list[int]] = {}
+    idx, events = m.index, m.events
+    proc, pred, _, sender, _ = m._links
+    # per event index, the index of each process's latest event below or at
+    # it, -1 for none: on one process index order is process order
+    seen: list = [None] * len(events)
     out = {}
     for e in linearize(m):
-        pred = m.proc_pred_of(e)
-        snd = m.send_of.get(e)
-        clock = [0] * len(procs) if pred is None else list(seen[pred])
-        if snd is not None:
-            clock = [max(a, b) for a, b in zip(clock, seen[snd])]
-        out[e] = tuple(
-            m.events_of(p)[c - 1] if c else BOTTOM for p, c in zip(procs, clock)
-        )
-        clock[col[m.loc[e]]] += 1
-        seen[e] = clock
+        i = idx[e]
+        p, s = pred[i], sender[i]
+        clock = [-1] * len(m.signature.processes) if p < 0 else list(seen[p])
+        if s >= 0:
+            clock = [max(a, b) for a, b in zip(clock, seen[s])]
+        out[e] = tuple([events[j] if j >= 0 else BOTTOM for j in clock])
+        clock[proc[i]] = i
+        seen[i] = clock
     return out
 
 
@@ -506,8 +460,11 @@ def export_dot(m: Msc, annot: Optional[dict[str, Any]] = None) -> str:
         for e in m.events_of(p):
             lines.append(f'    "{e}" [label="{node_label(e)}"];')
         lines.append("  }")
-    for a, b in m.proc_succ:
-        lines.append(f'  "{a}" -> "{b}" [style=solid];')
+    events, succ = m.events, m._links[2]
+    for p in m.signature.processes:
+        for a in m.events_of(p):
+            if (b := succ[m.index[a]]) >= 0:
+                lines.append(f'  "{a}" -> "{events[b]}" [style=solid];')
     for s, r in m.msg:
         lines.append(f'  "{s}" -> "{r}" [color=blue, constraint=false];')
     lines.append("}")

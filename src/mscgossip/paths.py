@@ -139,9 +139,7 @@ def eval_path(m: Msc, pi: PathExpr) -> set[tuple[str, str]]:
         if isinstance(s, StarStep):
             step = desc
         elif isinstance(s, Step):
-            step = [0] * n
-            for a, b in m.proc_succ:
-                step[idx[a]] |= 1 << idx[b]
+            step = [1 << j if j >= 0 else 0 for j in m._links[2]]
         elif isinstance(s, Msg):
             step = [0] * n
             for a, b in m.msg:
@@ -173,15 +171,11 @@ def _descendant_masks(m: Msc) -> list[int]:
     """step[i] = bitmask of events f with e_i →* f (same-process, reflexive)."""
     key = "path_desc"
     if key not in m._caches:
-        idx = m.index
-        n = len(m.events)
-        step = [1 << i for i in range(n)]
-        for p in m.signature.processes:
-            es = m.events_of(p)
-            acc = 0
-            for e in reversed(es):
-                acc |= 1 << idx[e]
-                step[idx[e]] = acc
+        succ = m._links[2]
+        step = [1 << i for i in range(len(succ))]
+        for i in reversed(range(len(succ))):  # a ⊏-successor has a later index
+            if succ[i] >= 0:
+                step[i] |= step[succ[i]]
         m._caches[key] = step
     return m._caches[key]
 
@@ -197,7 +191,8 @@ def _extremal(m: Msc, events: Iterable[str], pick_max: bool) -> ExtEvent:
             f"path image spans processes {sorted(procs)}: invariant violation"
         )
     key = max if pick_max else min
-    return key(events, key=m.pos_on_proc)
+    # on one process, index order is process order
+    return key(events, key=m.index.__getitem__)
 
 
 def last(m: Msc, pi: PathExpr, e: str) -> ExtEvent:
@@ -248,16 +243,26 @@ class EventPreorder:
 
 
 def preorder_at(m: Msc, paths: Iterable[PathExpr], e: str) -> EventPreorder:
-    """Brute-force ⪯_e: compare last_π(e) values under the causal order."""
+    """Brute-force ⪯_e: compare last_π(e) values under the causal order.
+
+    Every path must run from one common process p to e's process, as in
+    ``build_preorder_cfm``: then each last_π(e) is ⊥ or an event on p, and
+    on p the causal order is the order of event indices.
+    """
     paths = tuple(paths)
-    sig = m.signature
+    sig, q = m.signature, m.loc[e]
+    common = set(sig.processes)
     for pi in paths:
-        if not any(pq[1] == m.loc[e] for pq in comp(sig, pi)):
-            raise PathError(f"{pi} cannot end on process {m.loc[e]}")
+        sources = {p for p, r in comp(sig, pi) if r == q}
+        if not sources:
+            raise PathError(f"{pi} cannot end on process {q}")
+        common &= sources
+    if not common:
+        raise PathError(f"the paths share no source process for an event on {q}")
     lasts = {pi: last(m, pi, e) for pi in paths}
 
     def key(v: ExtEvent) -> int:
-        return -1 if v is BOTTOM else m.pos_on_proc(v)
+        return -1 if v is BOTTOM else m.index[v]
 
     leq = frozenset(
         (a, b) for a in paths for b in paths if key(lasts[a]) <= key(lasts[b])

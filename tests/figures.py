@@ -24,11 +24,14 @@ read-outs of ``build_gossip_cfm``.
 ``oracle_accepts`` decides acceptance by an explicit CFM by trying every
 transition assignment, the reference for the run search, and
 ``random_cfm`` draws the small explicit machines it is checked on.
+``reference_links`` is each event's neighbours by name, read off
+``Msc.events_of`` and ``Msc.msg`` alone, the reference for the event table
+``Msc._links``; ``reference_kind_peer`` and ``causal_pairs`` are read off it.
 ``reference_linearize`` (a heap over every ready event),
-``reference_pass_layout`` (name-keyed maps of ⊏-pairs and messages) and
+``reference_pass_layout`` (name-keyed neighbours) and
 ``reference_causal_below`` (a search back along ⊏ and ◁) are the references
 for ``linearize``, ``_pass_layout`` and ``Msc.causal_rows``, which read
-per-index links; ``links_corpus`` is the MSCs they are compared on, and
+the table; ``links_corpus`` is the MSCs they are compared on, and
 ``renamed`` permutes an MSC's event ids, so that the id order disagrees with
 the causal order.
 """
@@ -232,12 +235,42 @@ def links_corpus() -> tuple:
     return tuple(out)
 
 
+def reference_links(m) -> dict:
+    """Per event id, the ids of its ⊏-predecessor, ⊏-successor, sender and
+    receiver, None for none, read off ``m.events_of`` and ``m.msg`` alone:
+    no reference reads the per-index table ``Msc._links`` it checks."""
+    out = {e: [None] * 4 for e in m.events}
+    for p in m.signature.processes:
+        es = m.events_of(p)
+        for a, b in zip(es, es[1:]):
+            out[b][0], out[a][1] = a, b
+    for s, r in m.msg:
+        out[r][2], out[s][3] = s, r
+    return out
+
+
+def reference_kind_peer(m, links, e) -> tuple:
+    """``m.kind_of(e)`` and ``m.peer_of(e)`` read off ``reference_links``."""
+    _, _, sender, receiver = links[e]
+    if receiver is not None:
+        return "send", m.loc[receiver]
+    if sender is not None:
+        return "recv", m.loc[sender]
+    return "local", None
+
+
+def causal_pairs(m) -> list:
+    """The pairs of ⊏, then those of ◁, from ``reference_links``."""
+    links = reference_links(m)
+    return [(a, links[a][1]) for a in m.events if links[a][1] is not None] + list(m.msg)
+
+
 def reference_linearize(m) -> tuple:
     """The least topological order of (E, <) by event id, from a heap over
     every ready event and successor lists of ⊏ and ◁."""
     pred_count = {e: 0 for e in m.events}
     succs: dict = {e: [] for e in m.events}
-    for a, b in list(m.proc_succ) + list(m.msg):
+    for a, b in causal_pairs(m):
         succs[a].append(b)
         pred_count[b] += 1
     ready = [e for e in m.events if pred_count[e] == 0]
@@ -257,17 +290,16 @@ def reference_pass_layout(m, mirror) -> tuple:
     """_pass_layout read with name-keyed maps: each event's ⊏-predecessor
     and sender (on the mirror its ⊏-successor and receiver) looked up by
     name along reference_linearize (reversed on the mirror)."""
+    links = reference_links(m)
     if mirror:
-        order = reversed(reference_linearize(m))
-        preds, senders = dict(m.proc_succ), m.recv_of
+        order, at_pred, at_sender = reversed(reference_linearize(m)), 1, 3
     else:
-        order = reference_linearize(m)
-        preds, senders = {b: a for a, b in m.proc_succ}, m.send_of
+        order, at_pred, at_sender = reference_linearize(m), 0, 2
     idx, loc = m.index, m.loc
     shapes: dict = {}
     steps, kinds = [], []
     for e in order:
-        pred, sender = preds.get(e), senders.get(e)
+        pred, sender = links[e][at_pred], links[e][at_sender]
         steps.append((
             idx[e],
             -1 if pred is None else idx[pred],
@@ -282,7 +314,7 @@ def reference_causal_below(m) -> list:
     """Per event (in ``events`` position), the bitmask of the events
     strictly below it, found by a search back along ⊏ and ◁."""
     preds: dict = {e: [] for e in m.events}
-    for a, b in list(m.proc_succ) + list(m.msg):
+    for a, b in causal_pairs(m):
         preds[b].append(a)
     rows = []
     for e in m.events:
@@ -507,15 +539,16 @@ def oracle_accepts(machine: Cfm, m: Msc) -> bool:
     Exponential; only usable on tiny MSCs.  Independent of the DFS search.
     """
     order = m.events
+    links = reference_links(m)
     choices = []
     for e in order:
         p = m.loc[e]
-        kind = m.kind_of(e)
+        kind, peer = reference_kind_peer(m, links, e)
         cand = [
             t
             for t in machine.transitions_of(p)
             if t.kind == kind and t.label == m.label[e]
-            and (kind == "local" or t.peer == m.peer_of(e))
+            and (kind == "local" or t.peer == peer)
         ]
         if not cand:
             return False
@@ -532,11 +565,10 @@ def oracle_accepts(machine: Cfm, m: Msc) -> bool:
 
 def _plain_conditions(machine: Cfm, m: Msc, run: Run, start) -> bool:
     rho = run.assignment
+    links = reference_links(m)
     for e in m.events:
-        if m.proc_pred_of(e) is None and rho[e].source != start[m.loc[e]]:
-            return False
-    for a, b in m.proc_succ:
-        if rho[a].target != rho[b].source:
+        pred = links[e][0]
+        if rho[e].source != (start[m.loc[e]] if pred is None else rho[pred].target):
             return False
     for s, r in m.msg:
         if rho[s].msg != rho[r].msg:

@@ -43,7 +43,16 @@ from mscgossip.impossibility import (
 )
 from mscgossip.msc import ExtendedMsc, Msc, SystemSignature, linearize, mirror_msc
 from mscgossip.paths import PLUS, STAR, f_pair, parse_path, star_prepend
-from figures import SIG3, fig_base, fig_flipped, oracle_accepts, random_cfm, renamed
+from figures import (
+    SIG3,
+    fig_base,
+    fig_flipped,
+    oracle_accepts,
+    random_cfm,
+    reference_kind_peer,
+    reference_links,
+    renamed,
+)
 from test_impossibility import CLAIMANTS
 
 NAIVE = naive_gossip_cfm()
@@ -625,11 +634,13 @@ def _most_in_flight(m):
     channel, and the most channels with a message in flight at once."""
     flight = Counter()
     most = busiest = 0
+    links = reference_links(m)
     for e in linearize(m):
-        if e in m.recv_of:
-            flight[m.loc[e], m.peer_of(e)] += 1
-        elif e in m.send_of:
-            flight[m.peer_of(e), m.loc[e]] -= 1
+        kind, peer = reference_kind_peer(m, links, e)
+        if kind == "send":
+            flight[m.loc[e], peer] += 1
+        elif kind == "recv":
+            flight[peer, m.loc[e]] -= 1
         most = max(most, *flight.values(), 0)
         busiest = max(busiest, sum(1 for v in flight.values() if v))
     return most, busiest

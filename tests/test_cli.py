@@ -287,6 +287,18 @@ def test_path_queries(fig_file, capsys):
         assert capsys.readouterr().err == "error: unknown event 'zz'\n"
 
 
+def test_path_compare_refuses_paths_from_two_sources(tmp_path, capsys):
+    # →* ends at f3 from q, the message path from p: no source is common
+    m = Msc(SIG2, [("e1", "p", "a"), ("e2", "p", "a"), ("f1", "q", "a"),
+                   ("f2", "q", "a"), ("f3", "q", "a")], [("e1", "f3")])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(msc_to_json(m)))
+    assert dispatch(["path", "compare", str(path), "--event", "f3",
+                     "--path=->*", "--path=->* msg(p,q) ->*"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "share no source process" in out.err
+
+
 @pytest.mark.parametrize("spelled", [
     ["--path", "->"],
     ["--path", "->", "--path2", "->*"],

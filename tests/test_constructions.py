@@ -96,6 +96,7 @@ from figures import (
     oracle_rows,
     own_letters,
     reference_gossip_readout,
+    reference_links,
     reference_pass_layout,
     switch_rule_steps,
     switch_rule_tries,
@@ -933,6 +934,29 @@ def test_gossip_replay_at_k4():
     assert err.value.event == e
 
 
+def test_gossip_replay_reads_each_receive_at_its_send(monkeypatch):
+    # along linearize, a1 and a2 are both in flight on p→q while a3 is on
+    # p→r, then c1 joins them on r→q; a receive that read another send's
+    # payload would miss its canonical state.  Every canonical state is
+    # reached, and a canonical state swapped for another of its process's
+    # stops the replay at its own event
+    m = Msc(SIG3, [("a1", "p", "a"), ("a2", "p", "b"), ("a3", "p", "a"), ("a4", "p", "b"),
+                   ("c1", "r", "b"), ("c2", "r", "a"),
+                   ("x1", "q", "a"), ("x2", "q", "b"), ("x3", "q", "d")],
+            [("a1", "x1"), ("a2", "x3"), ("c1", "x2"), ("a3", "c2")])
+    assert linearize(m) == ("a1", "a2", "a3", "a4", "c1", "c2", "x1", "x2", "x3")
+    mach = build_gossip_cfm(SIG3)
+    replayed(mach, m)
+    ext = ExtendedMsc(m, mach.annotate(m))
+    canon = mach.canonical_states(m)
+    for e in m.events:
+        for wrong in {canon[f] for f in m.events_of(m.loc[e])} - {canon[e]}:
+            monkeypatch.setattr(mach, "_canonical_fn", lambda m, e=e, s=wrong: {**canon, e: s})
+            with pytest.raises(ReplayError) as err:
+                replay(mach, ext)
+            assert err.value.event == e
+
+
 def test_canonical_states_run_one_pass_per_trie(monkeypatch):
     # θ under any base is the identity-base map of its trie read through that
     # base, so the canonical run makes one pass per trie and keeps its map
@@ -1142,8 +1166,9 @@ def _reference_pass(m, trie) -> list:
     x = mirror_msc(m) if trie.mirror else m
     none = _TOP if trie.mirror else _BOT
     theta = [None] * len(m.events)
+    links = reference_links(x)
     for e in linearize(x):
-        pred, sender = x.proc_pred_of(e), x.send_of.get(e)
+        pred, _, sender, _ = links[e]
         theta[m.index[e]] = _reference_step(
             trie.edges,
             none,
@@ -1198,8 +1223,9 @@ def test_last_core_steps_match_theta_rule(seed, max_events):
     for pi in PATH_SHAPES:
         core = LastCore(pi)
         state, sent = {}, {}
+        links = reference_links(m)
         for e in linearize(m):
-            pred, sender = m.proc_pred_of(e), m.send_of.get(e)
+            pred, _, sender, _ = links[e]
             ctx = StepCtx(m.loc[e], m.kind_of(e), m.peer_of(e), m.label[e])
             payload = None if sender is None else sent[sender]
             [(t, out, pay)] = core.step(

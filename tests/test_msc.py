@@ -27,11 +27,14 @@ from mscgossip.msc import (
 )
 from figures import (
     SIG3,
+    causal_pairs,
     fig_base,
     fig_flipped,
     links_corpus,
     reference_causal_below,
+    reference_kind_peer,
     reference_linearize,
+    reference_links,
 )
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
@@ -181,7 +184,7 @@ def test_linearize_is_topological_and_deterministic():
     order = linearize(m)
     assert sorted(order) == sorted(m.events)
     pos = {e: i for i, e in enumerate(order)}
-    for a, b in list(m.proc_succ) + list(m.msg):
+    for a, b in causal_pairs(m):
         assert pos[a] < pos[b]
     assert linearize(fig_base()) == order
 
@@ -193,6 +196,19 @@ def test_linearize_holds_a_receive_until_its_send():
     later = mk([("z0", "p", "a"), ("a0", "q", "b"), ("a1", "q", "b")], [("z0", "a1")])
     assert linearize(heads) == ("y0", "y1", "b0") == reference_linearize(heads)
     assert linearize(later) == ("a0", "z0", "a1") == reference_linearize(later)
+
+
+def test_event_table_matches_the_name_keyed_neighbours():
+    # each event's ⊏-predecessor, ⊏-successor, sender and receiver, and its
+    # kind and peer, against a reference read off events_of and msg alone
+    for m in links_corpus():
+        proc, *links = m._links
+        ref = reference_links(m)
+        assert [m.signature.processes[c] for c in proc] == [m.loc[e] for e in m.events]
+        for i, e in enumerate(m.events):
+            got = [m.events[link[i]] if link[i] >= 0 else None for link in links]
+            assert got == ref[e], e
+            assert (m.kind_of(e), m.peer_of(e)) == reference_kind_peer(m, ref, e)
 
 
 def test_linearize_equals_the_all_events_heap():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mscgossip.corpus import random_corpus
-from mscgossip.msc import BOTTOM, TOP, MscError, causal_leq, causal_lt
+from mscgossip.msc import BOTTOM, TOP, Msc, MscError, SystemSignature, causal_leq, causal_lt
 from mscgossip.paths import (
     EPS,
     PLUS,
@@ -230,8 +230,21 @@ def test_preorder_needs_paths_that_end_on_the_event_process():
         preorder_at(fig_flipped(), [PI, PI2], "e0")
 
 
+def test_preorder_needs_paths_from_one_source_process():
+    # last_→*(f3) is f3 on q and last_π(f3) is e1 on p: positions on two
+    # processes do not order them, so the set is refused
+    sig = SystemSignature(("p", "q"), ("a",))
+    m = Msc(sig, [("e1", "p", "a"), ("e2", "p", "a"), ("f1", "q", "a"),
+                  ("f2", "q", "a"), ("f3", "q", "a")], [("e1", "f3")])
+    pi = parse_path("->* msg(p,q) ->*", sig)
+    with pytest.raises(PathError, match="share no source process"):
+        preorder_at(m, [STAR, pi], "f3")
+    po = preorder_at(m, [pi, plus_prepend(pi)], "f3")
+    assert po.strictly(plus_prepend(pi), pi)
+
+
 def test_preorder_is_total_preorder():
-    paths = (PI, PI2, PLUS)
+    paths = (PI, PI2, plus_prepend(PI))
     for m in CORPUS[:10]:
         for e in m.events_of("q"):
             po = preorder_at(m, paths, e)
