@@ -516,7 +516,10 @@ def accepts(machine, m: Msc, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def validate_run(machine, m: Msc, run: Run) -> list[str]:
-    """Check the five run conditions plus acceptance; empty list iff valid."""
+    """Check the five run conditions plus acceptance; empty list iff valid.
+
+    ``m`` must be an MSC that ``validate_msc`` accepts.  Violations are
+    listed per event in ``m.events`` order, then the final tuple's."""
     out: list[str] = []
     procs = machine.signature.processes
     rho = run.assignment
@@ -555,12 +558,9 @@ def validate_run(machine, m: Msc, run: Run) -> list[str]:
             ns == t.target and (kind != "send" or mo == t.msg) for ns, mo, _ in moves
         ):
             out.append(f"{e!r}: transition {t} is not a move of the machine")
-    final = []
-    for p in procs:
-        es = m.events_of(p)
-        final.append(rho[es[-1]].target if es else start[p])
-    if not machine.is_accepting(tuple(final)):
-        out.append(f"final tuple {tuple(final)} is not accepting")
+    final = tuple([rho[es[-1]].target if (es := m.events_of(p)) else start[p] for p in procs])
+    if not machine.is_accepting(final):
+        out.append(f"final tuple {final} is not accepting")
     return out
 
 

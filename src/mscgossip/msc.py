@@ -445,7 +445,8 @@ def extended_msc_from_json(obj: dict) -> ExtendedMsc:
 
 
 def export_dot(m: Msc, annot: Optional[dict[str, Any]] = None) -> str:
-    """Render as a DOT digraph: one horizontal rank per process."""
+    """Render as a DOT digraph: one horizontal rank per process.  Drawn from
+    ``events_of`` and ``msg``, so also an MSC that ``validate_msc`` refuses."""
 
     def node_label(e: str) -> str:
         lab = f"{e}\\n{m.label[e]}"
@@ -460,11 +461,10 @@ def export_dot(m: Msc, annot: Optional[dict[str, Any]] = None) -> str:
         for e in m.events_of(p):
             lines.append(f'    "{e}" [label="{node_label(e)}"];')
         lines.append("  }")
-    events, succ = m.events, m._links[2]
     for p in m.signature.processes:
-        for a in m.events_of(p):
-            if (b := succ[m.index[a]]) >= 0:
-                lines.append(f'  "{a}" -> "{events[b]}" [style=solid];')
+        es = m.events_of(p)
+        for a, b in zip(es, es[1:]):
+            lines.append(f'  "{a}" -> "{b}" [style=solid];')
     for s, r in m.msg:
         lines.append(f'  "{s}" -> "{r}" [color=blue, constraint=false];')
     lines.append("}")

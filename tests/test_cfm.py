@@ -504,9 +504,9 @@ def _reference_search(machine, m, budget=DEFAULT_BUDGET, final_rule=True):
     channel = {}
     for s, r in m.msg:
         channel.setdefault((m.loc[s], m.loc[r]), len(channel))
-    shapes = []
+    shapes, links = [], reference_links(m)
     for e in order:
-        p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
+        p, (kind, peer) = m.loc[e], reference_kind_peer(m, links, e)
         c = None if kind == "local" else channel[(p, peer) if kind == "send" else (peer, p)]
         shapes.append((pidx[p], p, kind, peer, m.label[e], c))
     visited = 0

@@ -166,18 +166,34 @@ def test_cfm_run_refuses_a_fifo_violation_before_searching(tmp_path, capsys):
     assert "FIFO violation on channel p->q" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, issue", [
+INVALID_EDITS = pytest.mark.parametrize("edit, issue", [
     (lambda o: o["events"][1].update(proc="z"), "event 'f' on unknown process 'z'"),
     (lambda o: o["messages"].append(["e", "zz"]), "message endpoint 'zz' is not an event"),
 ], ids=["unknown-process", "unknown-event"])
-def test_gossip_check_reports_validation_before_deriving_anything(edit, issue, tmp_path, capsys):
+
+
+def _invalid_msc_file(edit, tmp_path):
     m = Msc(SIG2, [("e", "p", "a"), ("f", "q", "b")], [("e", "f")])
     obj = msc_to_json(m, {"e": [None, None], "f": ["a", None]})
     edit(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
+    return path
+
+
+@INVALID_EDITS
+def test_gossip_check_reports_validation_before_deriving_anything(edit, issue, tmp_path, capsys):
+    path = _invalid_msc_file(edit, tmp_path)
     assert dispatch(["gossip", "check", str(path)]) == 2
     assert f"invalid MSC {path}: {issue}" in capsys.readouterr().err
+
+
+@INVALID_EDITS
+def test_msc_dot_draws_an_invalid_msc_as_it_is(edit, issue, tmp_path, capsys):
+    path = _invalid_msc_file(edit, tmp_path)
+    assert dispatch(["msc", "dot", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph msc {") and '"e" -> "f" [color=blue' in out
 
 
 def _malformed_msc(case):

@@ -96,6 +96,7 @@ from figures import (
     oracle_rows,
     own_letters,
     reference_gossip_readout,
+    reference_kind_peer,
     reference_links,
     reference_pass_layout,
     switch_rule_steps,
@@ -1226,7 +1227,7 @@ def test_last_core_steps_match_theta_rule(seed, max_events):
         links = reference_links(m)
         for e in linearize(m):
             pred, _, sender, _ = links[e]
-            ctx = StepCtx(m.loc[e], m.kind_of(e), m.peer_of(e), m.label[e])
+            ctx = StepCtx(m.loc[e], *reference_kind_peer(m, links, e), m.label[e])
             payload = None if sender is None else sent[sender]
             [(t, out, pay)] = core.step(
                 "start" if pred is None else state[pred], ctx, base[e], payload
@@ -1464,9 +1465,9 @@ def sampled_steps(core_step, start, canon, m, rng):
     states: the canonical one, and that of a random move at the process's
     event before."""
     states = dict.fromkeys(m.signature.processes, (start,))
-    chans = defaultdict(deque)
+    chans, links = defaultdict(deque), reference_links(m)
     for e in linearize(m):
-        p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
+        p, (kind, peer) = m.loc[e], reference_kind_peer(m, links, e)
         msg_in = chans[peer, p].popleft() if kind == "recv" else None
         ctx = StepCtx(p, kind, peer, m.label[e])
         for state in states[p]:

@@ -35,6 +35,7 @@ from mscgossip.msc import (
     msc_to_json,
     validate_msc,
 )
+from figures import reference_kind_peer, reference_links
 
 
 def test_family_params_validation():
@@ -99,7 +100,8 @@ def test_p_and_r_sequences_constant_in_k():
     n = 4
 
     def action_seq(m, proc):
-        return [(m.kind_of(e), m.label[e], m.peer_of(e)) for e in m.events_of(proc)]
+        links = reference_links(m)
+        return [(*reference_kind_peer(m, links, e), m.label[e]) for e in m.events_of(proc)]
 
     base = build_family_msc(FamilyParams(n, 0))
     for k in range(1, n):
