@@ -28,7 +28,12 @@ from .cfm import (
     mirror_cfm,
     product,
 )
-from .constructions import build_gossip_cfm, oracle_gossip_annotation, reachable_state_report
+from .constructions import (
+    build_gossip_cfm,
+    gossip_first_wrong,
+    oracle_gossip_annotation,
+    reachable_state_report,
+)
 from .corpus import random_corpus
 from .impossibility import (
     FamilyParams,
@@ -288,11 +293,25 @@ def _cmd_gossip_annotate(args) -> int:
 
 
 def _cmd_gossip_check(args) -> int:
+    """A rejection names the first wrong event along linearize, the process
+    of its first wrong component, and that component's expected and
+    claimed values."""
     ext = _extended_msc(args.file)
-    machine = build_gossip_cfm(ext.base.signature)
-    ok = machine.decide(ext)
-    _emit(args, {"accepted": ok}, "accepted" if ok else "rejected")
-    return EXIT_OK if ok else EXIT_REJECT
+    wrong = gossip_first_wrong(ext)
+    if wrong is None:
+        _emit(args, {"accepted": True}, "accepted")
+        return EXIT_OK
+    e, expected = wrong
+    claimed = ext.annot[e]
+    i = next(i for i, (x, y) in enumerate(zip(expected, claimed)) if x != y)
+    p, want, got = ext.base.signature.processes[i], expected[i], claimed[i]
+    _emit(
+        args,
+        {"accepted": False, "event": e, "process": p, "expected": want, "claimed": got},
+        f"rejected: event {e}, process {p}: "
+        f"expected {json.dumps(want)}, claimed {json.dumps(got)}",
+    )
+    return EXIT_REJECT
 
 
 def _cmd_gossip_build(args) -> int:

@@ -91,9 +91,16 @@ class PathTrie:
     shape into one straight-line function (``program``), which ``step`` and
     the passes call; the programs are kept on the trie, and so are
     FirstCore's tables, one per guess domain (``guess_tables``).
+
+    A trie may carry a read-out (the gossip trie does): per process, a tuple
+    of families of its paths.  The program of an event on that process then
+    also reads, per family, the label at the greatest of the family's
+    entries, and returns those labels as one tuple, the row's last entry.
     """
 
-    def __init__(self, paths: Iterable[tuple], mirror: bool = False):
+    def __init__(
+        self, paths: Iterable[tuple], mirror: bool = False, readout: Optional[dict] = None
+    ):
         self.mirror = mirror
         self._child: dict[tuple, int] = {}  # (parent, head) -> node
         edges: list[tuple] = []
@@ -108,7 +115,12 @@ class PathTrie:
         self.edges = tuple(edges)
         # a pass of a trie without label tests needs no event's letter
         self.reads_letters = any(isinstance(head, LabelTest) for _, head, _ in edges)
+        self.readout = None if readout is None else {
+            proc: tuple(tuple(self.find(symbols) for symbols in fam) for fam in fams)
+            for proc, fams in readout.items()
+        }
         self._programs: dict[tuple, Callable] = {}
+        self._coded: dict[tuple, _ShapePrograms] = {}
         self._slots: Optional[list] = None
         self._guess_tables: dict[tuple, _GuessTables] = {}
 
@@ -137,6 +149,15 @@ class PathTrie:
             program = self._programs[key] = self._compile(*key)
         return program
 
+    def shape_programs(self, procs: tuple) -> _ShapePrograms:
+        """The programs of the letter-free shapes over the processes
+        ``procs``, keyed by shape code (see _pass_steps), made once per
+        trie and process tuple."""
+        programs = self._coded.get(procs)
+        if programs is None:
+            programs = self._coded[procs] = _ShapePrograms(self, procs)
+        return programs
+
     def step(self, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
         """θ at one event over the nodes of the trie, by the program of its
         shape: entry 0 is ``base``; ``pred`` and ``sender`` are θ at the
@@ -152,13 +173,21 @@ class PathTrie:
 
     def _compile(self, has_pred: bool, sender_proc, proc, sigma) -> Callable:
         """The program of one event shape, as one straight-line function
-        (none, base, θ(pred), θ(sender)) → θ.  _theta_rule is run on slots
-        standing for none, base and the entries of θ(pred) and θ(sender), so
-        that each entry is found to copy one slot.  The rule reads a tail only
-        to copy it, or, for →*, another slot when the tail is none; such an
-        entry gets a slot of its own, a local that reads the tail and falls
-        back to the other slot when the tail ``is none``.  The function
-        returns the tuple of every node's slot."""
+        (none, base, θ(pred), θ(sender), labels) → θ.  _theta_rule is run on
+        slots standing for none, base and the entries of θ(pred) and
+        θ(sender), so that each entry is found to copy one slot.  The rule
+        reads a tail only to copy it, or, for →*, another slot when the tail
+        is none; such an entry gets a slot of its own, a local that reads the
+        tail and falls back to the other slot when the tail ``is none``.  The
+        function returns the tuple of every node's slot.
+
+        On a trie with a read-out, that tuple ends with one more entry: per
+        family of the process, ``labels[max(…)]`` over the slots of its
+        nodes.  Read-outs are of last-tries, where none is _BOT = -1, the
+        least index: a node whose slot is none drops out of the max, and a
+        family with no other node reads None.  ``labels`` is indexed like
+        the events and ends with None, so a max that is -1 at run time reads
+        None as well."""
         n = len(self.edges) + 1
         if self._slots is None:  # enough for θ(pred), θ(sender) and a local per node
             self._slots = [_Slot(i) for i in range(2 + 3 * n)]
@@ -173,7 +202,7 @@ class PathTrie:
         names += [f"sender[{j}]" for j in range(0 if sender is None else n)]
         shape = (pred, sender, proc, sender_proc, sigma)
         entry = [slots[1]]
-        lines = ["def step(none, base, pred, sender):"]
+        lines = ["def step(none, base, pred, sender, labels=None):"]
         for node, head, parent in self.edges:
             tail = entry[parent]
             v = _theta_rule(head, parent, node, tail, none, *shape)
@@ -189,8 +218,33 @@ class PathTrie:
                     v = slots[len(names)]
                     names.append(t)
             entry.append(v)
-        lines.append(f"    return ({''.join(names[s.i] + ', ' for s in entry)})")
+        row = [names[s.i] for s in entry]
+        if self.readout is not None:
+            reads = []
+            for fam in self.readout[proc]:
+                at = list(dict.fromkeys(names[entry[j].i] for j in fam if entry[j] is not none))
+                reads.append(
+                    "None" if not at
+                    else f"labels[{at[0]}]" if len(at) == 1
+                    else f"labels[max({', '.join(at)})]"
+                )
+            row.append(f"({''.join(r + ', ' for r in reads)})")
+        lines.append(f"    return ({''.join(r + ', ' for r in row)})")
         return _function("\n".join(lines))
+
+
+class _ShapePrograms(dict):
+    """A trie's programs of the letter-free shapes over one process tuple,
+    keyed by shape code and compiled the first time a pass meets the
+    shape."""
+
+    def __init__(self, trie: PathTrie, procs: tuple):
+        super().__init__()
+        self.trie, self.procs = trie, procs
+
+    def __missing__(self, code: int) -> Callable:
+        program = self[code] = self.trie.program(_shape_of(self.procs, code) + (None,))
+        return program
 
 
 @functools.cache
@@ -222,65 +276,88 @@ def _chain_trie(symbols: tuple, mirror: bool) -> PathTrie:
 _BOT, _TOP = -1, -2
 
 
-def _pass_layout(m: Msc, mirror: bool) -> tuple:
-    """What a trie pass steps along, per MSC and direction: the event
-    shapes without their letter, (whether the event has a ⊏-predecessor,
-    the sender's process or None, the process); per event in the order of
-    the pass, (its index, its predecessor's, its sender's), with -1 for no
-    neighbour; and per such event its shape's position.  Kept in m's caches.
+def _shape_of(procs: tuple, code: int) -> tuple:
+    """The shape without its letter whose code is ``code`` (see
+    _pass_steps): (whether the event has a ⊏-predecessor, the sender's
+    process or None, the process)."""
+    at, sender = divmod(code >> 1, len(procs) + 1)
+    return bool(code & 1), procs[sender - 1] if sender else None, procs[at]
 
-    The pass walks ``linearize(m)`` and reads each event's neighbours off
+
+def _pass_steps(m: Msc, mirror: bool):
+    """What a trie pass steps along: per event in the order of the pass,
+    (its index, its predecessor's, its sender's, its shape code), with -1
+    for no neighbour.  The code of an event on the process at position c,
+    with sender process position c′, is 2·((k+1)·c + c′ + 1) + 1, where k is
+    the number of processes; no sender counts as c′ = -1, and no
+    predecessor drops the final + 1.  Generated as the pass runs, so a pass
+    that stops early reads no further.
+
+    The steps walk ``linearize(m)`` and read each event's neighbours off
     ``m._links``.  The mirror shares m's events and reverses its order, so
     a mirror pass steps along m's linearization reversed, with each event's
     ⊏-successor and message receiver, read off the same table, as its
     mirrored predecessor and sender.
     """
+    idx = m.index
+    order = linearize(m)
+    proc, preds, succs, senders, receivers = m._links
+    if mirror:
+        order = reversed(order)
+        preds, senders = succs, receivers
+    width = len(m.signature.processes) + 1
+    for e in order:
+        i = idx[e]
+        p, s = preds[i], senders[i]
+        yield i, p, s, 2 * (width * proc[i] + (proc[s] + 1 if s >= 0 else 0)) + (p >= 0)
+
+
+def _pass_layout(m: Msc, mirror: bool) -> list[tuple]:
+    """_pass_steps of m in one direction, kept in m's caches for the
+    passes that step along m more than once."""
     key = ("pass-layout", mirror)
-    cached = m._caches.get(key)
-    if cached is None:
-        idx = m.index
-        order = [idx[e] for e in linearize(m)]
-        proc, preds, succs, senders, receivers = m._links
-        if mirror:
-            order.reverse()
-            preds, senders = succs, receivers
-        procs = m.signature.processes
-        shapes: dict[tuple, int] = {}
-        steps, kinds = [], []
-        for i in order:
-            p, s = preds[i], senders[i]
-            steps.append((i, p, s))
-            shape = (p >= 0, procs[proc[s]] if s >= 0 else None, procs[proc[i]])
-            kinds.append(shapes.setdefault(shape, len(shapes)))
-        cached = m._caches[key] = (tuple(shapes), steps, kinds)
-    return cached
+    layout = m._caches.get(key)
+    if layout is None:
+        layout = m._caches[key] = list(_pass_steps(m, mirror))
+    return layout
+
+
+def _trie_walk(steps, programs, none, theta: list, labels: Optional[list] = None):
+    """The one trie pass: each step's program, ``programs[code]``, run on
+    the rows of its predecessor and sender, yielding each event's row as it
+    is made and keeping it in ``theta``, indexed like ``m.events``.  Entry
+    0 of a row is its base, the event's own index.  An event with no
+    predecessor (sender) is passed the entry at index -1, which its program
+    never reads.  ``labels`` is the read-out's (see PathTrie._compile)."""
+    for i, p, s, k in steps:
+        row = theta[i] = programs[k](none, i, theta[p], theta[s], labels)
+        yield row
 
 
 def _trie_pass(m: Msc, trie: PathTrie, letters: Optional[list]) -> list[tuple]:
     """The trie's programs along a linearization of m (of its mirror for a
-    mirror trie, see _pass_layout), with each event as its index in
+    mirror trie, see _pass_steps), with each event as its index in
     ``m.events``: entry n of the result at index i is the index of last
     (first, on a mirror trie) of node n's path from event i, or _BOT (_TOP)
-    if there is none.  ``letters`` is indexed like ``m.events`` and gives
-    each event's letter; only a trie with label tests reads it, and a trie
-    without them steps by the letter-free shapes, each program keyed with
-    the letter None, which it never reads.
-
-    An event with no predecessor (sender) is passed the entry at index -1,
-    which its program never reads.
+    if there is none, and on a trie with a read-out the last entry is the
+    read-out.  ``letters`` is indexed like ``m.events`` and gives each
+    event's letter; only a trie with label tests steps by it, and only a
+    trie with a read-out reads it out.  A trie without label tests steps by
+    the letter-free shapes, each program keyed with the letter None, which
+    it never reads.  The pass steps along m's kept layout (_pass_layout).
     """
-    bases, steps, kinds = _pass_layout(m, trie.mirror)
+    steps = _pass_layout(m, trie.mirror)
+    procs = m.signature.processes
     if trie.reads_letters:
         ids: dict[tuple, int] = {}
-        kinds = [ids.setdefault((b, letters[i]), len(ids)) for (i, _, _), b in zip(steps, kinds)]
-        shapes = [bases[b] + (sigma,) for b, sigma in ids]
+        steps = [(i, p, s, ids.setdefault((k, letters[i]), len(ids))) for i, p, s, k in steps]
+        programs = [trie.program(_shape_of(procs, k) + (sigma,)) for k, sigma in ids]
     else:
-        shapes = [base + (None,) for base in bases]
-    programs = [trie.program(shape) for shape in shapes]
-    none = _TOP if trie.mirror else _BOT
+        programs = trie.shape_programs(procs)
+    labels = None if trie.readout is None else [*letters, None]
     theta: list = [None] * len(m.events)
-    for (i, p, s), k in zip(steps, kinds):
-        theta[i] = programs[k](none, i, theta[p], theta[s])
+    for _ in _trie_walk(steps, programs, _TOP if trie.mirror else _BOT, theta, labels):
+        pass
     return theta
 
 
@@ -289,7 +366,8 @@ def trie_maps(m: Msc, trie: PathTrie) -> list[tuple]:
     caches under the trie itself."""
     maps = m._caches.get(trie)
     if maps is None:
-        letters = [m.label[e] for e in m.events] if trie.reads_letters else None
+        reads = trie.reads_letters or trie.readout is not None
+        letters = [m.label[e] for e in m.events] if reads else None
         maps = m._caches[trie] = _trie_pass(m, trie, letters)
     return maps
 
@@ -965,7 +1043,8 @@ class AnnotationCfm(LazyCfm):
     annotation, each claimed value first passed through ``claim``, on the
     events of ``check_proc`` (every event when None).  A machine whose
     annotation reads the claim (the label machines read ξ1 from it) is
-    annotated given ξ1, unmemoised, and gives its own ``decide``.  decide
+    annotated given ξ1, unmemoised, and gives its own ``decide``; so does
+    the gossip machine, whose decide stops at the first wrong event.  decide
     defines the same language as the transition relation; the two are
     cross-validated by run search on small instances and, where
     ``canonical`` is given, by ``replay`` of the valuation's run.
@@ -1244,26 +1323,43 @@ def _pair_step(tgt: str, members: tuple, steps: tuple, state, ctx: StepCtx, msg_
 def _gossip_plan(sig: SystemSignature) -> tuple:
     """The gossip families as build_gossip_cfm reads them, compiled once per
     signature: per (src, tgt) pair, (src, tgt, family), target by target in
-    process order; one last-trie over every gossip family; and per target
-    process tgt, its read-out as one straight-line function step(row, labels)
-    → the annotation at a tgt-event, from the trie map ``row`` there and the
-    label of each event index: per source in process order, the label at the
-    greatest of its family's trie entries.
+    process order; one last-trie over every gossip family, whose read-out at
+    a tgt-event is the annotation there, per source in process order the
+    label at the greatest of its family's trie entries; and the trie's
+    programs by shape code.
     """
     procs = sig.processes
     families = {tgt: [gossip_paths_between(sig, src, tgt) for src in procs] for tgt in procs}
-    trie, nodes = trie_plan(families)
+    readout = {tgt: [[pi.symbols for pi in fam] for fam in fams] for tgt, fams in families.items()}
+    paths = (symbols for fams in readout.values() for fam in fams for symbols in fam)
+    trie = PathTrie(paths, readout=readout)
     pairs = tuple(
         (src, tgt, fam) for tgt, fams in families.items() for src, fam in zip(procs, fams)
     )
-    reads = {}
-    for tgt, fams in nodes.items():
-        lines = ["def step(row, labels):", "    return ("]
-        for fam in fams:
-            at = ", ".join(f"row[{j}]" for j in fam)
-            lines.append(f"        labels[max({at})]," if len(fam) > 1 else f"        labels[{at}],")
-        reads[tgt] = _function("\n".join(lines + ["    )"]))
-    return pairs, trie, reads
+    return pairs, trie, trie.shape_programs(procs)
+
+
+def _first_wrong(programs, ext: ExtendedMsc) -> Optional[tuple]:
+    """The first event along linearize(ext.base) whose claimed annotation
+    is not the gossip read-out, with the read-out; None if there is none.
+    The pass stops there."""
+    m, claim = ext.base, ext.annot
+    events = m.events
+    labels = [m.label[e] for e in events]
+    labels.append(None)  # the value of ⊥, index _BOT = -1
+    theta = [None] * len(events)
+    for row in _trie_walk(_pass_steps(m, False), programs, _BOT, theta, labels):
+        e = events[row[0]]  # entry 0 of a row is its event's index
+        if row[-1] != claim[e]:
+            return e, row[-1]
+    return None
+
+
+def gossip_first_wrong(ext: ExtendedMsc) -> Optional[tuple]:
+    """Why build_gossip_cfm's decide rejects ``ext``: the first event along
+    linearize(ext.base) whose claimed annotation is wrong, and the correct
+    one there; None if decide accepts."""
+    return _first_wrong(_gossip_plan(ext.base.signature)[2], ext)
 
 
 def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
@@ -1279,13 +1375,15 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     π ⪯_f π′ iff last_π(f) ⊑ last_π′(f), off _gossip_plan's last-trie: those
     last events are src-events or ⊥ (_BOT = -1), and ``m.events`` lists each
     process's events in process order, so the ⪯-maximal one is the greatest
-    index among the family's nodes.  That read-out is compiled once per
-    signature and target process (_gossip_plan), as tl._dominance_tests is,
-    so annotate makes one call per event.  The relation runs the ⪯
-    recurrence.
+    index among the family's nodes.  That read-out is compiled into the
+    trie's program of each event shape (PathTrie._compile), once per
+    signature, so a row of the pass ends with the annotation at its event.
+    annotate runs the pass to the end; decide steps along it and stops at
+    the first event whose claim is wrong, and memoises nothing.  The
+    relation runs the ⪯ recurrence.
     """
     procs = sig.processes
-    pairs, trie, reads = _gossip_plan(sig)
+    pairs, trie, programs = _gossip_plan(sig)
 
     @functools.cache
     def cores() -> tuple:
@@ -1304,10 +1402,10 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         return tuple(zip(*out))
 
     def annotate(m):
-        # index _BOT = -1 of the labels reads None, the value of ⊥
-        labels = [m.label[e] for e in m.events] + [None]
-        loc = m.loc
-        return {f: reads[loc[f]](row, labels) for f, row in zip(m.events, trie_maps(m, trie))}
+        return {e: row[-1] for e, row in zip(m.events, trie_maps(m, trie))}
+
+    def decide(ext):
+        return _first_wrong(programs, ext) is None
 
     def starts(p):
         return [cores()[0]]
@@ -1339,7 +1437,9 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
             for e in m.events
         }
 
-    return AnnotationCfm("gossip", starts, step, final_ok, annotate, canonical=canonical)
+    return AnnotationCfm(
+        "gossip", starts, step, final_ok, annotate, decide=decide, canonical=canonical
+    )
 
 
 def oracle_gossip_annotation(m: Msc) -> ExtendedMsc:

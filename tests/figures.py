@@ -286,28 +286,27 @@ def reference_linearize(m) -> tuple:
     return tuple(out)
 
 
-def reference_pass_layout(m, mirror) -> tuple:
-    """_pass_layout read with name-keyed maps: each event's ⊏-predecessor
-    and sender (on the mirror its ⊏-successor and receiver) looked up by
-    name along reference_linearize (reversed on the mirror)."""
+def reference_pass_layout(m, mirror) -> list:
+    """_pass_layout read with name-keyed maps, each shape code read as its
+    shape: each event's ⊏-predecessor and sender (on the mirror its
+    ⊏-successor and receiver) looked up by name along reference_linearize
+    (reversed on the mirror)."""
     links = reference_links(m)
     if mirror:
         order, at_pred, at_sender = reversed(reference_linearize(m)), 1, 3
     else:
         order, at_pred, at_sender = reference_linearize(m), 0, 2
     idx, loc = m.index, m.loc
-    shapes: dict = {}
-    steps, kinds = [], []
+    steps = []
     for e in order:
         pred, sender = links[e][at_pred], links[e][at_sender]
         steps.append((
             idx[e],
             -1 if pred is None else idx[pred],
             -1 if sender is None else idx[sender],
+            (pred is not None, None if sender is None else loc[sender], loc[e]),
         ))
-        shape = (pred is not None, None if sender is None else loc[sender], loc[e])
-        kinds.append(shapes.setdefault(shape, len(shapes)))
-    return tuple(shapes), steps, kinds
+    return steps
 
 
 def reference_causal_below(m) -> list:

@@ -30,7 +30,6 @@ from mscgossip.impossibility import (
 from mscgossip.msc import (
     BOTTOM,
     ExtendedMsc,
-    Msc,
     SystemSignature,
     TOP,
     causal_leq,

@@ -18,12 +18,20 @@ from mscgossip.cli import (
     main,
     search_with_report,
 )
-from mscgossip.corpus import random_corpus, random_msc
+from mscgossip.constructions import oracle_gossip_annotation
+from mscgossip.corpus import random_msc
 from mscgossip.impossibility import FamilyParams, build_family_msc
-from mscgossip.msc import Msc, SystemSignature, is_valid, msc_to_json, validate_msc
+from mscgossip.msc import (
+    Msc,
+    SystemSignature,
+    is_valid,
+    linearize,
+    msc_to_json,
+    validate_msc,
+)
 from mscgossip.paths import parse_path, format_path
 from mscgossip.tl import MAX_DEPTH, parse_tl, format_tl
-from figures import SIG3, fig_base, fig_flipped, oracle_accepts
+from figures import SIG3, fig_flipped
 from test_impossibility import CLAIMANTS
 
 SIG2 = SystemSignature(("p", "q"), ("a", "b"))
@@ -414,6 +422,41 @@ def test_gossip_annotate_check_mutation(fig_file, tmp_path, capsys):
     mut_path = tmp_path / "mut.json"
     mut_path.write_text(json.dumps(obj))
     assert dispatch(["gossip", "check", str(mut_path)]) == 1
+
+
+def test_gossip_check_names_the_first_wrong_event(fig_file, tmp_path, capsys):
+    # a rejection names the first wrong event along linearize, the process
+    # of its first wrong component, and that component's expected and
+    # claimed values; the accepted output is unchanged
+    ann_path = tmp_path / "ann.json"
+    assert dispatch(["gossip", "annotate", fig_file, "--out", str(ann_path)]) == 0
+    obj = json.loads(ann_path.read_text())
+    capsys.readouterr()
+    assert dispatch(["gossip", "check", str(ann_path)]) == 0
+    assert capsys.readouterr().out == "accepted\n"
+    assert dispatch(["gossip", "check", str(ann_path), "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "accepted": true\n}\n'
+    # two wrong events, each wrong in its q and r components
+    order = linearize(fig_flipped())
+    early = order[len(order) // 3]
+    expected = oracle_gossip_annotation(fig_flipped()).annot[early][1]
+    claimed = "b" if expected != "b" else None
+    for rec in obj["events"]:
+        if rec["id"] in (early, order[-1]):
+            rec["annot"][1] = "b" if rec["annot"][1] != "b" else None
+            rec["annot"][2] = "b" if rec["annot"][2] != "b" else None
+    mut_path = tmp_path / "mut.json"
+    mut_path.write_text(json.dumps(obj))
+    assert dispatch(["gossip", "check", str(mut_path)]) == 1
+    assert capsys.readouterr().out == (
+        f"rejected: event {early}, process q: "
+        f"expected {json.dumps(expected)}, claimed {json.dumps(claimed)}\n"
+    )
+    assert dispatch(["gossip", "check", str(mut_path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "accepted": False, "event": early, "process": "q",
+        "expected": expected, "claimed": claimed,
+    }
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from mscgossip.constructions import (
     _mask,
     _mirror_symbols,
     _preorder_plan,
+    _shape_of,
     _star_app,
     _star_lift,
     _theta_rule,
@@ -46,6 +47,7 @@ from mscgossip.constructions import (
     first_value,
     fixpoint_bits,
     gossip_component_value,
+    gossip_first_wrong,
     last_theta,
     last_value,
     oracle_gossip_annotation,
@@ -1048,7 +1050,7 @@ def test_compiled_gossip_readout_matches_the_reference(k):
 
 
 def test_gossip_readouts_are_compiled_once_per_signature(monkeypatch):
-    # a signature no other test builds, so that its plan is compiled here
+    # a signature no other test builds, so that its programs are compiled here
     sig = SystemSignature(("p", "q", "r"), ("a", "b", "readout"))
     calls = Counter()
     compile_step = constructions._function
@@ -1056,23 +1058,95 @@ def test_gossip_readouts_are_compiled_once_per_signature(monkeypatch):
     def counted(source):
         step = compile_step(source)
 
-        def read(row, labels):
-            calls[read] += 1
-            return step(row, labels)
+        def program(*args):
+            calls[program] += 1
+            return step(*args)
 
-        return read
+        return program
 
     monkeypatch.setattr(constructions, "_function", counted)
-    first = build_gossip_cfm(sig)
-    monkeypatch.setattr(constructions, "_function", compile_step)
-    second = build_gossip_cfm(sig)
+    first, second = build_gossip_cfm(sig), build_gossip_cfm(sig)
     m = random_msc(sig, random.Random(5), 6)
-    # each machine memoises its annotation under itself, so both read m
+    # each machine memoises its annotation under itself, and both read the
+    # one trie map kept on m
     assert first.annotate(m) == second.annotate(m) == reference_gossip_readout(m)
-    # one read-out per target process, shared by both machines: one call per
-    # event and machine
-    assert len(calls) == len(sig.processes)
-    assert sum(calls.values()) == 2 * len(m.events)
+    ext = oracle_gossip_annotation(m)
+    assert first.decide(ext) and second.decide(ext)
+    # one program per (process, shape) that m has, its read-out included,
+    # shared by both machines: one call per event on the annotating pass and
+    # on each decide, which keeps nothing
+    shapes = {
+        (m.loc[e], pred is not None, sender and m.loc[sender])
+        for e, (pred, _, sender, _) in reference_links(m).items()
+    }
+    assert len(calls) == len(shapes) < len(m.events)
+    assert sum(calls.values()) == 3 * len(m.events)
+
+
+def test_gossip_decide_stops_at_the_first_wrong_event(monkeypatch):
+    # decide runs one event's program when the first event of linearize(m)
+    # is claimed wrong, and every event's when the claim is right
+    sig = SystemSignature(("p", "q", "r"), ("a", "b", "stop"))
+    ran = []
+    compile_step = constructions._function
+
+    def counted(source):
+        step = compile_step(source)
+
+        def program(none, base, *rest):
+            ran.append(base)  # the event's index
+            return step(none, base, *rest)
+
+        return program
+
+    monkeypatch.setattr(constructions, "_function", counted)
+    mach = build_gossip_cfm(sig)
+    m = random_msc(sig, random.Random(7), 6)
+    ext = oracle_gossip_annotation(m)
+    assert mach.decide(ext)
+    assert sorted(ran) == list(range(len(m.events))) and len(ran) > 10
+    order = linearize(m)
+    for e, at in ((order[0], 1), (order[-1], len(order))):
+        ran.clear()
+        wrong = ext.with_annot(e, ("stop",) * len(sig.processes))
+        assert not mach.decide(wrong)
+        assert ran == [m.index[f] for f in order[:at]]
+        assert gossip_first_wrong(wrong) == (e, ext.annot[e])
+    assert gossip_first_wrong(ext) is None
+
+
+def test_gossip_annotate_matches_the_references_on_the_links_corpus():
+    # k = 2..5, about 10, 50 and 250 events, each MSC also with its event
+    # ids permuted, so that linearize's order disagrees with the id order
+    for m in links_corpus():
+        mach = build_gossip_cfm(m.signature)
+        got = mach.annotate(m)
+        assert got == reference_gossip_readout(m) == oracle_gossip_annotation(m).annot
+        assert mach.decide(ExtendedMsc(m, got))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    max_events=st.integers(0, 6),
+    pick=st.randoms(use_true_random=False),
+)
+def test_gossip_annotate_and_decide_match_the_oracle(k, seed, max_events, pick):
+    # annotate gives the oracle's annotation; decide accepts it, and a claim
+    # wrong at one event is rejected there, with the oracle's value
+    sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
+    m = random_msc(sig, random.Random(seed), max_events)
+    ext = oracle_gossip_annotation(m)
+    mach = build_gossip_cfm(sig)
+    assert mach.annotate(m) == ext.annot == reference_gossip_readout(m)
+    assert mach.decide(ext) and gossip_first_wrong(ext) is None
+    if m.events:
+        e, i = pick.choice(m.events), pick.randrange(k)
+        w = pick.choice([v for v in ("a", "b", None) if v != ext.annot[e][i]])
+        wrong = ext.with_annot(e, ext.annot[e][:i] + (w,) + ext.annot[e][i + 1 :])
+        assert not mach.decide(wrong)
+        assert gossip_first_wrong(wrong) == (e, ext.annot[e])
 
 
 def _gossip_by_switch_rules(m, sig) -> dict:
@@ -1113,12 +1187,26 @@ def test_gossip_components_match_the_preorder_switch_rules_at_k5_n50():
     assert build_gossip_cfm(sig).annotate(m) == _gossip_by_switch_rules(m, sig)
 
 
-def test_gossip_decide_passes_one_forward_trie():
-    # decide reads ⪯ off last events on one last-trie: no mirror trie of
-    # the recurrence is built or passed
+def test_gossip_decide_passes_one_forward_trie(monkeypatch):
+    # decide reads ⪯ off last events on one forward pass of the last-trie,
+    # and keeps neither its maps nor a layout: no mirror trie of the
+    # recurrence is built or passed; annotate keeps that one trie's maps
     sig = SystemSignature(("p1", "p2", "p3"), ("a", "b"))
     m = random_msc(sig, random.Random(3), 4)
-    assert build_gossip_cfm(sig).decide(oracle_gossip_annotation(m))
+    ext = oracle_gossip_annotation(m)
+    walked, walk = [], constructions._trie_walk
+
+    def recording(steps, programs, none, theta, labels=None):
+        walked.append(none)
+        return walk(steps, programs, none, theta, labels)
+
+    monkeypatch.setattr(constructions, "_trie_walk", recording)
+    mach = build_gossip_cfm(sig)
+    kept = set(m._caches)
+    assert mach.decide(ext)
+    assert walked == [_BOT]
+    assert set(m._caches) - kept <= {"index", "links", "order"}
+    mach.annotate(m)
     tries = [key for key in m._caches if isinstance(key, PathTrie)]
     assert len(tries) == 1 and not tries[0].mirror
 
@@ -1185,10 +1273,14 @@ def _reference_pass(m, trie) -> list:
 
 def test_pass_layout_equals_the_name_keyed_reference():
     # both directions, on MSCs whose id order agrees and disagrees with the
-    # causal order; the mirror derives each ⊏-successor and receiver
+    # causal order; the mirror derives each ⊏-successor and receiver, and
+    # each shape code reads back as the event's shape
     for m in links_corpus():
+        procs = m.signature.processes
         for mirror in (False, True):
-            assert constructions._pass_layout(m, mirror) == reference_pass_layout(m, mirror)
+            layout = constructions._pass_layout(m, mirror)
+            decoded = [(i, p, s, _shape_of(procs, k)) for i, p, s, k in layout]
+            assert decoded == reference_pass_layout(m, mirror)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1196,11 +1288,14 @@ def test_pass_layout_equals_the_name_keyed_reference():
 def test_compiled_pass_matches_theta_rule(k, seed, max_events):
     # the gossip last-trie and the many-path mirror first-trie over every
     # gossip path, whose programs are kept across examples, give the
-    # edge-by-edge maps of _theta_rule
+    # edge-by-edge maps of _theta_rule in every θ entry; the gossip rows end
+    # with the read-out, which the gossip tests check
     sig = SystemSignature(tuple(f"p{i}" for i in range(k)), ("a", "b"))
     m = random_msc(sig, random.Random(seed), max_events)
     for trie in (_gossip_plan(sig)[1], _gossip_first_trie(sig)):
-        assert _trie_pass(m, trie, own_letters(m)) == _reference_pass(m, trie)
+        nodes = len(trie.edges) + 1
+        got = [row[:nodes] for row in _trie_pass(m, trie, own_letters(m))]
+        assert got == _reference_pass(m, trie)
 
 
 @settings(max_examples=40, deadline=None)

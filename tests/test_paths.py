@@ -11,8 +11,6 @@ from mscgossip.paths import (
     EPS,
     PLUS,
     STAR,
-    LabelTest,
-    Msg,
     PathError,
     PathExpr,
     Step,
