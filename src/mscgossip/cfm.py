@@ -652,16 +652,6 @@ def relabel(c: Cfm, h: dict) -> Cfm:
     )
 
 
-def project_annotation(c: Cfm) -> Cfm:
-    """Drop the second component of a product alphabet Σ×A (erases annotations)."""
-    h = {}
-    for lab in c.signature.alphabet:
-        if not (isinstance(lab, tuple) and len(lab) == 2):
-            raise CfmError("alphabet is not a product of pairs")
-        h[lab] = lab[0]
-    return relabel(c, h)
-
-
 def mirror_cfm(c: Cfm) -> Cfm:
     """Time reversal: L(mirror_cfm(c)) = {mirror(M) | M ∈ L(c)}.
 

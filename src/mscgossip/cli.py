@@ -111,14 +111,17 @@ class CorpusSpec:
     process_count: int
     alphabet_size: int
 
+    LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
     def __post_init__(self):
         if min(self.count, self.max_events_per_proc, self.process_count, self.alphabet_size) < 1:
             raise ValueError("all CorpusSpec sizes must be positive")
+        if self.alphabet_size > len(self.LETTERS):
+            raise ValueError(f"alphabet_size must be at most {len(self.LETTERS)}")
 
     def signature(self) -> SystemSignature:
         procs = tuple(f"p{i}" for i in range(1, self.process_count + 1))
-        letters = tuple("abcdefghijklmnopqrstuvwxyz"[: self.alphabet_size])
-        return SystemSignature(procs, letters)
+        return SystemSignature(procs, tuple(self.LETTERS[: self.alphabet_size]))
 
 
 def generate_corpus(spec: CorpusSpec) -> list[Msc]:

@@ -14,12 +14,15 @@ Each construction is a machine over an annotated alphabet whose language is
   canonical states read ⪯ by its definition, as recency of last events on
   one forward trie pass; only their relation runs the ⪯ recurrence.
 
-The fixpoint, preorder and gossip machines also give the states of that
-valuation's run (``canonical_states``).  ``replay`` steps the composite
-relation along it: each step, told the state it must reach (``want``),
-yields exactly its moves to that state, so the relation is checked on MSCs
-that blind search cannot finish.  Every composite step is one product of
-parts that each core builds once (``product_moves``).
+Every machine is an AnnotationCfm given one start state, one product part
+and one final test; the search step is derived from them once, and keeps
+the part's moves whose output is the claimed annotation.  The fixpoint,
+preorder and gossip machines also give the states of that valuation's run
+(``canonical_states``).  ``replay`` steps the composite relation along it:
+each step, told the state it must reach (``want``), yields exactly its
+moves to that state, so the relation is checked on MSCs that blind search
+cannot finish.  Every composite step is one product of parts that each
+core builds once (``product_moves``).
 
 The machines:
   last-label    ξ2(e) = ξ1(last_π(e))            forward, deterministic
@@ -587,9 +590,13 @@ def preorder_bits(
 # Component protocol: start() -> state; step(...) yields (new_state,
 # output_value, payload_out); final(state) -> bool.  A product part's step is
 # step(state, ctx, payload_in, want), made once by the core that owns it;
-# LastCore, FirstCore and FaCore also take the event's base value after ctx.
-# States are the θ functions as tuples indexed by prefix (LastCore) or suffix
-# (FirstCore) length; "start" marks an empty process history.
+# LastCore, FirstCore and FaCore also take the event's base value after ctx,
+# and FixCore.step_with_bit the bit γ.  A machine (AnnotationCfm) is one
+# start, one part and one final test; its search step hands the part the
+# event's claimed annotation as ``ctx.claim``, which a part whose base or bit
+# is claimed reads.  States are the θ functions as tuples indexed by prefix
+# (LastCore) or suffix (FirstCore) length; "start" marks an empty process
+# history.
 #
 # ``want`` is a wanted new state, or None, as the run search passes it.  Given
 # a state, a step yields exactly its moves to ``want``: a guessing core guesses
@@ -642,15 +649,18 @@ def product_moves(steps, states, ctx: StepCtx, msg_in, want):
 
 
 class StepCtx:
-    """Local view of one event: process, kind, peer, base-alphabet letter."""
+    """Local view of one event: process, kind, peer, base-alphabet letter,
+    and the annotation claimed there (None where no search step hands one
+    down)."""
 
-    __slots__ = ("proc", "kind", "peer", "sigma")
+    __slots__ = ("proc", "kind", "peer", "sigma", "claim")
 
-    def __init__(self, proc, kind, peer, sigma):
+    def __init__(self, proc, kind, peer, sigma, claim=None):
         self.proc = proc
         self.kind = kind
         self.peer = peer
         self.sigma = sigma
+        self.claim = claim
 
 
 class LastCore:
@@ -922,10 +932,11 @@ FOUR_COLORS = ("c1", "c2", "z1", "z2")
 class FixCore:
     """Fixpoint detection: γ(e) = [fa(e) = e] on process q, via 4-coloring.
 
-    The γ bit is supplied by the caller (from the label, or guessed by an
-    enclosing machine); ζ colors are computed (γ=1 alternates c1/c2) or
-    guessed (γ=0 from {z1, z2}); events off q get a fixed dummy color, which
-    is sound because only q-colors ever reach a comparison.
+    The γ bit is supplied by the caller (claimed, or guessed by an enclosing
+    machine), and each move's output is that γ; ζ colors are computed (γ=1
+    alternates c1/c2) or guessed (γ=0 from {z1, z2}); events off q get a
+    fixed dummy color, which is sound because only q-colors ever reach a
+    comparison.
     """
 
     def __init__(self, q: str, pi: PathExpr, pi2: PathExpr):
@@ -953,14 +964,13 @@ class FixCore:
                 if ctx.proc == self.q:
                     if (gamma == 1) != (out == zeta):
                         continue
-                yield (n_fa, new_alt), payload
+                yield (n_fa, new_alt), gamma, payload
 
     def guess(self, state, ctx: StepCtx, payload_in, want=None):
         """step_with_bit with the bit guessed, γ ∈ {0,1} on q and γ = 0
-        elsewhere; each move's output is its γ."""
+        elsewhere."""
         for gamma in (0, 1) if ctx.proc == self.q else (0,):
-            for new_state, payload in self.step_with_bit(state, ctx, gamma, payload_in, want):
-                yield new_state, gamma, payload
+            yield from self.step_with_bit(state, ctx, gamma, payload_in, want)
 
     def final(self, state) -> bool:
         return self.fa.final(state[0])
@@ -1038,24 +1048,32 @@ def _unchecked(claim):
 class AnnotationCfm(LazyCfm):
     """A LazyCfm over an annotated alphabet, plus its direct decision route.
 
+    The machine is one start state ``start()``, one product part
+    ``part(state, ctx, msg_in, want)``, which yields (state, out, payload),
+    and one final test ``final(state)``, the same on every process.  Its
+    search step ``_step(p, state, kind, label, peer, msg_in, want=None)``
+    decodes the label (σ, a), hands the part a StepCtx that carries a as
+    ``claim``, and keeps the moves whose output is claim(a) on the events of
+    ``check_proc`` (every event when None) and every move elsewhere.
+
     annotate(m) is the canonical correct annotation, memoised on the MSC
     under the machine itself.  decide(ext) compares it with the claimed
     annotation, each claimed value first passed through ``claim``, on the
-    events of ``check_proc`` (every event when None).  A machine whose
-    annotation reads the claim (the label machines read ξ1 from it) is
-    annotated given ξ1, unmemoised, and gives its own ``decide``; so does
-    the gossip machine, whose decide stops at the first wrong event.  decide
-    defines the same language as the transition relation; the two are
-    cross-validated by run search on small instances and, where
-    ``canonical`` is given, by ``replay`` of the valuation's run.
+    events of ``check_proc``.  A machine whose annotation reads the claim
+    (the label machines read ξ1 from it) is annotated given ξ1, unmemoised,
+    and gives its own ``decide``; so does the gossip machine, whose decide
+    stops at the first wrong event.  decide defines the same language as
+    the transition relation; the two are cross-validated by run search on
+    small instances and, where ``canonical`` is given, by ``replay`` of the
+    valuation's run.
     """
 
     def __init__(
         self,
         name: str,
-        starts,
-        step_fn,
-        final_ok,
+        start: Callable,
+        part: Callable,
+        final: Callable,
         annotate: Callable[..., dict],
         *,
         check_proc: Optional[str] = None,
@@ -1063,12 +1081,36 @@ class AnnotationCfm(LazyCfm):
         decide: Optional[Callable[[ExtendedMsc], bool]] = None,
         canonical: Optional[Callable[[Msc], dict]] = None,
     ):
-        super().__init__(None, starts, step_fn, final_ok, name)
+        # LazyCfm's hooks _starts, _step and _final are methods of this
+        # class, so LazyCfm.__init__, which sets them per instance, is not run
+        self.signature, self._name = None, name
+        self.start, self.part, self.final = start, part, final
         self._annotate_fn = annotate
         self._check_proc = check_proc
         self._claim = claim
         self._decide_fn = decide
         self._canonical_fn = canonical
+
+    def _starts(self, p):
+        return [self.start()]
+
+    def _step(self, p, state, kind, label, peer, msg_in, want=None):
+        if not (isinstance(label, tuple) and len(label) == 2):
+            raise ValueError(f"expected (label, annotation) pairs, got {label!r}")
+        sigma, a = label
+        moves = self.part(state, StepCtx(p, kind, peer, sigma, a), msg_in, want)
+        check = self._check_proc
+        if check is not None and p != check:
+            for new_state, _, payload in moves:
+                yield new_state, payload
+        else:
+            claimed = self._claim(a)
+            for new_state, out, payload in moves:
+                if out == claimed:
+                    yield new_state, payload
+
+    def _final(self, p, state) -> bool:
+        return self.final(state)
 
     def annotate(self, m: Msc, *args) -> dict:
         """The canonical correct annotation (given ξ1 for a label machine)."""
@@ -1095,27 +1137,19 @@ class AnnotationCfm(LazyCfm):
         return self._canonical_fn(m)
 
 
-def _decode_label(label):
-    if not (isinstance(label, tuple) and len(label) == 2):
-        raise ValueError(f"expected (label, annotation) pairs, got {label!r}")
-    return label
-
-
-def _split_pair_annot(ext: ExtendedMsc) -> tuple[dict, dict]:
-    xi1, xi2 = {}, {}
-    for e, v in ext.annot.items():
-        if not (isinstance(v, tuple) and len(v) == 2):
-            raise ValueError(f"annotation at {e!r} is not a (ξ1, ξ2) pair")
-        xi1[e], xi2[e] = v
-    return xi1, xi2
+def _pair_part(core, state, ctx: StepCtx, msg_in, want):
+    """A θ-core as the part of a pair machine, on ξ1 of the claimed
+    (ξ1, ξ2) as its base."""
+    xi1, _ = ctx.claim
+    return core.step(state, ctx, xi1, msg_in, want)
 
 
 def _pair_machine(core, name, value, check_proc: Optional[str] = None) -> AnnotationCfm:
     """Wrap a θ-core whose annotations are (ξ1, ξ2) pairs with ξ2 =
     value(m, ξ1) on process ``check_proc``, or on every process when it is
     None.  Off check_proc ξ2 is free and the canonical annotation copies ξ1.
-    The annotation, the decision and the step's check of ξ2 against the
-    core's output are all read off this one rule."""
+    The annotation and the decision read this one rule, and the search step
+    checks ξ2, the claim, against the core's output."""
 
     def checks(p) -> bool:
         return check_proc is None or p == check_proc
@@ -1125,25 +1159,23 @@ def _pair_machine(core, name, value, check_proc: Optional[str] = None) -> Annota
         return {e: (xi1[e], vals[e] if checks(m.loc[e]) else xi1[e]) for e in m.events}
 
     def decide(ext):
-        xi1, xi2 = _split_pair_annot(ext)
-        m = ext.base
-        vals = value(m, xi1)
-        return all(xi2[e] == vals[e] for e in m.events if checks(m.loc[e]))
+        m, annot = ext.base, ext.annot
+        for e, v in annot.items():
+            if not (isinstance(v, tuple) and len(v) == 2):
+                raise ValueError(f"annotation at {e!r} is not a (ξ1, ξ2) pair")
+        vals = value(m, {e: v[0] for e, v in annot.items()})
+        return all(annot[e][1] == vals[e] for e in m.events if checks(m.loc[e]))
 
-    def starts(p):
-        return [core.start()]
-
-    def step(p, state, kind, label, peer, msg_in):
-        sigma, (xi1, xi2) = _decode_label(label)
-        ctx = StepCtx(p, kind, peer, sigma)
-        for new_state, out, payload in core.step(state, ctx, xi1, msg_in):
-            if out == xi2 or not checks(p):
-                yield new_state, payload
-
-    def final_ok(p, state):
-        return core.final(state)
-
-    return AnnotationCfm(name, starts, step, final_ok, annotate, decide=decide)
+    return AnnotationCfm(
+        name,
+        core.start,
+        functools.partial(_pair_part, core),
+        core.final,
+        annotate,
+        check_proc=check_proc,
+        claim=operator.itemgetter(1),
+        decide=decide,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1209,22 +1241,11 @@ def build_fixpoint_cfm(p: str, q: str, pi: PathExpr, pi2: PathExpr) -> Annotatio
         bits = fixpoint_bits(m, pi, pi2)
         return {e: (1 if bits[e] else 0) if m.loc[e] == q else 0 for e in m.events}
 
-    def starts(pp):
-        return [core.start()]
-
-    def step(pp, state, kind, label, peer, msg_in, want=None):
-        sigma, gamma = _decode_label(label)
-        ctx = StepCtx(pp, kind, peer, sigma)
-        yield from core.step_with_bit(state, ctx, gamma, msg_in, want)
-
-    def final_ok(pp, state):
-        return core.final(state)
-
     return AnnotationCfm(
         f"fixpoint[{format_path(pi)};{format_path(pi2)}]@{q}",
-        starts,
-        step,
-        final_ok,
+        core.start,
+        lambda state, ctx, msg_in, want: core.step_with_bit(state, ctx, ctx.claim, msg_in, want),
+        core.final,
         annotate,
         check_proc=q,
         canonical=lambda m: fix_canonical_states(m, q, pi, pi2),
@@ -1265,24 +1286,15 @@ def build_preorder_cfm(
         rows = preorder_rows(m, q, paths)
         return {e: _given_rows(rows[e], d) if e in rows else () for e in m.events}
 
-    def starts(pp):
-        return [core().start()]
-
-    def step(pp, state, kind, label, peer, msg_in, want=None):
-        sigma, annot = _decode_label(label)
-        ctx = StepCtx(pp, kind, peer, sigma)
+    def part(state, ctx, msg_in, want):
         for new_state, out, payload in core().step(state, ctx, msg_in, want):
-            if pp != q or annot == _given_rows(out, d):
-                yield new_state, payload
-
-    def final_ok(pp, state):
-        return core().final(state)
+            yield new_state, None if out is None else _given_rows(out, d), payload
 
     return AnnotationCfm(
         f"preorder@{q}[{len(paths)} paths]",
-        starts,
-        step,
-        final_ok,
+        lambda: core().start(),
+        part,
+        lambda state: core().final(state),
         annotate,
         check_proc=q,
         canonical=lambda m: preorder_canonical_states(m, q, paths),
@@ -1317,6 +1329,43 @@ def _pair_step(tgt: str, members: tuple, steps: tuple, state, ctx: StepCtx, msg_
     for states, outs, payload in product_moves(steps, state, ctx, msg_in, want):
         value = gossip_component_value(members, outs[0], outs[1:]) if at_tgt else None
         yield states, value, payload
+
+
+class _GossipCore:
+    """The gossip relation: the product of one part per (src, tgt) pair of
+    _gossip_plan, a product of the pair's PreorderCore and one value
+    LastCore per family path (_pair_step).  The pairs run target by target,
+    sources in process order, and the output at a p-event is p's slice of
+    the pairs' outputs, the annotation that the move computes there."""
+
+    def __init__(self, sig: SystemSignature):
+        self.procs, self.pairs = sig.processes, _gossip_plan(sig)[0]
+
+    @functools.cached_property
+    def cores(self) -> tuple:
+        """The pairs' start states, PreorderCores and parts, built the first
+        time a search needs them, so that annotate and decide never do."""
+        out = []
+        for _, tgt, fam in self.pairs:
+            pc = PreorderCore(tgt, fam)
+            vcs = tuple(LastCore(pi) for pi in fam)
+            steps = (pc.step, *(functools.partial(_label_step, vc) for vc in vcs))
+            start = (pc.start(), *(vc.start() for vc in vcs))
+            members = tuple(map(pc.clos.index, fam))
+            out.append((start, pc, functools.partial(_pair_step, tgt, members, steps)))
+        return tuple(zip(*out))
+
+    def start(self):
+        return self.cores[0]
+
+    def step(self, state, ctx: StepCtx, msg_in, want=None):
+        k = len(self.procs)
+        at = k * self.procs.index(ctx.proc)
+        for states, outs, payload in product_moves(self.cores[2], state, ctx, msg_in, want):
+            yield states, outs[at : at + k], payload
+
+    def final(self, state) -> bool:
+        return all(pc.final(st[0]) for pc, st in zip(self.cores[1], state))
 
 
 @functools.cache
@@ -1382,47 +1431,14 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
     the first event whose claim is wrong, and memoises nothing.  The
     relation runs the ⪯ recurrence.
     """
-    procs = sig.processes
     pairs, trie, programs = _gossip_plan(sig)
-
-    @functools.cache
-    def cores() -> tuple:
-        """The pairs' start states, PreorderCores and product parts, a pair's
-        part over its PreorderCore and one value LastCore per family path;
-        built the first time a search needs them, so annotate and decide
-        never do."""
-        out = []
-        for _, tgt, fam in pairs:
-            pc = PreorderCore(tgt, fam)
-            vcs = tuple(LastCore(pi) for pi in fam)
-            steps = (pc.step, *(functools.partial(_label_step, vc) for vc in vcs))
-            start = (pc.start(), *(vc.start() for vc in vcs))
-            members = tuple(map(pc.clos.index, fam))
-            out.append((start, pc, functools.partial(_pair_step, tgt, members, steps)))
-        return tuple(zip(*out))
+    core = _GossipCore(sig)
 
     def annotate(m):
         return {e: row[-1] for e, row in zip(m.events, trie_maps(m, trie))}
 
     def decide(ext):
         return _first_wrong(programs, ext) is None
-
-    def starts(p):
-        return [cores()[0]]
-
-    def step(p, state, kind, label, peer, msg_in, want=None):
-        sigma, xi = _decode_label(label)
-        if not (isinstance(xi, tuple) and len(xi) == len(procs)):
-            return
-        # the pairs run target by target, sources in process order
-        at = len(procs) * procs.index(p)
-        ctx = StepCtx(p, kind, peer, sigma)
-        for states, outs, payload in product_moves(cores()[2], state, ctx, msg_in, want):
-            if outs[at : at + len(procs)] == xi:
-                yield states, payload
-
-    def final_ok(p, state):
-        return all(pc.final(st[0]) for pc, st in zip(cores()[1], state))
 
     def canonical(m):
         parts = [
@@ -1438,7 +1454,7 @@ def build_gossip_cfm(sig: SystemSignature) -> AnnotationCfm:
         }
 
     return AnnotationCfm(
-        "gossip", starts, step, final_ok, annotate, decide=decide, canonical=canonical
+        "gossip", core.start, core.step, core.final, annotate, decide=decide, canonical=canonical
     )
 
 
@@ -1551,7 +1567,7 @@ def replay(machine: AnnotationCfm, ext: ExtendedMsc) -> dict[str, list]:
     """
     m = ext.base
     canon = machine.canonical_states(m)
-    states = {p: [next(iter(machine._starts(p)))] for p in m.signature.processes}
+    states = {p: [machine.start()] for p in m.signature.processes}
     index, sender = m.index, m._links[3]
     sent: list = [None] * len(m.events)  # per event position, the payload it sent
     for e in linearize(m):

@@ -13,11 +13,12 @@ a since formula reduces, after recoding subformula bits to a four-letter
 alphabet, to a per-process-pair dominance test between two families of
 letter-decorated paths (``since_path_sets``), decided directly by comparing
 the indices of last events (``_dominance``) and stepped, for a search, by
-one ``PreorderCore`` per pair.  Each machine's relation is one product part
-that computes its bit; the search step keeps the moves whose bit is the
-claimed one.  Until is the time reversal of since: the same dominance test
-on the same MSC, read off the mirror pass of the since paths, which walks
-the linearization backwards.
+one ``PreorderCore`` per pair.  Each machine is one start state, one product
+part that computes its bit and one final test, composed from its operands'
+own; the search step, which ``AnnotationCfm`` derives, keeps the moves whose
+bit is the claimed one.  Until is the time reversal of since: the same
+dominance test on the same MSC, read off the mirror pass of the since paths,
+which walks the linearization backwards.
 """
 
 from __future__ import annotations
@@ -683,30 +684,17 @@ def _bit_of(annot) -> int:
     return annot
 
 
-def _claimed(part):
-    """The search step of a machine with product part ``part``: its moves
-    whose computed bit is the claimed one."""
-
-    def step(p, state, kind, label, peer, msg_in):
-        sigma, claim = label
-        bit = _bit_of(claim)
-        for new_state, b, payload in part(state, StepCtx(p, kind, peer, sigma), msg_in, None):
-            if b == bit:
-                yield new_state, payload
-
-    return step
-
-
 class _TlMachine(AnnotationCfm):
     """Compiled formula machine: bit annotations over Σ×{0,1} for the
-    formula ``phi`` over the signature ``sig``.  ``step_fn`` is its product
-    part, part(state, ctx, msg_in, want), which yields (state, bit, payload)
-    with the formula's bit computed; the search step keeps the moves whose
-    bit is claimed (_claimed)."""
+    formula ``phi`` over the signature ``sig``.  ``starts()`` gives its start
+    state, ``step_fn`` is its product part, part(state, ctx, msg_in, want),
+    which yields (state, bit, payload) with the formula's bit computed, and
+    ``final_ok(state)`` its final test; the search step keeps the moves
+    whose bit is the claimed one, and refuses a claim that is not a bit."""
 
     def __init__(self, phi, sig, starts, step_fn, final_ok, annotate_fn):
-        super().__init__(None, starts, _claimed(step_fn), final_ok, annotate_fn, claim=_bit_of)
-        self.phi, self.sig, self.part = phi, sig, step_fn
+        super().__init__(None, starts, step_fn, final_ok, annotate_fn, claim=_bit_of)
+        self.phi, self.sig = phi, sig
 
     @property
     def name(self) -> str:
@@ -717,9 +705,6 @@ class _TlMachine(AnnotationCfm):
 def _checker_machine(phi, sig, holds) -> _TlMachine:
     """One-state machine for connectives decidable from the event itself."""
 
-    def starts(p):
-        return ["s"]
-
     def part(state, ctx, msg_in, want):
         if want is None or want == "s":
             yield "s", 1 if holds(ctx.proc, ctx.sigma) else 0, None
@@ -727,7 +712,7 @@ def _checker_machine(phi, sig, holds) -> _TlMachine:
     def annotate(m):
         return {e: (1 if holds(m.loc[e], m.label[e]) else 0) for e in m.events}
 
-    return _TlMachine(phi, sig, starts, part, lambda p, s: True, annotate)
+    return _TlMachine(phi, sig, lambda: "s", part, lambda state: True, annotate)
 
 
 def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
@@ -739,27 +724,24 @@ def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
         sub = inner.annotate(m)
         return {e: 1 - sub[e] for e in m.events}
 
-    return _TlMachine(phi, sig, inner._starts, part, inner._final, annotate)
+    return _TlMachine(phi, sig, inner.start, part, inner.final, annotate)
 
 
 def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
-    def starts(p):
-        return [(s1, s2) for s1 in m1._starts(p) for s2 in m2._starts(p)]
-
     operands = (m1.part, m2.part)
 
     def part(state, ctx, msg_in, want):
         for states, (b1, b2), payload in product_moves(operands, state, ctx, msg_in, want):
             yield states, b1 | b2, payload
 
-    def final_ok(p, state):
-        return m1._final(p, state[0]) and m2._final(p, state[1])
+    def final(state):
+        return m1.final(state[0]) and m2.final(state[1])
 
     def annotate(m):
         v1, v2 = m1.annotate(m), m2.annotate(m)
         return {e: v1[e] | v2[e] for e in m.events}
 
-    return _TlMachine(phi, sig, starts, part, final_ok, annotate)
+    return _TlMachine(phi, sig, lambda: (m1.start(), m2.start()), part, final, annotate)
 
 
 def _since_pair(src: str, tgt: str, sig: SystemSignature) -> tuple:
@@ -810,9 +792,8 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
             )
         return tuple(zip(*(_since_pair(src, tgt, sig) for src, tgt in every_pair)))
 
-    def starts(p):
-        cs = tuple(pc.start() for pc in pairs()[0])
-        return [(s1, s2, *cs) for s1 in m1._starts(p) for s2 in m2._starts(p)]
+    def start():
+        return (m1.start(), m2.start(), *(pc.start() for pc in pairs()[0]))
 
     def part(state, ctx, msg_in, want):
         ops_in, pairs_in = (None, None) if msg_in is None else (msg_in[:2], msg_in[2:])
@@ -823,10 +804,10 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
             for cs, doms, outs in product_moves(parts, state[2:], recoded, pairs_in, pairs_want):
                 yield (*ops, *cs), any(doms), None if outs is None else (*ops_out, *outs)
 
-    def final_ok(p, state):
+    def final(state):
         return (
-            m1._final(p, state[0])
-            and m2._final(p, state[1])
+            m1.final(state[0])
+            and m2.final(state[1])
             and all(pc.final(cs) for pc, cs in zip(pairs()[0], state[2:]))
         )
 
@@ -835,7 +816,7 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         letters = [_recode(bits1[e], bits2[e]) for e in m.events]
         return _dominance(m, letters, sig, every_pair, mirror)
 
-    return _TlMachine(phi, sig, starts, part, final_ok, annotate)
+    return _TlMachine(phi, sig, start, part, final, annotate)
 
 
 def compile_tl(phi: TlFormula, sig: SystemSignature) -> AnnotationCfm:

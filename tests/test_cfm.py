@@ -22,7 +22,6 @@ from mscgossip.cfm import (
     is_deterministic,
     mirror_cfm,
     product,
-    project_annotation,
     relabel,
     universal_cfm,
     validate_run,
@@ -406,17 +405,6 @@ def test_relabel_identity_and_collapse():
         assert accepts(ident, m) == accepts(c, m)
     with pytest.raises(CfmError):
         relabel(c, {"a": "x"})  # partial morphism
-
-
-def test_project_annotation_drops_bit():
-    prod_sig = SystemSignature(("p", "q"), (("a", 0), ("a", 1), ("b", 0), ("b", 1)))
-    c = universal_cfm(prod_sig)
-    flat = project_annotation(c)
-    assert set(flat.signature.alphabet) == {"a", "b"}
-    m = Msc(SIG2, [("e", "p", "a"), ("f", "q", "b")], [])
-    assert accepts(flat, m)
-    with pytest.raises(CfmError, match="alphabet is not a product of pairs"):
-        project_annotation(universal_cfm(SIG2))
 
 
 # -- lazy machines ---------------------------------------------------------------

@@ -642,6 +642,15 @@ def test_corpus_gen_cli(tmp_path):
     assert all(is_valid(msc_from_json(o)) for o in mscs)
 
 
+def test_corpus_gen_refuses_more_letters_than_it_has(tmp_path, capsys):
+    # the alphabet is the 26 lower-case letters; 27 or more was cut to 26
+    out = tmp_path / "corpus.json"
+    argv = ["corpus", "gen", "--count", "1", "--out", str(out), "--letters"]
+    assert dispatch([*argv, "26"]) == 0
+    assert dispatch([*argv, "30"]) == 2
+    assert capsys.readouterr().err == "error: alphabet_size must be at most 26\n"
+
+
 # -- round trips the frontend relies on ---------------------------------------
 
 

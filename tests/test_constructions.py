@@ -1940,3 +1940,33 @@ def test_gossip_step_want_contract_at_k1():
         for state in check_want(rng, step(start, "a", xi)):
             for xi2 in annots:
                 check_want(rng, step(state, "b", xi2))
+
+
+@pytest.mark.parametrize("kind", ["last-label", "first-label", "fa-label", "fixpoint", "tl"])
+def test_search_step_want_contract(kind):
+    # every machine's search step takes want: along an accepting run of the
+    # correct annotation, each event's step from the run's state, given the
+    # run's next state, its state before and states sampled from its moves
+    theta = ("x", "y")
+    rng = random.Random(kind)
+    machine = {
+        "last-label": build_last_label_cfm(theta, PI),
+        "first-label": build_first_label_cfm(theta, PI),
+        "fa-label": build_fa_label_cfm(theta, "q", "q", PLUS, STAR),
+        "fixpoint": build_fixpoint_cfm("p", "q", PI, star_prepend(PI)),
+        "tl": compile_tl(parse_tl("!a | @q"), SIG2),
+    }[kind]
+    checked = Counter()
+    for m in CORPUS2:
+        if kind.endswith("label"):
+            annot = machine.annotate(m, {e: rng.choice(theta) for e in m.events})
+        else:
+            annot = machine.annotate(m)
+        for t in find_accepting_run(machine, encode(m, annot)).assignment.values():
+            msg_in = t.msg if t.kind == "recv" else None
+            step = functools.partial(
+                machine._step, t.proc, t.source, t.kind, t.label, t.peer, msg_in
+            )
+            check_want(rng, step, [t.target, t.source])
+            checked[t.kind] += 1
+    assert all(checked[k] >= 4 for k in ("local", "send", "recv")), checked
