@@ -92,8 +92,10 @@ class PathTrie:
 
     θ at one event is a program compiled from _theta_rule for the event's
     shape into one straight-line function (``program``), which ``step`` and
-    the passes call; the programs are kept on the trie, and so are
-    FirstCore's tables, one per guess domain (``guess_tables``).
+    the passes call; the programs are kept on the trie, and so are the
+    passes' tables of them, keyed by shape code and, on a trie with label
+    tests, the letter (``shape_programs``), and FirstCore's tables, one per
+    guess domain (``guess_tables``).
 
     A trie may carry a read-out (the gossip trie does): per process, a tuple
     of families of its paths.  The program of an event on that process then
@@ -153,9 +155,10 @@ class PathTrie:
         return program
 
     def shape_programs(self, procs: tuple) -> _ShapePrograms:
-        """The programs of the letter-free shapes over the processes
-        ``procs``, keyed by shape code (see _pass_steps), made once per
-        trie and process tuple."""
+        """The passes' programs of the shapes over the processes ``procs``,
+        keyed by shape code (see _pass_steps), and on a trie with label
+        tests by (shape code, letter); made once per trie and process
+        tuple."""
         programs = self._coded.get(procs)
         if programs is None:
             programs = self._coded[procs] = _ShapePrograms(self, procs)
@@ -237,16 +240,17 @@ class PathTrie:
 
 
 class _ShapePrograms(dict):
-    """A trie's programs of the letter-free shapes over one process tuple,
-    keyed by shape code and compiled the first time a pass meets the
-    shape."""
+    """A trie's programs of the shapes over one process tuple, keyed by
+    shape code, or by (shape code, letter) on a trie with label tests, and
+    compiled the first time a pass meets the key."""
 
     def __init__(self, trie: PathTrie, procs: tuple):
         super().__init__()
         self.trie, self.procs = trie, procs
 
-    def __missing__(self, code: int) -> Callable:
-        program = self[code] = self.trie.program(_shape_of(self.procs, code) + (None,))
+    def __missing__(self, key) -> Callable:
+        code, sigma = key if self.trie.reads_letters else (key, None)
+        program = self[key] = self.trie.program(_shape_of(self.procs, code) + (sigma,))
         return program
 
 
@@ -326,12 +330,13 @@ def _pass_layout(m: Msc, mirror: bool) -> list[tuple]:
 
 
 def _trie_walk(steps, programs, none, theta: list, labels: Optional[list] = None):
-    """The one trie pass: each step's program, ``programs[code]``, run on
-    the rows of its predecessor and sender, yielding each event's row as it
-    is made and keeping it in ``theta``, indexed like ``m.events``.  Entry
-    0 of a row is its base, the event's own index.  An event with no
-    predecessor (sender) is passed the entry at index -1, which its program
-    never reads.  ``labels`` is the read-out's (see PathTrie._compile)."""
+    """The one trie pass: each step's program, ``programs[key]`` for the
+    key that ends the step (see _trie_pass), run on the rows of its
+    predecessor and sender, yielding each event's row as it is made and
+    keeping it in ``theta``, indexed like ``m.events``.  Entry 0 of a row
+    is its base, the event's own index.  An event with no predecessor
+    (sender) is passed the entry at index -1, which its program never
+    reads.  ``labels`` is the read-out's (see PathTrie._compile)."""
     for i, p, s, k in steps:
         row = theta[i] = programs[k](none, i, theta[p], theta[s], labels)
         yield row
@@ -345,18 +350,15 @@ def _trie_pass(m: Msc, trie: PathTrie, letters: Optional[list]) -> list[tuple]:
     if there is none, and on a trie with a read-out the last entry is the
     read-out.  ``letters`` is indexed like ``m.events`` and gives each
     event's letter; only a trie with label tests steps by it, and only a
-    trie with a read-out reads it out.  A trie without label tests steps by
-    the letter-free shapes, each program keyed with the letter None, which
-    it never reads.  The pass steps along m's kept layout (_pass_layout).
+    trie with a read-out reads it out.  The programs come from the trie's
+    table (PathTrie.shape_programs): a trie with label tests keys each step
+    by its shape code and its event's letter, and a trie without them by
+    the code alone.  The pass steps along m's kept layout (_pass_layout).
     """
     steps = _pass_layout(m, trie.mirror)
-    procs = m.signature.processes
+    programs = trie.shape_programs(m.signature.processes)
     if trie.reads_letters:
-        ids: dict[tuple, int] = {}
-        steps = [(i, p, s, ids.setdefault((k, letters[i]), len(ids))) for i, p, s, k in steps]
-        programs = [trie.program(_shape_of(procs, k) + (sigma,)) for k, sigma in ids]
-    else:
-        programs = trie.shape_programs(procs)
+        steps = [(i, p, s, (k, letters[i])) for i, p, s, k in steps]
     labels = None if trie.readout is None else [*letters, None]
     theta: list = [None] * len(m.events)
     for _ in _trie_walk(steps, programs, _TOP if trie.mirror else _BOT, theta, labels):

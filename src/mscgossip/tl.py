@@ -18,7 +18,10 @@ part that computes its bit and one final test, composed from its operands'
 own; the search step, which ``AnnotationCfm`` derives, keeps the moves whose
 bit is the claimed one.  Until is the time reversal of since: the same
 dominance test on the same MSC, read off the mirror pass of the since paths,
-which walks the linearization backwards.
+which walks the linearization backwards.  On the direct route each machine
+annotates an MSC with one int over event positions (``_TlMachine.mask``),
+built from its operands' ints: not and or are bit operations, and since
+and until set the bits where their dominance test holds.
 """
 
 from __future__ import annotations
@@ -624,14 +627,14 @@ def _dominates(rows: tuple, left: tuple, right: int) -> bool:
 
 
 @functools.cache
-def _dominance_tests(sig: SystemSignature, mirror: bool, pairs: tuple) -> dict:
-    """Per target process of ``pairs``, the dominance test of its pairs as
-    one straight-line function step(row, rec) → 0 or 1, compiled once per
-    signature, direction and pair set: ``row`` is the since trie map at a
-    tgt-event and ``rec`` the recency of each event index.  The forward
-    pass reads the indices themselves (see _dominance), so it reads no
-    ``rec``."""
-    nodes = _since_plan(sig, mirror)[1]
+def _dominance_tests(sig: SystemSignature, mirror: bool, pairs: tuple) -> tuple:
+    """The since trie (its mirror for until) and, per target process of
+    ``pairs``, the dominance test of its pairs as one straight-line function
+    step(row, rec) → 0 or 1, compiled once per signature, direction and
+    pair set: ``row`` is the since trie map at a tgt-event and ``rec`` the
+    recency of each event index.  The forward pass reads the indices
+    themselves (see _dominance), so it reads no ``rec``."""
+    trie, nodes = _since_plan(sig, mirror)
     by_tgt: dict[str, list] = {}
     for src, tgt in pairs:
         by_tgt.setdefault(tgt, []).append(nodes[src, tgt])
@@ -647,21 +650,22 @@ def _dominance_tests(sig: SystemSignature, mirror: bool, pairs: tuple) -> dict:
             lines += [f"    if {beaten}:", "        return 1"]
         lines.append("    return 0")
         tests[tgt] = _function("\n".join(lines))
-    return tests
+    return trie, tests
 
 
 def _no_pair(row, rec) -> int:
     return 0
 
 
-def _dominance(m: Msc, letters: list, sig: SystemSignature, pairs: tuple, mirror: bool) -> dict:
-    """Bit 1 at a tgt-event iff, for some (src, tgt) in ``pairs``, the last
-    event of a left path is more recent than that of every right path, all
-    read off the one pass of the since trie (its mirror for until) over m
-    with each event's ABCD letter from ``letters``, indexed like
-    ``m.events``, by the compiled test of the event's process
-    (_dominance_tests).  The pass reads m's own layout and is not memoised,
-    since its letters are not m's labels.
+def _dominance(m: Msc, letters: list, sig: SystemSignature, pairs: tuple, mirror: bool) -> int:
+    """The mask over event positions whose bit i is set iff m.events[i] is a
+    tgt-event where, for some (src, tgt) in ``pairs``, the last event of a
+    left path is more recent than that of every right path, all read off
+    the one pass of the since trie (its mirror for until) over m with each
+    event's ABCD letter from ``letters``, indexed like ``m.events``, by the
+    compiled test of the event's process (_dominance_tests).  The pass
+    reads m's own layout and is not memoised, since its letters are not
+    m's labels.
 
     (l, r) is in the preorder at e iff last_l(e) <= last_r(e).  Every such
     last event is a src-event or none, and m.events lists src's events in
@@ -669,13 +673,18 @@ def _dominance(m: Msc, letters: list, sig: SystemSignature, pairs: tuple, mirror
     none is _BOT = -1, and the index reversed on the mirror pass; none
     (_BOT, _TOP) is the least recent.
     """
-    tests = _dominance_tests(sig, mirror, pairs)
-    maps = _trie_pass(m, _since_plan(sig, mirror)[0], letters)
+    trie, tests = _dominance_tests(sig, mirror, pairs)
+    # the test of each process of m, by its position, as m._links gives it
+    at = [tests.get(p, _no_pair) for p in m.signature.processes]
+    maps = _trie_pass(m, trie, letters)
     n = len(m.events)
     # an event index's recency; _BOT and _TOP index this list from its end
     rec = [*range(n, 0, -1), -1, -1] if mirror else None
-    loc = m.loc
-    return {e: tests.get(loc[e], _no_pair)(row, rec) for e, row in zip(m.events, maps)}
+    out = 0
+    for i, (row, p) in enumerate(zip(maps, m._links[0])):
+        if at[p](row, rec):
+            out |= 1 << i
+    return out
 
 
 def _bit_of(annot) -> int:
@@ -690,11 +699,34 @@ class _TlMachine(AnnotationCfm):
     state, ``step_fn`` is its product part, part(state, ctx, msg_in, want),
     which yields (state, bit, payload) with the formula's bit computed, and
     ``final_ok(state)`` its final test; the search step keeps the moves
-    whose bit is the claimed one, and refuses a claim that is not a bit."""
+    whose bit is the claimed one, and refuses a claim that is not a bit.
+
+    ``annotate_fn(m)`` gives the formula's bits on m as one int, bit i
+    holding the bit at ``m.events[i]``; ``mask(m)`` is that int, memoised
+    on m under the machine, which the machines of the formula's parents
+    read.  annotate(m) spells it out per event, and decide compares the
+    claim with it event by event."""
 
     def __init__(self, phi, sig, starts, step_fn, final_ok, annotate_fn):
         super().__init__(None, starts, step_fn, final_ok, annotate_fn, claim=_bit_of)
         self.phi, self.sig = phi, sig
+
+    # AnnotationCfm's memoised annotation, which here is the mask
+    mask = AnnotationCfm.annotate
+
+    def annotate(self, m: Msc) -> dict:
+        v = self.mask(m)
+        return {e: v >> i & 1 for i, e in enumerate(m.events)}
+
+    def decide(self, ext: ExtendedMsc) -> bool:
+        annot = ext.annot
+        v = self.mask(ext.base)
+        for i, e in enumerate(ext.base.events):
+            a = annot[e]
+            if a != v >> i & 1:
+                _bit_of(a)  # a claim that is not a bit raises, as the search step does
+                return False
+        return True
 
     @property
     def name(self) -> str:
@@ -710,7 +742,11 @@ def _checker_machine(phi, sig, holds) -> _TlMachine:
             yield "s", 1 if holds(ctx.proc, ctx.sigma) else 0, None
 
     def annotate(m):
-        return {e: (1 if holds(m.loc[e], m.label[e]) else 0) for e in m.events}
+        v, loc, label = 0, m.loc, m.label
+        for i, e in enumerate(m.events):
+            if holds(loc[e], label[e]):
+                v |= 1 << i
+        return v
 
     return _TlMachine(phi, sig, lambda: "s", part, lambda state: True, annotate)
 
@@ -721,8 +757,7 @@ def _not_machine(phi, sig, inner: _TlMachine) -> _TlMachine:
             yield new_state, 1 - bit, payload
 
     def annotate(m):
-        sub = inner.annotate(m)
-        return {e: 1 - sub[e] for e in m.events}
+        return (1 << len(m.events)) - 1 ^ inner.mask(m)
 
     return _TlMachine(phi, sig, inner.start, part, inner.final, annotate)
 
@@ -738,8 +773,7 @@ def _or_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         return m1.final(state[0]) and m2.final(state[1])
 
     def annotate(m):
-        v1, v2 = m1.annotate(m), m2.annotate(m)
-        return {e: v1[e] | v2[e] for e in m.events}
+        return m1.mask(m) | m2.mask(m)
 
     return _TlMachine(phi, sig, lambda: (m1.start(), m2.start()), part, final, annotate)
 
@@ -782,15 +816,19 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
     every_pair = tuple((src, tgt) for tgt in procs for src in procs)
     operands = (m1.part, m2.part)
 
-    @functools.cache
+    built = None
+
     def pairs() -> tuple:
-        """The pairs' cores and their product parts."""
-        if mirror:
-            raise TlError(
-                "the until machine's transition relation is the mirror of its "
-                "since core and cannot be searched forward; use decide()"
-            )
-        return tuple(zip(*(_since_pair(src, tgt, sig) for src, tgt in every_pair)))
+        """The pairs' cores and their product parts, built once."""
+        nonlocal built
+        if built is None:
+            if mirror:
+                raise TlError(
+                    "the until machine's transition relation is the mirror of its "
+                    "since core and cannot be searched forward; use decide()"
+                )
+            built = tuple(zip(*(_since_pair(src, tgt, sig) for src, tgt in every_pair)))
+        return built
 
     def start():
         return (m1.start(), m2.start(), *(pc.start() for pc in pairs()[0]))
@@ -812,8 +850,8 @@ def _since_machine(phi, sig, m1: _TlMachine, m2: _TlMachine) -> _TlMachine:
         )
 
     def annotate(m):
-        bits1, bits2 = m1.annotate(m), m2.annotate(m)
-        letters = [_recode(bits1[e], bits2[e]) for e in m.events]
+        v1, v2 = m1.mask(m), m2.mask(m)
+        letters = [_recode(v1 >> i & 1, v2 >> i & 1) for i in range(len(m.events))]
         return _dominance(m, letters, sig, every_pair, mirror)
 
     return _TlMachine(phi, sig, start, part, final, annotate)
@@ -899,14 +937,16 @@ def check_translation(phi: TlFormula, m: Msc) -> tuple[bool, list[str]]:
     machine = compile_tl(phi, m.signature)
     want = eval_tl(m, phi)
     bits = {e: (1 if want[e] else 0) for e in m.events}
+    ext = ExtendedMsc(m, bits)
     diffs: list[str] = []
-    if not machine.decide(ExtendedMsc(m, bits)):
+    if not machine.decide(ext):
         got = machine.annotate(m)
         at = next(e for e in m.events if got[e] != bits[e])
         diffs.append(f"correct annotation rejected at {at!r}: oracle {bits[at]}, machine {got[at]}")
     for e in m.events:
-        flipped = dict(bits)
-        flipped[e] = 1 - bits[e]
-        if machine.decide(ExtendedMsc(m, flipped)):
+        # each mutation flips one bit of ext's own annotation, then restores it
+        ext.annot[e] = 1 - bits[e]
+        if machine.decide(ext):
             diffs.append(f"mutation at {e!r} accepted")
+        ext.annot[e] = bits[e]
     return not diffs, diffs

@@ -1370,6 +1370,33 @@ def test_compiled_programs_do_not_leak_between_mscs(seed, mirror):
     assert warmed.reads_letters and trie_maps(m, warmed) == got  # m's own labels
 
 
+def test_pass_programs_are_kept_on_the_trie_by_shape_and_letter(monkeypatch):
+    # a trie with label tests keeps one table of pass programs, keyed by
+    # (shape code, letter): passes over many MSCs compile each key once, in
+    # either direction, and give the edge-by-edge maps, for the letters d
+    # and z, which no label test names, too
+    sig = SystemSignature(SIG3.processes, ("a", "b", "d", "z"))
+    compiled = Counter()
+    compile_step = PathTrie._compile
+
+    def counted(self, *key):
+        compiled[self, key] += 1
+        return compile_step(self, *key)
+
+    monkeypatch.setattr(PathTrie, "_compile", counted)
+    for mirror in (False, True):
+        trie = PathTrie(LEAK_PATHS, mirror)
+        met = set()
+        for m in random_corpus(sig, count=30, seed=37, max_events_per_proc=4):
+            assert _trie_pass(m, trie, own_letters(m)) == _reference_pass(m, trie)
+            layout = constructions._pass_layout(m, mirror)
+            met |= {(k, m.label[m.events[i]]) for i, _, _, k in layout}
+        assert set(trie.shape_programs(sig.processes)) == met
+        assert {letter for _, letter in met} == set(sig.alphabet)
+        counts = [n for (owner, _), n in compiled.items() if owner is trie]
+        assert len(counts) == len(met) and set(counts) == {1}
+
+
 def test_gossip_cores_are_built_only_for_a_search(monkeypatch):
     built = []
 

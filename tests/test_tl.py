@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 import tracemalloc
 from dataclasses import dataclass
 
@@ -531,9 +532,14 @@ PHI_PQ = And(
 )
 
 
+def _bits(m, mask) -> dict:
+    """A mask over event positions as the bit at each event."""
+    return {e: mask >> i & 1 for i, e in enumerate(m.events)}
+
+
 def _pair_bits(m, src="p", tgt="q"):
     """The one-pair dominance bits of (src, tgt) on m."""
-    return _dominance(m, own_letters(m), ABCD_SIG, ((src, tgt),), False)
+    return _bits(m, _dominance(m, own_letters(m), ABCD_SIG, ((src, tgt),), False))
 
 
 def test_compile_since_pair_matches_formula():
@@ -718,6 +724,68 @@ def test_compound_operand_formulas_translate_correctly():
         todo[len(nodes)] -= 1
 
 
+SIG4 = SystemSignature(("p", "q", "r", "s"), ("a", "b"))
+
+
+def test_translation_matches_the_oracle_above_three_processes():
+    # k = 4: seeded formulas with S or U on MSCs of at most ten events; the
+    # harness agrees with eval_tl, and so does the machine's own annotation
+    rng = random.Random(41)
+    temporal = Counter()
+    while sum(temporal.values()) < 64:
+        phi = random_formula(rng, rng.randrange(1, 4), SIG4)
+        nodes = list(_temporal_nodes(phi))
+        m = random_msc(SIG4, rng, 3)
+        if not nodes or not m.events or len(m.events) > 10:
+            continue
+        assert check_translation(phi, m) == (True, []), (format_tl(phi), m.events, m.msg)
+        want = eval_tl(m, phi)
+        assert compile_tl(phi, SIG4).annotate(m) == {e: int(want[e]) for e in m.events}
+        temporal.update(type(n) for n in nodes)
+    assert temporal[Since] and temporal[Until]
+
+
+def _machines_made(monkeypatch) -> list:
+    """Every machine that compile_tl makes from here on, in order."""
+    made, make = [], tl._make_machine
+
+    def recording(phi, sig, *subs):
+        machine = make(phi, sig, *subs)
+        made.append(machine)
+        return machine
+
+    monkeypatch.setattr(tl, "_make_machine", recording)
+    return made
+
+
+@pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["k2", "k3"])
+def test_each_machine_mask_is_the_oracle_value_of_its_subformula(monkeypatch, sig):
+    # every machine of a formula with both S and U, its operands' included,
+    # annotates with one int over event positions, memoised under itself on
+    # the MSC: bit i is eval_tl's value of its subformula at m.events[i]
+    made = _machines_made(monkeypatch)
+    rng = random.Random(len(sig.processes))
+    mscs = random_corpus(sig, count=8, seed=31, max_events_per_proc=3)
+    formulas = 0
+    while formulas < 12:
+        phi = random_formula(rng, rng.randrange(2, 4), sig)
+        if {Since, Until} - {type(n) for n in _temporal_nodes(phi)}:
+            continue
+        made.clear()
+        compile_tl(phi, sig)
+        assert any(isinstance(mach.phi, Since) for mach in made)
+        assert any(isinstance(mach.phi, Until) for mach in made)
+        for m in mscs:
+            for mach in made:
+                v = mach.mask(m)
+                want = eval_tl(m, mach.phi)
+                assert type(v) is int and m._caches[mach] is v
+                assert v == sum(1 << i for i, e in enumerate(m.events) if want[e]), (
+                    format_tl(mach.phi), m.events
+                )
+        formulas += 1
+
+
 def test_tl_annotation_memo_is_per_signature():
     # the same formula over a one-process signature caches other bits
     phi = Since(Atom("a"), Atom("b"))
@@ -838,8 +906,9 @@ def test_compiled_dominance_matches_the_reference(k, seed, max_events, mirror):
     for pairs in (every_pair, *((pair,) for pair in every_pair)):
         got = _dominance(m, own_letters(m), sig, pairs, mirror)
         want = reference_dominance(m, sig, pairs, mirror)
-        assert list(got.items()) == list(want.items()), (pairs, mirror)
-        assert all(type(bit) is int for bit in got.values())
+        # one int over event positions, with no bit beyond the last event
+        assert type(got) is int and 0 <= got < 1 << len(m.events)
+        assert list(_bits(m, got).items()) == list(want.items()), (pairs, mirror)
         assert _dominance_tests(sig, mirror, pairs) is _dominance_tests(sig, mirror, pairs)
 
 
