@@ -207,7 +207,12 @@ class LazyCfm:
         return self._name
 
     def with_signature(self, sig: SystemSignature) -> "LazyCfm":
-        return LazyCfm(sig, self._starts, self._step, self._final, self.name)
+        """A copy over ``sig`` that keeps the machine's class, and so its
+        step."""
+        machine = object.__new__(type(self))
+        vars(machine).update(vars(self))
+        machine.signature = sig
+        return machine
 
     def initial_tuples(self) -> Iterable[tuple[State, ...]]:
         procs = self.signature.processes

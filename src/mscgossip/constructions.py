@@ -22,7 +22,8 @@ preorder and gossip machines also give the states of that valuation's run
 each step, told the state it must reach (``want``), yields exactly its
 moves to that state, so the relation is checked on MSCs that blind search
 cannot finish.  Every composite step is one product of parts that each
-core builds once (``product_moves``).
+core builds once (``product_moves``); the fa and fixpoint cores are not
+products, but step in one frame over their cores' compiled tables.
 
 The machines:
   last-label    ξ2(e) = ξ1(last_π(e))            forward, deterministic
@@ -39,7 +40,7 @@ import functools
 import operator
 from typing import Callable, Hashable, Iterable, Optional
 
-from .cfm import LazyCfm
+from .cfm import LazyCfm, Transition
 from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
 from .paths import (
     LabelTest,
@@ -91,7 +92,7 @@ class PathTrie:
     path is a chain: node i is its prefix of length i.
 
     θ at one event is a program compiled from _theta_rule for the event's
-    shape into one straight-line function (``program``), which ``step`` and
+    shape into one straight-line function (``program``), which LastCore and
     the passes call; the programs are kept on the trie, and so are the
     passes' tables of them, keyed by shape code and, on a trie with label
     tests, the letter (``shape_programs``), and FirstCore's tables, one per
@@ -163,19 +164,6 @@ class PathTrie:
         if programs is None:
             programs = self._coded[procs] = _ShapePrograms(self, procs)
         return programs
-
-    def step(self, none, base, pred, sender, proc, sender_proc, sigma) -> tuple:
-        """θ at one event over the nodes of the trie, by the program of its
-        shape: entry 0 is ``base``; ``pred`` and ``sender`` are θ at the
-        ⊏-predecessor and at the message sender, None when the event has
-        none, and ``none`` marks an empty preimage."""
-        key = (
-            pred is not None,
-            None if sender is None else sender_proc,
-            proc,
-            sigma if self.reads_letters else None,
-        )
-        return (self._programs.get(key) or self.program(key))(none, base, pred, sender)
 
     def _compile(self, has_pred: bool, sender_proc, proc, sigma) -> Callable:
         """The program of one event shape, as one straight-line function
@@ -594,11 +582,14 @@ def preorder_bits(
 # step(state, ctx, payload_in, want), made once by the core that owns it;
 # LastCore, FirstCore and FaCore also take the event's base value after ctx,
 # and FixCore.step_with_bit the bit γ.  A machine (AnnotationCfm) is one
-# start, one part and one final test; its search step hands the part the
-# event's claimed annotation as ``ctx.claim``, which a part whose base or bit
-# is claimed reads.  States are the θ functions as tuples indexed by prefix
-# (LastCore) or suffix (FirstCore) length; "start" marks an empty process
-# history.
+# start, one part and one final test; its search step, one generator, hands
+# the part the event's claimed annotation as ``ctx.claim``, which a part whose
+# base or bit is claimed reads.  States are the θ functions as tuples indexed
+# by prefix (LastCore) or suffix (FirstCore) length; "start" marks an empty
+# process history.  FaCore and FixCore are not products: each step is one
+# frame that reads its first core's compiled tables (FirstCore.agreed and
+# FirstCore.guesses) and calls its last core's trie program (LastCore.program)
+# once per guess, without resuming the two cores' own steps.
 #
 # ``want`` is a wanted new state, or None, as the run search passes it.  Given
 # a state, a step yields exactly its moves to ``want``: a guessing core guesses
@@ -675,16 +666,21 @@ class LastCore:
     def start(self):
         return "start"
 
-    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
-        t = self.trie.step(
-            BOTTOM,
-            base,
-            None if state == "start" else state,
-            payload_in,
+    def program(self, state, ctx: StepCtx, payload_in) -> Callable:
+        """The chain's program of the event's shape (PathTrie.program), called
+        as program(⊥, base, θ(pred), θ(sender)); θ(pred) is None from the
+        start state, and θ(sender) is the payload, None off a receive."""
+        trie = self.trie
+        return trie.program((
+            state != "start",
+            None if payload_in is None else ctx.peer,
             ctx.proc,
-            ctx.peer,
-            ctx.sigma,
-        )
+            ctx.sigma if trie.reads_letters else None,
+        ))
+
+    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
+        pred = None if state == "start" else state
+        t = self.program(state, ctx, payload_in)(BOTTOM, base, pred, payload_in)
         if want is None or t == want:
             yield t, t[-1], t if ctx.kind == "send" else None
 
@@ -862,11 +858,12 @@ class FirstCore:
     successor (final()) they must be ⊤.
 
     The core runs the tables compiled from the rule on π's mirror chain trie
-    for its domain (_GuessTables), so they outlive the core: a step is a
-    lookup of its (shape, base) guesses by the values that the state's and
-    the message's checks read.  Given a wanted state, a step checks it
-    against the shape's template and the two checks and yields it or
-    nothing, without enumerating the guesses.
+    for its domain (_GuessTables), so they outlive the core: a step reads the
+    state's and the message's checks once (``agreed``) and looks up its
+    (shape, base) guesses by the values those checks read (``guesses``).
+    Given a wanted state, a step checks it against the shape's template and
+    the two checks and yields it or nothing, without enumerating the
+    guesses.  FaCore and FixCore step on the same two helpers.
     """
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
@@ -877,22 +874,37 @@ class FirstCore:
     def start(self):
         return "start"
 
-    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
+    def agreed(self, state, ctx: StepCtx, payload_in) -> tuple:
+        """(reads, values): the entries of a new state that the state's check
+        and, on a receive, the message's check read, and the values the
+        new state must have there (_GuessTables.agreement).  They do not
+        depend on the base, so a step reads them once."""
         tables = self.tables
-        send = ctx.kind == "send"
         reads = values = ()
         if state != "start":
             reads, values = tables.agreement(state, None)
         if payload_in is not None:
             more, seen = tables.agreement(payload_in, (ctx.peer, ctx.proc))
             reads, values = reads + more, values + seen
+        return reads, values
+
+    def guesses(self, agreed: tuple, ctx: StepCtx, base, want) -> Iterable[tuple]:
+        """The new states of a step on ``base`` that agree (``agreed``): the
+        shape's guesses with those values at the read entries, looked up;
+        given ``want``, want alone if it is one of them, checked against
+        the shape's template without enumerating the guesses."""
+        reads, values = agreed
+        send = ctx.kind == "send"
         if want is None:
-            index = tables.indexed((send, ctx.proc, ctx.peer, ctx.sigma, base, reads))
-            thetas = index.get(values, ())
-        else:
-            fits = tables.fits((send, ctx.proc, ctx.peer, ctx.sigma), base, want)
-            thetas = (want,) if fits and values == tuple(want[r] for r in reads) else ()
-        for t in thetas:
+            return self.tables.indexed((send, ctx.proc, ctx.peer, ctx.sigma, base, reads)).get(
+                values, ()
+            )
+        fits = self.tables.fits((send, ctx.proc, ctx.peer, ctx.sigma), base, want)
+        return (want,) if fits and values == tuple([want[r] for r in reads]) else ()
+
+    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
+        send = ctx.kind == "send"
+        for t in self.guesses(self.agreed(state, ctx, payload_in), ctx, base, want):
             yield t, t[-1], t if send else None
 
     def final(self, state) -> bool:
@@ -903,7 +915,15 @@ class FirstCore:
 
 
 class FaCore:
-    """first-core for π' chained into a last-core for π (base = θ'(e)(π'))."""
+    """A FirstCore for π' (``first``) chained into a LastCore for π
+    (``last``), whose base is θ'(e)(π'); states and payloads are pairs.
+
+    A step is one frame, not a product of the two cores' steps: it reads the
+    first core's agreement and the last core's program once (``prepare``),
+    then makes one program call per guess of the first core on the base
+    (FirstCore.guesses), in their order.  Given ``want``, the first core
+    checks its half and the program's θ is compared with the other.
+    """
 
     def __init__(self, pi: PathExpr, pi2: PathExpr, theta_set: tuple):
         self.first = FirstCore(pi2, theta_set)
@@ -912,17 +932,31 @@ class FaCore:
     def start(self):
         return (self.first.start(), self.last.start())
 
-    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
+    def prepare(self, state, ctx: StepCtx, payload_in) -> tuple:
+        """What a step reads whatever the guess: the first core's agreement,
+        and the last core's program with its θ(pred) and θ(sender)."""
         s5, s4 = state
-        p5_in = p4_in = w5 = w4 = None
+        p5_in = p4_in = None
         if payload_in is not None:
             p5_in, p4_in = payload_in
+        return (
+            self.first.agreed(s5, ctx, p5_in),
+            self.last.program(s4, ctx, p4_in),
+            None if s4 == "start" else s4,
+            p4_in,
+        )
+
+    def step(self, state, ctx: StepCtx, base, payload_in, want=None):
+        w5 = w4 = None
         if want is not None:
             w5, w4 = want
-        for n5, chi, pay5 in self.first.step(s5, ctx, base, p5_in, w5):
-            for n4, out, pay4 in self.last.step(s4, ctx, chi, p4_in, w4):
-                payload = (pay5, pay4) if ctx.kind == "send" else None
-                yield (n5, n4), out, payload
+        agreed, program, pred, sender = self.prepare(state, ctx, payload_in)
+        send = ctx.kind == "send"
+        for t5 in self.first.guesses(agreed, ctx, base, w5):
+            t4 = program(BOTTOM, t5[-1], pred, sender)
+            if w4 is None or t4 == w4:
+                new = (t5, t4)
+                yield new, t4[-1], new if send else None
 
     def final(self, state) -> bool:
         return self.first.final(state[0]) and self.last.final(state[1])
@@ -938,7 +972,12 @@ class FixCore:
     machine), and each move's output is that γ; ζ colors are computed (γ=1
     alternates c1/c2) or guessed (γ=0 from {z1, z2}); events off q get a
     fixed dummy color, which is sound because only q-colors ever reach a
-    comparison.
+    comparison.  The colour is the base of the FaCore ``fa``, and on q a
+    move's fa-output must equal it iff γ = 1.
+
+    step_with_bit runs this rule around FaCore's step in one frame.  Given
+    ``want``, only the wanted colour and alternation are tried, with one
+    program call and no guess enumerated.
     """
 
     def __init__(self, q: str, pi: PathExpr, pi2: PathExpr):
@@ -950,23 +989,30 @@ class FixCore:
 
     def step_with_bit(self, state, ctx: StepCtx, gamma, payload_in, want=None):
         fa_state, alt = state
-        if ctx.proc != self.q:
-            zetas = [("z1", alt)]
+        on_q = ctx.proc == self.q
+        if not on_q:
+            zetas = (("z1", alt),)
         elif gamma == 1:
             nxt = "c1" if alt == "c2" else "c2"
-            zetas = [(nxt, nxt)]
+            zetas = ((nxt, nxt),)
         else:
-            zetas = [("z1", alt), ("z2", alt)]
-        fa_want = None
-        if want is not None:  # the colour is entry 0 of the first-core's θ
-            fa_want, want_alt = want
-            zetas = [z for z in zetas if z == (fa_want[0][0], want_alt)]
+            zetas = (("z1", alt), ("z2", alt))
+        w5 = w4 = None
+        if want is not None:  # the colour is entry 0 of the first core's θ′
+            (w5, w4), want_alt = want
+            zetas = [z for z in zetas if z == (w5[0], want_alt)]
+            if not zetas:
+                return
+        fa = self.fa
+        agreed, program, pred, sender = fa.prepare(fa_state, ctx, payload_in)
+        send = ctx.kind == "send"
+        hit = gamma == 1
         for zeta, new_alt in zetas:
-            for n_fa, out, payload in self.fa.step(fa_state, ctx, zeta, payload_in, fa_want):
-                if ctx.proc == self.q:
-                    if (gamma == 1) != (out == zeta):
-                        continue
-                yield (n_fa, new_alt), gamma, payload
+            for t5 in fa.first.guesses(agreed, ctx, zeta, w5):
+                t4 = program(BOTTOM, t5[-1], pred, sender)
+                if (w4 is None or t4 == w4) and not (on_q and hit != (t4[-1] == zeta)):
+                    new = (t5, t4)
+                    yield (new, new_alt), gamma, new if send else None
 
     def guess(self, state, ctx: StepCtx, payload_in, want=None):
         """step_with_bit with the bit guessed, γ ∈ {0,1} on q and γ = 0
@@ -1053,10 +1099,12 @@ class AnnotationCfm(LazyCfm):
     The machine is one start state ``start()``, one product part
     ``part(state, ctx, msg_in, want)``, which yields (state, out, payload),
     and one final test ``final(state)``, the same on every process.  Its
-    search step ``_step(p, state, kind, label, peer, msg_in, want=None)``
+    search step ``step(p, state, kind, label, peer, msg_in, want=None)`` is
+    one generator between the run search (and ``replay``) and the part: it
     decodes the label (σ, a), hands the part a StepCtx that carries a as
-    ``claim``, and keeps the moves whose output is claim(a) on the events of
-    ``check_proc`` (every event when None) and every move elsewhere.
+    ``claim``, keeps the moves whose output is claim(a) on the events of
+    ``check_proc`` (every event when None) and every move elsewhere, and
+    yields each as (state, message sent, Transition), as LazyCfm.step does.
 
     annotate(m) is the canonical correct annotation, memoised on the MSC
     under the machine itself.  decide(ext) compares it with the claimed
@@ -1067,7 +1115,8 @@ class AnnotationCfm(LazyCfm):
     stops at the first wrong event.  decide defines the same language as
     the transition relation; the two are cross-validated by run search on
     small instances and, where ``canonical`` is given, by ``replay`` of the
-    valuation's run.
+    valuation's run, whose states ``canonical_states(m)`` memoises on the
+    MSC under the machine, as annotate does.
     """
 
     def __init__(
@@ -1083,8 +1132,8 @@ class AnnotationCfm(LazyCfm):
         decide: Optional[Callable[[ExtendedMsc], bool]] = None,
         canonical: Optional[Callable[[Msc], dict]] = None,
     ):
-        # LazyCfm's hooks _starts, _step and _final are methods of this
-        # class, so LazyCfm.__init__, which sets them per instance, is not run
+        # LazyCfm's hooks _starts and _final are methods of this class and
+        # step overrides LazyCfm's, so LazyCfm.__init__ is not run
         self.signature, self._name = None, name
         self.start, self.part, self.final = start, part, final
         self._annotate_fn = annotate
@@ -1096,20 +1145,24 @@ class AnnotationCfm(LazyCfm):
     def _starts(self, p):
         return [self.start()]
 
-    def _step(self, p, state, kind, label, peer, msg_in, want=None):
+    def step(self, p, state, kind, label, peer, msg_in, want=None):
         if not (isinstance(label, tuple) and len(label) == 2):
             raise ValueError(f"expected (label, annotation) pairs, got {label!r}")
         sigma, a = label
         moves = self.part(state, StepCtx(p, kind, peer, sigma, a), msg_in, want)
-        check = self._check_proc
-        if check is not None and p != check:
-            for new_state, _, payload in moves:
-                yield new_state, payload
-        else:
-            claimed = self._claim(a)
-            for new_state, out, payload in moves:
-                if out == claimed:
-                    yield new_state, payload
+        checked = self._check_proc is None or p == self._check_proc
+        claimed = self._claim(a) if checked else None
+        send = kind == "send"
+        msg = msg_in if kind == "recv" else None
+        t_peer = None if kind == "local" else peer
+        for new_state, out, payload in moves:
+            if checked and out != claimed:
+                continue
+            if send:
+                msg = payload
+            else:
+                payload = None
+            yield new_state, payload, Transition(p, state, kind, label, new_state, msg, t_peer)
 
     def _final(self, p, state) -> bool:
         return self.final(state)
@@ -1136,7 +1189,11 @@ class AnnotationCfm(LazyCfm):
         accepting run on the correctly annotated MSC."""
         if self._canonical_fn is None:
             raise NotImplementedError(f"{self.name} has no canonical-state pass")
-        return self._canonical_fn(m)
+        key = ("canonical-states", self)
+        states = m._caches.get(key)
+        if states is None:
+            states = m._caches[key] = self._canonical_fn(m)
+        return states
 
 
 def _pair_part(core, state, ctx: StepCtx, msg_in, want):
@@ -1577,10 +1634,10 @@ def replay(machine: AnnotationCfm, ext: ExtendedMsc) -> dict[str, list]:
         p, kind, peer = m.loc[e], m.kind_of(e), m.peer_of(e)
         msg_in = sent[sender[i]] if kind == "recv" else None
         label = (m.label[e], ext.annot[e])
-        move = next(machine._step(p, states[p][-1], kind, label, peer, msg_in, canon[e]), None)
+        move = next(machine.step(p, states[p][-1], kind, label, peer, msg_in, canon[e]), None)
         if move is None or move[0] != canon[e]:
             raise ReplayError(machine.name, e)
-        new_state, sent[i] = move
+        new_state, sent[i], _ = move
         states[p].append(new_state)
     if not all(machine._final(p, trace[-1]) for p, trace in states.items()):
         raise ReplayError(machine.name, None)

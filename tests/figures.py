@@ -27,6 +27,11 @@ transition assignment, the reference for the run search, and
 ``reference_links`` is each event's neighbours by name, read off
 ``Msc.events_of`` and ``Msc.msg`` alone, the reference for the event table
 ``Msc._links``; ``reference_kind_peer`` and ``causal_pairs`` are read off it.
+``reference_fa_step`` is ``FaCore.step`` as its first core's step chained
+into its last core's, one generator in another, and ``reference_fix_step``
+the fixpoint colour rule run over it: the references for the one-frame
+``FaCore.step`` and ``FixCore.step_with_bit``, written as methods so that a
+test can patch them onto the classes.
 ``reference_linearize`` (a heap over every ready event),
 ``reference_pass_layout`` (name-keyed neighbours) and
 ``reference_causal_below`` (a search back along ⊏ and ◁) are the references
@@ -205,6 +210,46 @@ def switch_rule_steps(m, q, paths) -> dict:
         )
         out[f] = rows
     return out
+
+
+def reference_fa_step(core, state, ctx, base, payload_in, want=None):
+    """FaCore's step as a product of its cores' steps: per move of its first
+    core on ``base``, its last core's step on that move's output."""
+    s5, s4 = state
+    p5_in = p4_in = w5 = w4 = None
+    if payload_in is not None:
+        p5_in, p4_in = payload_in
+    if want is not None:
+        w5, w4 = want
+    for n5, chi, pay5 in core.first.step(s5, ctx, base, p5_in, w5):
+        for n4, out, pay4 in core.last.step(s4, ctx, chi, p4_in, w4):
+            payload = (pay5, pay4) if ctx.kind == "send" else None
+            yield (n5, n4), out, payload
+
+
+def reference_fix_step(core, state, ctx, gamma, payload_in, want=None):
+    """FixCore's step_with_bit as its colour rule around reference_fa_step:
+    per colour (γ = 1 alternates c1/c2 on q, γ = 0 guesses z1 or z2 there,
+    and z1 elsewhere), the fa-core's moves on it, those on q kept whose
+    output is the colour iff γ = 1."""
+    fa_state, alt = state
+    if ctx.proc != core.q:
+        zetas = [("z1", alt)]
+    elif gamma == 1:
+        nxt = "c1" if alt == "c2" else "c2"
+        zetas = [(nxt, nxt)]
+    else:
+        zetas = [("z1", alt), ("z2", alt)]
+    fa_want = None
+    if want is not None:  # the colour is entry 0 of the first-core's θ
+        fa_want, want_alt = want
+        zetas = [z for z in zetas if z == (fa_want[0][0], want_alt)]
+    for zeta, new_alt in zetas:
+        for n_fa, out, payload in reference_fa_step(core.fa, fa_state, ctx, zeta, payload_in, fa_want):
+            if ctx.proc == core.q:
+                if (gamma == 1) != (out == zeta):
+                    continue
+            yield (n_fa, new_alt), gamma, payload
 
 
 def own_letters(m) -> list:

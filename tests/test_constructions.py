@@ -26,6 +26,7 @@ from mscgossip.constructions import (
     _theta_rule,
     _trie_pass,
     FOUR_COLORS,
+    FaCore,
     FirstCore,
     FixCore,
     LastCore,
@@ -97,6 +98,8 @@ from figures import (
     links_corpus,
     oracle_rows,
     own_letters,
+    reference_fa_step,
+    reference_fix_step,
     reference_gossip_readout,
     reference_kind_peer,
     reference_links,
@@ -954,7 +957,7 @@ def test_gossip_replay_reads_each_receive_at_its_send(monkeypatch):
     canon = mach.canonical_states(m)
     for e in m.events:
         for wrong in {canon[f] for f in m.events_of(m.loc[e])} - {canon[e]}:
-            monkeypatch.setattr(mach, "_canonical_fn", lambda m, e=e, s=wrong: {**canon, e: s})
+            monkeypatch.setattr(mach, "canonical_states", lambda m, e=e, s=wrong: {**canon, e: s})
             with pytest.raises(ReplayError) as err:
                 replay(mach, ext)
             assert err.value.event == e
@@ -1843,6 +1846,145 @@ def test_fix_core_guess_want_contract(seed):
     check_want(rng, functools.partial(core.guess, random_state(True), ctx, msg_in), wants)
 
 
+def _one_frame_cases(rng, core, reference, draw_base, random_state, count):
+    """(state, ctx, base or bit, payload) cases for a FaCore or FixCore,
+    with their reference moves: states and payloads drawn from earlier
+    cases' moves, or at random (a FixCore's payload is its FaCore's)."""
+    reached, sent = [core.start()], []
+    for _ in range(count):
+        ctx = random_ctx(rng)
+        r = rng.random()
+        state = rng.choice(reached) if r < 0.7 else random_state() if r < 0.9 else core.start()
+        payload = None
+        if ctx.kind == "recv":
+            if sent and rng.random() < 0.7:
+                payload = rng.choice(sent)
+            else:
+                payload = random_state()
+                payload = payload[0] if isinstance(core, FixCore) else payload
+        case = (state, ctx, draw_base(), payload)
+        moves = list(reference(core, *case))
+        reached += [mv[0] for mv in rng.sample(moves, min(3, len(moves)))]
+        sent += [mv[2] for mv in moves[:3] if mv[2] is not None]
+        yield case, moves
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_one_frame_steps_match_the_nested_reference(seed):
+    # FaCore.step, over both guess domains, and FixCore.step_with_bit yield
+    # the moves of the nested composition in the same order: every path
+    # shape as π and as π′, random contexts, states and payloads reached by
+    # earlier moves or drawn at random, and, given want, each reference
+    # move's state and a state that is no move
+    rng = random.Random(seed)
+    xy = ("x", "y")
+    second = rng.sample(PATH_SHAPES, len(PATH_SHAPES))
+    for pi, pi2 in zip(PATH_SHAPES, second):
+        fix = FixCore("q", pi, pi2)
+        n5, n4 = len(fix.fa.first.unseen), len(fix.fa.last.trie.edges) + 1
+
+        def fa_state(values):
+            return random_theta(rng, n5, values + (TOP,)), random_theta(rng, n4, values + (BOTTOM,))
+
+        cores = [
+            (FaCore(pi, pi2, xy), FaCore.step, reference_fa_step,
+             lambda: rng.choice(xy), lambda: fa_state(xy)),
+            (FaCore(pi, pi2, FOUR_COLORS), FaCore.step, reference_fa_step,
+             lambda: rng.choice(FOUR_COLORS), lambda: fa_state(FOUR_COLORS)),
+            (fix, FixCore.step_with_bit, reference_fix_step,
+             lambda: rng.choice((0, 1)), lambda: (fa_state(FOUR_COLORS), rng.choice(("c1", "c2")))),
+        ]
+        for core, step, reference, draw_base, random_state in cores:
+            for case, moves in _one_frame_cases(rng, core, reference, draw_base, random_state, 6):
+                assert list(step(core, *case)) == moves, (pi, pi2, case)
+                states = [mv[0] for mv in moves]
+                stray = random_state()
+                wants = states + ([] if stray in states else [stray])
+                for want in wants:
+                    got = list(step(core, *case, want))
+                    assert got == list(reference(core, *case, want)), (pi, pi2, case, want)
+                    assert got == [mv for mv in moves if mv[0] == want]
+
+
+def _search_inputs():
+    """(machine, encoded MSC) pairs of the bench's fixpoint, first-label and
+    fa-label run searches: every 2-process shape of 4 events with a q-event
+    under seeded labels, with its oracle fixpoint bits and each single-bit
+    error on q, and seeded label instances, correct and with one error."""
+    rng = random.Random(35)
+    pi = parse_path("->* msg(p,q) ->*", SIG2)
+    pi2 = star_prepend(pi)
+    fix = build_fixpoint_cfm("p", "q", pi, pi2)
+    for shape in enumerate_mscs(SIG2, 4, max_labelings=1):
+        if len(shape.events) != 4 or not shape.events_of("q"):
+            continue
+        m = Msc(SIG2, [(e, shape.loc[e], rng.choice("ab")) for e in shape.events], shape.msg)
+        bits = {e: 0 for e in m.events}
+        for e in m.events_of("q"):
+            bits[e] = 1 if f_pair(m, pi, pi2, e) == e else 0
+        yield fix, encode(m, bits)
+        for e in m.events_of("q"):
+            yield fix, encode(m, {**bits, e: 1 - bits[e]})
+    theta = ("x", "y")
+    labels = [build_first_label_cfm(theta, pi), build_fa_label_cfm(theta, "q", "q", PLUS, STAR)]
+    for machine in labels:
+        for _ in range(12):
+            m = next(m for m in iter(lambda: random_msc(SIG2, rng, 3), None) if m.events_of("q"))
+            annot = machine.annotate(m, {e: rng.choice(theta) for e in m.events})
+            yield machine, encode(m, annot)
+            e = rng.choice(m.events_of("q"))
+            xi1, xi2 = annot[e]
+            yield machine, encode(m, {**annot, e: (xi1, "y" if xi2 == "x" else "x")})
+
+
+def test_search_with_one_frame_steps_is_the_nested_search(monkeypatch):
+    # on the bench's label and fixpoint inputs, the run search returns the
+    # same run (or None) and visits, steps and prunes as many nodes as with
+    # the nested reference steps patched in; every run returned is valid
+    def searched(machine, target):
+        stats: dict = {}
+        return find_accepting_run(machine, target, stats=stats), stats
+
+    found = Counter()
+    for machine, target in _search_inputs():
+        got = searched(machine, target)
+        with monkeypatch.context() as patched:
+            patched.setattr(FaCore, "step", reference_fa_step)
+            patched.setattr(FixCore, "step_with_bit", reference_fix_step)
+            assert got == searched(machine, target), machine.name
+        run = got[0]
+        if run is not None:
+            assert validate_run(machine.with_signature(target.signature), target, run) == []
+        found[machine.name.split("[")[0], run is not None] += 1
+    assert found["fixpoint", True] > 20 and found["fixpoint", False] > 20, found
+    assert all(found[kind, True] and found[kind, False] for kind in ("first-label", "fa-label"))
+
+
+def test_canonical_states_are_memoised_per_machine(monkeypatch):
+    # a second replay on one MSC runs no canonical pass, and two machines
+    # built alike keep an entry each
+    passes = []
+    fix = constructions.fix_canonical_states
+
+    def counted(*args):
+        passes.append(args)
+        return fix(*args)
+
+    monkeypatch.setattr(constructions, "fix_canonical_states", counted)
+    m = CORPUS2[3]
+    mach = build_gossip_cfm(SIG2)
+    replayed(mach, m)
+    assert passes
+    first = len(passes)
+    replayed(mach, m)
+    assert len(passes) == first
+    twin = build_gossip_cfm(SIG2)
+    assert twin.canonical_states(m) == mach.canonical_states(m)
+    assert twin.canonical_states(m) is not mach.canonical_states(m)
+    assert len(passes) == 2 * first
+
+
 def recorded_products(monkeypatch, *modules):
     """The list that the step tuple of every product_moves call, made
     through any of ``modules``, is appended to."""
@@ -1918,7 +2060,7 @@ def test_tl_product_parts_are_made_once_per_machine(monkeypatch):
     machine = compile_tl(parse_tl("(a | b) S b"), sig1)
     [start] = machine._starts("p")
     for sigma in sig1.alphabet:  # with no past event the formula is false
-        assert next(machine._step("p", start, "local", (sigma, 0), None, None), None)
+        assert next(machine.step("p", start, "local", (sigma, 0), None, None), None)
     assert len(made) > len({id(steps) for steps in made}) == 3
 
 
@@ -1932,8 +2074,8 @@ def test_tl_or_chain_step_computes_each_bit_once(monkeypatch):
         phi = tl.Or(phi, tl.Atom("b"))
     machine = compile_tl(phi, sig1)
     [start] = machine._starts("p")
-    assert len(list(machine._step("p", start, "local", ("a", 1), None, None))) == 1
-    assert not list(machine._step("p", start, "local", ("a", 0), None, None))
+    assert len(list(machine.step("p", start, "local", ("a", 1), None, None))) == 1
+    assert not list(machine.step("p", start, "local", ("a", 0), None, None))
     assert len(made) == 2 * 12
 
 
@@ -1958,7 +2100,7 @@ def test_gossip_step_want_contract_at_k1():
     rng = random.Random(1)
 
     def step(state, sigma, xi):
-        return functools.partial(mach._step, "p", state, "local", (sigma, xi), None, None)
+        return functools.partial(mach.step, "p", state, "local", (sigma, xi), None, None)
 
     [start] = mach._starts("p")
     annots = [(None,), ("a",), ("b",)]
@@ -1992,7 +2134,7 @@ def test_search_step_want_contract(kind):
         for t in find_accepting_run(machine, encode(m, annot)).assignment.values():
             msg_in = t.msg if t.kind == "recv" else None
             step = functools.partial(
-                machine._step, t.proc, t.source, t.kind, t.label, t.peer, msg_in
+                machine.step, t.proc, t.source, t.kind, t.label, t.peer, msg_in
             )
             check_want(rng, step, [t.target, t.source])
             checked[t.kind] += 1

@@ -858,6 +858,17 @@ def test_equal_subformulas_share_one_machine(monkeypatch):
     assert len(passes) == 6
 
 
+def test_search_copy_of_a_machine_keeps_its_class_and_name():
+    # the run search adopts the MSC's signature on a copy of the machine of
+    # the machine's own class, so it steps the machine's own search step;
+    # the name is the formula's, formatted when read
+    machine = compile_tl(parse_tl("a S b"), SIG2)
+    adopted = machine.with_signature(SIG2)
+    assert type(adopted) is type(machine) and adopted.step.__func__ is type(machine).step
+    assert (adopted.signature, machine.signature) == (SIG2, None)
+    assert adopted.name == machine.name == "tl[(a S b)]"
+
+
 @pytest.mark.parametrize("claim", [2, "1"])
 def test_decide_raises_on_a_non_bit_claim(claim):
     # the direct route and the search step alike
@@ -867,7 +878,7 @@ def test_decide_raises_on_a_non_bit_claim(claim):
         machine.decide(ExtendedMsc(m, {"s": claim, "r": 0}))
     [start] = machine._starts("p")
     with pytest.raises(TlError):
-        next(machine._step("p", start, "send", ("a", claim), "q", None))
+        next(machine.step("p", start, "send", ("a", claim), "q", None))
 
 
 def test_since_pair_bits_match_the_preorder_switch_rules():
@@ -963,7 +974,7 @@ def test_since_and_or_machines_take_their_first_move():
         (start,) = machine._starts("p")
         tracemalloc.start()
         try:
-            move = next(iter(machine._step("p", start, "local", ("a", bit), None, None)), None)
+            move = next(iter(machine.step("p", start, "local", ("a", bit), None, None)), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
