@@ -223,21 +223,41 @@ class LazyCfm:
         return out
 
     def step(self, p, state, kind, label, peer, msg_in):
-        # a transition carries the message it sends or receives, and a peer
-        # unless local
-        msg = msg_in if kind == "recv" else None
-        t_peer = None if kind == "local" else peer
-        for new_state, msg_out in self._step(p, state, kind, label, peer, msg_in):
-            if kind == "send":
-                msg = msg_out
-            else:
-                msg_out = None
-            yield new_state, msg_out, Transition(p, state, kind, label, new_state, msg, t_peer)
+        moves = self._step(p, state, kind, label, peer, msg_in)
+        return transitions(p, state, kind, label, peer, msg_in, (
+            (new_state, None, msg_out) for new_state, msg_out in moves
+        ))
 
     def is_accepting(self, final: tuple[State, ...]) -> bool:
         return all(
             self._final(p, s) for p, s in zip(self.signature.processes, final)
         )
+
+
+ANY = object()  # a claim that ``transitions`` reads as met by every output
+
+
+def transitions(p, state, kind, label, peer, msg_in, moves, claimed=ANY):
+    """A lazy machine's moves from (p, state) at an event shaped (kind,
+    label, peer) that reads ``msg_in``, as the run search takes them.
+
+    ``moves`` yields (new state, output, payload); those whose output is
+    ``claimed`` (all of them when it is ANY) are yielded as (new state,
+    message sent or None, witnessing Transition).  A transition carries the
+    message it receives (msg_in) or sends (the move's payload), and its
+    peer unless it is local.
+    """
+    send = kind == "send"
+    msg = msg_in if kind == "recv" else None
+    t_peer = None if kind == "local" else peer
+    for new_state, out, payload in moves:
+        if claimed is not ANY and out != claimed:
+            continue
+        if send:
+            msg = payload
+        else:
+            payload = None
+        yield new_state, payload, Transition(p, state, kind, label, new_state, msg, t_peer)
 
 
 @dataclass

@@ -40,7 +40,7 @@ import functools
 import operator
 from typing import Callable, Hashable, Iterable, Optional
 
-from .cfm import LazyCfm, Transition
+from .cfm import ANY, LazyCfm, transitions
 from .msc import BOTTOM, TOP, ExtendedMsc, Msc, SystemSignature, linearize
 from .paths import (
     LabelTest,
@@ -582,9 +582,10 @@ def preorder_bits(
 # step(state, ctx, payload_in, want), made once by the core that owns it;
 # LastCore, FirstCore and FaCore also take the event's base value after ctx,
 # and FixCore.step_with_bit the bit γ.  A machine (AnnotationCfm) is one
-# start, one part and one final test; its search step, one generator, hands
-# the part the event's claimed annotation as ``ctx.claim``, which a part whose
-# base or bit is claimed reads.  States are the θ functions as tuples indexed
+# start, one part and one final test; its search step hands the part the
+# event's claimed annotation as ``ctx.claim``, which a part whose base or bit
+# is claimed reads, and filters the part's moves on the claim in one
+# generator (cfm.transitions).  States are the θ functions as tuples indexed
 # by prefix (LastCore) or suffix (FirstCore) length; "start" marks an empty
 # process history.  FaCore and FixCore are not products: each step is one
 # frame that reads its first core's compiled tables (FirstCore.agreed and
@@ -1099,12 +1100,13 @@ class AnnotationCfm(LazyCfm):
     The machine is one start state ``start()``, one product part
     ``part(state, ctx, msg_in, want)``, which yields (state, out, payload),
     and one final test ``final(state)``, the same on every process.  Its
-    search step ``step(p, state, kind, label, peer, msg_in, want=None)`` is
-    one generator between the run search (and ``replay``) and the part: it
-    decodes the label (σ, a), hands the part a StepCtx that carries a as
-    ``claim``, keeps the moves whose output is claim(a) on the events of
-    ``check_proc`` (every event when None) and every move elsewhere, and
-    yields each as (state, message sent, Transition), as LazyCfm.step does.
+    search step ``step(p, state, kind, label, peer, msg_in, want=None)``
+    decodes the label (σ, a) and hands the part a StepCtx that carries a as
+    ``claim``; between the run search (and ``replay``) and the part there is
+    then one generator, cfm.transitions, as under LazyCfm.step.  It keeps
+    the moves whose output is claim(a) on the events of ``check_proc``
+    (every event when None) and every move elsewhere, and yields each as
+    (state, message sent, Transition).
 
     annotate(m) is the canonical correct annotation, memoised on the MSC
     under the machine itself.  decide(ext) compares it with the claimed
@@ -1115,8 +1117,7 @@ class AnnotationCfm(LazyCfm):
     stops at the first wrong event.  decide defines the same language as
     the transition relation; the two are cross-validated by run search on
     small instances and, where ``canonical`` is given, by ``replay`` of the
-    valuation's run, whose states ``canonical_states(m)`` memoises on the
-    MSC under the machine, as annotate does.
+    valuation's run.
     """
 
     def __init__(
@@ -1150,19 +1151,9 @@ class AnnotationCfm(LazyCfm):
             raise ValueError(f"expected (label, annotation) pairs, got {label!r}")
         sigma, a = label
         moves = self.part(state, StepCtx(p, kind, peer, sigma, a), msg_in, want)
-        checked = self._check_proc is None or p == self._check_proc
-        claimed = self._claim(a) if checked else None
-        send = kind == "send"
-        msg = msg_in if kind == "recv" else None
-        t_peer = None if kind == "local" else peer
-        for new_state, out, payload in moves:
-            if checked and out != claimed:
-                continue
-            if send:
-                msg = payload
-            else:
-                payload = None
-            yield new_state, payload, Transition(p, state, kind, label, new_state, msg, t_peer)
+        check = self._check_proc
+        claimed = self._claim(a) if check is None or p == check else ANY
+        return transitions(p, state, kind, label, peer, msg_in, moves, claimed)
 
     def _final(self, p, state) -> bool:
         return self.final(state)
@@ -1189,11 +1180,7 @@ class AnnotationCfm(LazyCfm):
         accepting run on the correctly annotated MSC."""
         if self._canonical_fn is None:
             raise NotImplementedError(f"{self.name} has no canonical-state pass")
-        key = ("canonical-states", self)
-        states = m._caches.get(key)
-        if states is None:
-            states = m._caches[key] = self._canonical_fn(m)
-        return states
+        return self._canonical_fn(m)
 
 
 def _pair_part(core, state, ctx: StepCtx, msg_in, want):

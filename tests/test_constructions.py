@@ -957,7 +957,7 @@ def test_gossip_replay_reads_each_receive_at_its_send(monkeypatch):
     canon = mach.canonical_states(m)
     for e in m.events:
         for wrong in {canon[f] for f in m.events_of(m.loc[e])} - {canon[e]}:
-            monkeypatch.setattr(mach, "canonical_states", lambda m, e=e, s=wrong: {**canon, e: s})
+            monkeypatch.setattr(mach, "_canonical_fn", lambda m, e=e, s=wrong: {**canon, e: s})
             with pytest.raises(ReplayError) as err:
                 replay(mach, ext)
             assert err.value.event == e
@@ -1959,30 +1959,6 @@ def test_search_with_one_frame_steps_is_the_nested_search(monkeypatch):
         found[machine.name.split("[")[0], run is not None] += 1
     assert found["fixpoint", True] > 20 and found["fixpoint", False] > 20, found
     assert all(found[kind, True] and found[kind, False] for kind in ("first-label", "fa-label"))
-
-
-def test_canonical_states_are_memoised_per_machine(monkeypatch):
-    # a second replay on one MSC runs no canonical pass, and two machines
-    # built alike keep an entry each
-    passes = []
-    fix = constructions.fix_canonical_states
-
-    def counted(*args):
-        passes.append(args)
-        return fix(*args)
-
-    monkeypatch.setattr(constructions, "fix_canonical_states", counted)
-    m = CORPUS2[3]
-    mach = build_gossip_cfm(SIG2)
-    replayed(mach, m)
-    assert passes
-    first = len(passes)
-    replayed(mach, m)
-    assert len(passes) == first
-    twin = build_gossip_cfm(SIG2)
-    assert twin.canonical_states(m) == mach.canonical_states(m)
-    assert twin.canonical_states(m) is not mach.canonical_states(m)
-    assert len(passes) == 2 * first
 
 
 def recorded_products(monkeypatch, *modules):
