@@ -64,10 +64,11 @@ def _theta_rule(head, parent, node, tail, none, pred, sender, proc, sender_proc,
 
     ``pred`` and ``sender`` are θ at the ⊏-predecessor and at the message
     sender, None when the event has none; ``none`` marks an empty preimage.
-    This is the one copy of the rules for ⊏, →*, msg(p,q) and [a], and only
-    compilers run it: the trie steps of the passes and of LastCore, and
-    FirstCore's guess templates and agreement checks on the mirror
-    (_GuessTables), are compiled from it once per event shape.
+    This is the one copy of the rules for ⊏, →*, msg(p,q) and [a], and one
+    method runs it, PathTrie.template, which gives per event shape what
+    each node's entry reads.  The trie steps of the passes and of LastCore,
+    and FirstCore's guesses and agreement checks on the mirror
+    (_GuessTables), are all read off those templates.
     """
     if isinstance(head, Step):
         return none if pred is None else pred[parent]
@@ -91,12 +92,12 @@ class PathTrie:
     of the reversed path on the original (see _mirror_symbols).  A single
     path is a chain: node i is its prefix of length i.
 
-    θ at one event is a program compiled from _theta_rule for the event's
-    shape into one straight-line function (``program``), which LastCore and
-    the passes call; the programs are kept on the trie, and so are the
-    passes' tables of them, keyed by shape code and, on a trie with label
-    tests, the letter (``shape_programs``), and FirstCore's tables, one per
-    guess domain (``guess_tables``).
+    θ at one event is read off the ``template`` of the event's shape, the
+    one place that runs _theta_rule: it is compiled into one straight-line
+    function (``program``), which LastCore and the passes call, and read
+    by FirstCore's tables (``guess_tables``, one per guess domain).  The
+    trie keeps the programs and the passes' tables of them
+    (``shape_programs``), and the guess tables, but no template.
 
     A trie may carry a read-out (the gossip trie does): per process, a tuple
     of families of its paths.  The program of an event on that process then
@@ -127,7 +128,6 @@ class PathTrie:
         }
         self._programs: dict[tuple, Callable] = {}
         self._coded: dict[tuple, _ShapePrograms] = {}
-        self._slots: Optional[list] = None
         self._guess_tables: dict[tuple, _GuessTables] = {}
 
     def guess_tables(self, domain: tuple) -> _GuessTables:
@@ -135,7 +135,7 @@ class PathTrie:
         ``domain`` (Θ∪{⊤}), made once per trie and domain."""
         tables = self._guess_tables.get(domain)
         if tables is None:
-            tables = self._guess_tables[domain] = _GuessTables(self.edges, domain)
+            tables = self._guess_tables[domain] = _GuessTables(self, domain)
         return tables
 
     def find(self, symbols: tuple) -> int:
@@ -152,7 +152,7 @@ class PathTrie:
         so a trie without one is given the letter None for every event."""
         program = self._programs.get(key)
         if program is None:
-            program = self._programs[key] = self._compile(*key)
+            program = self._programs[key] = self._compile(key)
         return program
 
     def shape_programs(self, procs: tuple) -> _ShapePrograms:
@@ -165,66 +165,74 @@ class PathTrie:
             programs = self._coded[procs] = _ShapePrograms(self, procs)
         return programs
 
-    def _compile(self, has_pred: bool, sender_proc, proc, sigma) -> Callable:
-        """The program of one event shape, as one straight-line function
-        (none, base, θ(pred), θ(sender), labels) → θ.  _theta_rule is run on
-        slots standing for none, base and the entries of θ(pred) and
-        θ(sender), so that each entry is found to copy one slot.  The rule
-        reads a tail only to copy it, or, for →*, another slot when the tail
-        is none; such an entry gets a slot of its own, a local that reads the
-        tail and falls back to the other slot when the tail ``is none``.  The
-        function returns the tuple of every node's slot.
+    def template(self, key: tuple) -> list:
+        """What θ at an event of shape ``key`` (as ``program`` takes it)
+        holds at each node after the base: ("none", None); ("copy", j), the
+        parent j's entry; ("pred", j) or ("sender", j), entry j of θ(pred)
+        or θ(sender); or ("star", j), for →*: the parent j's entry, or
+        θ(pred) at the node when the parent's is none.  _theta_rule is run
+        on these entries, and again on none where it copies the parent's.
+        Made afresh on each call."""
+        has_pred, sender_proc, proc, sigma = key
+        pred = _Entries("pred") if has_pred else None
+        sender = None if sender_proc is None else _Entries("sender")
+        rule, none, template = _theta_rule, ("none", None), []
+        for node, head, parent in self.edges:
+            copy = ("copy", parent)
+            entry = rule(head, parent, node, copy, none, pred, sender, proc, sender_proc, sigma)
+            if entry is copy:
+                bare = rule(head, parent, node, none, none, pred, sender, proc, sender_proc, sigma)
+                entry = copy if bare is none else ("star", parent)
+            template.append(entry)
+        return template
+
+    def _compile(self, key: tuple) -> Callable:
+        """The program of one event shape, written from its template: one
+        straight-line function (none, base, θ(pred), θ(sender), labels) → θ
+        that returns the tuple of every node's entry.  A →* entry whose
+        parent's may be none at run time is a local, which reads the
+        parent's entry and, when that ``is none``, θ(pred) at the node.
 
         On a trie with a read-out, that tuple ends with one more entry: per
-        family of the process, ``labels[max(…)]`` over the slots of its
-        nodes.  Read-outs are of last-tries, where none is _BOT = -1, the
-        least index: a node whose slot is none drops out of the max, and a
-        family with no other node reads None.  ``labels`` is indexed like
-        the events and ends with None, so a max that is -1 at run time reads
-        None as well."""
-        n = len(self.edges) + 1
-        if self._slots is None:  # enough for θ(pred), θ(sender) and a local per node
-            self._slots = [_Slot(i) for i in range(2 + 3 * n)]
-        slots = self._slots
-        none = slots[0]
-        pred = slots[2 : 2 + n] if has_pred else None
-        offset = 2 + n * has_pred
-        sender = None if sender_proc is None else slots[offset : offset + n]
-        # each slot's expression in the function, by slot index
-        names = ["none", "base"]
-        names += [f"pred[{j}]" for j in range(n if has_pred else 0)]
-        names += [f"sender[{j}]" for j in range(0 if sender is None else n)]
-        shape = (pred, sender, proc, sender_proc, sigma)
-        entry = [slots[1]]
+        family of the process, ``labels[max(…)]`` over its nodes' entries.
+        Read-outs are of last-tries, where none is _BOT = -1, the least
+        index: a static none drops out of the max, a family of none reads
+        None, and so does a max that is -1 at run time, as ``labels`` is
+        indexed like the events and ends with None."""
+        exprs = ["base"]  # per node, its entry in the function
         lines = ["def step(none, base, pred, sender, labels=None):"]
-        for node, head, parent in self.edges:
-            tail = entry[parent]
-            v = _theta_rule(head, parent, node, tail, none, *shape)
-            if v is tail and v is not none:
-                v_none = _theta_rule(head, parent, node, none, none, *shape)
-                if v_none is not none:
-                    t = f"t{node}"
-                    lines += [
-                        f"    {t} = {names[tail.i]}",
-                        f"    if {t} is none:",
-                        f"        {t} = {names[v_none.i]}",
-                    ]
-                    v = slots[len(names)]
-                    names.append(t)
-            entry.append(v)
-        row = [names[s.i] for s in entry]
+        for node, (kind, j) in enumerate(self.template(key), 1):
+            if kind == "copy":
+                expr = exprs[j]
+            elif kind == "star" and exprs[j] != "none":
+                expr = f"t{node}"
+                lines += [f"    {expr} = {exprs[j]}", f"    if {expr} is none:"]
+                lines.append(f"        {expr} = pred[{node}]")
+            elif kind == "star":
+                expr = f"pred[{node}]"
+            else:
+                expr = kind if j is None else f"{kind}[{j}]"
+            exprs.append(expr)
         if self.readout is not None:
             reads = []
-            for fam in self.readout[proc]:
-                at = list(dict.fromkeys(names[entry[j].i] for j in fam if entry[j] is not none))
+            for fam in self.readout[key[2]]:
+                at = list(dict.fromkeys(exprs[j] for j in fam if exprs[j] != "none"))
                 reads.append(
                     "None" if not at
                     else f"labels[{at[0]}]" if len(at) == 1
                     else f"labels[max({', '.join(at)})]"
                 )
-            row.append(f"({''.join(r + ', ' for r in reads)})")
-        lines.append(f"    return ({''.join(r + ', ' for r in row)})")
+            exprs.append(f"({''.join(r + ', ' for r in reads)})")
+        lines.append(f"    return ({''.join(r + ', ' for r in exprs)})")
         return _function("\n".join(lines))
+
+
+class _Entries(str):
+    """θ(pred) or θ(sender) as PathTrie.template hands it to the rule:
+    entry j is (name, j)."""
+
+    def __getitem__(self, j: int) -> tuple:
+        return (str(self), j)
 
 
 class _ShapePrograms(dict):
@@ -249,15 +257,6 @@ def _function(source: str) -> Callable:
     namespace: dict = {}
     exec(source, namespace)
     return namespace["step"]
-
-
-class _Slot:
-    """A position among the values that a compiled step reads or makes."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i: int):
-        self.i = i
 
 
 @functools.cache
@@ -699,60 +698,45 @@ def _bottom_step(core: LastCore, state, ctx: StepCtx, msg_in, want):
     return core.step(state, ctx, "•", msg_in, want)
 
 
-_FREE = object()  # a FirstCore entry that reads a neighbour not yet seen
-
-
 class _GuessTables:
-    """FirstCore's step on a mirror chain (its trie's ``edges``) for guesses
-    from ``domain``, compiled from _theta_rule and kept on the trie.
+    """FirstCore's step on a mirror chain ``trie`` for guesses from
+    ``domain``, read off the trie's templates and kept on the trie.
 
     At an event the θ of its mirror predecessor (its ⊏-successor) and, on a
-    send, of its mirror sender (its receiver) are ``unseen``, every entry
-    _FREE.  Run on marks, per event shape (send or not, process, peer,
-    letter), the rule gives each entry a template: ⊤, a copy of entry j, a
-    guess from the domain, or, for →*, a guess when entry j is ⊤ and a copy
-    of it otherwise.  The guesses of a (shape, base) are enumerated from the
-    template once, in the order of a rule-per-node loop, and kept.
+    send, of its mirror sender (its receiver) are not yet seen, so per event
+    shape (send or not, process, peer, letter) the template of the shape
+    with both reads each entry of them as a guess from the domain.  The
+    guesses of a (shape, base) are enumerated from it once, in the order of
+    a rule-per-node loop, and kept.
 
     When a neighbour is seen, the entries of the state that read it must
-    equal what the rule computes from it.  Which entries these are, and which
-    entries of the neighbour's θ they read, depends only on the kind of
-    neighbour, a message's two processes, and which tails of the state are
-    ⊤; so that check is compiled per such pattern into two index tuples.
-    The guesses are kept indexed by their values at the read entries, and a
-    step's moves are one lookup of the state's values there.
+    equal what the rule computes from it: the entries that read θ(pred) in
+    the template of a shape with a predecessor alone, or θ(sender) in that
+    of a shape with a sender alone.  A →* entry reads θ(pred) only where
+    the state's tail is ⊤, so each check is compiled per neighbour and per
+    values of those tails into two index tuples.  The guesses are kept
+    indexed by their values at the read entries, and a step's moves are one
+    lookup of the state's values there.
     """
 
-    def __init__(self, edges: tuple, domain: tuple):
-        self.edges, self.domain = edges, domain
-        self.unseen = (_FREE,) * (len(edges) + 1)
-        self._marks = [_Slot(j) for j in range(len(edges) + 1)]  # entries, to compile on
+    def __init__(self, trie: PathTrie, domain: tuple):
+        self.trie, self.domain = trie, domain
         self._templates: dict[tuple, tuple] = {}  # shape -> template
         self._guesses: dict[tuple, list] = {}  # (*shape, base) -> θs
         self._indexes: dict[tuple, dict] = {}  # (*shape, base, reads) -> θs by reads
-        self._neighbours: dict = {}  # at -> (gather of deciding tails, checks by them)
+        self._neighbours: dict = {}  # at -> (template, gather of deciding tails, checks by them)
 
     def template(self, shape: tuple) -> tuple:
-        """Per node after the base, (kind, j): ("top", None), ("copy", j),
-        ("free", None) or ("star", j), a guess if entry j is ⊤, else its copy."""
+        """Per node after the base, (kind, j): ("none", None), ⊤; ("copy", j);
+        ("free", None), a guess; or ("star", j), a guess if entry j is ⊤,
+        else its copy."""
         template = self._templates.get(shape)
         if template is None:
             send, proc, peer, sigma = shape
-            later = (self.unseen, self.unseen if send else None, proc, peer, sigma)
-            none = _Slot(-1)
-            template = []
-            for node, head, parent in self.edges:
-                tail = self._marks[parent]
-                v = _theta_rule(head, parent, node, tail, none, *later)
-                if v is _FREE:
-                    template.append(("free", None))
-                elif v is none:
-                    template.append(("top", None))
-                elif v is tail and _theta_rule(head, parent, node, none, none, *later) is _FREE:
-                    template.append(("star", parent))
-                else:
-                    template.append(("copy", v.i))
-            template = self._templates[shape] = tuple(template)
+            template = self._templates[shape] = tuple(
+                ("free", None) if kind == "pred" or kind == "sender" else (kind, j)
+                for kind, j in self.trie.template((True, peer if send else None, proc, sigma))
+            )
         return template
 
     def indexed(self, key: tuple) -> dict:
@@ -772,7 +756,7 @@ class _GuessTables:
     def _enumerate(self, shape: tuple, base) -> list:
         thetas = [(base,)]
         for kind, j in self.template(shape):
-            if kind == "top":
+            if kind == "none":
                 thetas = [t + (TOP,) for t in thetas]
             elif kind == "copy":
                 thetas = [t + (t[j],) for t in thetas]
@@ -794,7 +778,7 @@ class _GuessTables:
             if kind == "free" or kind == "star" and want[j] is TOP:
                 if w not in self.domain:
                     return False
-            elif w != (TOP if kind == "top" else want[j]):
+            elif w != (TOP if kind == "none" else want[j]):
                 return False
         return True
 
@@ -802,47 +786,26 @@ class _GuessTables:
         """(reads, values): the entries of the θ of t's neighbour, its
         ⊏-successor when ``at`` is None and else its message's receiver with
         at = (sender process, receiver process), that the rule reads to
-        recompute the entries of t it left _FREE, and t's values at those
-        entries, which the neighbour's must equal."""
+        recompute the entries of t that were guessed, and t's values at
+        those entries, which the neighbour's must equal."""
         plan = self._neighbours.get(at)
         if plan is None:
-            plan = self._neighbours[at] = self._compile_neighbour(at)
-        pattern, checks = plan
-        key = pattern(t)
+            shape = (True, None, None, None) if at is None else (False, at[1], at[0], None)
+            template = self.trie.template(shape)
+            tails = _gather(tuple(j for kind, j in template if kind == "star"))
+            plan = self._neighbours[at] = (template, tails, {})
+        template, tails, checks = plan
+        key = tails(t)
         check = checks.get(key)
         if check is None:
-            check = checks[key] = self._compile_check(t, at)
+            reads, wants = [], []
+            for node, (kind, j) in enumerate(template, 1):
+                if kind == "pred" or kind == "sender" or kind == "star" and t[j] is TOP:
+                    reads.append(node if kind == "star" else j)
+                    wants.append(node)
+            check = checks[key] = (tuple(reads), _gather(tuple(wants)))
         reads, wants = check
         return reads, wants(t)
-
-    def _reads(self, tail_top: bool, node, head, parent, at) -> Optional[int]:
-        """The entry of the neighbour's θ that the rule copies into ``node``,
-        given whether its tail is ⊤; None when it reads none.  No letter is
-        passed: no entry that reads a neighbour reads it."""
-        none, marks = _Slot(-1), self._marks
-        seen = (marks, None, None, None) if at is None else (None, marks, *at)
-        tail = none if tail_top else _Slot(-2)
-        v = _theta_rule(head, parent, node, tail, none, *seen, None)
-        return v.i if v.i >= 0 else None
-
-    def _compile_neighbour(self, at) -> tuple:
-        """The gather of the entries of a state whose being ⊤ decides what the
-        neighbour check reads, and the checks compiled so far by its values."""
-        relevant = tuple(
-            edge[2]
-            for edge in self.edges
-            if self._reads(True, *edge, at) != self._reads(False, *edge, at)
-        )
-        return _gather(relevant), {}
-
-    def _compile_check(self, t: tuple, at) -> tuple:
-        reads, wants = [], []
-        for node, head, parent in self.edges:
-            r = self._reads(t[parent] is TOP, node, head, parent, at)
-            if r is not None:
-                reads.append(r)
-                wants.append(node)
-        return tuple(reads), _gather(tuple(wants))
 
 
 class FirstCore:
@@ -858,19 +821,20 @@ class FirstCore:
     entries that read it must equal what the rule computes from it; with no
     successor (final()) they must be ⊤.
 
-    The core runs the tables compiled from the rule on π's mirror chain trie
-    for its domain (_GuessTables), so they outlive the core: a step reads the
-    state's and the message's checks once (``agreed``) and looks up its
-    (shape, base) guesses by the values those checks read (``guesses``).
-    Given a wanted state, a step checks it against the shape's template and
-    the two checks and yields it or nothing, without enumerating the
-    guesses.  FaCore and FixCore step on the same two helpers.
+    The core runs the tables read off the templates of π's mirror chain
+    trie for its domain (_GuessTables), so they outlive the core: a step
+    reads the state's and the message's checks once (``agreed``) and looks
+    up its (shape, base) guesses by the values those checks read
+    (``guesses``).  Given a wanted state, a step checks it against the
+    shape's template and the two checks and yields it or nothing, without
+    enumerating the guesses.  FaCore and FixCore step on the same two
+    helpers.
     """
 
     def __init__(self, pi: PathExpr, theta_set: tuple):
         trie = _chain_trie(_mirror_symbols(pi), True)
         self.tables = trie.guess_tables(tuple(theta_set) + (TOP,))
-        self.unseen = self.tables.unseen  # a state's width
+        self.width = len(trie.edges) + 1  # a state's length
 
     def start(self):
         return "start"

@@ -545,6 +545,68 @@ def test_cfm_mirror_output_is_independent_of_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# runs each command of argv[1] through dispatch and prints their exit codes
+# and outputs as one JSON list
+_DISPATCH_ALL = """
+import contextlib, io, json, sys
+from mscgossip.cli import dispatch
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        out.append((dispatch(argv), buf.getvalue()))
+print(json.dumps(out))
+"""
+
+
+def test_cli_output_is_independent_of_hash_seed(fig_file, tmp_path):
+    # nine commands, each in a fresh interpreter per PYTHONHASHSEED 0-4,
+    # print the same bytes; only cfm run's wall time may differ
+    m = fig_flipped()
+    annot = oracle_gossip_annotation(m).annot
+    ann, wrong = tmp_path / "ann.json", tmp_path / "wrong.json"
+    ann.write_text(json.dumps(msc_to_json(m, annot)))
+    e = linearize(m)[5]
+    annot[e] = ["b" if annot[e][0] != "b" else None, *annot[e][1:]]
+    wrong.write_text(json.dumps(msc_to_json(m, annot)))
+    c = chain_cfm()
+    cfm_path, good = tmp_path / "c.json", tmp_path / "good.json"
+    cfm_path.write_text(json.dumps(cfm_to_json(c)))
+    good.write_text(json.dumps(msc_to_json(
+        Msc(c.signature, [("e0", "p", "a"), ("e1", "p", "b")], []))))
+    commands = [
+        ["gossip", "check", str(ann)],
+        ["gossip", "check", str(wrong), "--json"],
+        ["gossip", "build", fig_file, "--report-states", "--json"],
+        ["cfm", "run", str(cfm_path), str(good), "--json"],
+        ["tl", "check", fig_file, "--formula", "a S b", "--json"],
+        ["tl", "compile", fig_file, "--formula", "@q S a"],
+        ["impossible", "refute", "--json"],
+        ["path", "compare", fig_file, "--event", "f3", "--json",
+         "--path", "msg(p,q) ->*", "--path", "->* msg(p,r) ->* msg(r,q) ->*"],
+        ["corpus", "gen", "--seed", "1", "--count", "3", "--procs", "3"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DISPATCH_ALL, json.dumps(commands)],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in range(5)
+    ]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        results = json.loads(out)
+        run = json.loads(results[3][1])
+        del run["stats"]["wall_time"]
+        results[3][1] = run
+        outputs.append(results)
+    assert [code for code, _ in outputs[0]] == [0, 1, 0, 0, 0, 0, 1, 0, 0]
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 def test_module_entry_point_exits_2_on_a_malformed_cfm(tmp_path):
     obj = cfm_to_json(CLAIMANTS["echo"])
     obj["machines"] = []

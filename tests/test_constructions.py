@@ -1,7 +1,9 @@
+import ast
 import functools
 import random
 import time
 from collections import Counter, defaultdict, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1639,7 +1641,7 @@ def test_first_core_want_contract(seed):
     values = ("x", "y", TOP, BOTTOM)
     for pi in PATH_SHAPES:
         core = FirstCore(pi, ("x", "y"))
-        n = len(core.unseen)
+        n = core.width
         ctx = random_ctx(rng)
         base = rng.choice(("x", "y"))
         state = "start" if rng.random() < 0.3 else random_theta(rng, n, values[:3])
@@ -1704,7 +1706,7 @@ def first_core_cases(rng, core, theta_set, count):
     """(state, ctx, base, payload) cases for a FirstCore, states and payloads
     drawn from earlier cases' moves or at random over Θ∪{⊤, ⊥}."""
     values = tuple(theta_set) + (TOP, BOTTOM)
-    n = len(core.unseen)
+    n = core.width
     seen = []
     for _ in range(count):
         ctx = random_ctx(rng)
@@ -1742,7 +1744,7 @@ def test_first_core_tables_match_theta_rule(seed, colours_first):
                 assert moves == ref.step(state, ctx, base, payload), (pi, state, payload)
                 assert core.final(state) == ref.final(state), (pi, state)
                 wants = [mv[0] for mv in rng.sample(moves, min(2, len(moves)))]
-                wants.append(random_theta(rng, len(core.unseen), theta_set + (TOP,)))
+                wants.append(random_theta(rng, core.width, theta_set + (TOP,)))
                 for want in wants:
                     got = list(core.step(state, ctx, base, payload, want))
                     assert got == [mv for mv in moves if mv[0] == want], (pi, want)
@@ -1823,6 +1825,98 @@ def test_replay_enumerates_no_guesses():
     assert tables._guesses == {} and tables._indexes == {}
 
 
+def test_theta_rule_has_one_caller():
+    # the θ rule is evaluated in one place: every use of the name _theta_rule
+    # in constructions.py, a call or an alias of the function, is inside
+    # PathTrie.template
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "_theta_rule":
+                callers.append(".".join(where))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, where + (child.name,) if named else where)
+
+    visit(ast.parse(Path(constructions.__file__).read_text()), ())
+    assert callers and set(callers) == {"PathTrie.template"}
+
+
+def test_a_shape_runs_the_rule_only_through_its_template(monkeypatch):
+    # on a fresh mirror chain trie, a shape's program, its guess template and
+    # both agreement checks call _theta_rule only inside PathTrie.template,
+    # and made again they call it no more
+    trie = PathTrie([_mirror_symbols(star_prepend(PI2))], True)
+    t = ("c1", "c2", TOP, "z1", TOP, "c1")  # nodes 3 and 5, →*, read the successor
+    assert len(t) == len(trie.edges) + 1
+    rule, template = constructions._theta_rule, PathTrie.template
+    calls, depth = Counter(), [0]
+
+    def counting(*args):
+        calls["inside" if depth[0] else "outside"] += 1
+        return rule(*args)
+
+    def templating(self, key):
+        depth[0] += 1
+        try:
+            return template(self, key)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(constructions, "_theta_rule", counting)
+    monkeypatch.setattr(PathTrie, "template", templating)
+
+    def build():
+        trie.program((True, "q", "r", None))
+        tables = trie.guess_tables(FOUR_COLORS + (TOP,))
+        tables.template((True, "r", "q", "a"))
+        # the successor's check, and the receiver's of a message from r to q
+        return tables.agreement(t, None), tables.agreement(t, ("r", "q"))
+
+    checks = build()
+    assert all(reads for reads, _ in checks)
+    assert calls["inside"] > 0 and calls["outside"] == 0
+    made = dict(calls)
+    assert build() == checks
+    assert calls == made
+
+
+def test_compiling_every_pass_program_keeps_no_template(monkeypatch):
+    # a template is made afresh on each call, once per compiled program, and
+    # a trie that serves passes keeps none: after every pass program of a
+    # fresh until trie is compiled, no template made is reachable from it
+    made = []
+    template = PathTrie.template
+
+    def keeping(self, key):
+        made.append(template(self, key))
+        return made[-1]
+
+    monkeypatch.setattr(PathTrie, "template", keeping)
+    trie = _since_plan.__wrapped__(SIG2, True)[0]
+    key = (True, "q", "p", "a")
+    assert trie.template(key) == trie.template(key) and made[0] is not made[1]
+    del made[:]
+    programs = trie.shape_programs(SIG2.processes)
+    k = len(SIG2.processes)
+    for code in range(2 * (k + 1) * k):
+        for letter in ABCD + ("z",):
+            programs[code, letter]
+    assert len(made) == len(trie._programs) == 2 * (k + 1) * k * 5
+    kept, seen, todo = {id(t) for t in made}, set(), [vars(trie)]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert id(obj) not in kept
+        if isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+    assert len(seen) > len(trie.edges)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fix_core_guess_want_contract(seed):
@@ -1830,7 +1924,7 @@ def test_fix_core_guess_want_contract(seed):
     colours = FOUR_COLORS + (TOP,)
     pi, pi2 = rng.choice(PATH_SHAPES), rng.choice(PATH_SHAPES)
     core = FixCore("q", pi, pi2)
-    n5, n4 = len(core.fa.first.unseen), len(core.fa.last.trie.edges) + 1
+    n5, n4 = core.fa.first.width, len(core.fa.last.trie.edges) + 1
 
     def random_state(start_ok):
         if start_ok and rng.random() < 0.3:
@@ -1882,7 +1976,7 @@ def test_one_frame_steps_match_the_nested_reference(seed):
     second = rng.sample(PATH_SHAPES, len(PATH_SHAPES))
     for pi, pi2 in zip(PATH_SHAPES, second):
         fix = FixCore("q", pi, pi2)
-        n5, n4 = len(fix.fa.first.unseen), len(fix.fa.last.trie.edges) + 1
+        n5, n4 = fix.fa.first.width, len(fix.fa.last.trie.edges) + 1
 
         def fa_state(values):
             return random_theta(rng, n5, values + (TOP,)), random_theta(rng, n4, values + (BOTTOM,))
